@@ -11,7 +11,7 @@
 use crate::format_table;
 use crate::opts::{fig_designs, ExpOpts};
 use crate::{point_seed, SweepRunner};
-use zcache_core::{ArrayKind, CacheBuilder, PolicyKind, VictimCache};
+use zcache_core::{ArrayKind, CacheBuilder, LruStack, PolicyKind, VictimCache};
 use zhash::HashKind;
 use zsim::trace::record_trace;
 use zworkloads::suite::paper_suite_scaled;
@@ -29,7 +29,8 @@ pub struct ConflictRow {
     pub design: String,
     /// Total misses of the design.
     pub misses: u64,
-    /// Misses of the same-size fully-associative cache (capacity+cold).
+    /// Misses of the same-size fully-associative LRU cache
+    /// (capacity+cold), counted by [`LruStack`].
     pub fully_misses: u64,
     /// Conflict misses (may be negative under LRU).
     pub conflict: i64,
@@ -75,7 +76,9 @@ pub fn run(opts: &ExpOpts) -> Vec<ConflictRow> {
             cache.stats().misses
         };
 
-        let fully = run_design(ArrayKind::Fully, 4);
+        // The stack property makes the fully-associative LRU reference
+        // exact without simulating a fully-associative array.
+        let fully = LruStack::misses(lines, refs.iter().map(|r| r.0));
         let row = |label: String, misses: u64| {
             let conflict = misses as i64 - fully as i64;
             ConflictRow {

@@ -13,16 +13,18 @@
 //!
 //! `--validate` cross-checks the predictions zoracle-style: every grid
 //! point is also simulated (trace replayed through a real
-//! `zcache_core` cache under full LRU), the absolute miss-ratio error
-//! is reported per design, and the run fails if any error exceeds the
-//! tolerance. The pinned artifact lives in `BENCH_predict.json`.
+//! `zcache_core` cache under full LRU; the `fully` rows through
+//! `LruStack`, a list-based LRU independent of the Fenwick-tree
+//! profile), the absolute miss-ratio error is reported per design, and
+//! the run fails if any error exceeds the tolerance. The pinned
+//! artifact lives in `BENCH_predict.json`.
 
 use crate::format_table;
 use crate::opts::ExpOpts;
 use crate::pipeline::PointScratch;
 use crate::{point_seed, SweepRunner};
 use zcache_core::model::{self, DistanceProfile, Prediction};
-use zcache_core::{ArrayKind, CacheBuilder, PolicyKind};
+use zcache_core::{ArrayKind, CacheBuilder, LruStack, PolicyKind};
 use zhash::HashKind;
 use zworkloads::profile::StackProfiler;
 use zworkloads::suite::paper_suite_scaled;
@@ -125,7 +127,8 @@ impl Default for PredictOpts {
 }
 
 /// The predicted design lineup: label, replacement candidates, and the
-/// concrete array to simulate for validation.
+/// concrete array to simulate for validation (`ArrayKind::Fully` is
+/// validated against [`LruStack`] instead).
 ///
 /// The analytic model sees only `(size, candidates)` — SA-16 and Z4/16
 /// predict identically *by construction*, which is the paper's thesis;
@@ -305,22 +308,27 @@ pub fn validate(opts: &PredictOpts) -> Vec<ValidationRow> {
             let mut rows = Vec::new();
             for &lines in &opts.sizes {
                 for (label, cands, array, ways) in &designs {
-                    let mut cache = CacheBuilder::new()
-                        .lines(lines)
-                        .ways(*ways)
-                        .array(*array)
-                        .policy(PolicyKind::Lru)
-                        .seed(seed)
-                        .build();
-                    for &(line, write) in &refs {
-                        cache.access_full(line, write, u64::MAX);
-                    }
+                    let misses = if *array == ArrayKind::Fully {
+                        LruStack::misses(lines, refs.iter().map(|r| r.0))
+                    } else {
+                        let mut cache = CacheBuilder::new()
+                            .lines(lines)
+                            .ways(*ways)
+                            .array(*array)
+                            .policy(PolicyKind::Lru)
+                            .seed(seed)
+                            .build();
+                        for &(line, write) in &refs {
+                            cache.access_full(line, write, u64::MAX);
+                        }
+                        cache.stats().misses
+                    };
                     rows.push(ValidationRow {
                         workload: wl.name().to_string(),
                         design: label.clone(),
                         lines,
                         predicted: model::predict_miss_ratio(&profile, lines, *cands),
-                        simulated: cache.stats().miss_rate(),
+                        simulated: misses as f64 / refs.len().max(1) as f64,
                     });
                 }
             }

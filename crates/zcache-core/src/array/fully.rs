@@ -13,8 +13,12 @@ const INDEX_SEED: u64 = 0x5eed_fa11;
 ///
 /// This is the reference design of the associativity framework (a
 /// fully-associative cache always evicts the block with eviction priority
-/// 1.0) and the baseline for conflict-miss accounting (§IV: conflict
-/// misses = total misses − fully-associative misses).
+/// 1.0). The LRU miss counts behind conflict-miss accounting (§IV:
+/// conflict misses = total misses − fully-associative misses) come from
+/// [`LruStack`](crate::LruStack), which decides the same hits in `O(1)`;
+/// this array remains for the differential oracle, the buffer of
+/// [`VictimCache`](crate::VictimCache), non-LRU policies and the `fully`
+/// throughput row.
 ///
 /// Candidate generation is `O(lines)`, so this array is intended for
 /// analysis runs, not large-scale simulation.

@@ -15,6 +15,8 @@
 //! * the comparison designs: [`SetAssocArray`] (± index hashing),
 //!   [`SkewArray`], [`FullyAssocArray`], and the analytical
 //!   [`RandomCandsArray`];
+//! * [`LruStack`], the exact `O(1)` fully-associative LRU reference
+//!   behind §IV's conflict-miss accounting;
 //! * **replacement policies** as global orderings ([`FullLru`],
 //!   [`BucketedLru`], [`Lfu`], [`RandomRepl`], [`Opt`]/[`OptTrace`],
 //!   [`Rrip`]), shared across all arrays so associativity and policy
@@ -54,6 +56,7 @@ mod array;
 mod assoc;
 mod cache;
 mod failure;
+mod lru_stack;
 pub mod model;
 pub mod partition;
 pub mod prefetch;
@@ -65,6 +68,7 @@ mod victim;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveZCache, ShadowDuel};
 pub use failure::PanicFailure;
+pub use lru_stack::LruStack;
 pub use partition::{
     PartitionConfig, PartitionOutcome, PartitionedCache, TenantGrant, TenantStats,
 };

@@ -6,22 +6,37 @@
 //! bench note: the walk table, its path/stack buffers, the caller's
 //! `CandidateSet` and the `InstallOutcome` move list are all reusable
 //! buffers that reach their steady-state capacity during warm-up.
+//!
+//! The count is per thread: the test harness runs tests on parallel
+//! threads, and one test's set-up must not land in another's window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use zcache_core::{
-    CacheArray, CandidateSet, InstallOutcome, PartitionConfig, PartitionedCache, PolicyKind,
-    TenantGrant, WalkKind, ZArray,
+    CacheArray, CandidateSet, InstallOutcome, LruStack, PartitionConfig, PartitionedCache,
+    PolicyKind, TenantGrant, WalkKind, ZArray,
 };
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -30,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -62,9 +77,9 @@ fn assert_steady(mut z: ZArray, label: &str) {
     // steady-state capacity.
     drive(&mut z, &mut cands, &mut out, 0, 4_000);
     // Steady state: misses on fresh addresses, full walks, deep victims.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     drive(&mut z, &mut cands, &mut out, 1_000_000, 2_000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -122,13 +137,39 @@ fn partitioned_access_path_is_allocation_free() {
         }
     };
     drive(&mut part, 0, 4_000);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     drive(&mut part, 1_000_000, 2_000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
         "partitioned steady-state access path allocated {} time(s)",
+        after - before
+    );
+}
+
+/// The fully-associative LRU reference preallocates its index and
+/// recency list: once full, hits relink nodes and misses recycle the
+/// least recently used one, so neither may touch the heap.
+#[test]
+fn lru_stack_access_is_allocation_free() {
+    let mut lru = LruStack::new(1 << 10);
+    let drive = |lru: &mut LruStack, lo: u64, steps: u64| {
+        for a in lo..lo + steps {
+            // Fresh lines miss and evict; the short-period repeats hit.
+            lru.access(a);
+            lru.access(lo + a % 97);
+        }
+    };
+    drive(&mut lru, 0, 2_000);
+    assert_eq!(lru.len(), 1 << 10);
+    let before = allocs();
+    drive(&mut lru, 1_000_000, 4_000);
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "LruStack steady-state access allocated {} time(s)",
         after - before
     );
 }
