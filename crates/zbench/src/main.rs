@@ -86,7 +86,7 @@ use zbench::{
     exp_ablate, exp_adaptive, exp_bandwidth, exp_conflicts, exp_fig2, exp_fig3, exp_fig4, exp_fig5,
     exp_table2,
 };
-use zcache_core::PolicyKind;
+use zcache_core::{ArrayKind, PolicyKind};
 use zworkloads::suite::Scale;
 
 const USAGE: &str = "usage: zbench <table1|table2|fig2|fig3|fig4|fig5|bandwidth|ablate|adaptive|\
@@ -123,6 +123,18 @@ fn parse_float(flag: &str, value: &str, min: f64) -> f64 {
             eprintln!("{USAGE}");
             std::process::exit(2);
         }
+    }
+}
+
+/// Exits 2 with the flags and the usage line unless an array of `kind`
+/// can be built with `lines` frames and `ways` ways, so a bad
+/// `--lines`/`--ways` never reaches an array constructor's assert inside
+/// a sweep worker.
+fn validate_geometry(kind: ArrayKind, lines: u64, ways: u32) {
+    if let Err(e) = kind.check_geometry(lines, ways) {
+        eprintln!("--lines {lines} --ways {ways}: cannot build {kind}: {e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     }
 }
 
@@ -774,6 +786,12 @@ fn check(mut copts: zbench::exp_check::CheckOpts, design: Option<&str>, policy: 
         }));
     }
 
+    for d in zoracle::CheckDesign::ALL {
+        if copts.design.is_none_or(|want| want == d) {
+            validate_geometry(d.array_kind(), copts.lines, copts.ways);
+        }
+    }
+
     let rows = zbench::exp_check::run(&copts);
     println!("{}", zbench::exp_check::report(&rows, copts.accesses));
 
@@ -819,6 +837,13 @@ fn tenants(topts: &zbench::exp_tenants::TenantOpts, check: bool, mutate: Option<
             std::process::exit(2);
         }
     };
+    validate_geometry(
+        ArrayKind::ZCache {
+            levels: topts.levels,
+        },
+        topts.lines,
+        topts.ways,
+    );
     if !check {
         let summaries = zbench::exp_tenants::run(topts);
         println!("{}", zbench::exp_tenants::report(&summaries, topts));

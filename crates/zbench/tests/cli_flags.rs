@@ -82,6 +82,35 @@ fn tenants_flags_are_hardened() {
 }
 
 #[test]
+fn bad_cache_geometry_exits_2_before_the_sweep() {
+    // Each geometry used to panic inside a sweep worker (exit 101) on an
+    // array constructor's assert.
+    assert_rejected(&["check", "--lines", "60"], "--lines");
+    assert_rejected(&["check", "--ways", "0"], "--ways");
+    assert_rejected(&["check", "--lines", "0"], "--lines");
+    assert_rejected(&["check", "--design", "fully", "--lines", "0"], "--lines");
+    assert_rejected(&["tenants", "--lines", "100"], "--lines");
+    assert_rejected(&["tenants", "--ways", "0"], "--ways");
+    assert_rejected(&["tenants", "--check", "--lines", "60"], "--lines");
+    // Ways do not constrain the fully-associative design.
+    let out = zbench(&[
+        "check",
+        "--design",
+        "fully",
+        "--lines",
+        "60",
+        "--accesses",
+        "500",
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn tenants_sweep_runs_end_to_end() {
     // A tiny sweep through the full CLI path: both standard mixes
     // reported, with the per-tenant solo/shared/part columns and the

@@ -1,7 +1,7 @@
 //! Fully-associative array.
 
 use super::tags::{TagIndex, TagStore};
-use super::{CacheArray, Candidate, CandidateSet, InstallOutcome};
+use super::{ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::types::{LineAddr, SlotId};
 
 /// Fixed seed for the tag index: determinism must not depend on process
@@ -47,8 +47,9 @@ impl FullyAssocArray {
     ///
     /// Panics if `lines == 0` or `lines > u32::MAX`.
     pub fn new(lines: u64) -> Self {
-        assert!(lines > 0, "need at least one line");
-        assert!(lines <= u64::from(u32::MAX), "lines must fit in u32");
+        ArrayKind::Fully
+            .check_geometry(lines, 0)
+            .unwrap_or_else(|e| panic!("{e}"));
         Self {
             tags: TagStore::new(lines as usize),
             map: TagIndex::with_capacity(lines as usize, INDEX_SEED),

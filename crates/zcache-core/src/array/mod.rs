@@ -33,7 +33,6 @@ pub use tags::{TagIndex, TagStore, INVALID_TAG};
 pub use walk::{replacement_candidates, WalkKind, WalkStats};
 pub use zarray::{WalkNodeInfo, ZArray};
 
-use crate::repl::ReplacementPolicy;
 use crate::types::{LineAddr, SlotId};
 use zhash::HashKind;
 
@@ -57,9 +56,6 @@ pub struct Candidate {
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     items: Vec<Candidate>,
-    /// Scratch for batched scoring
-    /// ([`ReplacementPolicy::score_many`]); reused across misses.
-    scores: Vec<u64>,
     /// Index of the first empty-frame candidate, tracked by [`push`]
     /// (`u32::MAX` = none) so selection never rescans the set for one.
     ///
@@ -75,7 +71,6 @@ impl Default for CandidateSet {
     fn default() -> Self {
         Self {
             items: Vec::new(),
-            scores: Vec::new(),
             first_empty: u32::MAX,
             levels: 0,
             tag_reads: 0,
@@ -92,7 +87,6 @@ impl CandidateSet {
     /// Clears the buffer for reuse.
     pub fn clear(&mut self) {
         self.items.clear();
-        self.scores.clear();
         self.first_empty = u32::MAX;
         self.levels = 0;
         self.tag_reads = 0;
@@ -154,50 +148,6 @@ impl CandidateSet {
     /// First candidate whose frame is empty, if any.
     pub fn first_empty(&self) -> Option<&Candidate> {
         self.items.get(self.first_empty as usize)
-    }
-
-    /// Selects the victim from this set with one batched
-    /// [`score_many`](ReplacementPolicy::score_many) call: the first
-    /// empty frame if any, otherwise the highest-scoring occupied
-    /// candidate (first wins ties) — the same choice as
-    /// [`select_victim`]. `None` only for an empty set.
-    pub fn select_with<P: ReplacementPolicy + ?Sized>(&mut self, policy: &P) -> Option<Candidate> {
-        // An empty frame (tracked at push time) wins before any scoring —
-        // `score` is pure, so not scoring cannot change policy state.
-        if let Some(c) = self.first_empty() {
-            return Some(*c);
-        }
-        // One dispatched call scores every candidate; the max scan then
-        // touches only the dense score vector, exactly as `select_victim`
-        // would choose (first wins ties).
-        self.scores.clear();
-        policy.score_many(&self.items, &mut self.scores);
-        let mut best: Option<(usize, u64)> = None;
-        for (i, &s) in self.scores.iter().enumerate() {
-            match best {
-                Some((_, bs)) if bs >= s => {}
-                _ => best = Some((i, s)),
-            }
-        }
-        best.map(|(i, _)| self.items[i])
-    }
-
-    /// Scores every candidate with one batched
-    /// [`score_many`](ReplacementPolicy::score_many) call into the
-    /// internal scratch vector (read it back with
-    /// [`scores`](Self::scores)). Custom victim-selection layers use
-    /// this to see exactly the score vector
-    /// [`select_with`](Self::select_with) would scan.
-    pub fn compute_scores<P: ReplacementPolicy + ?Sized>(&mut self, policy: &P) {
-        self.scores.clear();
-        policy.score_many(&self.items, &mut self.scores);
-    }
-
-    /// The score vector of the most recent
-    /// [`compute_scores`](Self::compute_scores) call, parallel to
-    /// [`as_slice`](Self::as_slice) (empty before the first call).
-    pub fn scores(&self) -> &[u64] {
-        &self.scores
     }
 }
 
@@ -283,38 +233,6 @@ pub trait CacheArray {
     /// the walk tree for the subsequent [`install`](Self::install).
     fn candidates(&mut self, addr: LineAddr, out: &mut CandidateSet);
 
-    /// Gathers replacement candidates for `addr` into `out` *and*
-    /// selects the victim, in one pass where the array supports it.
-    ///
-    /// Semantics are pinned to the unfused sequence — `candidates`,
-    /// [`before_select`](ReplacementPolicy::before_select), then
-    /// [`select_victim`] — and any override must produce the exact same
-    /// candidate set in `out` and the exact same victim. (Selecting with
-    /// per-candidate [`score`](ReplacementPolicy::score) calls during
-    /// the walk has been tried and measured slower than the batched
-    /// [`score_many`](ReplacementPolicy::score_many) rescan: the
-    /// per-item policy dispatch in the loop beats the dense score-vector
-    /// pass only for tiny candidate sets.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array produced an empty candidate set (arrays never
-    /// do).
-    fn candidates_select<P: ReplacementPolicy + ?Sized>(
-        &mut self,
-        addr: LineAddr,
-        policy: &mut P,
-        out: &mut CandidateSet,
-    ) -> Candidate
-    where
-        Self: Sized,
-    {
-        self.candidates(addr, out);
-        policy.before_select(out.as_slice());
-        out.select_with(policy)
-            .expect("candidate sets are never empty")
-    }
-
     /// Issues best-effort memory-system hints for the tag frames a
     /// subsequent [`lookup`](Self::lookup) of `addr` would probe.
     ///
@@ -329,8 +247,8 @@ pub trait CacheArray {
     /// designs deliberately keep the no-op default: their row vector
     /// costs real hash work that [`lookup_mut`](Self::lookup_mut)
     /// memoizes instead, and recomputing it in a hint was measured
-    /// slower than the fetches it hides (see the walk-prefetch ablation
-    /// in EXPERIMENTS.md).
+    /// slower than the fetches it hides (see the walk prefetch ablation
+    /// in EXPERIMENTS.md, "Walk cost").
     fn prefetch_lookup(&self, _addr: LineAddr) {}
 
     /// Installs `addr`, vacating `victim` (a candidate returned by the
@@ -393,6 +311,42 @@ pub enum ArrayKind {
         /// Candidates drawn uniformly (with repetition) per miss.
         n: u32,
     },
+}
+
+impl ArrayKind {
+    /// Checks, without panicking, that an array of this kind can be
+    /// built with `lines` frames and `ways` ways (ignored by the fully
+    /// associative and random-candidate kinds). Every array constructor
+    /// asserts this check, so a caller that validates first never
+    /// reaches a constructor panic.
+    pub fn check_geometry(self, lines: u64, ways: u32) -> Result<(), String> {
+        let set_indexed = match self {
+            ArrayKind::RandomCands { n: 0 } => return Err("need at least one candidate".into()),
+            ArrayKind::ZCache { levels: 0 } => return Err("walk needs at least one level".into()),
+            ArrayKind::Fully | ArrayKind::RandomCands { .. } => false,
+            ArrayKind::SetAssoc { .. } | ArrayKind::Skew | ArrayKind::ZCache { .. } => true,
+        };
+        let rows = lines / u64::from(ways.max(1));
+        if lines == 0 {
+            Err("need at least one line".into())
+        } else if lines > u64::from(u32::MAX) {
+            // Slot ids are u32; larger arrays would silently truncate them.
+            Err(format!("lines ({lines}) must fit in a u32 slot id"))
+        } else if !set_indexed {
+            Ok(())
+        } else if ways == 0 {
+            Err("need at least one way".into())
+        } else if !lines.is_multiple_of(u64::from(ways)) {
+            Err(format!(
+                "lines ({lines}) must be a multiple of ways ({ways})"
+            ))
+        } else if !rows.is_power_of_two() {
+            // The row (set) index is a slice of hash bits.
+            Err(format!("rows per way ({rows}) must be a power of two"))
+        } else {
+            Ok(())
+        }
+    }
 }
 
 impl std::fmt::Display for ArrayKind {
@@ -496,15 +450,6 @@ impl CacheArray for AnyArray {
         delegate!(self, a => a.candidates(addr, out))
     }
     #[inline]
-    fn candidates_select<P: ReplacementPolicy + ?Sized>(
-        &mut self,
-        addr: LineAddr,
-        policy: &mut P,
-        out: &mut CandidateSet,
-    ) -> Candidate {
-        delegate!(self, a => a.candidates_select(addr, policy, out))
-    }
-    #[inline]
     fn install(&mut self, addr: LineAddr, victim: &Candidate, out: &mut InstallOutcome) {
         delegate!(self, a => a.install(addr, victim, out))
     }
@@ -566,6 +511,24 @@ mod tests {
         assert_eq!(ArrayKind::RandomCands { n: 16 }.to_string(), "random(16)");
         assert_eq!(ArrayKind::Skew.to_string(), "skew");
         assert_eq!(ArrayKind::Fully.to_string(), "fully");
+    }
+
+    #[test]
+    fn check_geometry_rules() {
+        let sa = ArrayKind::SetAssoc { hash: HashKind::H3 };
+        let z3 = ArrayKind::ZCache { levels: 3 };
+        let err = |k: ArrayKind, lines, ways| k.check_geometry(lines, ways).unwrap_err();
+        assert_eq!(sa.check_geometry(64, 4), Ok(()));
+        assert_eq!(z3.check_geometry(64, 4), Ok(()));
+        assert!(err(sa, 0, 4).contains("at least one line"));
+        assert!(err(z3, 64, 0).contains("at least one way"));
+        assert!(err(ArrayKind::ZCache { levels: 0 }, 64, 4).contains("at least one level"));
+        assert!(err(ArrayKind::Skew, 60, 8).contains("multiple of ways"));
+        assert!(err(z3, 60, 4).contains("(15) must be a power of two"));
+        assert!(err(z3, 1 << 33, 4).contains("u32 slot id"));
+        // Ways do not constrain the kinds without rows.
+        assert_eq!(ArrayKind::Fully.check_geometry(60, 0), Ok(()));
+        assert!(err(ArrayKind::RandomCands { n: 0 }, 60, 4).contains("at least one candidate"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The random-candidates reference cache of §IV-B.
 
 use super::tags::{TagIndex, TagStore};
-use super::{CacheArray, Candidate, CandidateSet, InstallOutcome};
+use super::{ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::types::{LineAddr, SlotId};
 use zhash::SplitMix64;
 
@@ -40,9 +40,9 @@ impl RandomCandsArray {
     ///
     /// Panics if `lines == 0`, `lines > u32::MAX`, or `n == 0`.
     pub fn new(lines: u64, n: u32, seed: u64) -> Self {
-        assert!(lines > 0, "need at least one line");
-        assert!(lines <= u64::from(u32::MAX), "lines must fit in u32");
-        assert!(n > 0, "need at least one candidate");
+        (ArrayKind::RandomCands { n })
+            .check_geometry(lines, 0)
+            .unwrap_or_else(|e| panic!("{e}"));
         Self {
             tags: TagStore::new(lines as usize),
             // Seeded index: lookups must not depend on process-random

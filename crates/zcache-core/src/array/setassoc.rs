@@ -1,7 +1,7 @@
 //! Conventional set-associative array, with optional index hashing.
 
 use super::tags::TagStore;
-use super::{CacheArray, Candidate, CandidateSet, InstallOutcome};
+use super::{ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::types::{LineAddr, SlotId};
 use zhash::{AnyHasher, HashKind, Hasher64};
 
@@ -42,20 +42,14 @@ impl SetAssocArray {
     ///
     /// # Panics
     ///
-    /// Panics if `ways == 0`, if `lines` is not a multiple of `ways`, or
-    /// if the resulting set count is not a power of two (required for
-    /// index extraction).
+    /// Panics if [`ArrayKind::check_geometry`] rejects the geometry:
+    /// `ways == 0`, `lines` not a multiple of `ways`, or a set count
+    /// that is not a power of two (required for index extraction).
     pub fn new(lines: u64, ways: u32, hash: HashKind, seed: u64) -> Self {
-        assert!(ways > 0, "need at least one way");
-        assert!(
-            lines.is_multiple_of(u64::from(ways)),
-            "lines ({lines}) must be a multiple of ways ({ways})"
-        );
+        (ArrayKind::SetAssoc { hash })
+            .check_geometry(lines, ways)
+            .unwrap_or_else(|e| panic!("{e}"));
         let sets = lines / u64::from(ways);
-        assert!(
-            sets.is_power_of_two(),
-            "set count ({sets}) must be a power of two"
-        );
         Self {
             ways,
             sets,

@@ -2,8 +2,7 @@
 
 use super::tags::INVALID_TAG;
 use super::walk::{WalkKind, WalkNode, WalkTable, NO_PARENT};
-use super::{CacheArray, Candidate, CandidateSet, InstallOutcome};
-use crate::prefetch::prefetch_read;
+use super::{ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::types::{LineAddr, Location, SlotId};
 use zhash::{AnyHasher, BloomFilter, HashKind, Hasher64};
 
@@ -130,8 +129,9 @@ impl ZArray {
     ///
     /// # Panics
     ///
-    /// Panics if `ways == 0`, `levels == 0`, `lines` is not a multiple of
-    /// `ways`, or rows-per-way is not a power of two.
+    /// Panics if [`ArrayKind::check_geometry`] rejects the geometry:
+    /// `ways == 0`, `levels == 0`, `lines` not a multiple of `ways`, or
+    /// rows-per-way not a power of two.
     pub fn new(lines: u64, ways: u32, levels: u32, seed: u64) -> Self {
         Self::with_hash(lines, ways, levels, HashKind::H3, seed)
     }
@@ -146,23 +146,10 @@ impl ZArray {
     ///
     /// Same conditions as [`ZArray::new`].
     pub fn with_hash(lines: u64, ways: u32, levels: u32, hash: HashKind, seed: u64) -> Self {
-        assert!(ways > 0, "need at least one way");
-        assert!(levels > 0, "walk needs at least one level");
-        assert!(
-            lines.is_multiple_of(u64::from(ways)),
-            "lines ({lines}) must be a multiple of ways ({ways})"
-        );
-        // Slot ids are u32 (`slot()` packs way*rows+row into a SlotId);
-        // reject sizes that would silently truncate.
-        assert!(
-            lines <= u64::from(u32::MAX),
-            "lines ({lines}) must fit in a u32 slot id"
-        );
+        (ArrayKind::ZCache { levels })
+            .check_geometry(lines, ways)
+            .unwrap_or_else(|e| panic!("{e}"));
         let rows = lines / u64::from(ways);
-        assert!(
-            rows.is_power_of_two(),
-            "rows per way ({rows}) must be a power of two"
-        );
         let hashers: Vec<AnyHasher> = (0..ways)
             .map(|w| hash.build(seed.wrapping_mul(0x1000).wrapping_add(u64::from(w))))
             .collect();
@@ -383,33 +370,12 @@ impl ZArray {
         found_empty
     }
 
-    /// Issues read prefetches for every child frame that expanding the
-    /// walk nodes in `lo..hi` will touch. Purely a hint: no stats, no
-    /// state, no reads that can fault (rows come from the parents' own
-    /// frame records, which the walk has already read).
-    #[inline]
-    fn prefetch_children(&self, lo: usize, hi: usize) {
-        for i in lo..hi {
-            let node = self.walk.nodes[i];
-            if node.addr == INVALID_TAG {
-                continue;
-            }
-            let rows = self.frames[node.slot.idx()].rows;
-            for (way, &row) in rows.iter().enumerate().take(self.ways as usize) {
-                if way != usize::from(node.way) {
-                    let slot = self.slot(way as u32, u64::from(row));
-                    prefetch_read(&self.frames[slot.idx()]);
-                }
-            }
-        }
-    }
-
     /// [`expand`](Self::expand) specialized for the common 4-way shape
     /// with cached rows, no Bloom filter, and at least three candidates
     /// of headroom under the cap (the caller checks): all three child
     /// slots are computed and their tags loaded *before* the per-child
-    /// bookkeeping, so the three independent (prefetched) tag reads
-    /// overlap instead of serializing behind the dedup/push branches.
+    /// bookkeeping, so the three independent tag reads overlap instead
+    /// of serializing behind the dedup/push branches.
     /// Child order, dedup decisions, stats, and the empty-frame early
     /// stop are bit-identical to the scalar loop.
     fn expand4(&mut self, node_idx: u32) -> bool {
@@ -542,30 +508,10 @@ impl ZArray {
                 WalkKind::Bfs => {
                     // Level-batched expansion: the frontier is contiguous
                     // in the walk table (insertion order is BFS order), so
-                    // each iteration takes one whole level, gathers the
-                    // child frames the level will read, and expands node
-                    // by node with the exact per-node semantics of the
-                    // scalar loop (depth and cap checks, empty-frame
+                    // each iteration takes one whole level and expands it
+                    // node by node with the exact per-node semantics of
+                    // the scalar loop (depth and cap checks, empty-frame
                     // early stop).
-                    //
-                    // Under `walk-prefetch` (an off-by-default ablation
-                    // knob), child-frame prefetches run one *block* of
-                    // parents ahead of the expansion, not one whole
-                    // level: a level can be 100+ parents wide, and a
-                    // burst of hundreds of prefetches overruns the
-                    // handful of hardware fill buffers (measured slower
-                    // on Z4/160); a block keeps roughly `3·PF_BLOCK`
-                    // lines in flight. The feature is off by default
-                    // because even the blocked form measures slower than
-                    // the batched expander alone — every frame a level
-                    // expands is already warm from the tag read that
-                    // discovered it (tag and row vector share the
-                    // 16-byte record), so the hints only add issue
-                    // pressure. See EXPERIMENTS.md "Walk cost".
-                    const PF_BLOCK: usize = 8;
-                    let prefetchable = cfg!(feature = "walk-prefetch")
-                        && self.rows_cacheable()
-                        && self.ways as usize <= FRAME_WAYS;
                     let fast4 = self.ways as usize == FRAME_WAYS
                         && self.rows_cacheable()
                         && self.bloom.is_none()
@@ -580,42 +526,24 @@ impl ZArray {
                         if u32::from(self.walk.nodes[level_start].level) + 1 >= self.levels {
                             break;
                         }
-                        if prefetchable {
-                            self.prefetch_children(
-                                level_start,
-                                (level_start + PF_BLOCK).min(level_end),
-                            );
-                        }
-                        let mut block = level_start;
-                        while block < level_end {
-                            let block_end = (block + PF_BLOCK).min(level_end);
-                            if prefetchable {
-                                self.prefetch_children(
-                                    block_end,
-                                    (block_end + PF_BLOCK).min(level_end),
-                                );
+                        for i in level_start..level_end {
+                            let len = self.walk.nodes.len() as u32;
+                            if len >= self.max_candidates {
+                                break 'walk;
                             }
-                            for i in block..block_end {
-                                let len = self.walk.nodes.len() as u32;
-                                if len >= self.max_candidates {
-                                    break 'walk;
-                                }
-                                // `expand4` needs full headroom under the
-                                // cap (it never checks mid-parent); a
-                                // parent that could hit the cap takes the
-                                // scalar path, whose per-child check
-                                // matches it exactly.
-                                let empty = if fast4 && len + 3 <= self.max_candidates {
-                                    self.expand4(i as u32)
-                                } else {
-                                    self.expand(i as u32)
-                                };
-                                if empty {
-                                    first_empty_idx = self.walk.nodes.len() as u32 - 1;
-                                    break 'walk;
-                                }
+                            // `expand4` needs full headroom under the cap
+                            // (it never checks mid-parent); a parent that
+                            // could hit the cap takes the scalar path,
+                            // whose per-child check matches it exactly.
+                            let empty = if fast4 && len + 3 <= self.max_candidates {
+                                self.expand4(i as u32)
+                            } else {
+                                self.expand(i as u32)
+                            };
+                            if empty {
+                                first_empty_idx = self.walk.nodes.len() as u32 - 1;
+                                break 'walk;
                             }
-                            block = block_end;
                         }
                         level_start = level_end;
                     }

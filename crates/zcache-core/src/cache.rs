@@ -1,11 +1,11 @@
 //! The cache front-end: array + policy + statistics + instrumentation.
 
-use crate::array::{AnyArray, ArrayKind, CacheArray, CandidateSet, InstallOutcome};
+use crate::array::{AnyArray, ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::array::{FullyAssocArray, RandomCandsArray, SetAssocArray, SkewArray, ZArray};
 use crate::assoc::AssociativityMeter;
 use crate::repl::{AccessCtx, AnyPolicy, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
-use crate::types::LineAddr;
+use crate::types::{LineAddr, SlotId};
 use crate::WalkKind;
 
 /// Outcome of a single cache access.
@@ -32,6 +32,24 @@ impl AccessOutcome {
     };
 }
 
+/// The default victim rule: the index of the highest score, first wins
+/// ties. Empty frames never reach a selector (see
+/// [`Cache::access_with`]).
+///
+/// # Panics
+///
+/// Panics if `scores` is empty.
+#[inline]
+pub fn highest_score(_cands: &[Candidate], scores: &[u64]) -> usize {
+    let mut best = (0, scores[0]);
+    for (i, &s) in scores.iter().enumerate().skip(1) {
+        if s > best.1 {
+            best = (i, s);
+        }
+    }
+    best.0
+}
+
 /// A single-level cache: an array organization driven by a replacement
 /// policy, with the event accounting the paper's energy model needs and
 /// optional associativity-distribution metering.
@@ -56,6 +74,9 @@ pub struct Cache<A, P> {
     stats: CacheStats,
     meter: Option<AssociativityMeter>,
     cands: CandidateSet,
+    /// Batched scores of `cands` ([`ReplacementPolicy::score_many`]),
+    /// reused across misses.
+    scores: Vec<u64>,
     install: InstallOutcome,
 }
 
@@ -70,6 +91,7 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
             stats: CacheStats::new(),
             meter: None,
             cands: CandidateSet::new(),
+            scores: Vec::new(),
             install: InstallOutcome::default(),
         }
     }
@@ -95,103 +117,29 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
     }
 
     /// Full-control access: read/write plus the next-use annotation the
-    /// OPT policy consumes (pass `u64::MAX` when unknown).
+    /// OPT policy consumes (pass `u64::MAX` when unknown). A miss evicts
+    /// by the default rule, [`highest_score`].
+    #[inline]
     pub fn access_full(&mut self, addr: LineAddr, write: bool, next_use: u64) -> AccessOutcome {
-        self.stats.accesses += 1;
-        let ctx = AccessCtx { next_use };
-
-        if let Some(slot) = self.array.lookup_mut(addr) {
-            self.stats.hits += 1;
-            self.stats.tag_reads += u64::from(self.array.ways());
-            if write {
-                self.stats.data_writes += 1;
-                self.dirty[slot.idx()] = true;
-            } else {
-                self.stats.data_reads += 1;
-            }
-            self.policy.on_hit(slot, addr, &ctx);
-            return AccessOutcome::HIT;
-        }
-
-        self.stats.misses += 1;
-        // Fused walk + selection: the victim is tracked while candidates
-        // stream out of the array (policies with a select prepass fall
-        // back to the two-pass sequence inside candidates_select).
-        let victim = self
-            .array
-            .candidates_select(addr, &mut self.policy, &mut self.cands);
-        self.stats.candidates_examined += self.cands.len() as u64;
-        self.stats.walk_levels += u64::from(self.cands.levels);
-        self.stats.tag_reads += u64::from(self.cands.tag_reads);
-
-        if victim.addr.is_some() {
-            if let Some(m) = self.meter.as_mut() {
-                m.on_eviction(&self.array, &self.policy, victim.slot);
-            }
-        }
-
-        self.array.install(addr, &victim, &mut self.install);
-
-        // Eviction bookkeeping must read the victim's dirty bit before any
-        // relocation overwrites that frame.
-        let mut evicted_dirty = false;
-        if let (Some(_), Some(slot)) = (self.install.evicted, self.install.evicted_slot) {
-            self.stats.evictions += 1;
-            evicted_dirty = self.dirty[slot.idx()];
-            if evicted_dirty {
-                self.stats.writebacks += 1;
-                self.stats.data_reads += 1; // read the line out for the write-back
-            }
-            self.policy.on_evict(slot);
-        }
-
-        // Relocations: policy state and dirty bits follow the blocks.
-        for &(from, to) in &self.install.moves {
-            self.policy.on_move(from, to);
-            self.dirty[to.idx()] = self.dirty[from.idx()];
-        }
-        let m = self.install.moves.len() as u64;
-        self.stats.relocations += m;
-        self.stats.tag_reads += m;
-        self.stats.tag_writes += m;
-        self.stats.data_reads += m;
-        self.stats.data_writes += m;
-
-        // Fill.
-        let filled = self.install.filled_slot;
-        self.dirty[filled.idx()] = write;
-        self.stats.tag_writes += 1;
-        self.stats.data_writes += 1;
-        self.policy.on_fill(filled, addr, &ctx);
-
-        AccessOutcome {
-            hit: false,
-            evicted: self.install.evicted,
-            evicted_dirty,
-        }
+        self.access_with(addr, write, next_use, highest_score)
     }
 
-    /// Like [`access_full`](Cache::access_full), but on a miss into a
-    /// fully-occupied candidate set the victim is chosen by `select`
-    /// instead of the plain highest-score scan — the hook for QoS
-    /// layers (e.g. [`PartitionedCache`]) that veto victims by
-    /// ownership while reusing the walk, policy and install machinery
-    /// unchanged.
+    /// The access path: lookup, and on a miss walk, select, install.
     ///
-    /// `select` receives the candidates in discovery order plus the
-    /// policy score of each (higher = evict first, exactly what
-    /// [`CandidateSet::select_with`] would scan) and returns the index
-    /// of the victim. It is only consulted when every candidate frame
-    /// is occupied: an empty frame wins outright, as in `access_full`.
-    /// With `select = |_, scores| highest-score-first-wins-ties` this
-    /// method is observationally identical to `access_full`.
+    /// Victim selection is the only variation point. An empty candidate
+    /// frame wins outright; otherwise `select` receives the candidates in
+    /// discovery order plus each one's policy score (higher = evict
+    /// first) and returns the victim's index. QoS layers such as
+    /// [`PartitionedCache`] pass a selector that vetoes victims by
+    /// ownership; [`access_full`](Cache::access_full) passes
+    /// [`highest_score`].
     ///
     /// [`PartitionedCache`]: crate::PartitionedCache
     ///
     /// # Panics
     ///
     /// Panics if `select` returns an index out of range.
-    pub fn access_full_with<F>(
+    pub fn access_with<F>(
         &mut self,
         addr: LineAddr,
         write: bool,
@@ -199,35 +147,27 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         select: F,
     ) -> AccessOutcome
     where
-        F: FnOnce(&[crate::array::Candidate], &[u64]) -> usize,
+        F: FnOnce(&[Candidate], &[u64]) -> usize,
     {
-        self.stats.accesses += 1;
         let ctx = AccessCtx { next_use };
-
         if let Some(slot) = self.array.lookup_mut(addr) {
-            self.stats.hits += 1;
-            self.stats.tag_reads += u64::from(self.array.ways());
-            if write {
-                self.stats.data_writes += 1;
-                self.dirty[slot.idx()] = true;
-            } else {
-                self.stats.data_reads += 1;
-            }
-            self.policy.on_hit(slot, addr, &ctx);
+            self.hit(slot, addr, write, &ctx);
             return AccessOutcome::HIT;
         }
 
+        self.stats.accesses += 1;
         self.stats.misses += 1;
-        // The unfused sequence `candidates_select` is pinned to:
-        // gather, prepass, then select. The custom selector slots in
-        // where the score scan would run.
         self.array.candidates(addr, &mut self.cands);
         self.policy.before_select(self.cands.as_slice());
+        // An empty frame (tracked at push time) wins before any scoring:
+        // `score` is pure, so not scoring cannot change policy state.
         let victim = match self.cands.first_empty() {
             Some(c) => *c,
             None => {
-                self.cands.compute_scores(&self.policy);
-                let idx = select(self.cands.as_slice(), self.cands.scores());
+                self.scores.clear();
+                self.policy
+                    .score_many(self.cands.as_slice(), &mut self.scores);
+                let idx = select(self.cands.as_slice(), &self.scores);
                 assert!(
                     idx < self.cands.len(),
                     "selector index {idx} out of range for {} candidates",
@@ -287,6 +227,22 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         }
     }
 
+    /// Hit bookkeeping shared by [`access_with`](Cache::access_with) and
+    /// [`write_if_present`](Cache::write_if_present).
+    #[inline]
+    fn hit(&mut self, slot: SlotId, addr: LineAddr, write: bool, ctx: &AccessCtx) {
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        self.stats.tag_reads += u64::from(self.array.ways());
+        if write {
+            self.stats.data_writes += 1;
+            self.dirty[slot.idx()] = true;
+        } else {
+            self.stats.data_reads += 1;
+        }
+        self.policy.on_hit(slot, addr, ctx);
+    }
+
     /// Write access that only proceeds if `addr` is resident: the hit
     /// path of [`access_full`](Cache::access_full) with `write = true`,
     /// fused with the residence check so callers draining posted
@@ -297,12 +253,7 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         let Some(slot) = self.array.lookup_mut(addr) else {
             return false;
         };
-        self.stats.accesses += 1;
-        self.stats.hits += 1;
-        self.stats.tag_reads += u64::from(self.array.ways());
-        self.stats.data_writes += 1;
-        self.dirty[slot.idx()] = true;
-        self.policy.on_hit(slot, addr, &AccessCtx { next_use });
+        self.hit(slot, addr, true, &AccessCtx { next_use });
         true
     }
 
@@ -403,7 +354,7 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
 
     /// The policy's current eviction score for `slot` (higher = evict
     /// first), as consulted by victim selection.
-    pub fn score_of(&self, slot: crate::types::SlotId) -> u64 {
+    pub fn score_of(&self, slot: SlotId) -> u64 {
         self.policy.score(slot)
     }
 
@@ -414,7 +365,7 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
     /// Two caches produce equal digests iff they agree on the placement
     /// and dirtiness of every resident block.
     pub fn state_digest(&self) -> u64 {
-        let mut entries: Vec<(crate::types::SlotId, LineAddr)> = Vec::new();
+        let mut entries: Vec<(SlotId, LineAddr)> = Vec::new();
         self.array.for_each_valid(&mut |s, a| entries.push((s, a)));
         entries.sort_unstable_by_key(|(s, _)| s.0);
         entries
@@ -546,8 +497,7 @@ impl CacheBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is invalid for the chosen array (see the
-    /// array constructors for the exact conditions).
+    /// Panics if [`ArrayKind::check_geometry`] rejects the geometry.
     pub fn build(&self) -> DynCache {
         let array = match self.array {
             ArrayKind::SetAssoc { hash } => {
@@ -574,9 +524,7 @@ impl CacheBuilder {
                 AnyArray::RandomCands(RandomCandsArray::new(self.lines, n, self.seed))
             }
         };
-        let policy = self
-            .policy
-            .build_with_ways(self.lines, self.ways, self.seed);
+        let policy = self.policy.build(self.lines, self.seed);
         let mut cache = Cache::new(array, policy);
         if let Some((bins, period)) = self.meter {
             cache.set_meter(AssociativityMeter::new(bins, period));
@@ -744,39 +692,15 @@ mod tests {
     }
 
     #[test]
-    fn access_full_with_default_selector_matches_access_full() {
-        // The selector hook with the plain highest-score-first-wins
-        // choice must be observationally identical to `access_full`:
-        // same outcomes, same stats, same final state digest.
-        let mut plain = CacheBuilder::new()
-            .lines(64)
-            .ways(4)
-            .array(ArrayKind::ZCache { levels: 3 })
-            .build_lru();
-        let mut hooked = plain.clone();
-        let mut rng = zhash::SplitMix64::new(5);
-        for _ in 0..4_000 {
-            let addr = rng.next_below(160);
-            let write = rng.next_below(4) == 0;
-            let a = plain.access_full(addr, write, u64::MAX);
-            let b = hooked.access_full_with(addr, write, u64::MAX, |_, scores| {
-                let mut best = 0usize;
-                for (i, &s) in scores.iter().enumerate() {
-                    if s > scores[best] {
-                        best = i;
-                    }
-                }
-                best
-            });
-            assert_eq!(a, b);
-        }
-        assert_eq!(plain.stats(), hooked.stats());
-        assert_eq!(plain.state_digest(), hooked.state_digest());
+    fn highest_score_takes_first_of_ties() {
+        assert_eq!(highest_score(&[], &[3]), 0);
+        assert_eq!(highest_score(&[], &[1, 5, 2, 5]), 1);
+        assert_eq!(highest_score(&[], &[0, 0, 0]), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn access_full_with_rejects_bad_selector_index() {
+    fn access_with_rejects_bad_selector_index() {
         let mut c = CacheBuilder::new()
             .lines(8)
             .array(ArrayKind::Fully)
@@ -784,7 +708,7 @@ mod tests {
         for a in 0..8u64 {
             c.access(a);
         }
-        c.access_full_with(99, false, u64::MAX, |cands, _| cands.len());
+        c.access_with(99, false, u64::MAX, |cands, _| cands.len());
     }
 
     #[test]

@@ -84,10 +84,10 @@ pub use assoc::{
     eviction_priority, ks_distance_to_uniform, uniform_assoc_cdf, uniform_assoc_mean,
     AssociativityMeter,
 };
-pub use cache::{AccessOutcome, Cache, CacheBuilder, DynCache};
+pub use cache::{highest_score, AccessOutcome, Cache, CacheBuilder, DynCache};
 pub use repl::{
     select_victim, AccessCtx, AnyPolicy, BucketedLru, Drrip, FullLru, Lfu, Opt, OptTrace,
-    PolicyKind, RandomRepl, ReplacementPolicy, Rrip, TreePlru,
+    PolicyKind, RandomRepl, ReplacementPolicy, Rrip,
 };
 pub use seeded_map::SeededMap;
 pub use stats::{CacheStats, UnitHistogram};

@@ -23,7 +23,7 @@
 
 use crate::adaptive::{AdaptiveConfig, ShadowDuel};
 use crate::array::Candidate;
-use crate::cache::{CacheBuilder, DynCache};
+use crate::cache::{highest_score, CacheBuilder, DynCache};
 use crate::repl::PolicyKind;
 use crate::types::LineAddr;
 use crate::ArrayKind;
@@ -232,12 +232,12 @@ impl PartitionedCache {
                 occupancy: 0,
                 stats: TenantStats::default(),
                 duel: cfg.adaptive.map(|acfg| {
-                    let (policy, ways, seed) = (cfg.policy, cfg.ways, cfg.seed);
+                    let (policy, seed) = (cfg.policy, cfg.seed);
                     ShadowDuel::for_geometry(
                         cfg.lines,
                         cfg.ways,
                         cfg.levels,
-                        |l| policy.build_with_ways(l, ways, seed),
+                        |l| policy.build(l, seed),
                         acfg,
                     )
                 }),
@@ -290,7 +290,7 @@ impl PartitionedCache {
         let tenants = &self.tenants;
         let out = self
             .cache
-            .access_full_with(tagged, write, next_use, |cands, scores| {
+            .access_with(tagged, write, next_use, |cands, scores| {
                 select_quota_victim(cands, scores, tenants, enforce)
             });
 
@@ -389,10 +389,8 @@ impl PartitionedCache {
 }
 
 /// The partition victim rule: among candidates whose owner is at/over
-/// quota, the highest score wins (first wins ties, matching
-/// [`CandidateSet::select_with`](crate::CandidateSet::select_with));
-/// with enforcement off or no eligible candidate, the plain
-/// highest-score candidate.
+/// quota, the highest score wins (first wins ties); with enforcement off
+/// or no eligible candidate, the default rule, [`highest_score`].
 fn select_quota_victim(
     cands: &[Candidate],
     scores: &[u64],
@@ -400,34 +398,20 @@ fn select_quota_victim(
     enforce: bool,
 ) -> usize {
     debug_assert_eq!(cands.len(), scores.len());
-    let mut best_any: Option<(usize, u64)> = None;
-    let mut best_eligible: Option<(usize, u64)> = None;
-    for (i, (c, &s)) in cands.iter().zip(scores).enumerate() {
-        if match best_any {
-            Some((_, bs)) => s > bs,
-            None => true,
-        } {
-            best_any = Some((i, s));
-        }
-        let addr = c.addr.expect("selector only sees occupied frames");
-        let owner = tenant_of(addr);
-        let t = &tenants[owner];
-        let over_quota = t.occupancy >= t.quota;
-        if over_quota
-            && match best_eligible {
-                Some((_, bs)) => s > bs,
-                None => true,
-            }
-        {
-            best_eligible = Some((i, s));
-        }
-    }
     if enforce {
-        if let Some((i, _)) = best_eligible {
+        let mut best: Option<(usize, u64)> = None;
+        for (i, (c, &s)) in cands.iter().zip(scores).enumerate() {
+            let addr = c.addr.expect("selector only sees occupied frames");
+            let t = &tenants[tenant_of(addr)];
+            if t.occupancy >= t.quota && best.is_none_or(|(_, bs)| s > bs) {
+                best = Some((i, s));
+            }
+        }
+        if let Some((i, _)) = best {
             return i;
         }
     }
-    best_any.expect("candidate sets are never empty").0
+    highest_score(cands, scores)
 }
 
 #[cfg(test)]
@@ -601,6 +585,49 @@ mod tests {
         // The streaming tenant's duel must have throttled its walk.
         assert_eq!(a.1, 4, "streaming tenant should fall to the floor");
         assert!(a.3 >= 1);
+    }
+
+    #[test]
+    fn one_unbounded_tenant_is_a_plain_cache() {
+        // Partitioning adds only a selector: a single tenant whose quota
+        // is the whole array, with an uncapped walk and no duel, must
+        // behave exactly like the unpartitioned cache. RRIP covers the
+        // mutating `before_select` prepass.
+        for policy in [PolicyKind::Lru, PolicyKind::Rrip] {
+            let cfg = PartitionConfig::new(
+                256,
+                4,
+                3,
+                policy,
+                5,
+                vec![TenantGrant {
+                    quota: 256,
+                    walk_budget: u32::MAX,
+                }],
+            );
+            let mut part = PartitionedCache::new(&cfg);
+            let mut plain = CacheBuilder::new()
+                .lines(256)
+                .ways(4)
+                .array(ArrayKind::ZCache { levels: 3 })
+                .policy(policy)
+                .seed(5)
+                .build();
+            let mut rng = SplitMix64::new(13);
+            for i in 0..30_000 {
+                let line = rng.next_below(700);
+                let write = rng.next_below(4) == 0;
+                let a = part.access(0, line, write);
+                let b = plain.access_full(line, write, u64::MAX);
+                assert_eq!(
+                    (a.hit, a.evicted.map(|(_, l)| l), a.evicted_dirty),
+                    (b.hit, b.evicted, b.evicted_dirty),
+                    "{policy} access {i}"
+                );
+            }
+            assert_eq!(part.cache().stats(), plain.stats(), "{policy}");
+            assert_eq!(part.state_digest(), plain.state_digest(), "{policy}");
+        }
     }
 
     #[test]

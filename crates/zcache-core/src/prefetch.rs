@@ -1,12 +1,12 @@
 //! Portable software-prefetch hints.
 //!
-//! The replacement walk's expansion pattern is known one BFS level ahead
-//! of the tag reads that consume it (see `ZArray::walk_core`), which is
-//! exactly the window a non-binding prefetch needs. This module wraps the
-//! x86-64 `prefetcht0` intrinsic in a safe, zero-cost shim that compiles
-//! to nothing on other targets. Whether the *walk* issues these hints is
-//! a separate knob — the `walk-prefetch` feature, the ablation measured
-//! in EXPERIMENTS.md.
+//! Wraps the x86-64 `prefetcht0` intrinsic in a safe, zero-cost shim that
+//! compiles to nothing on other targets. Its user is
+//! [`SetAssocArray`](crate::SetAssocArray)'s
+//! [`prefetch_lookup`](crate::CacheArray::prefetch_lookup), which hints
+//! the one set a future lookup will probe. The replacement
+//! walk issues no hints: prefetching its next level measured slower
+//! (EXPERIMENTS.md, "Walk cost").
 
 /// Hints the CPU to pull the cache line holding `r` into the cache
 /// hierarchy for a future read. Purely a performance hint: it never
@@ -35,8 +35,7 @@ mod tests {
     #[test]
     fn prefetch_is_side_effect_free() {
         // Nothing observable to assert beyond "does not crash" on any
-        // target; the semantics-invisibility of the walk prefetches is
-        // locked by the candidate-order regression tests instead.
+        // target.
         let x = [0u64; 8];
         for v in &x {
             prefetch_read(v);

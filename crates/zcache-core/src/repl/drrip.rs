@@ -13,12 +13,12 @@
 //! dedication is by address hash — the same adaptation the paper's
 //! bucketed LRU makes for timestamps.
 
+use super::rrip::{age_candidates, MAX_RRPV};
 use super::{AccessCtx, ReplacementPolicy};
 use crate::array::Candidate;
 use crate::types::{LineAddr, SlotId};
 use zhash::{Hasher64, Mix64};
 
-const MAX_RRPV: u8 = 3;
 const LONG_RRPV: u8 = 2;
 
 /// Which insertion policy governs an address.
@@ -131,22 +131,7 @@ impl ReplacementPolicy for Drrip {
     }
 
     fn before_select(&mut self, cands: &[Candidate]) {
-        if cands.iter().any(|c| c.addr.is_none()) {
-            return;
-        }
-        for _ in 0..MAX_RRPV {
-            if cands.iter().any(|c| self.rrpv[c.slot.idx()] == MAX_RRPV) {
-                break;
-            }
-            for c in cands {
-                let v = &mut self.rrpv[c.slot.idx()];
-                *v = (*v + 1).min(MAX_RRPV);
-            }
-        }
-    }
-
-    fn has_select_prepass(&self) -> bool {
-        true // candidate aging, as in Rrip
+        age_candidates(&mut self.rrpv, cands);
     }
 
     #[inline]

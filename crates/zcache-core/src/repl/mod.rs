@@ -16,7 +16,6 @@ mod drrip;
 mod lfu;
 mod lru;
 mod opt;
-mod plru;
 mod random;
 mod rrip;
 
@@ -25,7 +24,6 @@ pub use drrip::Drrip;
 pub use lfu::Lfu;
 pub use lru::FullLru;
 pub use opt::{Opt, OptTrace};
-pub use plru::TreePlru;
 pub use random::RandomRepl;
 pub use rrip::Rrip;
 
@@ -67,18 +65,10 @@ pub trait ReplacementPolicy {
     /// The block in `slot` was evicted or invalidated.
     fn on_evict(&mut self, slot: SlotId);
 
-    /// Hook invoked with the candidate set before selection; policies
-    /// with selection-time state updates (e.g. RRIP aging) use this.
+    /// Hook invoked with the complete candidate set before any score is
+    /// read; policies with selection-time state updates (e.g. RRIP
+    /// aging) use this.
     fn before_select(&mut self, _cands: &[Candidate]) {}
-
-    /// Whether [`before_select`](Self::before_select) mutates policy
-    /// state. Arrays fuse candidate production with victim selection
-    /// only for policies without a select-time prepass — a mutating
-    /// prepass must observe the *complete* candidate set before any
-    /// score is read.
-    fn has_select_prepass(&self) -> bool {
-        false
-    }
 
     /// Eviction preference of the block in `slot`: higher scores are
     /// evicted first. Only called for occupied slots.
@@ -150,10 +140,6 @@ pub enum PolicyKind {
     /// Dynamic RRIP (hash-dueled SRRIP/BRRIP insertion) — the adaptive
     /// member of the paper's cited RRIP family.
     Drrip,
-    /// Tree pseudo-LRU — the cheap *set-ordering* policy the paper says
-    /// skew caches and zcaches cannot use; only meaningful on
-    /// set-associative arrays.
-    TreePlru,
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -166,7 +152,6 @@ impl std::fmt::Display for PolicyKind {
             PolicyKind::Opt => write!(f, "opt"),
             PolicyKind::Rrip => write!(f, "rrip"),
             PolicyKind::Drrip => write!(f, "drrip"),
-            PolicyKind::TreePlru => write!(f, "tree-plru"),
         }
     }
 }
@@ -184,18 +169,6 @@ impl PolicyKind {
             PolicyKind::Opt => AnyPolicy::Opt(Opt::new(lines)),
             PolicyKind::Rrip => AnyPolicy::Rrip(Rrip::new(lines)),
             PolicyKind::Drrip => AnyPolicy::Drrip(Drrip::new(lines)),
-            // Way count is not known here; the builder passes it via
-            // `build_with_ways`. Default to 4 ways for direct `build`.
-            PolicyKind::TreePlru => AnyPolicy::TreePlru(TreePlru::new(lines, 4)),
-        }
-    }
-
-    /// Instantiates the policy knowing the array's way count (needed by
-    /// set-ordering policies like [`TreePlru`]).
-    pub fn build_with_ways(self, lines: u64, ways: u32, seed: u64) -> AnyPolicy {
-        match self {
-            PolicyKind::TreePlru => AnyPolicy::TreePlru(TreePlru::new(lines, ways)),
-            other => other.build(lines, seed),
         }
     }
 }
@@ -217,8 +190,6 @@ pub enum AnyPolicy {
     Rrip(Rrip),
     /// See [`Drrip`].
     Drrip(Drrip),
-    /// See [`TreePlru`].
-    TreePlru(TreePlru),
 }
 
 macro_rules! delegate {
@@ -231,7 +202,6 @@ macro_rules! delegate {
             AnyPolicy::Opt($inner) => $e,
             AnyPolicy::Rrip($inner) => $e,
             AnyPolicy::Drrip($inner) => $e,
-            AnyPolicy::TreePlru($inner) => $e,
         }
     };
 }
@@ -256,10 +226,6 @@ impl ReplacementPolicy for AnyPolicy {
     #[inline]
     fn before_select(&mut self, cands: &[Candidate]) {
         delegate!(self, p => p.before_select(cands))
-    }
-    #[inline]
-    fn has_select_prepass(&self) -> bool {
-        delegate!(self, p => p.has_select_prepass())
     }
     #[inline]
     fn score(&self, slot: SlotId) -> u64 {

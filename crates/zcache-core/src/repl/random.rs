@@ -52,10 +52,6 @@ impl ReplacementPolicy for RandomRepl {
         self.epoch = self.epoch.wrapping_add(1);
     }
 
-    fn has_select_prepass(&self) -> bool {
-        true // the epoch advance above re-keys every score
-    }
-
     #[inline]
     fn score(&self, slot: SlotId) -> u64 {
         self.hasher

@@ -22,7 +22,7 @@ pub struct Rrip {
 }
 
 /// Maximum RRPV for 2-bit prediction.
-const MAX_RRPV: u8 = 3;
+pub(super) const MAX_RRPV: u8 = 3;
 /// Insertion RRPV ("long re-reference interval").
 const INSERT_RRPV: u8 = 2;
 
@@ -31,6 +31,25 @@ impl Rrip {
     pub fn new(lines: u64) -> Self {
         Self {
             rrpv: vec![MAX_RRPV; lines as usize],
+        }
+    }
+}
+
+/// RRIP aging over a candidate set, shared by [`Rrip`] and
+/// [`Drrip`](super::Drrip): ages every candidate until some occupied
+/// one predicts a distant re-reference (RRPV = [`MAX_RRPV`]). Free
+/// frames short-circuit selection anyway, so a set with one skips aging.
+pub(super) fn age_candidates(rrpv: &mut [u8], cands: &[Candidate]) {
+    if cands.iter().any(|c| c.addr.is_none()) {
+        return;
+    }
+    for _ in 0..MAX_RRPV {
+        if cands.iter().any(|c| rrpv[c.slot.idx()] == MAX_RRPV) {
+            break;
+        }
+        for c in cands {
+            let v = &mut rrpv[c.slot.idx()];
+            *v = (*v + 1).min(MAX_RRPV);
         }
     }
 }
@@ -53,24 +72,7 @@ impl ReplacementPolicy for Rrip {
     }
 
     fn before_select(&mut self, cands: &[Candidate]) {
-        // Age the candidate set until some occupied candidate predicts a
-        // distant re-reference; free frames short-circuit selection anyway.
-        if cands.iter().any(|c| c.addr.is_none()) {
-            return;
-        }
-        for _ in 0..MAX_RRPV {
-            if cands.iter().any(|c| self.rrpv[c.slot.idx()] == MAX_RRPV) {
-                break;
-            }
-            for c in cands {
-                let v = &mut self.rrpv[c.slot.idx()];
-                *v = (*v + 1).min(MAX_RRPV);
-            }
-        }
-    }
-
-    fn has_select_prepass(&self) -> bool {
-        true // the aging loop above mutates every candidate's RRPV
+        age_candidates(&mut self.rrpv, cands);
     }
 
     #[inline]

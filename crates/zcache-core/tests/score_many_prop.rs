@@ -3,8 +3,8 @@
 //! [`ReplacementPolicy::score`] for every policy, under arbitrary access
 //! histories.
 //!
-//! The fused victim selection in `CandidateSet::select_with` trusts
-//! `score_many` completely — a policy whose override drifts from its
+//! Victim selection in `Cache::access_with` scores candidates only
+//! through `score_many` — a policy whose override drifts from its
 //! scalar `score` would silently change eviction decisions, so this
 //! property is what keeps the batched path conformant.
 //!
@@ -25,7 +25,6 @@ fn all_policies() -> Vec<(&'static str, PolicyKind)> {
         ("opt", PolicyKind::Opt),
         ("rrip", PolicyKind::Rrip),
         ("drrip", PolicyKind::Drrip),
-        ("tree-plru", PolicyKind::TreePlru),
     ]
 }
 
@@ -61,7 +60,7 @@ proptest! {
         seed in 0..u64::MAX,
     ) {
         for (name, kind) in all_policies() {
-            let mut p = kind.build_with_ways(LINES, 4, seed);
+            let mut p = kind.build(LINES, seed);
             for &(kind, slot, other, addr, next_use) in &evs {
                 let slot = SlotId(u32::from(slot) % LINES as u32);
                 let ctx = AccessCtx { next_use };

@@ -18,7 +18,7 @@
 //!   write-back flag of every install,
 //! * a digest of the complete tag + dirty state every K accesses.
 //!
-//! On divergence, [`shrink`] delta-debugs the offending trace down to a
+//! On divergence, [`shrink()`] delta-debugs the offending trace down to a
 //! minimal repro and [`corpus`] serializes it into `tests/corpus/`,
 //! where a regression test replays it on every run.
 //!
@@ -36,8 +36,7 @@
 //! and OPT. `RandomCands` arrays and the `Random` policy are excluded —
 //! mirroring their PRNG consumption order would copy the implementation
 //! rather than re-derive it — as are the non-global-rank policies
-//! (RRIP/DRRIP age state mutates during selection; tree-PLRU is
-//! set-ordering, not a rank).
+//! (RRIP/DRRIP age state mutates during selection).
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! Simulator configuration (the paper's Table I).
 
-use zcache_core::{ArrayKind, PolicyKind};
+use zcache_core::{ArrayKind, CacheBuilder, DynCache, PolicyKind};
 use zenergy::{CacheDesign, LookupMode, OrgKind};
 use zhash::HashKind;
 
@@ -183,6 +183,20 @@ impl SimConfig {
     /// Lines per L2 bank.
     pub fn lines_per_bank(&self) -> u64 {
         self.l2_lines / u64::from(self.l2_banks)
+    }
+
+    /// Core `core`'s private L1: set-associative, bit-select indexed,
+    /// LRU. Execution-driven runs and trace recording build the same L1s.
+    pub(crate) fn build_l1(&self, core: u32) -> DynCache {
+        CacheBuilder::new()
+            .lines(self.l1_lines)
+            .ways(self.l1_ways)
+            .array(ArrayKind::SetAssoc {
+                hash: HashKind::BitSelect,
+            })
+            .policy(PolicyKind::Lru)
+            .seed(self.seed ^ u64::from(core))
+            .build()
     }
 }
 

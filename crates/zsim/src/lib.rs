@@ -44,6 +44,7 @@
 mod bankport;
 mod coherence;
 mod config;
+mod l2;
 mod mem;
 mod stats;
 mod system;

@@ -1,12 +1,10 @@
 //! Execution-driven simulation of the Table I CMP.
 
-use crate::bankport::BankPorts;
 use crate::coherence::{cores_in, Directory};
 use crate::config::SimConfig;
-use crate::mem::MemoryChannels;
+use crate::l2::L2;
 use crate::stats::SimStats;
-use zcache_core::{ArrayKind, CacheBuilder, DynCache, PolicyKind};
-use zhash::{HashKind, Hasher64, Mix64};
+use zcache_core::{DynCache, PolicyKind};
 use zworkloads::{AddressStream, MemRef, Workload};
 
 /// The simulated machine: 32 in-order cores (IPC = 1 except on memory
@@ -32,13 +30,9 @@ use zworkloads::{AddressStream, MemRef, Workload};
 #[derive(Debug)]
 pub struct System {
     cfg: SimConfig,
-    l2_latency: u32,
     l1s: Vec<DynCache>,
-    banks: Vec<DynCache>,
+    l2: L2,
     dir: Directory,
-    mem: MemoryChannels,
-    ports: BankPorts,
-    bank_hash: Mix64,
     invalidation_rounds: u64,
     downgrades: u64,
     back_invalidations: u64,
@@ -58,55 +52,16 @@ impl System {
             cfg.l2.policy != PolicyKind::Opt,
             "OPT requires trace-driven simulation; use zsim::trace::record_trace + replay"
         );
-        let l2_latency = cfg.effective_l2_latency();
-        let l1s = (0..cfg.cores)
-            .map(|c| {
-                CacheBuilder::new()
-                    .lines(cfg.l1_lines)
-                    .ways(cfg.l1_ways)
-                    .array(ArrayKind::SetAssoc {
-                        hash: HashKind::BitSelect,
-                    })
-                    .policy(PolicyKind::Lru)
-                    .seed(cfg.seed ^ u64::from(c))
-                    .build()
-            })
-            .collect();
-        let banks = (0..cfg.l2_banks)
-            .map(|b| {
-                CacheBuilder::new()
-                    .lines(cfg.lines_per_bank())
-                    .ways(cfg.l2.ways)
-                    .array(cfg.l2.array)
-                    .policy(cfg.l2.policy)
-                    .seed(cfg.seed.wrapping_mul(31).wrapping_add(u64::from(b)))
-                    .build()
-            })
-            .collect();
-        let mem = MemoryChannels::new(
-            cfg.mem_controllers,
-            cfg.mem_latency,
-            cfg.mem_cycles_per_transfer,
-        );
         Self {
-            l2_latency,
-            l1s,
-            banks,
+            l1s: (0..cfg.cores).map(|c| cfg.build_l1(c)).collect(),
+            l2: L2::new(&cfg),
             dir: Directory::with_capacity(cfg.l2_lines as usize, cfg.seed),
-            mem,
-            ports: BankPorts::new(cfg.l2_banks),
-            bank_hash: Mix64::new(cfg.seed ^ 0xba2c_u64),
             invalidation_rounds: 0,
             downgrades: 0,
             back_invalidations: 0,
             coh_l2_data_writes: 0,
             cfg,
         }
-    }
-
-    #[inline]
-    fn bank_of(&self, line: u64) -> usize {
-        (self.bank_hash.hash(line) % u64::from(self.cfg.l2_banks)) as usize
     }
 
     /// Handles one data reference; returns the stall cycles beyond the
@@ -118,79 +73,34 @@ impl System {
     /// `tests/alloc_steady_state.rs`).
     #[inline]
     pub fn access(&mut self, core: u32, line: u64, write: bool, next_use: u64, now: u64) -> u64 {
-        let mut stall = 0u64;
         let out = self.l1s[core as usize].access_full(line, write, u64::MAX);
 
         if out.hit {
-            if write {
-                // Upgrade: invalidate other sharers if any.
-                let entry = self.dir.get(line).unwrap_or_default();
-                if entry.owner != Some(core) {
-                    let others = self.dir.make_owner(line, core);
-                    if others != 0 {
-                        for c in cores_in(others) {
-                            if let Some(dirty) = self.l1s[c as usize].invalidate(line) {
-                                if dirty {
-                                    self.coh_l2_data_writes += 1;
-                                }
-                            }
-                        }
-                        self.invalidation_rounds += 1;
-                        stall += u64::from(self.cfg.coherence_penalty);
-                    }
-                }
+            // Upgrade: invalidate other sharers if any.
+            if write && self.dir.get(line).unwrap_or_default().owner != Some(core) {
+                let others = self.dir.make_owner(line, core);
+                return self.invalidate_sharers(line, others);
             }
-            return stall;
+            return 0;
         }
 
         // L1 victim: update directory; write back dirty data to the
-        // inclusive L2.
+        // inclusive L2 (if inclusion is transiently broken, the L2 spills
+        // it straight to memory).
         if let Some(ev) = out.evicted {
             self.dir.remove_sharer(ev, core);
             if out.evicted_dirty {
-                let b = self.bank_of(ev);
-                if self.banks[b].write_if_present(ev, u64::MAX) {
-                    // Posted write-back: occupies the tag port but does
-                    // not stall the core.
-                    self.ports.background(b, now, 1);
-                } else {
-                    // Inclusion transiently broken (should not happen);
-                    // spill straight to memory.
-                    self.mem.writeback(ev, now);
-                }
+                self.l2.post_writeback(ev, u64::MAX, now);
             }
         }
 
-        // Demand access to the L2 bank: queue behind other demand
-        // accesses on this bank's tag port (walk traffic yields).
-        let b = self.bank_of(line);
-        stall += u64::from(self.cfg.l1_to_l2_latency) + u64::from(self.l2_latency);
-        stall += self.ports.demand(b, now + stall);
-        let tag_ops_before = self.banks[b].stats().tag_reads + self.banks[b].stats().tag_writes;
-        let lout = self.banks[b].access_full(line, false, next_use);
-        // Walk + relocation tag traffic beyond the (parallel) lookup
-        // occupies the port off the critical path.
-        let tag_ops =
-            self.banks[b].stats().tag_reads + self.banks[b].stats().tag_writes - tag_ops_before;
-        let walk_ops = tag_ops.saturating_sub(u64::from(self.cfg.l2.ways)) as u32;
-        if walk_ops > 0 {
-            self.ports.background(b, now + stall, walk_ops);
-        }
+        // Demand access to the L2 (a store miss fetches a clean copy).
+        let (mut stall, lout) = self.l2.demand(line, false, next_use, now);
 
         if lout.hit {
             if write {
                 let others = self.dir.make_owner(line, core);
-                if others != 0 {
-                    for c in cores_in(others) {
-                        if let Some(dirty) = self.l1s[c as usize].invalidate(line) {
-                            if dirty {
-                                self.coh_l2_data_writes += 1;
-                            }
-                        }
-                    }
-                    self.invalidation_rounds += 1;
-                    stall += u64::from(self.cfg.coherence_penalty);
-                }
+                stall += self.invalidate_sharers(line, others);
             } else if let Some(_prev_owner) = self.dir.add_sharer(line, core) {
                 // A dirty copy lives in another L1: downgrade it and pull
                 // the data through the L2.
@@ -199,11 +109,11 @@ impl System {
                 stall += u64::from(self.cfg.coherence_penalty);
             }
         } else {
-            // L2 miss: fetch from memory.
-            stall += self.mem.fetch(line, now + stall);
             self.dir.insert(line, core, write);
 
-            // Inclusion victim: back-invalidate L1 copies.
+            // Inclusion victim: back-invalidate L1 copies. The L2 wrote
+            // its own dirty victims back; a copy dirty only in an L1
+            // still has to go to memory.
             if let Some(ev2) = lout.evicted {
                 let mask = self.dir.remove(ev2);
                 let mut dirty_in_l1 = false;
@@ -213,12 +123,27 @@ impl System {
                         dirty_in_l1 |= d;
                     }
                 }
-                if lout.evicted_dirty || dirty_in_l1 {
-                    self.mem.writeback(ev2, now + stall);
+                if dirty_in_l1 && !lout.evicted_dirty {
+                    self.l2.spill(ev2, now + stall);
                 }
             }
         }
         stall
+    }
+
+    /// Invalidates `line` in the L1s of `others` (a write to a shared
+    /// line); returns the coherence stall, zero when there are none.
+    fn invalidate_sharers(&mut self, line: u64, others: u64) -> u64 {
+        if others == 0 {
+            return 0;
+        }
+        for c in cores_in(others) {
+            if self.l1s[c as usize].invalidate(line) == Some(true) {
+                self.coh_l2_data_writes += 1;
+            }
+        }
+        self.invalidation_rounds += 1;
+        u64::from(self.cfg.coherence_penalty)
     }
 
     /// Runs `workload` until every core has executed its instruction
@@ -309,27 +234,14 @@ impl System {
         for c in &self.l1s {
             l1.merge(c.stats());
         }
-        let mut l2 = zcache_core::CacheStats::new();
-        for b in &self.banks {
-            l2.merge(b.stats());
-        }
-        l2.data_writes += self.coh_l2_data_writes;
-        SimStats {
-            instructions: instrs.iter().sum(),
-            max_cycles: cycles.iter().copied().max().unwrap_or(0),
-            sum_core_cycles: cycles.iter().sum(),
-            cores: self.cfg.cores,
-            banks: self.cfg.l2_banks,
-            l1,
-            l2,
-            mem_accesses: self.mem.accesses(),
-            mem_queue_cycles: self.mem.queue_cycles(),
-            invalidation_rounds: self.invalidation_rounds,
-            downgrades: self.downgrades,
-            back_invalidations: self.back_invalidations,
-            l2_tag_contention_cycles: self.ports.contention_cycles(),
-            l2_walk_delay_cycles: self.ports.walk_delay_cycles(),
-        }
+        let mut stats = self
+            .l2
+            .sim_stats(instrs.iter().sum(), cycles, self.cfg.cores, l1);
+        stats.l2.data_writes += self.coh_l2_data_writes;
+        stats.invalidation_rounds = self.invalidation_rounds;
+        stats.downgrades = self.downgrades;
+        stats.back_invalidations = self.back_invalidations;
+        stats
     }
 
     /// The configuration this machine was built with.
@@ -339,7 +251,7 @@ impl System {
 
     /// Read access to the L2 banks (for inspection in tests/examples).
     pub fn banks(&self) -> &[DynCache] {
-        &self.banks
+        self.l2.banks()
     }
 
     /// Read access to the MESI directory (for invariant checks in
@@ -355,7 +267,7 @@ impl System {
 
     /// The L2 bank index `line` maps to.
     pub fn bank_index(&self, line: u64) -> usize {
-        self.bank_of(line)
+        self.l2.bank_of(line)
     }
 }
 

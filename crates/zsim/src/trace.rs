@@ -8,10 +8,9 @@
 //! contents, which the paper's trace-driven mode accepts as well.
 
 use crate::config::SimConfig;
-use crate::mem::MemoryChannels;
+use crate::l2::L2;
 use crate::stats::SimStats;
-use zcache_core::{ArrayKind, CacheBuilder, CacheStats, PolicyKind, SeededMap};
-use zhash::{HashKind, Hasher64, Mix64};
+use zcache_core::{CacheStats, PolicyKind, SeededMap};
 use zworkloads::{AddressStream, Workload, ZipfCache};
 
 /// Fixed seed for the next-use oracle's last-seen map (layout never
@@ -98,6 +97,21 @@ impl L2Trace {
     }
 }
 
+/// The core with the earliest next event, and that event's time: a
+/// linear argmin over per-core times that picks the smallest
+/// `(time, core)` pair, the exact order a binary heap would pop.
+fn next_event(next_time: &[u64]) -> (usize, u64) {
+    let mut core = 0usize;
+    let mut now = u64::MAX;
+    for (c, &t) in next_time.iter().enumerate() {
+        if t < now {
+            now = t;
+            core = c;
+        }
+    }
+    (core, now)
+}
+
 /// Runs `workload` through per-core L1s (no timing-accurate L2) and
 /// records the resulting L2 reference stream.
 ///
@@ -121,39 +135,17 @@ pub fn record_trace_into(
 ) {
     const NOMINAL_MISS_STALL: u64 = 30;
     let cores = cfg.cores as usize;
-    let mut l1s: Vec<_> = (0..cfg.cores)
-        .map(|c| {
-            CacheBuilder::new()
-                .lines(cfg.l1_lines)
-                .ways(cfg.l1_ways)
-                .array(ArrayKind::SetAssoc {
-                    hash: HashKind::BitSelect,
-                })
-                .policy(PolicyKind::Lru)
-                .seed(cfg.seed ^ u64::from(c))
-                .build()
-        })
-        .collect();
+    let mut l1s: Vec<_> = (0..cfg.cores).map(|c| cfg.build_l1(c)).collect();
     let mut streams = workload.streams_cached(cores, cfg.seed, zipf);
     let mut instrs = vec![0u64; cores];
     let mut pending_work = vec![0u32; cores];
     trace.refs.clear();
     let refs = &mut trace.refs;
 
-    // Linear argmin over per-core next-event times: picks the smallest
-    // `(time, core)` pair, the exact order the former binary heap popped.
     let mut next_time = vec![0u64; cores];
     let mut active = cores;
     while active > 0 {
-        let mut core = 0usize;
-        let mut now = u64::MAX;
-        for (c, &t) in next_time.iter().enumerate() {
-            if t < now {
-                now = t;
-                core = c;
-            }
-        }
-        let c = core;
+        let (c, now) = next_event(&next_time);
         let r = streams[c].next_ref();
         instrs[c] += u64::from(r.gap);
         pending_work[c] = pending_work[c].saturating_add(r.gap);
@@ -162,7 +154,7 @@ pub fn record_trace_into(
         if out.is_miss() {
             if let (Some(ev), true) = (out.evicted, out.evicted_dirty) {
                 refs.push(TraceRef {
-                    core: core as u32,
+                    core: c as u32,
                     line: ev,
                     write: true,
                     demand: false,
@@ -170,7 +162,7 @@ pub fn record_trace_into(
                 });
             }
             refs.push(TraceRef {
-                core: core as u32,
+                core: c as u32,
                 line: r.line,
                 write: r.write,
                 demand: true,
@@ -258,36 +250,7 @@ pub fn replay_with(
         assert!(n.len() >= trace.refs.len(), "next-use oracle too short");
     }
     let cores = trace.cores.max(1) as usize;
-    let l2_latency = cfg.effective_l2_latency();
-    let mut banks: Vec<_> = (0..cfg.l2_banks)
-        .map(|b| {
-            CacheBuilder::new()
-                .lines(cfg.lines_per_bank())
-                .ways(cfg.l2.ways)
-                .array(cfg.l2.array)
-                .policy(cfg.l2.policy)
-                .seed(cfg.seed.wrapping_mul(31).wrapping_add(u64::from(b)))
-                .build()
-        })
-        .collect();
-    let bank_hash = Mix64::new(cfg.seed ^ 0xba2c_u64);
-    let nbanks = u64::from(cfg.l2_banks);
-    // Banks are a power of two in every shipped config; mask instead of
-    // divide then (identical value: `h % 2^k == h & (2^k - 1)`).
-    let bank_mask = (nbanks.is_power_of_two()).then(|| nbanks - 1);
-    let bank_of = |line: u64| -> usize {
-        let h = bank_hash.hash(line);
-        match bank_mask {
-            Some(mask) => (h & mask) as usize,
-            None => (h % nbanks) as usize,
-        }
-    };
-    let mut mem = MemoryChannels::new(
-        cfg.mem_controllers,
-        cfg.mem_latency,
-        cfg.mem_cycles_per_transfer,
-    );
-    let mut ports = crate::bankport::BankPorts::new(cfg.l2_banks);
+    let mut l2 = L2::new(cfg);
 
     // Per-core reference queues, in global order (buffers reused).
     if scratch.queues.len() < cores {
@@ -310,8 +273,6 @@ pub fn replay_with(
     scratch.next_time.resize(cores, 0);
     let next_time = &mut scratch.next_time[..];
 
-    // Linear argmin over per-core next-event times: picks the smallest
-    // `(time, core)` pair, the exact order the former binary heap popped.
     let mut active = 0usize;
     for (c, q) in queues.iter().enumerate() {
         if q.is_empty() {
@@ -322,47 +283,18 @@ pub fn replay_with(
         }
     }
     while active > 0 {
-        let mut c = 0usize;
-        let mut now = u64::MAX;
-        for (i, &t) in next_time.iter().enumerate() {
-            if t < now {
-                now = t;
-                c = i;
-            }
-        }
+        let (c, now) = next_event(next_time);
         let pos = queues[c][heads[c]] as usize;
         heads[c] += 1;
         let r = &trace.refs[pos];
         let next_use = next_uses.map_or(u64::MAX, |n| n[pos]);
         let mut next = now + u64::from(r.work);
 
-        let b = bank_of(r.line);
         if r.demand {
-            let mut stall = u64::from(cfg.l1_to_l2_latency) + u64::from(l2_latency);
-            stall += ports.demand(b, next + stall);
-            let ops_before = banks[b].stats().tag_reads + banks[b].stats().tag_writes;
-            let lout = banks[b].access_full(r.line, r.write, next_use);
-            let walk_ops = (banks[b].stats().tag_reads + banks[b].stats().tag_writes - ops_before)
-                .saturating_sub(u64::from(cfg.l2.ways)) as u32;
-            if walk_ops > 0 {
-                ports.background(b, next + stall, walk_ops);
-            }
-            if lout.is_miss() {
-                stall += mem.fetch(r.line, next + stall);
-                if let (Some(ev), true) = (lout.evicted, lout.evicted_dirty) {
-                    mem.writeback(ev, next + stall);
-                }
-            }
-            next += stall;
+            next += l2.demand(r.line, r.write, next_use, next).0;
         } else {
-            // Posted write-back: touch the L2 copy if still resident,
-            // spill to memory otherwise; never stalls the core. The
-            // residence check and the write share one lookup.
-            if banks[b].write_if_present(r.line, next_use) {
-                ports.background(b, next, 1);
-            } else {
-                mem.writeback(r.line, next);
-            }
+            // Posted write-back: never stalls the core.
+            l2.post_writeback(r.line, next_use, next);
         }
 
         cycles[c] = next;
@@ -374,26 +306,12 @@ pub fn replay_with(
         }
     }
 
-    let mut l2 = CacheStats::new();
-    for bank in &banks {
-        l2.merge(bank.stats());
-    }
-    SimStats {
-        instructions: trace.instructions,
-        max_cycles: cycles.iter().copied().max().unwrap_or(0),
-        sum_core_cycles: cycles.iter().sum(),
-        cores: trace.cores,
-        banks: cfg.l2_banks,
-        l1: trace.l1_stats.clone(),
-        l2,
-        mem_accesses: mem.accesses(),
-        mem_queue_cycles: mem.queue_cycles(),
-        invalidation_rounds: 0,
-        downgrades: 0,
-        back_invalidations: 0,
-        l2_tag_contention_cycles: ports.contention_cycles(),
-        l2_walk_delay_cycles: ports.walk_delay_cycles(),
-    }
+    l2.sim_stats(
+        trace.instructions,
+        cycles,
+        trace.cores,
+        trace.l1_stats.clone(),
+    )
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! The analytical fast-path (`zbench predict`) needs one fact about a
 //! workload: how far down the LRU stack each reference reaches. This
 //! module streams any reference sequence — an [`AddressStream`], a
-//! [`TraceReader`](crate::trace_io::TraceReader), or raw line addresses —
+//! [`TraceReader`], or raw line addresses —
 //! through a [`StackProfiler`] that computes every reference's *stack
 //! distance* (the number of distinct lines touched since the previous
 //! reference to the same line) in `O(log n)` per access, and folds the
@@ -60,8 +60,8 @@ const SUB_BUCKETS: u64 = 16;
 
 /// Maps a stack distance to its bucket index.
 ///
-/// Exact below [`LINEAR_CUTOFF`]; logarithmic with [`SUB_BUCKETS`]
-/// sub-buckets per octave above it.
+/// Exact below `LINEAR_CUTOFF` (512); logarithmic with `SUB_BUCKETS`
+/// (16) sub-buckets per octave above it.
 pub fn bucket_index(distance: u64) -> usize {
     if distance < LINEAR_CUTOFF {
         return distance as usize;

@@ -7,7 +7,7 @@
 //! infinite deterministic stream of [`YcsbOp`]s.
 //!
 //! Distributions are layered on the crate's alias-method
-//! [`ZipfTable`](crate::ZipfTable):
+//! [`ZipfTable`]:
 //!
 //! * [`RequestDist::Uniform`] — every record equally likely;
 //! * [`RequestDist::Zipfian`] — rank 0 hottest, classic hot-key skew;
