@@ -2,10 +2,9 @@
 //! walk strategy (BFS vs DFS), early-stopped walks, Bloom-filter repeat
 //! avoidance, and bucketed-LRU parameters.
 
-use crate::format_table;
 use crate::opts::ExpOpts;
-use crate::SweepRunner;
-use zcache_core::{ArrayKind, CacheBuilder, DynCache, PolicyKind, WalkKind};
+use crate::{format_table, lineup, SweepRunner};
+use zcache_core::{ArrayKind, CacheBuilder, PolicyKind, WalkKind};
 use zsim::trace::record_trace;
 use zworkloads::suite::by_name;
 
@@ -24,82 +23,32 @@ pub struct AblationRow {
     pub tag_reads: u64,
 }
 
-fn drive(mut cache: DynCache, refs: &[(u64, bool)]) -> AblationRow {
-    for &(line, write) in refs {
-        cache.access_full(line, write, u64::MAX);
-    }
-    let s = cache.stats();
-    AblationRow {
-        variant: String::new(),
-        miss_rate: s.miss_rate(),
-        avg_candidates: s.avg_candidates(),
-        avg_relocations: s.avg_relocations(),
-        tag_reads: s.tag_reads,
-    }
-}
-
-/// A variant constructor: finishes a pre-seeded base builder. Plain
-/// function pointers (capture-free) so the table is `Sync` and variants
-/// can fan out over the sweep worker pool.
-type BuildFn = fn(CacheBuilder, u64) -> DynCache;
-
-/// The ablation lineup as `(label, constructor)`; the constructor gets
-/// the shared base builder plus the array size (for size-derived policy
-/// parameters).
-fn variants() -> Vec<(&'static str, BuildFn)> {
+/// The ablation lineup for a `lines`-frame array: every variant refines
+/// the paper's Z4/52 or Z4/16 builder, all with the same hash seed.
+fn variants(lines: u64, seed: u64) -> Vec<(&'static str, CacheBuilder)> {
+    let z52 = lineup::builder(ArrayKind::ZCache { levels: 3 }, 4, lines, seed);
+    let z16 = lineup::builder(ArrayKind::ZCache { levels: 2 }, 4, lines, seed);
+    let bucketed = |bits| PolicyKind::BucketedLru {
+        bits,
+        k: (lines / 20).max(1),
+    };
     vec![
-        ("Z4/52 BFS (paper)", |b, _| {
-            b.array(ArrayKind::ZCache { levels: 3 }).build()
-        }),
-        ("Z4/52 DFS (cuckoo order)", |b, _| {
-            b.array(ArrayKind::ZCache { levels: 3 })
-                .walk_kind(WalkKind::Dfs)
-                .build()
-        }),
-        ("Z4/52 + Bloom dedup", |b, _| {
-            b.array(ArrayKind::ZCache { levels: 3 })
-                .bloom_dedup(true)
-                .build()
-        }),
-        ("Z4/52 early stop @ 24", |b, _| {
-            b.array(ArrayKind::ZCache { levels: 3 })
-                .max_candidates(24)
-                .build()
-        }),
-        ("Z4/52 early stop @ 8", |b, _| {
-            b.array(ArrayKind::ZCache { levels: 3 })
-                .max_candidates(8)
-                .build()
-        }),
-        ("Z4/16 bucketed-LRU (paper cfg)", |b, lines| {
-            b.array(ArrayKind::ZCache { levels: 2 })
-                .policy(PolicyKind::BucketedLru {
-                    bits: 8,
-                    k: (lines / 20).max(1),
-                })
-                .build()
-        }),
-        ("Z4/16 bucketed-LRU 4-bit", |b, lines| {
-            b.array(ArrayKind::ZCache { levels: 2 })
-                .policy(PolicyKind::BucketedLru {
-                    bits: 4,
-                    k: (lines / 20).max(1),
-                })
-                .build()
-        }),
-        ("Z4/16 full LRU", |b, _| {
-            b.array(ArrayKind::ZCache { levels: 2 }).build()
-        }),
-        ("Z4/16 RRIP", |b, _| {
-            b.array(ArrayKind::ZCache { levels: 2 })
-                .policy(PolicyKind::Rrip)
-                .build()
-        }),
-        ("Z4/16 DRRIP", |b, _| {
-            b.array(ArrayKind::ZCache { levels: 2 })
-                .policy(PolicyKind::Drrip)
-                .build()
-        }),
+        ("Z4/52 BFS (paper)", z52.clone()),
+        (
+            "Z4/52 DFS (cuckoo order)",
+            z52.clone().walk_kind(WalkKind::Dfs),
+        ),
+        ("Z4/52 + Bloom dedup", z52.clone().bloom_dedup(true)),
+        ("Z4/52 early stop @ 24", z52.clone().max_candidates(24)),
+        ("Z4/52 early stop @ 8", z52.max_candidates(8)),
+        (
+            "Z4/16 bucketed-LRU (paper cfg)",
+            z16.clone().policy(bucketed(8)),
+        ),
+        ("Z4/16 bucketed-LRU 4-bit", z16.clone().policy(bucketed(4))),
+        ("Z4/16 full LRU", z16.clone()),
+        ("Z4/16 RRIP", z16.clone().policy(PolicyKind::Rrip)),
+        ("Z4/16 DRRIP", z16.policy(PolicyKind::Drrip)),
     ]
 }
 
@@ -121,18 +70,19 @@ pub fn run(opts: &ExpOpts) -> Vec<AblationRow> {
     // stays ~3× capacity — pressured enough for walks and relocations,
     // reused enough that associativity differentiates.
     let lines = (opts.scale.l2_lines * u64::from(opts.cores) / 32).max(1024);
-    let base = CacheBuilder::new()
-        .lines(lines)
-        .ways(4)
-        .policy(PolicyKind::Lru)
-        .seed(opts.seed);
 
-    let lineup = variants();
-    SweepRunner::from_opts(opts).run(lineup.len(), |i| {
-        let (label, build) = lineup[i];
-        let mut row = drive(build(base.clone(), lines), &refs);
-        row.variant = label.to_string();
-        row
+    let entries = variants(lines, opts.seed);
+    SweepRunner::from_opts(opts).run(entries.len(), |i| {
+        let (label, builder) = &entries[i];
+        let cache = lineup::drive(builder, refs.iter().copied());
+        let s = cache.stats();
+        AblationRow {
+            variant: label.to_string(),
+            miss_rate: s.miss_rate(),
+            avg_candidates: s.avg_candidates(),
+            avg_relocations: s.avg_relocations(),
+            tag_reads: s.tag_reads,
+        }
     })
 }
 

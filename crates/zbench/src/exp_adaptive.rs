@@ -5,9 +5,9 @@
 //! workloads where high associativity pays off and workloads where it
 //! is wasted, measuring miss rate and walk tag bandwidth.
 
-use crate::format_table;
 use crate::opts::ExpOpts;
-use zcache_core::{AdaptiveConfig, AdaptiveZCache, Cache, FullLru, ZArray};
+use crate::{format_table, lineup};
+use zcache_core::{AdaptiveConfig, AdaptiveZCache, ArrayKind, FullLru, ZArray};
 use zsim::trace::record_trace;
 use zworkloads::suite::by_name;
 
@@ -41,33 +41,19 @@ pub fn run(opts: &ExpOpts) -> Vec<AdaptiveRow> {
         let trace = record_trace(&cfg, &wl);
         let refs: Vec<u64> = trace.refs.iter().map(|r| r.line).collect();
 
-        // Fixed Z4/52.
-        let mut fixed = Cache::new(ZArray::new(lines, 4, 3, opts.seed), FullLru::new(lines));
-        for &a in &refs {
-            fixed.access(a);
+        // Fixed Z4/52, then the fixed Z4/4 skew floor; reads only.
+        for (variant, levels, budget) in [("Z4/52 fixed", 3, 52), ("Z4/4 fixed", 1, 4)] {
+            let builder = lineup::builder(ArrayKind::ZCache { levels }, 4, lines, opts.seed);
+            let fixed = lineup::drive(&builder, refs.iter().map(|&a| (a, false)));
+            rows.push(AdaptiveRow {
+                workload: name.into(),
+                variant: variant.into(),
+                miss_rate: fixed.stats().miss_rate(),
+                tag_reads: fixed.stats().tag_reads,
+                final_budget: budget,
+                adaptations: 0,
+            });
         }
-        rows.push(AdaptiveRow {
-            workload: name.into(),
-            variant: "Z4/52 fixed".into(),
-            miss_rate: fixed.stats().miss_rate(),
-            tag_reads: fixed.stats().tag_reads,
-            final_budget: 52,
-            adaptations: 0,
-        });
-
-        // Fixed Z4/4 (skew floor).
-        let mut floor = Cache::new(ZArray::new(lines, 4, 1, opts.seed), FullLru::new(lines));
-        for &a in &refs {
-            floor.access(a);
-        }
-        rows.push(AdaptiveRow {
-            workload: name.into(),
-            variant: "Z4/4 fixed".into(),
-            miss_rate: floor.stats().miss_rate(),
-            tag_reads: floor.stats().tag_reads,
-            final_budget: 4,
-            adaptations: 0,
-        });
 
         // Adaptive.
         let mut adaptive = AdaptiveZCache::new(

@@ -8,10 +8,10 @@
 //! candidate count grows — while also illustrating the §IV critique of
 //! the metric (under LRU it can go *negative* on anti-LRU patterns).
 
-use crate::format_table;
-use crate::opts::{fig_designs, ExpOpts};
+use crate::opts::ExpOpts;
+use crate::{format_table, lineup};
 use crate::{point_seed, SweepRunner};
-use zcache_core::{ArrayKind, CacheBuilder, LruStack, PolicyKind, VictimCache};
+use zcache_core::{ArrayKind, LruStack, VictimCache};
 use zhash::HashKind;
 use zsim::trace::record_trace;
 use zworkloads::suite::paper_suite_scaled;
@@ -62,20 +62,6 @@ pub fn run(opts: &ExpOpts) -> Vec<ConflictRow> {
         let trace = record_trace(&cfg, wl);
         let refs: Vec<(u64, bool)> = trace.refs.iter().map(|r| (r.line, r.write)).collect();
 
-        let run_design = |array: ArrayKind, ways: u32| -> u64 {
-            let mut cache = CacheBuilder::new()
-                .lines(lines)
-                .ways(ways)
-                .array(array)
-                .policy(PolicyKind::Lru)
-                .seed(seed)
-                .build();
-            for &(line, write) in &refs {
-                cache.access_full(line, write, u64::MAX);
-            }
-            cache.stats().misses
-        };
-
         // The stack property makes the fully-associative LRU reference
         // exact without simulating a fully-associative array.
         let fully = LruStack::misses(lines, refs.iter().map(|r| r.0));
@@ -94,23 +80,22 @@ pub fn run(opts: &ExpOpts) -> Vec<ConflictRow> {
                 },
             }
         };
-        let mut rows = Vec::new();
-        for (label, design) in fig_designs() {
-            rows.push(row(label, run_design(design.array, design.ways)));
-        }
+        // One cache at a time, each driven over the whole stream.
+        let mut rows: Vec<ConflictRow> = lineup::fig_lineup(lines, seed)
+            .into_iter()
+            .map(|(label, builder)| {
+                let misses = lineup::drive(&builder, refs.iter().copied()).stats().misses;
+                row(label, misses)
+            })
+            .collect();
         // The §II-B alternative to associativity: the same SA-4 main
         // cache fronted by a small fully-associative victim buffer. Its
         // "misses" are the system misses (main misses the buffer could
         // not recover), so the row is directly comparable.
-        let main = CacheBuilder::new()
-            .lines(lines)
-            .ways(4)
-            .array(ArrayKind::SetAssoc {
-                hash: HashKind::BitSelect,
-            })
-            .policy(PolicyKind::Lru)
-            .seed(seed)
-            .build();
+        let bitsel = ArrayKind::SetAssoc {
+            hash: HashKind::BitSelect,
+        };
+        let main = lineup::builder(bitsel, 4, lines, seed).build();
         let mut vc = VictimCache::new(main, VICTIM_BUFFER_LINES);
         for &(line, _) in &refs {
             vc.access(line);

@@ -1,8 +1,8 @@
 //! Fig. 2 — associativity CDFs under the uniformity assumption,
 //! validated empirically with the random-candidates cache (§IV-B).
 
-use crate::format_table;
-use zcache_core::{uniform_assoc_cdf, ArrayKind, CacheBuilder, PolicyKind, UnitHistogram};
+use crate::{format_table, lineup};
+use zcache_core::{uniform_assoc_cdf, ArrayKind, UnitHistogram};
 use zworkloads::suite::Scale;
 use zworkloads::{AddressStream, Component, CoreSpec, Workload};
 
@@ -29,13 +29,8 @@ pub fn run(candidates: &[u32], accesses: u64, seed: u64) -> Vec<Fig2Row> {
     candidates
         .iter()
         .map(|&n| {
-            let mut cache = CacheBuilder::new()
-                .lines(lines)
-                .array(ArrayKind::RandomCands { n })
-                .policy(PolicyKind::Lru)
-                .seed(seed)
-                .meter(256, 1)
-                .build();
+            let builder =
+                lineup::builder(ArrayKind::RandomCands { n }, 4, lines, seed).meter(256, 1);
             // Any workload works (that is the point); use a Zipf stream
             // with a footprint several times the cache.
             let wl = Workload::uniform(
@@ -53,9 +48,8 @@ pub fn run(candidates: &[u32], accesses: u64, seed: u64) -> Vec<Fig2Row> {
                 ),
             );
             let mut stream = wl.streams(1, seed).remove(0);
-            for _ in 0..accesses {
-                cache.access(stream.next_ref().line);
-            }
+            let refs = (0..accesses).map(|_| (stream.next_ref().line, false));
+            let cache = lineup::drive(&builder, refs);
             let meter = cache.meter().expect("meter attached");
             Fig2Row {
                 n,

@@ -11,12 +11,10 @@
 //! * skew-associative caches and zcaches match the uniformity assumption
 //!   closely, so their associativity is fully characterized by `R`.
 
-use crate::format_table;
 use crate::opts::ExpOpts;
+use crate::{format_table, lineup};
 use crate::{point_seed, SweepRunner};
-use zcache_core::{
-    replacement_candidates, ArrayKind, CacheBuilder, DynCache, PolicyKind, UnitHistogram,
-};
+use zcache_core::{replacement_candidates, ArrayKind, UnitHistogram};
 use zhash::HashKind;
 use zsim::trace::{record_trace, L2Trace};
 use zworkloads::suite::fig3_selection;
@@ -127,18 +125,6 @@ pub struct Fig3Row {
     pub ks: f64,
 }
 
-fn build_cache(array: ArrayKind, ways: u32, lines: u64, seed: u64) -> DynCache {
-    // Sample every 17th eviction: the rank scan is O(lines).
-    CacheBuilder::new()
-        .lines(lines)
-        .ways(ways)
-        .array(array)
-        .policy(PolicyKind::Lru)
-        .seed(seed)
-        .meter(128, 17)
-        .build()
-}
-
 /// Feeds a recorded L2 trace through one array and returns the meter.
 pub fn measure(
     trace: &L2Trace,
@@ -147,10 +133,9 @@ pub fn measure(
     lines: u64,
     seed: u64,
 ) -> (UnitHistogram, f64, u64) {
-    let mut cache = build_cache(array, ways, lines, seed);
-    for r in &trace.refs {
-        cache.access_full(r.line, r.write, u64::MAX);
-    }
+    // Sample every 17th eviction: the rank scan is O(lines).
+    let builder = lineup::builder(array, ways, lines, seed).meter(128, 17);
+    let cache = lineup::drive(&builder, trace.refs.iter().map(|r| (r.line, r.write)));
     let candidates = cache.stats().avg_candidates().round() as u64;
     let meter = cache.meter().expect("meter attached");
     (
@@ -186,7 +171,7 @@ pub fn run(panel: Fig3Panel, opts: &ExpOpts) -> Vec<Fig3Row> {
                 let ks = if hist.total() < 50 {
                     f64::NAN
                 } else {
-                    ks_distance(&hist, nominal_r as u32)
+                    zcache_core::ks_distance_to_uniform(&hist, nominal_r as u32)
                 };
                 Fig3Row {
                     workload: wl.name().to_string(),
@@ -199,16 +184,6 @@ pub fn run(panel: Fig3Panel, opts: &ExpOpts) -> Vec<Fig3Row> {
             .collect::<Vec<_>>()
     });
     per_workload.into_iter().flatten().collect()
-}
-
-/// KS distance between an empirical histogram and `F_A(x) = xⁿ`.
-///
-/// Thin re-export of [`zcache_core::ks_distance_to_uniform`]; this used
-/// to be a local copy that only examined the upper side of each bin
-/// edge and under-reported distributions whose gap sits at a lower
-/// edge.
-pub fn ks_distance(hist: &UnitHistogram, n: u32) -> f64 {
-    zcache_core::ks_distance_to_uniform(hist, n)
 }
 
 /// Renders one panel's results.

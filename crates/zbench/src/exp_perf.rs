@@ -8,11 +8,10 @@
 //! policy) pair is reported and written to `BENCH_access.json`.
 //!
 //! The stream, seeds and geometries are pinned so runs are comparable
-//! across commits; [`BASELINE`] records the numbers measured on the
-//! pre-optimization hot path (PR 3 head) on the reference container, and
-//! the JSON output carries both figures so the perf trajectory of the
-//! repo is auditable from artifacts alone.
-
+//! across commits. Comparing two commits takes an interleaved A/B run on
+//! one host (`bench/ab.sh`); a number measured at another commit is not
+//! a baseline.
+//!
 //! `--sim` extends the measurement one level up: instead of a bare
 //! array, it times the full zsim CMP path (L1s → MESI directory → banked
 //! L2 → bank ports → memory channels) in execution mode, plus the
@@ -23,6 +22,7 @@
 //! tracks end-to-end simulated-accesses/sec the same way
 //! `BENCH_access.json` tracks the raw array path.
 
+use crate::lineup;
 use crate::pipeline::PointScratch;
 use std::hint::black_box;
 use std::time::Instant;
@@ -88,47 +88,6 @@ pub struct PerfRow {
     pub accesses_per_sec: f64,
 }
 
-impl PerfRow {
-    /// Recorded pre-optimization throughput for this pair, if any.
-    pub fn baseline(&self) -> Option<f64> {
-        BASELINE
-            .iter()
-            .find(|(d, p, _)| *d == self.design && *p == self.policy)
-            .map(|&(_, _, v)| v)
-    }
-
-    /// Speedup over [`baseline`](Self::baseline) (1.0 when unknown).
-    pub fn speedup(&self) -> f64 {
-        self.baseline().map_or(1.0, |b| self.accesses_per_sec / b)
-    }
-}
-
-/// Accesses/sec of the pre-optimization hot path (commit `5f9ca4f`,
-/// `Vec<Option<LineAddr>>` tags, bitwise H3, two-pass victim selection),
-/// measured with `zbench perf` defaults on the single-core reference
-/// container. These figures seed the perf trajectory: `report` and the
-/// JSON artifact show current/baseline side by side.
-pub const BASELINE: &[(&str, &str, f64)] = &[
-    ("sa-h3", "lru", 14_060_660.0),
-    ("sa-h3", "bucketed-lru", 16_172_675.0),
-    ("sa-h3", "lfu", 18_846_608.0),
-    ("skew", "lru", 11_616_888.0),
-    ("skew", "bucketed-lru", 11_834_647.0),
-    ("skew", "lfu", 12_776_523.0),
-    ("z2", "lru", 5_663_976.0),
-    ("z2", "bucketed-lru", 5_700_388.0),
-    ("z2", "lfu", 6_724_714.0),
-    ("z3", "lru", 2_146_709.0),
-    ("z3", "bucketed-lru", 2_152_866.0),
-    ("z3", "lfu", 2_692_166.0),
-    ("z4", "lru", 758_839.0),
-    ("z4", "bucketed-lru", 771_586.0),
-    ("z4", "lfu", 962_780.0),
-    ("fully", "lru", 396_941.0),
-    ("fully", "bucketed-lru", 380_515.0),
-    ("fully", "lfu", 450_598.0),
-];
-
 /// The measured lineup: the paper's main designs at a 4096-frame scale
 /// (fully-associative at 1024 frames — its per-miss cost is `O(lines)`
 /// by design and 4096 frames would dominate the run without adding
@@ -150,6 +109,24 @@ fn policies() -> Vec<(&'static str, PolicyKind)> {
         ("bucketed-lru", PolicyKind::BucketedLru { bits: 8, k: 204 }),
         ("lfu", PolicyKind::Lfu),
     ]
+}
+
+/// The measured grid, filtered: `(design, policy, lines, builder)` per
+/// kept pair, seeded with `seed`.
+fn grid(
+    seed: u64,
+    filter: Option<&RowFilter>,
+) -> Vec<(&'static str, &'static str, u64, CacheBuilder)> {
+    let mut out = Vec::new();
+    for (dname, kind, lines) in designs() {
+        for (pname, policy) in policies() {
+            if filter.is_none_or(|f| f.matches(dname, pname)) {
+                let builder = lineup::builder(kind, 4, lines, seed).policy(policy);
+                out.push((dname, pname, lines, builder));
+            }
+        }
+    }
+    out
 }
 
 /// The pinned reference stream: single-core Zipf(0.8) over a 16K-line
@@ -178,57 +155,37 @@ pub fn gen_refs(n: usize, seed: u64) -> Vec<(u64, bool)> {
         .collect()
 }
 
-/// Runs the full lineup and returns one row per (design × policy) pair.
-pub fn run(opts: &PerfOpts) -> Vec<PerfRow> {
-    run_filtered(opts, None)
-}
-
-/// Like [`run`], restricted to the pairs a [`RowFilter`] keeps.
-pub fn run_filtered(opts: &PerfOpts, filter: Option<&RowFilter>) -> Vec<PerfRow> {
+/// Runs the lineup and returns one row per (design × policy) pair the
+/// filter keeps (every pair without one).
+pub fn run(opts: &PerfOpts, filter: Option<&RowFilter>) -> Vec<PerfRow> {
     let refs = gen_refs(opts.warmup + opts.accesses, opts.seed);
     let (warm, timed) = refs.split_at(opts.warmup);
     let mut rows = Vec::new();
-    for (dname, kind, lines) in designs() {
-        for (pname, policy) in policies() {
-            if filter.is_some_and(|f| !f.matches(dname, pname)) {
-                continue;
+    for (design, policy, lines, builder) in grid(opts.seed, filter) {
+        let mut best: Option<PerfRow> = None;
+        for _ in 0..opts.reps.max(1) {
+            let mut cache = lineup::drive(&builder, warm.iter().copied());
+            cache.reset_stats();
+            let t0 = Instant::now();
+            lineup::feed(&mut cache, timed.iter().copied());
+            let dt = t0.elapsed().as_secs_f64().max(1e-9);
+            let stats = black_box(cache.stats());
+            let row = PerfRow {
+                design,
+                policy,
+                lines,
+                misses: stats.misses,
+                accesses: stats.accesses,
+                accesses_per_sec: stats.accesses as f64 / dt,
+            };
+            if best
+                .as_ref()
+                .is_none_or(|b| row.accesses_per_sec > b.accesses_per_sec)
+            {
+                best = Some(row);
             }
-            let mut best: Option<PerfRow> = None;
-            for _ in 0..opts.reps.max(1) {
-                let mut cache = CacheBuilder::new()
-                    .lines(lines)
-                    .ways(4)
-                    .array(kind)
-                    .policy(policy)
-                    .seed(opts.seed)
-                    .build();
-                for &(a, w) in warm {
-                    black_box(cache.access_full(a, w, u64::MAX));
-                }
-                cache.reset_stats();
-                let t0 = Instant::now();
-                for &(a, w) in timed {
-                    black_box(cache.access_full(a, w, u64::MAX));
-                }
-                let dt = t0.elapsed().as_secs_f64().max(1e-9);
-                let stats = cache.stats();
-                let row = PerfRow {
-                    design: dname,
-                    policy: pname,
-                    lines,
-                    misses: stats.misses,
-                    accesses: stats.accesses,
-                    accesses_per_sec: stats.accesses as f64 / dt,
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|b| row.accesses_per_sec > b.accesses_per_sec)
-                {
-                    best = Some(row);
-                }
-            }
-            rows.push(best.expect("reps >= 1"));
         }
+        rows.push(best.expect("reps >= 1"));
     }
     rows
 }
@@ -267,70 +224,54 @@ pub struct WalkProfileRow {
 }
 
 /// Runs the `--profile walks` measurement: replays the same pinned
-/// stream as [`run_filtered`] and classifies every miss by its
+/// stream as [`run`] and classifies every miss by its
 /// [`zcache_core::WalkStats`]-tracked shape, recovered access-by-access
 /// from the cache's cumulative counters (walk reads = tag-read delta
-/// minus relocation delta, exactly how `Cache::access_full` folds them
-/// in).
+/// minus relocation delta, exactly how the miss path folds them in).
 pub fn run_walk_profile(opts: &PerfOpts, filter: Option<&RowFilter>) -> Vec<WalkProfileRow> {
     let refs = gen_refs(opts.warmup + opts.accesses, opts.seed);
     let (warm, timed) = refs.split_at(opts.warmup);
     let mut rows = Vec::new();
     let mut walk_reads: Vec<u64> = Vec::new();
-    for (dname, kind, lines) in designs() {
-        for (pname, policy) in policies() {
-            if filter.is_some_and(|f| !f.matches(dname, pname)) {
-                continue;
+    for (design, policy, _, builder) in grid(opts.seed, filter) {
+        let mut cache = lineup::drive(&builder, warm.iter().copied());
+        cache.reset_stats();
+        let mut row = WalkProfileRow {
+            design,
+            policy,
+            misses: 0,
+            level_hist: [0; PROFILE_MAX_LEVELS],
+            tag_reads_min: u64::MAX,
+            tag_reads_p50: 0,
+            tag_reads_max: 0,
+            tag_reads_total: 0,
+            candidates_total: 0,
+        };
+        walk_reads.clear();
+        let mut prev = cache.stats().clone();
+        for &r in timed {
+            lineup::feed(&mut cache, [r]);
+            let cur = cache.stats().clone();
+            if cur.misses > prev.misses {
+                let levels = (cur.walk_levels - prev.walk_levels) as usize;
+                let reads = (cur.tag_reads - prev.tag_reads) - (cur.relocations - prev.relocations);
+                row.level_hist[levels.clamp(1, PROFILE_MAX_LEVELS) - 1] += 1;
+                row.misses += 1;
+                row.tag_reads_min = row.tag_reads_min.min(reads);
+                row.tag_reads_max = row.tag_reads_max.max(reads);
+                row.tag_reads_total += reads;
+                row.candidates_total += cur.candidates_examined - prev.candidates_examined;
+                walk_reads.push(reads);
             }
-            let mut cache = CacheBuilder::new()
-                .lines(lines)
-                .ways(4)
-                .array(kind)
-                .policy(policy)
-                .seed(opts.seed)
-                .build();
-            for &(a, w) in warm {
-                black_box(cache.access_full(a, w, u64::MAX));
-            }
-            cache.reset_stats();
-            let mut row = WalkProfileRow {
-                design: dname,
-                policy: pname,
-                misses: 0,
-                level_hist: [0; PROFILE_MAX_LEVELS],
-                tag_reads_min: u64::MAX,
-                tag_reads_p50: 0,
-                tag_reads_max: 0,
-                tag_reads_total: 0,
-                candidates_total: 0,
-            };
-            walk_reads.clear();
-            let mut prev = cache.stats().clone();
-            for &(a, w) in timed {
-                cache.access_full(a, w, u64::MAX);
-                let cur = cache.stats().clone();
-                if cur.misses > prev.misses {
-                    let levels = (cur.walk_levels - prev.walk_levels) as usize;
-                    let reads =
-                        (cur.tag_reads - prev.tag_reads) - (cur.relocations - prev.relocations);
-                    row.level_hist[levels.clamp(1, PROFILE_MAX_LEVELS) - 1] += 1;
-                    row.misses += 1;
-                    row.tag_reads_min = row.tag_reads_min.min(reads);
-                    row.tag_reads_max = row.tag_reads_max.max(reads);
-                    row.tag_reads_total += reads;
-                    row.candidates_total += cur.candidates_examined - prev.candidates_examined;
-                    walk_reads.push(reads);
-                }
-                prev = cur;
-            }
-            if row.misses == 0 {
-                row.tag_reads_min = 0;
-            } else {
-                walk_reads.sort_unstable();
-                row.tag_reads_p50 = walk_reads[walk_reads.len() / 2];
-            }
-            rows.push(row);
+            prev = cur;
         }
+        if row.misses == 0 {
+            row.tag_reads_min = 0;
+        } else {
+            walk_reads.sort_unstable();
+            row.tag_reads_p50 = walk_reads[walk_reads.len() / 2];
+        }
+        rows.push(row);
     }
     rows
 }
@@ -386,7 +327,7 @@ pub fn report_walk_profile(rows: &[WalkProfileRow], opts: &PerfOpts) -> String {
     out
 }
 
-/// Formats the rows as a table with baseline comparison.
+/// Formats the rows as a table.
 pub fn report(rows: &[PerfRow]) -> String {
     let mut out = String::from("Access-path throughput (accesses/sec, fixed-seed Zipf stream)\n\n");
     let table: Vec<Vec<String>> = rows
@@ -398,16 +339,11 @@ pub fn report(rows: &[PerfRow]) -> String {
                 r.lines.to_string(),
                 format!("{:.1}%", 100.0 * r.misses as f64 / r.accesses as f64),
                 format!("{:.2}M", r.accesses_per_sec / 1e6),
-                r.baseline()
-                    .map_or("-".into(), |b| format!("{:.2}M", b / 1e6)),
-                format!("{:.2}x", r.speedup()),
             ]
         })
         .collect();
     out.push_str(&crate::format_table(
-        &[
-            "design", "policy", "lines", "miss", "acc/s", "baseline", "speedup",
-        ],
+        &["design", "policy", "lines", "miss", "acc/s"],
         &table,
     ));
     out
@@ -417,28 +353,22 @@ pub fn report(rows: &[PerfRow]) -> String {
 /// artifact. Hand-rolled JSON: the build environment has no serde.
 pub fn to_json(rows: &[PerfRow], opts: &PerfOpts) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"zbench-perf-v1\",\n");
+    out.push_str("  \"schema\": \"zbench-perf-v2\",\n");
     out.push_str(&format!("  \"seed\": {},\n", opts.seed));
     out.push_str(&format!("  \"warmup\": {},\n", opts.warmup));
     out.push_str(&format!("  \"accesses\": {},\n", opts.accesses));
     out.push_str(&format!("  \"reps\": {},\n", opts.reps));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let baseline = r
-            .baseline()
-            .map_or("null".to_string(), |b| format!("{b:.1}"));
         out.push_str(&format!(
             "    {{\"design\": \"{}\", \"policy\": \"{}\", \"lines\": {}, \"misses\": {}, \
-             \"accesses\": {}, \"accesses_per_sec\": {:.1}, \
-             \"baseline_accesses_per_sec\": {}, \"speedup\": {:.3}}}{}\n",
+             \"accesses\": {}, \"accesses_per_sec\": {:.1}}}{}\n",
             r.design,
             r.policy,
             r.lines,
             r.misses,
             r.accesses,
             r.accesses_per_sec,
-            baseline,
-            r.speedup(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -510,32 +440,6 @@ pub struct SimPerfRow {
     /// Measured end-to-end throughput.
     pub accesses_per_sec: f64,
 }
-
-impl SimPerfRow {
-    /// Recorded pre-rework throughput for this row, if any.
-    pub fn baseline(&self) -> Option<f64> {
-        BASELINE_SIM
-            .iter()
-            .find(|(d, p, _)| *d == self.design && *p == self.policy)
-            .map(|&(_, _, v)| v)
-    }
-
-    /// Speedup over [`baseline`](Self::baseline) (1.0 when unknown).
-    pub fn speedup(&self) -> f64 {
-        self.baseline().map_or(1.0, |b| self.accesses_per_sec / b)
-    }
-}
-
-/// End-to-end simulated-accesses/sec of the pre-rework zsim path (commit
-/// `f080bd0`: std-SipHash `HashMap` directory, per-replay next-use
-/// recomputation, per-point trace materialization), measured with
-/// `zbench perf --sim` defaults on the single-core reference container.
-pub const BASELINE_SIM: &[(&str, &str, f64)] = &[
-    ("exec-sa4", "lru", 5_507_716.0),
-    ("exec-z4", "lru", 3_491_357.0),
-    ("fig4", "lru", 6_938_414.0),
-    ("fig4", "opt", 7_829_093.0),
-];
 
 /// The workload mix every sim row runs, chosen to span the regimes the
 /// 72-workload fig4 suite is made of: canneal (miss-heavy pointer chase —
@@ -637,7 +541,7 @@ pub fn run_sim(opts: &SimPerfOpts) -> Vec<SimPerfRow> {
     rows
 }
 
-/// Formats the sim rows as a table with baseline comparison.
+/// Formats the sim rows as a table.
 pub fn report_sim(rows: &[SimPerfRow]) -> String {
     let mut out = String::from(
         "End-to-end simulation throughput (simulated accesses/sec, fig4-style config)\n\n",
@@ -651,16 +555,11 @@ pub fn report_sim(rows: &[SimPerfRow]) -> String {
                 r.sim_accesses.to_string(),
                 format!("{:.3}s", r.secs),
                 format!("{:.2}M", r.accesses_per_sec / 1e6),
-                r.baseline()
-                    .map_or("-".into(), |b| format!("{:.2}M", b / 1e6)),
-                format!("{:.2}x", r.speedup()),
             ]
         })
         .collect();
     out.push_str(&crate::format_table(
-        &[
-            "design", "policy", "accesses", "time", "acc/s", "baseline", "speedup",
-        ],
+        &["design", "policy", "accesses", "time", "acc/s"],
         &table,
     ));
     out
@@ -670,7 +569,7 @@ pub fn report_sim(rows: &[SimPerfRow]) -> String {
 /// artifact. Hand-rolled JSON: the build environment has no serde.
 pub fn to_json_sim(rows: &[SimPerfRow], opts: &SimPerfOpts) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"zbench-sim-v1\",\n");
+    out.push_str("  \"schema\": \"zbench-sim-v2\",\n");
     out.push_str(&format!("  \"seed\": {},\n", opts.seed));
     out.push_str(&format!("  \"cores\": {},\n", opts.cores));
     out.push_str(&format!(
@@ -686,20 +585,14 @@ pub fn to_json_sim(rows: &[SimPerfRow], opts: &SimPerfOpts) -> String {
     out.push_str(&format!("  \"workloads\": [{wl_list}],\n"));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
-        let baseline = r
-            .baseline()
-            .map_or("null".to_string(), |b| format!("{b:.1}"));
         out.push_str(&format!(
             "    {{\"design\": \"{}\", \"policy\": \"{}\", \"sim_accesses\": {}, \
-             \"secs\": {:.4}, \"accesses_per_sec\": {:.1}, \
-             \"baseline_accesses_per_sec\": {}, \"speedup\": {:.3}}}{}\n",
+             \"secs\": {:.4}, \"accesses_per_sec\": {:.1}}}{}\n",
             r.design,
             r.policy,
             r.sim_accesses,
             r.secs,
             r.accesses_per_sec,
-            baseline,
-            r.speedup(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -755,25 +648,19 @@ mod tests {
 
     #[test]
     fn lineup_covers_grid() {
-        let rows = run(&tiny());
+        let rows = run(&tiny(), None);
         assert_eq!(rows.len(), 18);
         for r in &rows {
             assert_eq!(r.accesses, 2_000);
             assert!(r.accesses_per_sec > 0.0);
             assert!(r.misses <= r.accesses);
-            assert!(
-                r.baseline().is_some(),
-                "{}/{} has no baseline",
-                r.design,
-                r.policy
-            );
         }
     }
 
     #[test]
     fn json_is_well_formed_enough() {
         let opts = tiny();
-        let rows = run(&opts);
+        let rows = run(&opts, None);
         let json = to_json(&rows, &opts);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches("\"design\"").count(), 18);
@@ -782,7 +669,8 @@ mod tests {
             json.matches('}').count(),
             "unbalanced braces"
         );
-        assert!(json.contains("\"baseline_accesses_per_sec\""));
+        assert!(json.contains("\"schema\": \"zbench-perf-v2\""));
+        assert!(!json.contains("baseline"), "no pinned baselines: {json}");
     }
 
     #[test]
@@ -794,7 +682,7 @@ mod tests {
 
     #[test]
     fn report_lists_all_designs() {
-        let rows = run(&tiny());
+        let rows = run(&tiny(), None);
         let rep = report(&rows);
         for d in ["sa-h3", "skew", "z2", "z3", "z4", "fully"] {
             assert!(rep.contains(d), "{rep}");

@@ -19,12 +19,12 @@
 //! the run fails if any error exceeds the tolerance. The pinned
 //! artifact lives in `BENCH_predict.json`.
 
-use crate::format_table;
 use crate::opts::ExpOpts;
 use crate::pipeline::PointScratch;
+use crate::{format_table, lineup};
 use crate::{point_seed, SweepRunner};
 use zcache_core::model::{self, DistanceProfile, Prediction};
-use zcache_core::{ArrayKind, CacheBuilder, LruStack, PolicyKind};
+use zcache_core::{ArrayKind, LruStack};
 use zhash::HashKind;
 use zworkloads::profile::StackProfiler;
 use zworkloads::suite::paper_suite_scaled;
@@ -311,17 +311,8 @@ pub fn validate(opts: &PredictOpts) -> Vec<ValidationRow> {
                     let misses = if *array == ArrayKind::Fully {
                         LruStack::misses(lines, refs.iter().map(|r| r.0))
                     } else {
-                        let mut cache = CacheBuilder::new()
-                            .lines(lines)
-                            .ways(*ways)
-                            .array(*array)
-                            .policy(PolicyKind::Lru)
-                            .seed(seed)
-                            .build();
-                        for &(line, write) in &refs {
-                            cache.access_full(line, write, u64::MAX);
-                        }
-                        cache.stats().misses
+                        let builder = lineup::builder(*array, *ways, lines, seed);
+                        lineup::drive(&builder, refs.iter().copied()).stats().misses
                     };
                     rows.push(ValidationRow {
                         workload: wl.name().to_string(),

@@ -35,7 +35,10 @@
 
 use crate::{format_table, point_seed, SweepRunner};
 use std::path::{Path, PathBuf};
-use zcache_core::{AdaptiveConfig, PartitionConfig, PartitionedCache, PolicyKind, TenantGrant};
+use zcache_core::{
+    AdaptiveConfig, AnyPolicy, ArrayKind, PartitionConfig, PartitionedCache, PolicyKind,
+    ShadowDuel, TenantGrant,
+};
 use zoracle::{
     part_check_grid, run_part_diff_mutated, shrink_part, write_part_repro, PartConfig,
     PartDivergence, PartMix, PartSummary,
@@ -241,6 +244,22 @@ fn jain(rows: &[TenantRow], mode_mpki: impl Fn(&TenantRow) -> f64) -> f64 {
     } else {
         sum * sum / (xs.len() as f64 * sq)
     }
+}
+
+/// Checks, without panicking, that every structure the isolation sweep
+/// (or, with `check`, the lockstep grid) builds accepts `opts`'
+/// geometry: the shared zcache array, and for the sweep the per-tenant
+/// walk-budget duels of the partitioned mode.
+pub fn check_geometry(opts: &TenantOpts, check: bool) -> Result<(), String> {
+    let kind = ArrayKind::ZCache {
+        levels: opts.levels,
+    };
+    kind.check_geometry(opts.lines, opts.ways)
+        .map_err(|e| format!("cannot build {kind}: {e}"))?;
+    if !check {
+        ShadowDuel::<AnyPolicy>::check_geometry(opts.lines, opts.ways)?;
+    }
+    Ok(())
 }
 
 /// Runs the isolation sweep over every standard mix.

@@ -4,11 +4,8 @@
 //! <hex-line-addr> [gap]` per line), so traces captured from real
 //! systems can be compared against the paper's designs directly.
 
-use crate::format_table;
-use crate::opts::fig_designs;
+use crate::{format_table, lineup};
 use std::io;
-use zcache_core::{CacheBuilder, PolicyKind};
-use zsim::L2Design;
 use zworkloads::MemRef;
 
 /// Per-design result on a trace.
@@ -24,18 +21,11 @@ pub struct TraceRow {
     pub avg_relocations: f64,
 }
 
-/// Drives every lineup design with the trace, as a single cache of
-/// `lines` frames.
-pub fn run(refs: &[MemRef], lines: u64, seed: u64) -> Vec<TraceRow> {
-    let (rows, _) = run_streaming(refs.iter().map(|r| Ok(*r)), lines, seed)
-        .expect("in-memory trace cannot fail");
-    rows
-}
-
-/// Streaming variant of [`run`]: feeds each reference to every lineup
-/// design in lockstep as it is parsed, so a multi-gigabyte trace runs
-/// in memory bounded by the caches, not the trace. Returns the rows and
-/// the number of references consumed.
+/// Drives every lineup design, as a single cache of `lines` frames,
+/// with the trace: each reference reaches every design in lockstep as it
+/// is parsed, so a multi-gigabyte trace runs in memory bounded by the
+/// caches, not the trace. Returns the rows and the number of references
+/// consumed.
 ///
 /// # Errors
 ///
@@ -45,16 +35,16 @@ pub fn run_streaming<I>(refs: I, lines: u64, seed: u64) -> io::Result<(Vec<Trace
 where
     I: IntoIterator<Item = io::Result<MemRef>>,
 {
-    let mut caches: Vec<(String, zcache_core::DynCache)> = fig_designs()
-        .iter()
-        .map(|(label, design)| (label.clone(), build(design, lines, seed)))
+    let mut caches: Vec<(String, zcache_core::DynCache)> = lineup::fig_lineup(lines, seed)
+        .into_iter()
+        .map(|(label, builder)| (label, builder.build()))
         .collect();
     let mut n = 0usize;
     for r in refs {
         let r = r?;
         n += 1;
         for (_, cache) in &mut caches {
-            cache.access_full(r.line, r.write, u64::MAX);
+            lineup::feed(cache, [(r.line, r.write)]);
         }
     }
     let rows = caches
@@ -70,16 +60,6 @@ where
         })
         .collect();
     Ok((rows, n))
-}
-
-fn build(design: &L2Design, lines: u64, seed: u64) -> zcache_core::DynCache {
-    CacheBuilder::new()
-        .lines(lines)
-        .ways(design.ways)
-        .array(design.array)
-        .policy(PolicyKind::Lru)
-        .seed(seed)
-        .build()
 }
 
 /// Renders the trace comparison.
@@ -123,7 +103,7 @@ mod tests {
     #[test]
     fn lineup_runs_on_parsed_trace() {
         let refs = synthetic_trace();
-        let rows = run(&refs, 64, 1);
+        let (rows, _) = run_streaming(refs.iter().map(|&r| Ok(r)), 64, 1).unwrap();
         assert_eq!(rows.len(), 6);
         for r in &rows {
             assert!(r.miss_rate > 0.0 && r.miss_rate <= 1.0, "{}", r.design);
@@ -138,7 +118,7 @@ mod tests {
     #[test]
     fn report_renders() {
         let refs = synthetic_trace();
-        let rows = run(&refs, 64, 1);
+        let (rows, _) = run_streaming(refs.iter().map(|&r| Ok(r)), 64, 1).unwrap();
         let rep = report(&rows, refs.len(), 64);
         assert!(rep.contains("Trace comparison"));
         assert!(rep.contains("Z4/16"));

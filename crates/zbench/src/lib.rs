@@ -13,19 +13,21 @@
 //! | [`exp_bandwidth`] | §VI-D — tag-array bandwidth and self-throttling |
 //! | [`exp_ablate`] | DESIGN.md ablations — walk strategy, early stop, Bloom dedup, bucketed-LRU parameters |
 //! | [`exp_check`] | Differential conformance sweep against the `zoracle` brute-force reference models |
-//! | [`exp_perf`] | Simulator throughput (accesses/sec) across the design lineup, with baseline tracking |
+//! | [`exp_perf`] | Simulator throughput (accesses/sec) across the design lineup |
 //! | [`exp_adaptive`] | §VIII future work — adaptive walk throttling |
 //! | [`exp_conflicts`] | §IV conflict-miss decomposition vs fully-associative |
 //! | [`exp_predict`] | Analytical miss-ratio fast-path — reuse-distance profiles convolved with the §IV uniformity model, cross-validated against simulation |
 //! | [`exp_tenants`] | Multi-tenant quota partitioning — solo/shared/partitioned MPKI per tenant, Jain fairness, and the partition lockstep grid vs `zoracle` (with quota-bypass mutation testing) |
 //!
-//! The `zbench` binary exposes one subcommand per module; library entry
-//! points return structured results so integration tests can assert the
-//! paper's headline claims.
+//! The experiments that replay a stream through caches of their own build
+//! and drive them with [`lineup`]. The `zbench` binary exposes one
+//! subcommand per module; library entry points return structured results
+//! so integration tests can assert the paper's headline claims.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod exp_ablate;
 pub mod exp_adaptive;
 pub mod exp_bandwidth;
@@ -41,6 +43,7 @@ pub mod exp_serve;
 pub mod exp_table2;
 pub mod exp_tenants;
 pub mod exp_trace;
+pub mod lineup;
 pub mod opts;
 pub mod pipeline;
 

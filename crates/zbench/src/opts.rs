@@ -1,7 +1,6 @@
 //! Shared experiment options and the standard design lineup.
 
 use zcache_core::PolicyKind;
-use zenergy::LookupMode;
 use zsim::{L2Design, SimConfig};
 use zworkloads::suite::Scale;
 
@@ -95,14 +94,6 @@ pub fn with_policy(designs: &[(String, L2Design)], policy: PolicyKind) -> Vec<(S
         .collect()
 }
 
-/// Applies a lookup mode to every design in the lineup.
-pub fn with_lookup(designs: &[(String, L2Design)], lookup: LookupMode) -> Vec<(String, L2Design)> {
-    designs
-        .iter()
-        .map(|(n, d)| (n.clone(), d.with_lookup(lookup)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,11 +121,8 @@ mod tests {
     }
 
     #[test]
-    fn policy_and_lookup_mapping() {
-        let d = fig_designs();
-        let opt = with_policy(&d, PolicyKind::Opt);
+    fn policy_mapping() {
+        let opt = with_policy(&fig_designs(), PolicyKind::Opt);
         assert!(opt.iter().all(|(_, x)| x.policy == PolicyKind::Opt));
-        let par = with_lookup(&d, LookupMode::Parallel);
-        assert!(par.iter().all(|(_, x)| x.lookup == LookupMode::Parallel));
     }
 }

@@ -1,13 +1,13 @@
-//! Float-valued flag hardening for the `zbench` CLI.
+//! Command-line hardening for `zbench`, driven by the flag table.
 //!
-//! `f64::from_str` happily parses `"NaN"`, `"inf"` and negative
-//! values, so every float flag goes through `parse_float`, which
-//! rejects anything non-finite or below the flag's floor by printing
-//! the offending flag plus the usage line and exiting 2 — before any
-//! downstream `panic!`/`assert!` (e.g. `YcsbGen::new`'s validation
-//! panic) can be reached from the command line.
+//! Every flag is declared once, in `zbench::cli::FLAGS`, and the table
+//! tests below walk it, so a new flag is covered when it is declared.
+//! Every command-line error must exit 2 with the offending flag named
+//! and the usage printed, before any downstream `panic!`/`assert!` can
+//! be reached.
 
 use std::process::{Command, Output};
+use zbench::cli::{Command as Cmd, Kind, FLAGS};
 
 fn zbench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_zbench"))
@@ -16,9 +16,9 @@ fn zbench(args: &[&str]) -> Output {
         .expect("failed to spawn zbench")
 }
 
-/// Asserts the invocation exits 2 with the flag named on stderr along
-/// with the usage line, and that nothing panicked.
-fn assert_rejected(args: &[&str], flag: &str) {
+/// Asserts the invocation exits 2 with `needle` (usually the flag) on
+/// stderr along with the usage text, and that nothing panicked.
+fn assert_rejected(args: &[&str], needle: &str) {
     let out = zbench(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
@@ -28,8 +28,8 @@ fn assert_rejected(args: &[&str], flag: &str) {
         out.status.code()
     );
     assert!(
-        stderr.contains(flag),
-        "{args:?}: stderr missing {flag:?}: {stderr}"
+        stderr.contains(needle),
+        "{args:?}: stderr missing {needle:?}: {stderr}"
     );
     assert!(
         stderr.contains("usage:"),
@@ -38,17 +38,69 @@ fn assert_rejected(args: &[&str], flag: &str) {
     assert!(!stderr.contains("panicked"), "{args:?}: panicked: {stderr}");
 }
 
+/// A value the kind rejects (text flags take any value).
+fn malformed(kind: Kind) -> Option<&'static str> {
+    match kind {
+        Kind::Int { .. } => Some("x"),
+        Kind::IntList => Some("64,x"),
+        Kind::Float { .. } => Some("NaN"),
+        Kind::Choice(_) => Some("no-such-choice"),
+        Kind::Switch | Kind::Text(_) => None,
+    }
+}
+
+/// A value the kind accepts (`None` for switches).
+fn valid(kind: Kind) -> Option<&'static str> {
+    match kind {
+        Kind::Switch => None,
+        Kind::Int { .. } | Kind::Float { .. } => Some("1"),
+        Kind::IntList => Some("64"),
+        Kind::Choice(words) => Some(words[0]),
+        Kind::Text(_) => Some("x"),
+    }
+}
+
 #[test]
-fn malformed_float_flags_exit_2_with_flag_and_usage() {
-    // NaN parses as a float but is rejected as non-finite; the serve
-    // benchmark must never start.
-    assert_rejected(&["serve", "--zipf-s", "NaN"], "--zipf-s");
-    assert_rejected(&["serve", "--zipf-s", "-1"], "--zipf-s");
-    assert_rejected(&["serve", "--zipf-s", "inf"], "--zipf-s");
-    assert_rejected(&["serve", "--read-prop", "-0.5"], "--read-prop");
-    assert_rejected(&["serve", "--read-prop", "NaN"], "--read-prop");
-    assert_rejected(&["serve", "--update-prop", "abc"], "--update-prop");
-    assert_rejected(&["serve", "--insert-prop", "-inf"], "--insert-prop");
+fn every_value_flag_rejects_malformed_and_missing_values() {
+    for flag in FLAGS {
+        if flag.kind == Kind::Switch {
+            continue;
+        }
+        let command = Cmd::ALL.into_iter().find(|&c| flag.applies_to(c)).unwrap();
+        if let Some(bad) = malformed(flag.kind) {
+            assert_rejected(&[command.name(), flag.name, bad], flag.name);
+        }
+        assert_rejected(&[command.name(), flag.name], "requires a value");
+    }
+}
+
+#[test]
+fn every_flag_rejects_the_commands_it_does_not_apply_to() {
+    for flag in FLAGS {
+        for command in Cmd::ALL.into_iter().filter(|&c| !flag.applies_to(c)) {
+            let mut args = vec![command.name(), flag.name];
+            args.extend(valid(flag.kind));
+            assert_rejected(&args, &format!("{} does not apply to", flag.name));
+        }
+    }
+}
+
+#[test]
+fn unknown_commands_flags_and_operands_exit_2() {
+    assert_rejected(&[], "missing command");
+    assert_rejected(&["fig6"], "unknown command");
+    assert_rejected(&["fig3", "--nosuch"], "--nosuch");
+    assert_rejected(&["trace"], "operand");
+    assert_rejected(&["dumptrace", "canneal"], "operand");
+    assert_rejected(&["table2", "extra"], "operand");
+    // fig3 always prints all four panels; it takes no --design.
+    assert_rejected(&["fig3", "--design", "skew"], "--design");
+    // fig4/fig5 take the policies they sweep, not check's lfu.
+    assert_rejected(&["fig4", "--policy", "lfu"], "--policy");
+}
+
+#[test]
+fn float_flags_check_their_floors() {
     assert_rejected(&["predict", "--tol", "NaN"], "--tol");
     assert_rejected(&["predict", "--tol", "-0.1"], "--tol");
     // Zero tolerance is finite and >= 0 but still meaningless.
@@ -57,28 +109,18 @@ fn malformed_float_flags_exit_2_with_flag_and_usage() {
     assert_rejected(&["tenants", "--quota-frac", "NaN"], "--quota-frac");
     assert_rejected(&["tenants", "--quota-frac", "-0.5"], "--quota-frac");
     assert_rejected(&["tenants", "--quota-frac", "inf"], "--quota-frac");
+    // Integers are bounded by the width of the option they set.
+    assert_rejected(&["check", "--ways", "4294967296"], "--ways");
+    assert_rejected(&["tenants", "--jobs", "-1"], "--jobs");
 }
 
 #[test]
-fn tenants_flags_are_hardened() {
-    // Integer flags route through parse_num.
-    assert_rejected(&["tenants", "--accesses", "x"], "--accesses");
-    assert_rejected(&["tenants", "--lines", "12.5"], "--lines");
-    assert_rejected(&["tenants", "--jobs", "-1"], "--jobs");
+fn mutate_needs_check() {
+    assert_rejected(&["tenants", "--mutate", "quota-bypass"], "requires --check");
     assert_rejected(
-        &["tenants", "--check", "--digest-every", "many"],
-        "--digest-every",
+        &["tenants", "--check", "--mutate", "row-hammer"],
+        "--mutate",
     );
-    // --mutate is only meaningful under --check, and only knows
-    // quota-bypass.
-    let out = zbench(&["tenants", "--mutate", "quota-bypass"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("requires --check"), "{stderr}");
-    let out = zbench(&["tenants", "--check", "--mutate", "row-hammer"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("unknown mutation"), "{stderr}");
 }
 
 #[test]
@@ -92,6 +134,10 @@ fn bad_cache_geometry_exits_2_before_the_sweep() {
     assert_rejected(&["tenants", "--lines", "100"], "--lines");
     assert_rejected(&["tenants", "--ways", "0"], "--ways");
     assert_rejected(&["tenants", "--check", "--lines", "60"], "--lines");
+    // Too small for the sweep's walk-budget duels (fewer than 4 x ways
+    // frames): rejected before ShadowDuel::for_geometry's assert.
+    assert_rejected(&["tenants", "--lines", "4"], "--lines");
+    assert_rejected(&["tenants", "--lines", "8"], "--lines");
     // Ways do not constrain the fully-associative design.
     let out = zbench(&[
         "check",
@@ -108,33 +154,14 @@ fn bad_cache_geometry_exits_2_before_the_sweep() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-}
-
-#[test]
-fn tenants_sweep_runs_end_to_end() {
-    // A tiny sweep through the full CLI path: both standard mixes
-    // reported, with the per-tenant solo/shared/part columns and the
-    // Jain fairness lines present.
-    let out = zbench(&[
-        "tenants",
-        "--accesses",
-        "4000",
-        "--lines",
-        "128",
-        "--jobs",
-        "2",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    // The lockstep grid builds no duel, so four frames are enough.
+    let out = zbench(&["tenants", "--check", "--lines", "4", "--accesses", "2000"]);
     assert_eq!(
         out.status.code(),
         Some(0),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout.contains("zipf-hot+scans"), "{stdout}");
-    assert!(stdout.contains("zipf-twins"), "{stdout}");
-    assert!(stdout.contains("Jain fairness"), "{stdout}");
-    assert!(stdout.contains("occ/quota"), "{stdout}");
 }
 
 #[test]
@@ -146,39 +173,6 @@ fn perf_profile_flag_is_hardened() {
     assert_rejected(&["perf", "--profile", ""], "--profile");
     // The profile reads the access path; there is no --sim variant.
     assert_rejected(&["perf", "--sim", "--profile", "walks"], "--profile");
-}
-
-#[test]
-fn perf_profile_walks_is_deterministic() {
-    let run = || {
-        let out = zbench(&[
-            "perf",
-            "--profile",
-            "walks",
-            "--smoke",
-            "--filter",
-            "z3:lru",
-        ]);
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        out.stdout
-    };
-    let a = run();
-    let stdout = String::from_utf8_lossy(&a);
-    // Counts, not clocks: the header says so and the rows carry the
-    // per-level breakdown.
-    assert!(stdout.contains("Walk profile"), "{stdout}");
-    assert!(stdout.contains("lvl3"), "{stdout}");
-    assert!(stdout.contains("z3"), "{stdout}");
-    // A profile run must never touch the pinned BENCH artifact, so its
-    // stdout has no "wrote" line.
-    assert!(!stdout.contains("wrote"), "{stdout}");
-    // Byte-stable across runs.
-    assert_eq!(a, run());
 }
 
 #[test]
@@ -195,14 +189,6 @@ fn perf_filter_rejects_malformed_patterns() {
 }
 
 #[test]
-fn flags_missing_values_exit_2() {
-    let out = zbench(&["serve", "--zipf-s"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--zipf-s requires a value"), "{stderr}");
-}
-
-#[test]
 fn predict_rejects_bad_size_grids() {
     // Not a power of two.
     assert_rejected(&["predict", "--sizes", "100"], "--sizes");
@@ -210,50 +196,4 @@ fn predict_rejects_bad_size_grids() {
     assert_rejected(&["predict", "--sizes", "32"], "--sizes");
     // Non-numeric entry in the list.
     assert_rejected(&["predict", "--sizes", "1024,x"], "--sizes");
-}
-
-#[test]
-fn zero_mass_ycsb_spec_is_a_clean_error_not_a_panic() {
-    // Individually valid proportions whose total mass is zero pass
-    // parse_float but fail spec validation; the CLI must report that
-    // itself rather than reach YcsbGen::new's panic.
-    let out = zbench(&[
-        "serve",
-        "--smoke",
-        "--read-prop",
-        "0",
-        "--update-prop",
-        "0",
-        "--insert-prop",
-        "0",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("invalid YCSB spec"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-}
-
-#[test]
-fn valid_float_flags_are_accepted() {
-    // A pure-prediction run (no simulation) with explicit sizes and
-    // tolerance: the whole flag path wired end to end.
-    let out = zbench(&[
-        "predict",
-        "--smoke",
-        "--workloads",
-        "1",
-        "--sizes",
-        "512,1024",
-        "--tol",
-        "0.2",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("Z4/52"), "{stdout}");
-    assert!(stdout.contains("1024"), "{stdout}");
 }

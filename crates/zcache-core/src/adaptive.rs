@@ -113,6 +113,22 @@ pub struct ShadowDuel<P> {
 }
 
 impl<P: ReplacementPolicy> ShadowDuel<P> {
+    /// Checks, without panicking, that a duel can shadow a main array of
+    /// `lines` frames and `ways` ways: the shadows are derived from at
+    /// least `4 × ways` frames. [`for_geometry`](Self::for_geometry)
+    /// asserts this check, so a caller that validates first never
+    /// reaches its panic.
+    pub fn check_geometry(lines: u64, ways: u32) -> Result<(), String> {
+        let min = 4 * u64::from(ways);
+        if lines < min {
+            Err(format!(
+                "array too small for shadow sampling (need at least 4 x ways = {min} lines)"
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Builds a duel for a main array of `lines` frames, `ways` ways and
     /// `levels` walk levels; `make_policy` builds the replacement policy
     /// for a given frame count (used for both shadows, so the duel
@@ -121,8 +137,8 @@ impl<P: ReplacementPolicy> ShadowDuel<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry has fewer than `4 × ways` frames (too
-    /// small to derive shadow arrays).
+    /// Panics if [`check_geometry`](Self::check_geometry) rejects the
+    /// geometry.
     pub fn for_geometry<F: Fn(u64) -> P>(
         lines: u64,
         ways: u32,
@@ -133,10 +149,7 @@ impl<P: ReplacementPolicy> ShadowDuel<P> {
         let max_budget = replacement_candidates(ways, levels).min(u64::from(u32::MAX)) as u32;
         let mid_budget =
             replacement_candidates(ways, 2.min(levels)).min(u64::from(max_budget)) as u32;
-        assert!(
-            lines >= 4 * u64::from(ways),
-            "array too small for shadow sampling"
-        );
+        Self::check_geometry(lines, ways).unwrap_or_else(|e| panic!("{e}"));
 
         // Shadow arrays: the main geometry scaled down by the sampling
         // ratio. Arrays below ~16 rows/way behave erratically (walks
@@ -577,6 +590,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "too small for shadow sampling")]
     fn tiny_array_panics() {
+        assert_eq!(ShadowDuel::<FullLru>::check_geometry(16, 4), Ok(()));
+        assert!(ShadowDuel::<FullLru>::check_geometry(8, 4).is_err());
         let _ = AdaptiveZCache::new(
             ZArray::new(8, 4, 3, 1),
             FullLru::new,

@@ -6,11 +6,12 @@
 //!
 //! * [`SetAssocArray`] — conventional set-associative, optionally with a
 //!   hashed index.
-//! * [`SkewArray`] — skew-associative (Seznec): one hash function per way;
-//!   candidates are the `W` first-level locations.
-//! * [`ZArray`] — the zcache: same lookup as skew, but a multi-level BFS
-//!   walk over the candidate tree yields up to `W·Σ(W−1)^l` candidates,
-//!   and installs perform relocations along the victim's path.
+//! * [`ZArray`] — the zcache: one hash function per way, and a
+//!   multi-level BFS walk over the candidate tree that yields up to
+//!   `W·Σ(W−1)^l` candidates, with relocations along the victim's path on
+//!   install. A one-level walk is the skew-associative cache (Seznec):
+//!   candidates are the `W` first-level locations and installs never
+//!   relocate, which is how [`ArrayKind::Skew`] is built.
 //! * [`FullyAssocArray`] — every block is a candidate (the associativity
 //!   reference point).
 //! * [`RandomCandsArray`] — the §IV-B *random candidates cache*: `n`
@@ -20,7 +21,6 @@
 mod fully;
 mod random_cands;
 mod setassoc;
-mod skew;
 mod tags;
 mod walk;
 mod zarray;
@@ -28,7 +28,6 @@ mod zarray;
 pub use fully::FullyAssocArray;
 pub use random_cands::RandomCandsArray;
 pub use setassoc::SetAssocArray;
-pub use skew::SkewArray;
 pub use tags::{TagIndex, TagStore, INVALID_TAG};
 pub use walk::{replacement_candidates, WalkKind, WalkStats};
 pub use zarray::{WalkNodeInfo, ZArray};
@@ -297,7 +296,8 @@ pub enum ArrayKind {
         /// Index hash family (`BitSelect` = conventional indexing).
         hash: HashKind,
     },
-    /// Skew-associative (H3-hashed ways).
+    /// Skew-associative (H3-hashed ways): a one-level [`ZArray`], whose
+    /// candidates are the `W` first-level locations (§III).
     Skew,
     /// ZCache with a BFS walk of `levels` full levels.
     ZCache {
@@ -370,8 +370,6 @@ impl std::fmt::Display for ArrayKind {
 pub enum AnyArray {
     /// See [`SetAssocArray`].
     SetAssoc(SetAssocArray),
-    /// See [`SkewArray`].
-    Skew(SkewArray),
     /// See [`ZArray`].
     ZCache(ZArray),
     /// See [`FullyAssocArray`].
@@ -384,7 +382,6 @@ macro_rules! delegate {
     ($self:ident, $inner:ident => $e:expr) => {
         match $self {
             AnyArray::SetAssoc($inner) => $e,
-            AnyArray::Skew($inner) => $e,
             AnyArray::ZCache($inner) => $e,
             AnyArray::Fully($inner) => $e,
             AnyArray::RandomCands($inner) => $e,
@@ -394,28 +391,14 @@ macro_rules! delegate {
 
 impl AnyArray {
     /// Adjusts the zcache walk-budget cap at run time (clamped to at
-    /// least the way count); returns whether the array has one.
-    /// Non-zcache arrays ignore the call — their candidate count is
-    /// structural — so runtime controllers can steer a [`DynCache`]
-    /// without matching on the array kind.
+    /// least the way count). Other arrays ignore the call — their
+    /// candidate count is structural — so runtime controllers can steer
+    /// a [`DynCache`] without matching on the array kind.
     ///
     /// [`DynCache`]: crate::DynCache
-    pub fn set_max_candidates(&mut self, max: u32) -> bool {
-        match self {
-            AnyArray::ZCache(z) => {
-                z.set_max_candidates(max);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The current zcache candidate cap (`u32::MAX` when unlimited), or
-    /// `None` for arrays without a walk budget.
-    pub fn max_candidates(&self) -> Option<u32> {
-        match self {
-            AnyArray::ZCache(z) => Some(z.max_candidates()),
-            _ => None,
+    pub fn set_max_candidates(&mut self, max: u32) {
+        if let AnyArray::ZCache(z) = self {
+            z.set_max_candidates(max);
         }
     }
 }

@@ -21,7 +21,10 @@ use zhash::SplitMix64;
 /// use zcache_core::{CacheArray, CandidateSet, RandomCandsArray};
 ///
 /// let mut a = RandomCandsArray::new(256, 16, 1);
-/// assert_eq!(a.candidates_per_miss(), 16);
+/// let mut cands = CandidateSet::new();
+/// // An empty frame is the one candidate while the array fills.
+/// a.candidates(7, &mut cands);
+/// assert_eq!(cands.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RandomCandsArray {
@@ -52,11 +55,6 @@ impl RandomCandsArray {
             n,
             rng: SplitMix64::new(seed ^ 0xc0ffee),
         }
-    }
-
-    /// Candidates drawn per miss.
-    pub fn candidates_per_miss(&self) -> u32 {
-        self.n
     }
 }
 

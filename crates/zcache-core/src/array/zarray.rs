@@ -189,11 +189,6 @@ impl ZArray {
         self.max_candidates = max.max(self.ways);
     }
 
-    /// The current candidate cap (`u32::MAX` when unlimited).
-    pub fn max_candidates(&self) -> u32 {
-        self.max_candidates
-    }
-
     /// Selects the walk expansion order (BFS is the paper's design).
     pub fn with_walk_kind(mut self, kind: WalkKind) -> Self {
         self.walk_kind = kind;
@@ -820,19 +815,24 @@ mod tests {
     fn full_walk_reaches_r_candidates() {
         // Fill a small zcache completely, then check a walk for a new
         // address gathers close to R candidates (repeats may trim a few).
-        let mut z = ZArray::new(256, 4, 2, 7);
-        fill(&mut z, (0..100_000u64).map(|i| i * 3 + 1));
-        assert_eq!(z.occupancy(), 256);
-        let mut cands = CandidateSet::new();
-        z.candidates(999_999, &mut cands);
-        let r = replacement_candidates(4, 2) as usize;
-        assert!(
-            cands.len() >= r - 4 && cands.len() <= r,
-            "got {} candidates, expected ~{}",
-            cands.len(),
-            r
-        );
-        assert_eq!(cands.levels, 2);
+        // One level is the skew-associative cache: exactly the W
+        // first-level locations.
+        for levels in [1, 2] {
+            let mut z = ZArray::new(256, 4, levels, 7);
+            fill(&mut z, (0..100_000u64).map(|i| i * 3 + 1));
+            assert_eq!(z.occupancy(), 256);
+            let mut cands = CandidateSet::new();
+            z.candidates(999_999, &mut cands);
+            let r = replacement_candidates(4, levels) as usize;
+            let floor = if levels == 1 { r } else { r - 4 };
+            assert!(
+                cands.len() >= floor && cands.len() <= r,
+                "L={levels}: got {} candidates, expected ~{}",
+                cands.len(),
+                r
+            );
+            assert_eq!(cands.levels, levels);
+        }
     }
 
     #[test]
@@ -877,6 +877,16 @@ mod tests {
         z.install(123_456_789, &lvl2, &mut out);
         assert_eq!(out.moves.len(), 2, "level-2 victim needs 2 relocations");
         assert!(z.lookup(123_456_789).is_some());
+
+        // A one-level walk (skew-associative) only has level-0 victims,
+        // so no install ever relocates.
+        let mut skew = ZArray::new(64, 4, 1, 2);
+        for a in 0..200u64 {
+            skew.candidates(a, &mut cands);
+            let v = *cands.first_empty().unwrap_or(&cands.as_slice()[0]);
+            skew.install(a, &v, &mut out);
+            assert!(out.moves.is_empty(), "one-level install of {a} moved");
+        }
     }
 
     #[test]
@@ -985,6 +995,22 @@ mod tests {
                 u64::from(loc.way) * z.rows_per_way() + loc.row
             );
         }
+
+        // Each way has its own hash: blocks sharing a way-0 row rarely
+        // share a way-1 row (the skew-associative property, checked on a
+        // one-level array).
+        let skew = ZArray::new(1 << 12, 4, 1, 3);
+        let target = skew.row_of(0, 0);
+        let conflicting: Vec<u64> = (1..100_000u64)
+            .filter(|&a| skew.row_of(a, 0) == target)
+            .take(50)
+            .collect();
+        let t1 = skew.row_of(0, 1);
+        let same = conflicting
+            .iter()
+            .filter(|&&a| skew.row_of(a, 1) == t1)
+            .count();
+        assert!(same <= 2, "way-1 conflicts should be rare, got {same}");
     }
 
     #[test]

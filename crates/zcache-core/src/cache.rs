@@ -1,7 +1,7 @@
 //! The cache front-end: array + policy + statistics + instrumentation.
 
 use crate::array::{AnyArray, ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
-use crate::array::{FullyAssocArray, RandomCandsArray, SetAssocArray, SkewArray, ZArray};
+use crate::array::{FullyAssocArray, RandomCandsArray, SetAssocArray, ZArray};
 use crate::assoc::AssociativityMeter;
 use crate::repl::{AccessCtx, AnyPolicy, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
@@ -352,12 +352,6 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         &self.install
     }
 
-    /// The policy's current eviction score for `slot` (higher = evict
-    /// first), as consulted by victim selection.
-    pub fn score_of(&self, slot: SlotId) -> u64 {
-        self.policy.score(slot)
-    }
-
     /// Digest of the complete observable state: every resident
     /// `(slot, addr, dirty)` triple folded in ascending slot order with
     /// [`digest_step`](crate::array::digest_step).
@@ -503,9 +497,10 @@ impl CacheBuilder {
             ArrayKind::SetAssoc { hash } => {
                 AnyArray::SetAssoc(SetAssocArray::new(self.lines, self.ways, hash, self.seed))
             }
-            ArrayKind::Skew => AnyArray::Skew(SkewArray::with_hash(
+            ArrayKind::Skew => AnyArray::ZCache(ZArray::with_hash(
                 self.lines,
                 self.ways,
+                1,
                 self.way_hash,
                 self.seed,
             )),

@@ -13,8 +13,8 @@
 //!   `R = W·Σ(W−1)^l` replacement candidates, followed by relocations
 //!   along the victim's path;
 //! * the comparison designs: [`SetAssocArray`] (± index hashing),
-//!   [`SkewArray`], [`FullyAssocArray`], and the analytical
-//!   [`RandomCandsArray`];
+//!   skew-associative (a one-level [`ZArray`]), [`FullyAssocArray`], and
+//!   the analytical [`RandomCandsArray`];
 //! * [`LruStack`], the exact `O(1)` fully-associative LRU reference
 //!   behind §IV's conflict-miss accounting;
 //! * **replacement policies** as global orderings ([`FullLru`],
@@ -77,8 +77,8 @@ pub use victim::VictimCache;
 
 pub use array::{
     digest_step, replacement_candidates, AnyArray, ArrayKind, CacheArray, Candidate, CandidateSet,
-    FullyAssocArray, InstallOutcome, RandomCandsArray, SetAssocArray, SkewArray, TagIndex,
-    TagStore, WalkKind, WalkNodeInfo, WalkStats, ZArray, DIGEST_SEED, INVALID_TAG,
+    FullyAssocArray, InstallOutcome, RandomCandsArray, SetAssocArray, TagIndex, TagStore, WalkKind,
+    WalkNodeInfo, WalkStats, ZArray, DIGEST_SEED, INVALID_TAG,
 };
 pub use assoc::{
     eviction_priority, ks_distance_to_uniform, uniform_assoc_cdf, uniform_assoc_mean,

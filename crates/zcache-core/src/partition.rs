@@ -329,29 +329,14 @@ impl PartitionedCache {
         self.tenants[tenant].occupancy
     }
 
-    /// `tenant`'s occupancy quota.
-    pub fn quota_of(&self, tenant: usize) -> u64 {
-        self.tenants[tenant].quota
-    }
-
     /// `tenant`'s current walk budget (as configured or last adapted).
     pub fn budget_of(&self, tenant: usize) -> u32 {
         self.tenants[tenant].budget
     }
 
-    /// Overrides `tenant`'s walk budget (external controllers).
-    pub fn set_budget(&mut self, tenant: usize, budget: u32) {
-        self.tenants[tenant].budget = budget;
-    }
-
     /// `tenant`'s access statistics.
     pub fn tenant_stats(&self, tenant: usize) -> &TenantStats {
         &self.tenants[tenant].stats
-    }
-
-    /// Whether quotas constrain victim selection.
-    pub fn enforces_quota(&self) -> bool {
-        self.enforce_quota
     }
 
     /// The shared underlying cache (aggregate stats, walk introspection

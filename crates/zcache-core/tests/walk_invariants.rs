@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use zcache_core::{
-    replacement_candidates, CacheArray, CandidateSet, InstallOutcome, SkewArray, WalkKind, ZArray,
+    replacement_candidates, CacheArray, CandidateSet, InstallOutcome, WalkKind, ZArray,
 };
 
 /// Drives a zcache with `addrs`, always evicting the candidate at
@@ -147,33 +147,6 @@ proptest! {
             let v = cands.first_empty().copied()
                 .unwrap_or(cands.as_slice()[0]);
             z.install(a, &v, &mut out);
-        }
-    }
-
-    #[test]
-    fn skew_equals_single_level_zcache(
-        addrs in prop::collection::vec(0u64..2_000, 50..300),
-        seed in 0u64..16,
-    ) {
-        // A skew array and a 1-level zcache with the same seed must
-        // produce identical candidate sets for every miss.
-        let mut skew = SkewArray::new(64, 4, seed);
-        let mut z1 = ZArray::new(64, 4, 1, seed);
-        let mut cs = CandidateSet::new();
-        let mut cz = CandidateSet::new();
-        let mut out = InstallOutcome::default();
-        for &a in &addrs {
-            prop_assert_eq!(skew.lookup(a).is_some(), z1.lookup(a).is_some());
-            if skew.lookup(a).is_some() { continue; }
-            skew.candidates(a, &mut cs);
-            z1.candidates(a, &mut cz);
-            let s: Vec<_> = cs.as_slice().iter().map(|c| (c.slot, c.addr)).collect();
-            let zl: Vec<_> = cz.as_slice().iter().map(|c| (c.slot, c.addr)).collect();
-            prop_assert_eq!(s, zl);
-            let v = cs.as_slice()[0];
-            skew.install(a, &v, &mut out);
-            let vz = cz.as_slice()[0];
-            z1.install(a, &vz, &mut out);
         }
     }
 }

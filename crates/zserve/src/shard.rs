@@ -198,11 +198,6 @@ impl Shard {
         self.cache.is_some()
     }
 
-    /// Current queue depth.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Walk budget currently applied.
     pub fn budget(&self) -> u32 {
         self.budget

@@ -59,6 +59,18 @@ impl L2Design {
         self
     }
 
+    /// A builder for a `lines`-frame cache of this design seeded with
+    /// `seed`. The L2 banks and `zbench`'s design lineups are all built
+    /// through it.
+    pub fn builder(&self, lines: u64, seed: u64) -> CacheBuilder {
+        CacheBuilder::new()
+            .lines(lines)
+            .ways(self.ways)
+            .array(self.array)
+            .policy(self.policy)
+            .seed(seed)
+    }
+
     /// A short label (`SA-4`, `Z4/52`, `skew-4`, …).
     pub fn label(&self) -> String {
         match self.array {

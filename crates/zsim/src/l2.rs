@@ -5,7 +5,7 @@ use crate::bankport::BankPorts;
 use crate::config::SimConfig;
 use crate::mem::MemoryChannels;
 use crate::stats::SimStats;
-use zcache_core::{AccessOutcome, CacheBuilder, CacheStats, DynCache};
+use zcache_core::{AccessOutcome, CacheStats, DynCache};
 use zhash::{Hasher64, Mix64};
 
 /// The shared, banked L2 plus memory. [`System`](crate::System) and
@@ -32,13 +32,8 @@ impl L2 {
     pub(crate) fn new(cfg: &SimConfig) -> Self {
         let banks = (0..cfg.l2_banks)
             .map(|b| {
-                CacheBuilder::new()
-                    .lines(cfg.lines_per_bank())
-                    .ways(cfg.l2.ways)
-                    .array(cfg.l2.array)
-                    .policy(cfg.l2.policy)
-                    .seed(cfg.seed.wrapping_mul(31).wrapping_add(u64::from(b)))
-                    .build()
+                let seed = cfg.seed.wrapping_mul(31).wrapping_add(u64::from(b));
+                cfg.l2.builder(cfg.lines_per_bank(), seed).build()
             })
             .collect();
         let nbanks = u64::from(cfg.l2_banks);

@@ -54,11 +54,6 @@ impl SimStats {
         self.l2.mpki(self.instructions)
     }
 
-    /// L1 misses per thousand instructions.
-    pub fn l1_mpki(&self) -> f64 {
-        self.l1.mpki(self.instructions)
-    }
-
     /// Average L2 accesses per cycle per bank (§VI-D's "load").
     pub fn l2_load_per_bank(&self) -> f64 {
         if self.max_cycles == 0 || self.banks == 0 {

@@ -2,9 +2,8 @@
 //!
 //! The analytical fast-path (`zbench predict`) needs one fact about a
 //! workload: how far down the LRU stack each reference reaches. This
-//! module streams any reference sequence — an [`AddressStream`], a
-//! [`TraceReader`], or raw line addresses —
-//! through a [`StackProfiler`] that computes every reference's *stack
+//! module streams any reference sequence — a [`TraceReader`] or raw line
+//! addresses — through a [`StackProfiler`] that computes every reference's *stack
 //! distance* (the number of distinct lines touched since the previous
 //! reference to the same line) in `O(log n)` per access, and folds the
 //! distances into a compact [`ReuseProfile`] histogram.
@@ -44,7 +43,6 @@
 //! ```
 
 use crate::trace_io::TraceReader;
-use crate::{AddressStream, MemRef};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 
@@ -359,20 +357,6 @@ impl StackProfiler {
             None => self.profile.record_cold(),
         }
         distance
-    }
-
-    /// Records every reference of `stream`'s next `n` draws.
-    pub fn record_stream<S: AddressStream + ?Sized>(&mut self, stream: &mut S, n: u64) {
-        for _ in 0..n {
-            self.record(stream.next_ref().line);
-        }
-    }
-
-    /// Records a slice of `(line, write)`-style references by line.
-    pub fn record_refs<'a, I: IntoIterator<Item = &'a MemRef>>(&mut self, refs: I) {
-        for r in refs {
-            self.record(r.line);
-        }
     }
 
     /// Drains a [`TraceReader`], recording every reference.

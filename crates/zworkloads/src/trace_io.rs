@@ -71,11 +71,6 @@ impl<R: BufRead> TraceReader<R> {
         }
     }
 
-    /// Lines consumed so far (including comments and blanks).
-    pub fn lines_read(&self) -> u64 {
-        self.lineno
-    }
-
     fn parse_line(trimmed: &str, lineno: u64) -> io::Result<MemRef> {
         let mut parts = trimmed.split_whitespace();
         let bad = |msg: &str| {

@@ -264,11 +264,6 @@ impl YcsbGen {
         self.records
     }
 
-    /// Keys `0..records()` that a load phase should pre-insert.
-    pub fn load_keys(&self) -> std::ops::Range<u64> {
-        0..self.spec.record_count
-    }
-
     fn sample_key(&mut self) -> u64 {
         match self.spec.request_dist {
             RequestDist::Uniform => self.rng.next_below(self.records),
