@@ -130,8 +130,10 @@ impl Command {
 pub enum Kind {
     /// No value: the flag is on or off.
     Switch,
-    /// An integer in `0..=max`.
+    /// An integer in `min..=max`.
     Int {
+        /// Smallest accepted value (1 where 0 has no meaning).
+        min: u64,
         /// Largest accepted value (the width of the option it sets).
         max: u64,
     },
@@ -154,13 +156,18 @@ pub enum Kind {
 impl Kind {
     /// Checks `value` against the kind and its bounds.
     fn check(self, value: &str) -> Result<(), String> {
-        let int = |s: &str, max: u64| s.parse::<u64>().ok().filter(|&n| n <= max);
         match self {
             Kind::Switch | Kind::Text(_) => Ok(()),
-            Kind::Int { max } if int(value, max).is_some() => Ok(()),
-            Kind::Int { max } if max == u64::MAX => Err("expected an integer".into()),
-            Kind::Int { max } => Err(format!("expected an integer <= {max}")),
-            Kind::IntList if value.split(',').all(|s| int(s.trim(), u64::MAX).is_some()) => Ok(()),
+            Kind::Int { min, max } => match value.parse::<u64>() {
+                Ok(n) if (min..=max).contains(&n) => Ok(()),
+                _ => Err(match (min, max) {
+                    (0, u64::MAX) => "expected an integer".into(),
+                    (0, _) => format!("expected an integer <= {max}"),
+                    (_, u64::MAX) => format!("expected an integer >= {min}"),
+                    _ => format!("expected an integer in {min}..={max}"),
+                }),
+            },
+            Kind::IntList if value.split(',').all(|s| s.trim().parse::<u64>().is_ok()) => Ok(()),
             Kind::IntList => Err("expected comma-separated integers".into()),
             Kind::Float { floor, inclusive } => match value.parse::<f64>() {
                 Ok(v) if v.is_finite() && (v > floor || inclusive && v == floor) => Ok(()),
@@ -242,8 +249,8 @@ const EXP: u32 = set(&[
     Fig3, Fig4, Fig5, Bandwidth, Ablate, Adaptive, Conflicts, All,
 ]);
 
-const fn int(max: u64) -> Kind {
-    Kind::Int { max }
+const fn int(min: u64, max: u64) -> Kind {
+    Kind::Int { min, max }
 }
 
 const fn float(floor: f64, inclusive: bool) -> Kind {
@@ -258,37 +265,37 @@ pub static FLAGS: &[Flag] = &[
     Flag::new("--scale", Kind::Choice(&["small", "paper"]))
         .on(EXP | set(&[Table1, Fig2, Predict, Trace, Dumptrace]))
         .help("cache scale (default small)"),
-    Flag::new("--cores", int(u32::MAX as u64))
+    Flag::new("--cores", int(0, u32::MAX as u64))
         .on(EXP | set(&[Table1, Predict, Dumptrace]))
         .help("simulated cores (default 32)"),
-    Flag::new("--instrs", int(u64::MAX))
+    Flag::new("--instrs", int(0, u64::MAX))
         .on(EXP | set(&[Predict, Dumptrace]))
         .help("instructions per core (default 100000)"),
-    Flag::new("--workloads", int(usize::MAX as u64))
+    Flag::new("--workloads", int(0, usize::MAX as u64))
         .on(EXP | set(&[Predict]))
         .help("limit to the first N workloads"),
-    Flag::new("--seed", int(u64::MAX))
+    Flag::new("--seed", int(0, u64::MAX))
         .on(EXP | set(&[Fig2, Predict, Trace, Dumptrace, Check, Tenants, Perf, Serve]))
         .help("RNG seed (default 1)"),
-    Flag::new("--jobs", int(usize::MAX as u64))
+    Flag::new("--jobs", int(0, usize::MAX as u64))
         .on(EXP | set(&[Predict, Check, Tenants, Serve]))
         .help("sweep worker threads (default: all cores); output is byte-identical for any N"),
     Flag::new("--policy", Kind::Choice(&["lru", "lfu", "opt"]))
         .on(set(&[Fig4, Fig5, Check, All]))
         .help("one policy (default: opt and lru; check: all three); only check takes lfu"),
-    Flag::new("--accesses", int(usize::MAX as u64))
+    Flag::new("--accesses", int(1, usize::MAX as u64))
         .on(set(&[Check, Tenants, Perf]))
         .help("accesses per pair or mix (check 100000, tenants 200000, tenants --check 30000)"),
     Flag::new("--design", Kind::Choice(CHECK_DESIGNS))
         .on(set(&[Check]))
         .help("one design (default all)"),
-    Flag::new("--lines", int(u64::MAX))
+    Flag::new("--lines", int(0, u64::MAX))
         .on(set(&[Check, Tenants]))
         .help("cache frames (check 64, tenants 1024, tenants --check 64)"),
-    Flag::new("--ways", int(u32::MAX as u64))
+    Flag::new("--ways", int(0, u32::MAX as u64))
         .on(set(&[Check, Tenants]))
         .help("ways per array (default 4)"),
-    Flag::new("--digest-every", int(u64::MAX))
+    Flag::new("--digest-every", int(1, u64::MAX))
         .on(set(&[Check, Tenants]))
         .help("full-state digest interval of the lockstep (default 1024)"),
     Flag::new("--quota-frac", float(0.0, true))
@@ -303,12 +310,9 @@ pub static FLAGS: &[Flag] = &[
     Flag::new("--smoke", Kind::Switch)
         .on(set(&[Predict, Perf, Serve]))
         .help("short CI configuration"),
-    Flag::new("--reps", int(usize::MAX as u64))
+    Flag::new("--reps", int(1, usize::MAX as u64))
         .on(set(&[Perf]))
-        .help("timed repetitions per pair; the best rep is reported"),
-    Flag::new("--sim", Kind::Switch)
-        .on(set(&[Perf]))
-        .help("time end-to-end zsim runs instead of the array path; writes BENCH_sim.json"),
+        .help("timed repetitions per pair; their median, min and max are reported (default 5)"),
     Flag::new("--filter", Kind::Text("D:P"))
         .on(set(&[Perf]))
         .help("keep rows matching design:policy (an empty side matches all, e.g. z3: or :lru)"),
@@ -317,14 +321,14 @@ pub static FLAGS: &[Flag] = &[
         .help("print a count-only per-miss walk profile instead of timing"),
     Flag::new("--out", Kind::Text("FILE"))
         .on(set(&[Predict, Perf, Serve]))
-        .help("JSON artifact path (default BENCH_predict/access/sim/serve.json)"),
+        .help("JSON artifact path (default BENCH_predict/access/serve.json)"),
     Flag::new("--chaos", Kind::Switch)
         .on(set(&[Serve]))
         .help("run the fault-injection soak matrix (exits 1 on invariant violations)"),
     Flag::new("--workload", Kind::Choice(&["a", "b", "c", "d"]))
         .on(set(&[Serve]))
         .help("YCSB workload mix (default a)"),
-    Flag::new("--ops", int(u64::MAX))
+    Flag::new("--ops", int(0, u64::MAX))
         .on(set(&[Serve]))
         .help("operations per soak point"),
     Flag::new("--sizes", Kind::IntList)

@@ -1,35 +1,26 @@
-//! `zbench perf` — end-to-end simulator throughput (accesses/sec).
+//! `zbench perf` — access-path throughput (accesses/sec) of the design
+//! lineup.
 //!
 //! Every figure sweep is bottlenecked on the per-access path in
 //! `zcache-core` (lookup → candidate expansion → policy scoring →
 //! install), so this experiment measures that path directly: a
-//! fixed-seed Zipf reference stream is replayed through the standard
-//! design lineup and the wall-clock accesses/sec of each (design ×
-//! policy) pair is reported and written to `BENCH_access.json`.
+//! fixed-seed Zipf reference stream is replayed `reps` times through
+//! each (design × policy) pair of the standard lineup, and the median,
+//! min and max accesses/sec of each pair are reported and written to
+//! `BENCH_access.json`.
 //!
 //! The stream, seeds and geometries are pinned so runs are comparable
 //! across commits. Comparing two commits takes an interleaved A/B run on
 //! one host (`bench/ab.sh`); a number measured at another commit is not
-//! a baseline.
-//!
-//! `--sim` extends the measurement one level up: instead of a bare
-//! array, it times the full zsim CMP path (L1s → MESI directory → banked
-//! L2 → bank ports → memory channels) in execution mode, plus the
-//! fig4-style trace pipeline (record once into reused buffers, compute
-//! the next-use oracle only when OPT replays need it, replay against the
-//! whole design lineup). Those are the loops
-//! the fig4/fig5 sweeps spend their wall-clock in, so `BENCH_sim.json`
-//! tracks end-to-end simulated-accesses/sec the same way
-//! `BENCH_access.json` tracks the raw array path.
+//! a baseline. End-to-end simulator times (trace record and replay,
+//! execution-driven `System::run`) come from `bench/`'s fig4-sweep and
+//! exec-z4-52 workloads.
 
 use crate::lineup;
-use crate::pipeline::PointScratch;
 use std::hint::black_box;
 use std::time::Instant;
 use zcache_core::{ArrayKind, CacheBuilder, PolicyKind};
 use zhash::HashKind;
-use zsim::{L2Design, SimConfig, System};
-use zworkloads::suite::{by_name, Scale};
 use zworkloads::{AddressStream, Component, CoreSpec, Workload};
 
 /// Options for the throughput run.
@@ -41,10 +32,10 @@ pub struct PerfOpts {
     pub warmup: usize,
     /// Stream seed (the stream is a pure function of it).
     pub seed: u64,
-    /// Timed repetitions per pair; the reported throughput is the best
-    /// rep. Wall-clock noise on a shared single core is strictly
-    /// additive (scheduler preemption, cold TLBs), so the fastest rep is
-    /// the least-biased estimator of the access path's true cost.
+    /// Timed repetitions per pair, each on a freshly built cache; the
+    /// median, min and max throughput over them are reported. A single
+    /// rep on a shared core can swing by tens of percent, so the spread
+    /// is part of the result, not noise to be hidden behind one rep.
     pub reps: usize,
 }
 
@@ -80,12 +71,32 @@ pub struct PerfRow {
     pub policy: &'static str,
     /// Cache frames.
     pub lines: u64,
-    /// Misses over the timed window.
+    /// Misses over the timed window (the same in every rep).
     pub misses: u64,
-    /// Timed accesses.
+    /// Timed accesses per rep.
     pub accesses: u64,
-    /// Measured throughput.
-    pub accesses_per_sec: f64,
+    /// The throughput of every rep, ascending and never empty (private
+    /// so that [`PerfRow::min`], `median` and `max` can rely on it).
+    accesses_per_sec: Vec<f64>,
+}
+
+impl PerfRow {
+    /// The slowest rep's throughput.
+    pub fn min(&self) -> f64 {
+        self.accesses_per_sec[0]
+    }
+
+    /// The median throughput (the mean of the middle pair for an even
+    /// rep count).
+    pub fn median(&self) -> f64 {
+        let s = &self.accesses_per_sec;
+        (s[(s.len() - 1) / 2] + s[s.len() / 2]) / 2.0
+    }
+
+    /// The fastest rep's throughput.
+    pub fn max(&self) -> f64 {
+        self.accesses_per_sec[self.accesses_per_sec.len() - 1]
+    }
 }
 
 /// The measured lineup: the paper's main designs at a 4096-frame scale
@@ -157,35 +168,46 @@ pub fn gen_refs(n: usize, seed: u64) -> Vec<(u64, bool)> {
 
 /// Runs the lineup and returns one row per (design × policy) pair the
 /// filter keeps (every pair without one).
+///
+/// # Panics
+///
+/// Panics if `reps` or `accesses` is 0, or if two reps of a pair see
+/// different miss counts: each rep rebuilds its cache from the same
+/// seed, so only the clock may differ between them.
 pub fn run(opts: &PerfOpts, filter: Option<&RowFilter>) -> Vec<PerfRow> {
+    assert!(opts.reps > 0, "reps must be positive");
+    assert!(opts.accesses > 0, "accesses must be positive");
     let refs = gen_refs(opts.warmup + opts.accesses, opts.seed);
     let (warm, timed) = refs.split_at(opts.warmup);
     let mut rows = Vec::new();
     for (design, policy, lines, builder) in grid(opts.seed, filter) {
-        let mut best: Option<PerfRow> = None;
-        for _ in 0..opts.reps.max(1) {
+        let mut misses = Vec::new();
+        let mut accesses_per_sec = Vec::new();
+        let mut accesses = 0;
+        for _ in 0..opts.reps {
             let mut cache = lineup::drive(&builder, warm.iter().copied());
             cache.reset_stats();
             let t0 = Instant::now();
             lineup::feed(&mut cache, timed.iter().copied());
             let dt = t0.elapsed().as_secs_f64().max(1e-9);
             let stats = black_box(cache.stats());
-            let row = PerfRow {
-                design,
-                policy,
-                lines,
-                misses: stats.misses,
-                accesses: stats.accesses,
-                accesses_per_sec: stats.accesses as f64 / dt,
-            };
-            if best
-                .as_ref()
-                .is_none_or(|b| row.accesses_per_sec > b.accesses_per_sec)
-            {
-                best = Some(row);
-            }
+            misses.push(stats.misses);
+            accesses = stats.accesses;
+            accesses_per_sec.push(stats.accesses as f64 / dt);
         }
-        rows.push(best.expect("reps >= 1"));
+        assert!(
+            misses.iter().all(|&m| m == misses[0]),
+            "{design}:{policy}: reps disagree on misses {misses:?}"
+        );
+        accesses_per_sec.sort_by(f64::total_cmp);
+        rows.push(PerfRow {
+            design,
+            policy,
+            lines,
+            misses: misses[0],
+            accesses,
+            accesses_per_sec,
+        });
     }
     rows
 }
@@ -328,8 +350,12 @@ pub fn report_walk_profile(rows: &[WalkProfileRow], opts: &PerfOpts) -> String {
 }
 
 /// Formats the rows as a table.
-pub fn report(rows: &[PerfRow]) -> String {
-    let mut out = String::from("Access-path throughput (accesses/sec, fixed-seed Zipf stream)\n\n");
+pub fn report(rows: &[PerfRow], opts: &PerfOpts) -> String {
+    let mut out = format!(
+        "Access-path throughput (accesses/sec over {} reps, fixed-seed Zipf stream)\n\n",
+        opts.reps
+    );
+    let mega = |v: f64| format!("{:.2}M", v / 1e6);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -338,12 +364,14 @@ pub fn report(rows: &[PerfRow]) -> String {
                 r.policy.to_string(),
                 r.lines.to_string(),
                 format!("{:.1}%", 100.0 * r.misses as f64 / r.accesses as f64),
-                format!("{:.2}M", r.accesses_per_sec / 1e6),
+                mega(r.median()),
+                mega(r.min()),
+                mega(r.max()),
             ]
         })
         .collect();
     out.push_str(&crate::format_table(
-        &["design", "policy", "lines", "miss", "acc/s"],
+        &["design", "policy", "lines", "miss", "median", "min", "max"],
         &table,
     ));
     out
@@ -353,7 +381,7 @@ pub fn report(rows: &[PerfRow]) -> String {
 /// artifact. Hand-rolled JSON: the build environment has no serde.
 pub fn to_json(rows: &[PerfRow], opts: &PerfOpts) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"zbench-perf-v2\",\n");
+    out.push_str("  \"schema\": \"zbench-perf-v3\",\n");
     out.push_str(&format!("  \"seed\": {},\n", opts.seed));
     out.push_str(&format!("  \"warmup\": {},\n", opts.warmup));
     out.push_str(&format!("  \"accesses\": {},\n", opts.accesses));
@@ -362,237 +390,16 @@ pub fn to_json(rows: &[PerfRow], opts: &PerfOpts) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"design\": \"{}\", \"policy\": \"{}\", \"lines\": {}, \"misses\": {}, \
-             \"accesses\": {}, \"accesses_per_sec\": {:.1}}}{}\n",
+             \"accesses\": {}, \"accesses_per_sec_median\": {:.1}, \
+             \"accesses_per_sec_min\": {:.1}, \"accesses_per_sec_max\": {:.1}}}{}\n",
             r.design,
             r.policy,
             r.lines,
             r.misses,
             r.accesses,
-            r.accesses_per_sec,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Options for the end-to-end simulation throughput run (`perf --sim`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimPerfOpts {
-    /// Simulated cores.
-    pub cores: u32,
-    /// Instructions per core per timed run.
-    pub instrs_per_core: u64,
-    /// Base seed (the workload streams are pure functions of it).
-    pub seed: u64,
-    /// Timed repetitions per row; the best rep is reported (wall-clock
-    /// noise on a shared core is strictly additive).
-    pub reps: usize,
-}
-
-impl Default for SimPerfOpts {
-    fn default() -> Self {
-        Self {
-            cores: 8,
-            instrs_per_core: 150_000,
-            seed: 1,
-            reps: 3,
-        }
-    }
-}
-
-impl SimPerfOpts {
-    /// A ~2-second smoke configuration for CI.
-    pub fn smoke() -> Self {
-        Self {
-            cores: 4,
-            instrs_per_core: 40_000,
-            seed: 1,
-            reps: 1,
-        }
-    }
-
-    fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::paper();
-        cfg.cores = self.cores;
-        cfg.l1_lines = Scale::SMALL.l1_lines;
-        cfg.l2_lines = Scale::SMALL.l2_lines;
-        cfg.instrs_per_core = self.instrs_per_core;
-        cfg.seed = crate::point_seed(self.seed, 0);
-        cfg
-    }
-}
-
-/// One measured end-to-end simulation row.
-#[derive(Debug, Clone)]
-pub struct SimPerfRow {
-    /// Row label: `exec-sa4` / `exec-z4` (execution-driven `System::run`
-    /// of one design) or `fig4` (record + replay the full design lineup).
-    pub design: &'static str,
-    /// Policy label (`lru` or `opt`).
-    pub policy: &'static str,
-    /// Simulated accesses processed in the timed section (L1 data
-    /// references; for `fig4` rows, the recording run's references plus
-    /// the trace length once per replayed design).
-    pub sim_accesses: u64,
-    /// Best-rep wall-clock seconds.
-    pub secs: f64,
-    /// Measured end-to-end throughput.
-    pub accesses_per_sec: f64,
-}
-
-/// The workload mix every sim row runs, chosen to span the regimes the
-/// 72-workload fig4 suite is made of: canneal (miss-heavy pointer chase —
-/// walks, directory churn, inclusion victims, memory queueing), gcc
-/// (mid-locality mix), blackscholes (L1-resident, recording-dominated)
-/// and cactusADM (streaming grid). Each row's accesses and wall-clock
-/// are summed over the mix, so the reported accesses/sec is the
-/// suite-shaped aggregate, not a single workload's extreme.
-pub const SIM_WORKLOADS: &[&str] = &["canneal", "gcc", "blackscholes", "cactusADM"];
-
-/// Runs the end-to-end rows: execution-driven SA-4 and Z4/52, then the
-/// fig4-style trace pipeline (record + replay all six lineup designs)
-/// under LRU and OPT. Every row aggregates the [`SIM_WORKLOADS`] mix.
-pub fn run_sim(opts: &SimPerfOpts) -> Vec<SimPerfRow> {
-    let cfg = opts.sim_config();
-    let wls: Vec<_> = SIM_WORKLOADS
-        .iter()
-        .map(|name| {
-            by_name(name, opts.cores as usize, Scale::SMALL).expect("sim workload is in the suite")
-        })
-        .collect();
-    let mut rows = Vec::new();
-
-    for (label, design) in [
-        ("exec-sa4", L2Design::setassoc(4)),
-        ("exec-z4", L2Design::zcache(4, 3)),
-    ] {
-        let mut best: Option<SimPerfRow> = None;
-        for _ in 0..opts.reps.max(1) {
-            let mut accesses = 0u64;
-            let mut secs = 0.0f64;
-            for wl in &wls {
-                let run_cfg = cfg.clone().with_l2(design);
-                let t0 = Instant::now();
-                let mut sys = System::new(run_cfg);
-                let stats = sys.run(wl);
-                secs += t0.elapsed().as_secs_f64();
-                black_box(&stats);
-                accesses += stats.l1.accesses;
-            }
-            let secs = secs.max(1e-9);
-            let row = SimPerfRow {
-                design: label,
-                policy: "lru",
-                sim_accesses: accesses,
-                secs,
-                accesses_per_sec: accesses as f64 / secs,
-            };
-            if best
-                .as_ref()
-                .is_none_or(|b| row.accesses_per_sec > b.accesses_per_sec)
-            {
-                best = Some(row);
-            }
-        }
-        rows.push(best.expect("reps >= 1"));
-    }
-
-    for (pname, policy) in [("lru", PolicyKind::Lru), ("opt", PolicyKind::Opt)] {
-        let designs = crate::opts::with_policy(&crate::opts::fig_designs(), policy);
-        let mut best: Option<SimPerfRow> = None;
-        // The sweep pipeline under measurement: one scratch streams every
-        // (workload, rep) through reused buffers, exactly like fig4/fig5.
-        let mut scratch = PointScratch::new();
-        for _ in 0..opts.reps.max(1) {
-            let mut accesses = 0u64;
-            let mut secs = 0.0f64;
-            for wl in &wls {
-                let t0 = Instant::now();
-                scratch.record(&cfg, wl);
-                // Count the references actually pushed through the
-                // pipeline: the recording run's L1 accesses plus one
-                // replay of the trace per lineup design.
-                accesses += scratch.trace().l1_stats.accesses;
-                for (_, design) in &designs {
-                    let stats = scratch.replay(&cfg.clone().with_l2(*design));
-                    black_box(&stats);
-                    accesses += scratch.trace().len() as u64;
-                }
-                secs += t0.elapsed().as_secs_f64();
-            }
-            let secs = secs.max(1e-9);
-            let row = SimPerfRow {
-                design: "fig4",
-                policy: pname,
-                sim_accesses: accesses,
-                secs,
-                accesses_per_sec: accesses as f64 / secs,
-            };
-            if best
-                .as_ref()
-                .is_none_or(|b| row.accesses_per_sec > b.accesses_per_sec)
-            {
-                best = Some(row);
-            }
-        }
-        rows.push(best.expect("reps >= 1"));
-    }
-    rows
-}
-
-/// Formats the sim rows as a table.
-pub fn report_sim(rows: &[SimPerfRow]) -> String {
-    let mut out = String::from(
-        "End-to-end simulation throughput (simulated accesses/sec, fig4-style config)\n\n",
-    );
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.design.to_string(),
-                r.policy.to_string(),
-                r.sim_accesses.to_string(),
-                format!("{:.3}s", r.secs),
-                format!("{:.2}M", r.accesses_per_sec / 1e6),
-            ]
-        })
-        .collect();
-    out.push_str(&crate::format_table(
-        &["design", "policy", "accesses", "time", "acc/s"],
-        &table,
-    ));
-    out
-}
-
-/// Serializes the sim rows (plus run metadata) as the `BENCH_sim.json`
-/// artifact. Hand-rolled JSON: the build environment has no serde.
-pub fn to_json_sim(rows: &[SimPerfRow], opts: &SimPerfOpts) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"zbench-sim-v2\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"cores\": {},\n", opts.cores));
-    out.push_str(&format!(
-        "  \"instrs_per_core\": {},\n",
-        opts.instrs_per_core
-    ));
-    out.push_str(&format!("  \"reps\": {},\n", opts.reps));
-    let wl_list = SIM_WORKLOADS
-        .iter()
-        .map(|w| format!("\"{w}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!("  \"workloads\": [{wl_list}],\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"design\": \"{}\", \"policy\": \"{}\", \"sim_accesses\": {}, \
-             \"secs\": {:.4}, \"accesses_per_sec\": {:.1}}}{}\n",
-            r.design,
-            r.policy,
-            r.sim_accesses,
-            r.secs,
-            r.accesses_per_sec,
+            r.median(),
+            r.min(),
+            r.max(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -603,7 +410,7 @@ pub fn to_json_sim(rows: &[SimPerfRow], opts: &SimPerfOpts) -> String {
 /// A `design:policy` row filter for `zbench perf` (`--filter`).
 ///
 /// Either side may be empty (wildcard): `z3:` keeps every policy of
-/// design `z3`, `:lru` keeps LRU rows of every design, `fig4:opt` keeps
+/// design `z3`, `:lru` keeps LRU rows of every design, `z3:lru` keeps
 /// one row. Returns `None` for a malformed pattern (more than one `:`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowFilter {
@@ -642,19 +449,39 @@ mod tests {
             accesses: 2_000,
             warmup: 500,
             seed: 1,
-            reps: 1,
+            reps: 3,
         }
     }
 
     #[test]
     fn lineup_covers_grid() {
         let rows = run(&tiny(), None);
+        let one_rep = run(&PerfOpts { reps: 1, ..tiny() }, None);
         assert_eq!(rows.len(), 18);
-        for r in &rows {
+        for (r, r1) in rows.iter().zip(&one_rep) {
             assert_eq!(r.accesses, 2_000);
-            assert!(r.accesses_per_sec > 0.0);
+            assert_eq!(r.accesses_per_sec.len(), 3);
+            assert!(0.0 < r.min() && r.min() <= r.median() && r.median() <= r.max());
             assert!(r.misses <= r.accesses);
+            // `run` asserts that the three reps agree; one rep agrees too.
+            assert_eq!(r.misses, r1.misses, "{}:{}", r.design, r.policy);
         }
+    }
+
+    #[test]
+    fn median_takes_the_middle_rep() {
+        let row = |rates: &[f64]| PerfRow {
+            design: "z3",
+            policy: "lru",
+            lines: 4096,
+            misses: 0,
+            accesses: 1,
+            accesses_per_sec: rates.to_vec(),
+        };
+        let odd = row(&[1.0, 2.0, 9.0]);
+        assert_eq!((odd.min(), odd.median(), odd.max()), (1.0, 2.0, 9.0));
+        assert_eq!(row(&[1.0, 2.0, 4.0, 9.0]).median(), 3.0);
+        assert_eq!(row(&[5.0]).median(), 5.0);
     }
 
     #[test]
@@ -664,12 +491,16 @@ mod tests {
         let json = to_json(&rows, &opts);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches("\"design\"").count(), 18);
+        for key in ["median", "min", "max"] {
+            let key = format!("\"accesses_per_sec_{key}\"");
+            assert_eq!(json.matches(&key).count(), 18, "{key}");
+        }
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),
             "unbalanced braces"
         );
-        assert!(json.contains("\"schema\": \"zbench-perf-v2\""));
+        assert!(json.contains("\"schema\": \"zbench-perf-v3\""));
         assert!(!json.contains("baseline"), "no pinned baselines: {json}");
     }
 
@@ -683,8 +514,10 @@ mod tests {
     #[test]
     fn report_lists_all_designs() {
         let rows = run(&tiny(), None);
-        let rep = report(&rows);
-        for d in ["sa-h3", "skew", "z2", "z3", "z4", "fully"] {
+        let rep = report(&rows, &tiny());
+        for d in [
+            "sa-h3", "skew", "z2", "z3", "z4", "fully", "median", "min", "max",
+        ] {
             assert!(rep.contains(d), "{rep}");
         }
     }

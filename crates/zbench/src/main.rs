@@ -323,35 +323,12 @@ fn perf(args: &Args, opts: &ExpOpts) {
             ))
         })
     });
-    let no_rows = |names: &str| -> ! { cli::fail(format!("--filter matched no rows ({names})")) };
-    let array_names = "designs: sa-h3, skew, z2, z3, z4, fully; policies: lru, bucketed-lru, lfu";
-
-    if args.on("--sim") {
-        if args.on("--profile") {
-            cli::fail("--profile walks profiles the access path; it cannot combine with --sim");
-        }
-        let mut sopts = if smoke {
-            exp_perf::SimPerfOpts::smoke()
-        } else {
-            exp_perf::SimPerfOpts::default()
-        };
-        sopts.seed = opts.seed;
-        sopts.reps = args.get::<usize>("--reps").map_or(sopts.reps, |r| r.max(1));
-        let mut rows = exp_perf::run_sim(&sopts);
-        if let Some(f) = &filter {
-            rows.retain(|r| f.matches(r.design, r.policy));
-        }
-        if rows.is_empty() {
-            no_rows("designs: exec-sa4, exec-z4, fig4; policies: lru, opt");
-        }
-        println!("{}", exp_perf::report_sim(&rows));
-        write_artifact(
-            args,
-            "BENCH_sim.json",
-            &exp_perf::to_json_sim(&rows, &sopts),
-        );
-        return;
-    }
+    let no_rows = || -> ! {
+        cli::fail(
+            "--filter matched no rows (designs: sa-h3, skew, z2, z3, z4, fully; \
+             policies: lru, bucketed-lru, lfu)",
+        )
+    };
 
     let mut popts = if smoke {
         exp_perf::PerfOpts::smoke()
@@ -366,19 +343,19 @@ fn perf(args: &Args, opts: &ExpOpts) {
     if args.on("--profile") {
         let rows = exp_perf::run_walk_profile(&popts, filter.as_ref());
         if rows.is_empty() {
-            no_rows(array_names);
+            no_rows();
         }
         // Counts only, and no BENCH json: a profile run must never
         // overwrite the throughput artifact.
         println!("{}", exp_perf::report_walk_profile(&rows, &popts));
         return;
     }
-    popts.reps = args.get::<usize>("--reps").map_or(popts.reps, |r| r.max(1));
+    popts.reps = args.get("--reps").unwrap_or(popts.reps);
     let rows = exp_perf::run(&popts, filter.as_ref());
     if rows.is_empty() {
-        no_rows(array_names);
+        no_rows();
     }
-    println!("{}", exp_perf::report(&rows));
+    println!("{}", exp_perf::report(&rows, &popts));
     write_artifact(args, "BENCH_access.json", &exp_perf::to_json(&rows, &popts));
 }
 

@@ -2,13 +2,14 @@
 //!
 //! The paper's analytical model (§IV) assumes the per-way hash functions
 //! draw candidates uniformly and independently; these tests check that
-//! the H3 implementation actually delivers that, that bit-selection
-//! shows the pathologies H3 is there to fix, and that the Bloom filter
-//! hits its designed false-positive rate. Everything is seeded and
-//! deterministic: the chi-square bounds are loose enough (6 sigma) that
-//! a failure means a broken hash, not an unlucky seed.
+//! the H3 implementation actually delivers that (and so does `Mix64`,
+//! which seeds the tag indexes and samples adaptive's shadow sets), that
+//! bit-selection shows the pathologies H3 is there to fix, and that the
+//! Bloom filter hits its designed false-positive rate. Everything is
+//! seeded and deterministic: the chi-square bounds are loose enough (6
+//! sigma) that a failure means a broken hash, not an unlucky seed.
 
-use zhash::{BitSelect, BloomFilter, H3Hash, Hasher64, SplitMix64};
+use zhash::{BitSelect, BloomFilter, H3Hash, Hasher64, Mix64, SplitMix64};
 
 const INDEX_BITS: u32 = 8;
 const BUCKETS: usize = 1 << INDEX_BITS;
@@ -32,42 +33,52 @@ fn chi_square_bound(k: usize) -> f64 {
     dof + 6.0 * (2.0 * dof).sqrt()
 }
 
+/// The seeded hashes that index the arrays and their tag indexes.
+fn index_hashes(seed: u64) -> [(&'static str, Box<dyn Hasher64>); 2] {
+    [
+        ("H3", Box::new(H3Hash::new(seed))),
+        ("Mix64", Box::new(Mix64::new(seed))),
+    ]
+}
+
 #[test]
-fn h3_indices_are_uniform_over_sequential_addresses() {
+fn hashed_indices_are_uniform_over_sequential_addresses() {
     // Sequential line addresses are the worst realistic input (maximum
-    // low-bit structure); H3 must still spread them uniformly.
+    // low-bit structure); the hashes must still spread them uniformly.
     for seed in [1u64, 42, 0xdead_beef] {
-        let h = H3Hash::new(seed);
-        let samples = 64 * BUCKETS as u64;
-        let mut counts = vec![0u64; BUCKETS];
-        for addr in 0..samples {
-            counts[h.index(addr, INDEX_BITS) as usize] += 1;
+        for (name, h) in index_hashes(seed) {
+            let samples = 64 * BUCKETS as u64;
+            let mut counts = vec![0u64; BUCKETS];
+            for addr in 0..samples {
+                counts[h.index(addr, INDEX_BITS) as usize] += 1;
+            }
+            let chi2 = chi_square(&counts, samples);
+            assert!(
+                chi2 < chi_square_bound(BUCKETS),
+                "{name} seed {seed}: chi2 {chi2:.1} over bound {:.1}",
+                chi_square_bound(BUCKETS)
+            );
         }
-        let chi2 = chi_square(&counts, samples);
-        assert!(
-            chi2 < chi_square_bound(BUCKETS),
-            "seed {seed}: chi2 {chi2:.1} over bound {:.1}",
-            chi_square_bound(BUCKETS)
-        );
     }
 }
 
 #[test]
-fn h3_indices_are_uniform_over_strided_addresses() {
+fn hashed_indices_are_uniform_over_strided_addresses() {
     // Power-of-two strides alias catastrophically under bit selection;
-    // H3 must be stride-blind.
+    // the hashes must be stride-blind.
     for stride in [2u64, 64, 256, 4096] {
-        let h = H3Hash::new(7);
-        let samples = 64 * BUCKETS as u64;
-        let mut counts = vec![0u64; BUCKETS];
-        for i in 0..samples {
-            counts[h.index(i * stride, INDEX_BITS) as usize] += 1;
+        for (name, h) in index_hashes(7) {
+            let samples = 64 * BUCKETS as u64;
+            let mut counts = vec![0u64; BUCKETS];
+            for i in 0..samples {
+                counts[h.index(i * stride, INDEX_BITS) as usize] += 1;
+            }
+            let chi2 = chi_square(&counts, samples);
+            assert!(
+                chi2 < chi_square_bound(BUCKETS),
+                "{name} stride {stride}: chi2 {chi2:.1}"
+            );
         }
-        let chi2 = chi_square(&counts, samples);
-        assert!(
-            chi2 < chi_square_bound(BUCKETS),
-            "stride {stride}: chi2 {chi2:.1}"
-        );
     }
 }
 
