@@ -328,7 +328,7 @@ pub static FLAGS: &[Flag] = &[
     Flag::new("--workload", Kind::Choice(&["a", "b", "c", "d"]))
         .on(set(&[Serve]))
         .help("YCSB workload mix (default a)"),
-    Flag::new("--ops", int(0, u64::MAX))
+    Flag::new("--ops", int(1, u64::MAX))
         .on(set(&[Serve]))
         .help("operations per soak point"),
     Flag::new("--sizes", Kind::IntList)

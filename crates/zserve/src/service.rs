@@ -18,6 +18,11 @@
 //! 6. step every shard (produces next tick's replies; an active drop
 //!    fault discards served replies here — the lost-ack path),
 //! 7. advance the clock.
+//!
+//! Steps 3–4 run only on ticks with a pending op. On the others they
+//! would scan an empty table, so skipping them changes no output. When
+//! the shards keep up, every op acks the tick after it is sent, before
+//! step 3, and the scans never run.
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::shard::{EnqueueOutcome, Reply, ReplyStatus, Request, Shard, ShardConfig};
@@ -27,7 +32,7 @@ use zhash::{Hasher64, Mix64};
 use zworkloads::ycsb::{YcsbGen, YcsbSpec};
 
 // Domain-separation tags for the seeds derived from `ServeConfig::seed`,
-// so the shard picker, retry jitter, workload, and pending-table layout
+// so the shard picker, retry jitter, workload, and op-table layouts
 // never share a stream.
 const SHARD_PICK_TAG: u64 = 0x51a2_d01c;
 const RETRY_JITTER_TAG: u64 = 0x7e71_0ff5;
@@ -133,7 +138,7 @@ impl ServeConfig {
 /// deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
-    /// Event counters and latency samples.
+    /// Event counters and the latency histogram.
     pub stats: ServeStats,
     /// Ticks the run took.
     pub ticks: u64,
@@ -174,8 +179,10 @@ pub struct ZServe {
     jitter: Mix64,
     gen: YcsbGen,
     pending: SeededMap<Pending>,
-    /// Ack state per op (index = op_id - 1).
-    acked: Vec<bool>,
+    /// Ids of the ops that failed, kept for the whole run: a late reply
+    /// for one can still arrive. An op neither pending nor failed was
+    /// acked.
+    failed: SeededMap<()>,
     /// Replies produced by the previous tick's shard steps.
     inbox: Vec<Reply>,
     now: u64,
@@ -205,7 +212,7 @@ impl ZServe {
         let shards = (0..cfg.shards).map(|i| Shard::new(shard_cfg(i))).collect();
         let gen = YcsbGen::new(cfg.spec, cfg.seed ^ WORKLOAD_TAG);
         let pending = SeededMap::with_capacity(cfg.inflight_limit * 2, cfg.seed ^ PENDING_TAG);
-        let acked = vec![false; cfg.total_ops as usize];
+        let failed = SeededMap::with_capacity(0, cfg.seed ^ PENDING_TAG);
         Self {
             shard_pick: Mix64::new(cfg.seed ^ SHARD_PICK_TAG),
             jitter: Mix64::new(cfg.seed ^ RETRY_JITTER_TAG),
@@ -214,7 +221,7 @@ impl ZServe {
             shards,
             gen,
             pending,
-            acked,
+            failed,
             inbox: Vec::new(),
             now: 0,
             issued: 0,
@@ -263,8 +270,10 @@ impl ZServe {
     fn tick(&mut self) {
         self.impose_faults();
         self.deliver_inbox();
-        self.scan_inflight();
-        self.send_retries();
+        if !self.pending.is_empty() {
+            self.scan_inflight();
+            self.send_retries();
+        }
         self.admit_arrivals();
         self.step_shards();
         self.now += 1;
@@ -325,38 +334,35 @@ impl ZServe {
     }
 
     fn deliver_inbox(&mut self) {
-        let replies = std::mem::take(&mut self.inbox);
-        for reply in replies {
-            let idx = (reply.op_id - 1) as usize;
-            if self.acked[idx] {
-                // A hedge or retry already completed this op; the
-                // duplicate is detected and suppressed.
-                self.stats.duplicate_acks += 1;
-                continue;
-            }
+        let mut replies = std::mem::take(&mut self.inbox);
+        for reply in replies.drain(..) {
             match reply.status {
                 ReplyStatus::Served { .. } => {
                     if let Some(p) = self.pending.remove(reply.op_id) {
-                        self.acked[idx] = true;
                         self.stats.acked += 1;
-                        self.stats.latencies.push(self.now - p.submitted_at);
+                        self.stats.record_latency(self.now - p.submitted_at);
                     } else {
-                        // Late reply for an op that already failed.
+                        // A hedge or retry already completed this op, or
+                        // it failed; the late reply is detected and
+                        // suppressed.
                         self.stats.duplicate_acks += 1;
                     }
                 }
-                ReplyStatus::Crashed => {
-                    if let Some(p) = self.pending.get(reply.op_id) {
-                        // Only act if this reply answers the attempt in
-                        // flight; a crashed duplicate of a retried op
-                        // says nothing new.
-                        if p.retry_at == IN_FLIGHT {
-                            self.schedule_retry(reply.op_id);
-                        }
+                ReplyStatus::Crashed => match self.pending.get(reply.op_id) {
+                    // Only act if this reply answers the attempt in
+                    // flight; a crashed duplicate of a retried op says
+                    // nothing new.
+                    Some(p) if p.retry_at == IN_FLIGHT => self.schedule_retry(reply.op_id),
+                    Some(_) => {}
+                    // A crashed duplicate of an op already acked.
+                    None if self.failed.get(reply.op_id).is_none() => {
+                        self.stats.duplicate_acks += 1;
                     }
-                }
+                    None => {}
+                },
             }
         }
+        self.inbox = replies;
     }
 
     /// Queues the next attempt for `op_id`, or fails the op if its
@@ -380,6 +386,7 @@ impl ZServe {
             }
             None => {
                 self.pending.remove(op_id);
+                self.failed.insert(op_id, ());
                 self.stats.failed += 1;
             }
         }
@@ -547,7 +554,21 @@ mod tests {
         assert_eq!(report.stats.hedges, 0);
         assert_eq!(report.stats.hits + report.stats.misses, 4_000);
         assert!(report.stats.hit_rate() > 0.2, "{}", report.stats.hit_rate());
-        assert_eq!(report.stats.latencies.len(), 4_000);
+        assert_eq!(report.stats.latency_summary().count, 4_000);
+    }
+
+    #[test]
+    fn new_accepts_an_unbounded_op_count() {
+        // Nothing is allocated per op up front; the run stops at its
+        // tick limit.
+        let cfg = ServeConfig {
+            total_ops: u64::MAX,
+            tick_limit: 64,
+            ..smoke_cfg()
+        };
+        let report = ZServe::new(cfg, FaultPlan::none()).run();
+        assert!(report.livelocked);
+        assert_eq!(report.stats.ops_issued, 64 * 8);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! All latencies are in virtual ticks, so every number here is
 //! deterministic and safe to pin in a checked-in benchmark report.
 
-/// Summary of a latency sample set: percentiles by exact sort (the
-/// sample counts here are small enough that a histogram sketch would
-/// only add noise).
+/// Summary of a latency distribution: exact nearest-rank percentiles
+/// read off per-tick counts. Latencies are whole ticks, so the counts
+/// lose nothing: every percentile is the value a sort of the samples
+/// would give.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencySummary {
     /// Number of samples.
@@ -21,31 +22,36 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarizes a sample set. Sorts a copy; empty input yields the
-    /// all-zero summary.
-    pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
+    /// Summarizes per-tick counts, `counts[t]` samples of `t` ticks;
+    /// no samples yield the all-zero summary.
+    fn from_counts(counts: &[u64]) -> Self {
+        let count: u64 = counts.iter().sum();
+        if count == 0 {
             return Self::default();
         }
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
         let pct = |p: u64| {
             // Nearest-rank percentile: smallest sample with at least
-            // p% of the mass at or below it, i.e. the smallest rank r
-            // (1-based) with r·100 ≥ N·p. `div_ceil` computes exactly
-            // that, including the even-N median (N=4, p50 → rank 2) and
-            // the small-N tails (N=2, p99 → rank 2); the `.max(1)`
-            // only guards p=0. Locked against a naive reference by
-            // `nearest_rank_matches_naive_reference`.
-            let rank = (sorted.len() as u64 * p).div_ceil(100).max(1) as usize;
-            sorted[rank - 1]
+            // p% of the mass at or below it, i.e. the sample of the
+            // smallest rank r (1-based) with r·100 ≥ N·p. `div_ceil`
+            // computes exactly that, including the even-N median (N=4,
+            // p50 → rank 2) and the small-N tails (N=2, p99 → rank 2);
+            // the `.max(1)` only guards p=0. That sample is the first
+            // tick whose cumulative count reaches r. Locked against a
+            // naive reference by `nearest_rank_matches_naive_reference`.
+            let rank = (count * p).div_ceil(100).max(1);
+            let mut seen = 0;
+            let tick = counts.iter().position(|&c| {
+                seen += c;
+                seen >= rank
+            });
+            tick.expect("rank is at most the sample count") as u64
         };
         Self {
-            count: sorted.len() as u64,
+            count,
             p50: pct(50),
             p95: pct(95),
             p99: pct(99),
-            max: *sorted.last().unwrap(),
+            max: counts.iter().rposition(|&c| c > 0).expect("count > 0") as u64,
         }
     }
 }
@@ -91,14 +97,24 @@ pub struct ServeStats {
     pub budget_reductions: u64,
     /// Walk-budget restorations after load receded.
     pub budget_restorations: u64,
-    /// Completed-op latency samples, in ticks (first submit → ack).
-    pub latencies: Vec<u64>,
+    /// Completed-op latencies as exact per-tick counts:
+    /// `latency_counts[t]` ops took `t` ticks from first submit to ack.
+    pub latency_counts: Vec<u64>,
 }
 
 impl ServeStats {
     /// Latency percentile summary over all completed ops.
     pub fn latency_summary(&self) -> LatencySummary {
-        LatencySummary::from_samples(&self.latencies)
+        LatencySummary::from_counts(&self.latency_counts)
+    }
+
+    /// Counts one completed op that took `ticks` ticks.
+    pub(crate) fn record_latency(&mut self, ticks: u64) {
+        let t = ticks as usize;
+        if t >= self.latency_counts.len() {
+            self.latency_counts.resize(t + 1, 0);
+        }
+        self.latency_counts[t] += 1;
     }
 
     /// Hit fraction of all cache lookups (0 when nothing completed).
@@ -116,15 +132,28 @@ impl ServeStats {
 mod tests {
     use super::*;
 
+    /// Records `samples` as a run would and summarizes the counts.
+    fn summary(samples: &[u64]) -> LatencySummary {
+        let mut st = ServeStats::default();
+        for &t in samples {
+            st.record_latency(t);
+        }
+        st.latency_summary()
+    }
+
     #[test]
     fn empty_summary_is_zero() {
-        assert_eq!(LatencySummary::from_samples(&[]), LatencySummary::default());
+        assert_eq!(summary(&[]), LatencySummary::default());
+        assert_eq!(
+            LatencySummary::from_counts(&[0, 0]),
+            LatencySummary::default()
+        );
     }
 
     #[test]
     fn percentiles_by_nearest_rank() {
         let samples: Vec<u64> = (1..=100).collect();
-        let s = LatencySummary::from_samples(&samples);
+        let s = summary(&samples);
         assert_eq!(s.count, 100);
         assert_eq!(s.p50, 50);
         assert_eq!(s.p95, 95);
@@ -134,15 +163,16 @@ mod tests {
 
     #[test]
     fn single_sample() {
-        let s = LatencySummary::from_samples(&[7]);
+        let s = summary(&[7]);
         assert_eq!((s.count, s.p50, s.p95, s.p99, s.max), (1, 7, 7, 7, 7));
     }
 
     #[test]
-    fn unsorted_input_is_sorted_first() {
-        let s = LatencySummary::from_samples(&[9, 1, 5]);
+    fn recording_order_does_not_matter() {
+        let s = summary(&[9, 1, 5]);
         assert_eq!(s.p50, 5);
         assert_eq!(s.max, 9);
+        assert_eq!(s, summary(&[1, 5, 9]));
     }
 
     /// Naive nearest-rank reference: linear scan for the first 1-based
@@ -162,7 +192,8 @@ mod tests {
     fn nearest_rank_matches_naive_reference() {
         // Property test over every N in 1..=200 with adversarial sample
         // values (duplicates, zeros, large gaps) from a fixed LCG, plus
-        // the even/small-N corners the audit called out (N=2, N=4).
+        // the even/small-N corners the audit called out (N=2, N=4). The
+        // samples go in as per-tick counts; the reference sorts them.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut next = move || {
             state = state
@@ -172,7 +203,7 @@ mod tests {
         };
         for n in 1..=200usize {
             let mut samples: Vec<u64> = (0..n).map(|_| next()).collect();
-            let s = LatencySummary::from_samples(&samples);
+            let s = summary(&samples);
             samples.sort_unstable();
             for (p, got) in [(50, s.p50), (95, s.p95), (99, s.p99)] {
                 assert_eq!(got, naive_pct(&samples, p), "N={n} p{p}: {samples:?}");
@@ -186,10 +217,10 @@ mod tests {
     fn even_n_median_takes_lower_of_the_two_middles() {
         // N=4, p50: rank = ceil(200/100) = 2 — the lower middle, per
         // the nearest-rank definition (not an interpolated average).
-        let s = LatencySummary::from_samples(&[10, 20, 30, 40]);
+        let s = summary(&[10, 20, 30, 40]);
         assert_eq!(s.p50, 20);
         // N=2: p50 is the first sample, the tails are the second.
-        let s = LatencySummary::from_samples(&[1, 2]);
+        let s = summary(&[1, 2]);
         assert_eq!((s.p50, s.p95, s.p99), (1, 2, 2));
     }
 

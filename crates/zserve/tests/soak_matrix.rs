@@ -83,12 +83,13 @@ fn disabling_rebuild_fails_the_poison_schedule() {
     assert!(!replayed.violations.is_empty(), "repro did not reproduce");
 }
 
-/// Every committed repro in `tests/corpus/serve_*.txt` must replay
+/// Every committed repro in the workspace's `tests/corpus/serve_*.txt`,
+/// where `zbench serve --chaos` writes its shrunk repros, must replay
 /// clean against the current service — the same regression pattern the
 /// zoracle conformance corpus uses.
 #[test]
 fn corpus_repros_replay_clean() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
     let mut seen = 0;
     let mut entries: Vec<_> = fs::read_dir(&dir)
         .expect("corpus dir")
