@@ -279,14 +279,22 @@ pub fn run(opts: &TenantOpts) -> Vec<MixSummary> {
         }
     }
 
-    let stats = SweepRunner::new(opts.jobs).run_with(points.len(), ZipfCache::new, |p, zipf| {
+    // Every mode of a mix replays the same stream, a pure function of
+    // the mix, so a worker keeps the last mix's stream (a
+    // point-independent cache) and regenerates it only when its next
+    // point belongs to another mix.
+    let scratch = || (ZipfCache::new(), usize::MAX, Vec::new());
+    let stats = SweepRunner::new(opts.jobs).run_with(points.len(), scratch, |p, state| {
+        let (zipf, stream_mix, stream) = state;
         let (m, mode) = points[p];
         let mix = &mixes[m];
-        let cfg_seed = point_seed(opts.seed, 2 * m as u64);
-        let stream_seed = point_seed(opts.seed, 2 * m as u64 + 1);
-        let mut src = mix.stream(stream_seed, zipf);
-        let stream: Vec<(usize, MemRef)> = (0..opts.accesses).map(|_| src.next_tagged()).collect();
-        run_mode(mix, mode, opts, cfg_seed, &stream)
+        if *stream_mix != m {
+            let mut src = mix.stream(point_seed(opts.seed, 2 * m as u64 + 1), zipf);
+            stream.clear();
+            stream.extend((0..opts.accesses).map(|_| src.next_tagged()));
+            *stream_mix = m;
+        }
+        run_mode(mix, mode, opts, point_seed(opts.seed, 2 * m as u64), stream)
     });
 
     let mut out = Vec::new();

@@ -117,12 +117,6 @@ pub(crate) struct WalkTable {
     pub path: Vec<u32>,
     /// Reusable DFS work stack (empty outside a DFS walk).
     pub stack: Vec<u32>,
-    /// Ancestor slots (one per level) of the node currently being
-    /// expanded. Filled once per expanded node, then scanned per child —
-    /// replacing the per-child parent-pointer chase through the node
-    /// table with a linear membership pass over a buffer that is at most
-    /// `levels` entries long.
-    pub ancestors: Vec<SlotId>,
 }
 
 impl WalkTable {
@@ -138,23 +132,6 @@ impl WalkTable {
         self.nodes.reserve(candidates);
         self.path.reserve(candidates);
         self.stack.reserve(candidates);
-        self.ancestors.reserve(candidates);
-    }
-
-    /// Fills [`ancestors`](Self::ancestors) with the slots on the path
-    /// from `node` up to its root (inclusive) — one entry per level, in
-    /// chase order (the dedup scan only tests membership).
-    pub fn fill_ancestors(&mut self, node: u32) {
-        self.ancestors.clear();
-        let mut i = node;
-        loop {
-            let n = &self.nodes[i as usize];
-            self.ancestors.push(n.slot);
-            if n.parent == NO_PARENT {
-                break;
-            }
-            i = n.parent;
-        }
     }
 
     /// Fills [`path`](Self::path) with the node indices from `node` to
@@ -171,28 +148,18 @@ impl WalkTable {
         }
     }
 
-    /// Walks from `node` to its root, invoking `f` on each node index
-    /// (starting at `node` itself).
-    pub fn path_to_root(&self, mut node: u32, f: &mut dyn FnMut(u32)) {
-        loop {
-            f(node);
-            let p = self.nodes[node as usize].parent;
-            if p == NO_PARENT {
-                break;
-            }
-            node = p;
-        }
-    }
-
     /// True if `slot` appears on the path from `node` to the root.
-    pub fn slot_on_path(&self, node: u32, slot: SlotId) -> bool {
-        let mut found = false;
-        self.path_to_root(node, &mut |i| {
-            if self.nodes[i as usize].slot == slot {
-                found = true;
+    pub fn slot_on_path(&self, mut node: u32, slot: SlotId) -> bool {
+        loop {
+            let n = &self.nodes[node as usize];
+            if n.slot == slot {
+                return true;
             }
-        });
-        found
+            if n.parent == NO_PARENT {
+                return false;
+            }
+            node = n.parent;
+        }
     }
 }
 
@@ -226,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn path_to_root_visits_ancestors() {
+    fn fill_path_visits_ancestors() {
         let mut t = WalkTable::default();
         t.clear(99);
         t.nodes.push(WalkNode {
@@ -250,9 +217,8 @@ mod tests {
             way: 2,
             level: 2,
         });
-        let mut visited = Vec::new();
-        t.path_to_root(2, &mut |i| visited.push(i));
-        assert_eq!(visited, vec![2, 1, 0]);
+        t.fill_path(2);
+        assert_eq!(t.path, vec![2, 1, 0]);
         assert!(t.slot_on_path(2, SlotId(5)));
         assert!(t.slot_on_path(2, SlotId(0)));
         assert!(!t.slot_on_path(1, SlotId(9)));

@@ -86,11 +86,19 @@ const EMPTY_FRAME: Frame = Frame {
     rows: [0; FRAME_WAYS],
 };
 
-/// Deepest walk the [`ZArray::expand4`] fast path handles: its ancestor
-/// path lives in a fixed stack array of this many slots. Deeper walks
-/// (never used by the paper's designs) take the general [`ZArray::expand`]
-/// path.
-const EXPAND4_MAX_LEVELS: usize = 8;
+/// The entries of `v` for the three ways other than `way`, in way
+/// order: where [`ZArray::walk4`] puts the children of a node in `way`.
+/// Each pick is a select on `way`, not a load from a variable index.
+#[inline(always)]
+fn other_ways<T: Copy>(v: [T; FRAME_WAYS], way: u8) -> [T; 3] {
+    [0, 1, 2].map(|k| {
+        if k < way {
+            v[usize::from(k)]
+        } else {
+            v[usize::from(k) + 1]
+        }
+    })
+}
 
 /// Public view of one walk-tree node (see [`ZArray::walk_node`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,11 +301,6 @@ impl ZArray {
         if baddr == INVALID_TAG {
             return false; // empty frames have no block to rehash
         }
-        // Level-indexed ancestor slots, filled once per expanded node: a
-        // per-child chase through the parent pointers would re-read the
-        // node table `W−1` times per expansion; this buffer costs one
-        // chase and each child scans at most `levels` contiguous slots.
-        self.walk.fill_ancestors(node_idx);
         let mut found_empty = false;
         let mut pushed = 0u32;
         // The resident block's row vector was cached next to its tag at
@@ -322,13 +325,7 @@ impl ZArray {
             // A slot already on this path would make the relocation chain
             // touch the same frame twice; skip it (repeats across sibling
             // branches remain allowed, as in the paper).
-            let on_path = self.walk.ancestors.contains(&slot);
-            debug_assert_eq!(
-                on_path,
-                self.walk.slot_on_path(node_idx, slot),
-                "ancestor-buffer scan must agree with the reference"
-            );
-            if on_path {
+            if self.walk.slot_on_path(node_idx, slot) {
                 self.walk.stats.path_dups_skipped += 1;
                 continue;
             }
@@ -365,112 +362,135 @@ impl ZArray {
         found_empty
     }
 
-    /// [`expand`](Self::expand) specialized for the common 4-way shape
-    /// with cached rows, no Bloom filter, and at least three candidates
-    /// of headroom under the cap (the caller checks): all three child
-    /// slots are computed and their tags loaded *before* the per-child
-    /// bookkeeping, so the three independent tag reads overlap instead
-    /// of serializing behind the dedup/push branches.
-    /// Child order, dedup decisions, stats, and the empty-frame early
-    /// stop are bit-identical to the scalar loop.
-    fn expand4(&mut self, node_idx: u32) -> bool {
-        let node = self.walk.nodes[node_idx as usize];
-        if node.addr == INVALID_TAG {
-            return false; // empty frames have no block to rehash
-        }
-        // Ancestor slots in a stack array (the caller guarantees the
-        // walk is at most `EXPAND4_MAX_LEVELS` deep): one chase per
-        // parent, and the per-child dedup scan below touches registers
-        // and the stack, never the heap.
-        let mut path = [u32::MAX; EXPAND4_MAX_LEVELS];
-        let depth = {
-            let mut d = 0usize;
-            let mut i = node_idx;
-            loop {
-                let n = &self.walk.nodes[i as usize];
-                path[d] = n.slot.0;
-                d += 1;
-                if n.parent == NO_PARENT {
-                    break;
-                }
-                i = n.parent;
-            }
-            d
+    /// The breadth-first walk of the common 4-way shape with cached rows
+    /// and no Bloom filter; returns the index of the first empty frame
+    /// found (`u32::MAX` if none).
+    ///
+    /// The shape is fixed: the four roots, then each expanded node's
+    /// three other-way children in way order, a level being the index
+    /// range its parent level pushed. A child never repeats its parent,
+    /// which sits in another way, so it can only repeat an ancestor two
+    /// or more levels up: level 1 needs no dedup, level 2 compares
+    /// against its root, and only walks of four or more levels read
+    /// further ancestors (one read each, through the parent links). The
+    /// three children's tags load together; a node whose children are
+    /// all new, non-empty and under the cap pushes them in one step, and
+    /// any other node takes them one by one with the scalar loop's exact
+    /// semantics (cap check, dedup count, empty-frame early stop).
+    fn walk4(&mut self, addr: LineAddr) -> u32 {
+        // The roots: on the access path, the rows the preceding
+        // `lookup_mut` already hashed and stashed.
+        let root_rows = if self.probe.0 == addr {
+            self.probe.1
+        } else {
+            let rows = self.rows4(addr);
+            [0, 1, 2, 3]
+                .map(|w| rows.map_or_else(|| self.row_of(addr, w), |r| r[w as usize]) as u32)
         };
-        let rows = self.frames[node.slot.idx()].rows;
-        let mut slots = [SlotId(0); FRAME_WAYS];
-        for (w, s) in slots.iter_mut().enumerate() {
-            *s = self.slot(w as u32, u64::from(rows[w]));
-        }
-        // Independent loads, issued together; reading the parent's own
-        // way too is free (that line is already warm) and keeps the
-        // array indexing branch-free.
-        let tags = slots.map(|s| self.frames[s.idx()].tag);
-        let pway = usize::from(node.way);
-        let mut found_empty = false;
-        let mut pushed = 0u32;
-        for way in 0..FRAME_WAYS {
-            if way == pway {
-                continue;
-            }
-            let slot = slots[way];
-            debug_assert_eq!(
-                u64::from(slot.0) % self.rows,
-                self.row_of(node.addr, way as u32)
-            );
-            let on_path = path[..depth].contains(&slot.0);
-            debug_assert_eq!(
-                on_path,
-                self.walk.slot_on_path(node_idx, slot),
-                "ancestor-buffer scan must agree with the reference"
-            );
-            if on_path {
-                self.walk.stats.path_dups_skipped += 1;
-                continue;
-            }
-            let addr = tags[way];
-            self.walk.nodes.push(WalkNode {
-                addr,
-                slot,
-                parent: node_idx,
-                way: way as u8,
-                level: node.level + 1,
-            });
-            pushed += 1;
-            if addr == INVALID_TAG {
-                found_empty = true;
-                break;
-            }
-        }
-        if pushed > 0 {
-            self.walk.stats.tag_reads += pushed;
-            let child_level = u32::from(node.level) + 1;
-            self.walk.stats.levels = self.walk.stats.levels.max(child_level + 1);
-        }
-        found_empty
+        debug_assert!((0..4).all(|w| u64::from(root_rows[w]) == self.row_of(addr, w as u32)));
+        let rows = self.rows as u32;
+        let slots: [u32; 4] = [0, 1, 2, 3].map(|w| w * rows + root_rows[w as usize]);
+        let tags = slots.map(|s| self.frames[s as usize].tag);
+        self.walk.nodes.extend([0, 1, 2, 3].map(|w| WalkNode {
+            addr: tags[w],
+            slot: SlotId(slots[w]),
+            parent: NO_PARENT,
+            way: w as u8,
+            level: 0,
+        }));
+        let first_empty = match tags.iter().position(|&t| t == INVALID_TAG) {
+            Some(w) => w as u32,
+            None => self.expand_levels4(),
+        };
+        let nodes = &self.walk.nodes;
+        self.walk.stats.tag_reads = nodes.len() as u32;
+        self.walk.stats.levels = u32::from(nodes[nodes.len() - 1].level) + 1;
+        first_empty
     }
 
-    /// The replacement walk behind [`CacheArray::candidates`].
-    fn walk_core(&mut self, addr: LineAddr, out: &mut CandidateSet) {
-        out.clear();
-        // Match the walk table's pre-sizing so a caller-provided set
-        // reaches steady state after its first walk.
-        out.reserve(self.walk.nodes.capacity());
-        self.walk.clear(addr);
-        if let Some(b) = self.bloom.as_mut() {
-            b.clear();
+    /// The levels below the roots of [`walk4`](Self::walk4).
+    fn expand_levels4(&mut self) -> u32 {
+        let cap = self.max_candidates as usize;
+        let rows = self.rows as u32;
+        let mut level_start = 0;
+        for level in 1..self.levels {
+            let level_end = self.walk.nodes.len();
+            if level_start == level_end {
+                break; // the previous level expanded to nothing
+            }
+            for i in level_start..level_end {
+                if self.walk.nodes.len() >= cap {
+                    return u32::MAX;
+                }
+                let node = self.walk.nodes[i];
+                debug_assert_ne!(node.addr, INVALID_TAG, "the walk stops at empty frames");
+                // All four ways' slots and tags with constant indices (the
+                // node's own way reads its own, already warm, frame), then
+                // the three other ways picked branch-free.
+                let cached = self.frames[node.slot.idx()].rows;
+                let all = [0, 1, 2, 3].map(|w| w * rows + u32::from(cached[w as usize]));
+                let tag = all.map(|s| self.frames[s as usize].tag);
+                let ways = other_ways([0, 1, 2, 3], node.way);
+                let slots = other_ways(all, node.way);
+                let tags = other_ways(tag, node.way);
+                // Bit `k` set: child `k` repeats an ancestor.
+                let mut dup = 0u8;
+                let mut up = node.parent;
+                while up != NO_PARENT {
+                    let a = self.walk.nodes[up as usize];
+                    for (k, &s) in slots.iter().enumerate() {
+                        dup |= u8::from(s == a.slot.0) << k;
+                    }
+                    up = a.parent;
+                }
+                debug_assert!((0..3).all(|k| {
+                    u64::from(slots[k]) % self.rows == self.row_of(node.addr, u32::from(ways[k]))
+                        && (dup >> k & 1 == 1) == self.walk.slot_on_path(i as u32, SlotId(slots[k]))
+                }));
+                let child = |k: usize| WalkNode {
+                    addr: tags[k],
+                    slot: SlotId(slots[k]),
+                    parent: i as u32,
+                    way: ways[k],
+                    level: level as u8,
+                };
+                let nodes = &mut self.walk.nodes;
+                let empty = tags.map(|t| t == INVALID_TAG);
+                if (nodes.len() + 3 <= cap) & (dup == 0) & !(empty[0] | empty[1] | empty[2]) {
+                    nodes.extend([child(0), child(1), child(2)]);
+                    continue;
+                }
+                for (k, &is_empty) in empty.iter().enumerate() {
+                    if nodes.len() >= cap {
+                        return u32::MAX;
+                    }
+                    if dup >> k & 1 == 1 {
+                        self.walk.stats.path_dups_skipped += 1;
+                        continue;
+                    }
+                    nodes.push(child(k));
+                    if is_empty {
+                        return nodes.len() as u32 - 1;
+                    }
+                }
+            }
+            level_start = level_end;
         }
+        u32::MAX
+    }
 
+    /// The walk of every other shape (other way counts, uncached rows,
+    /// Bloom dedup, DFS), node by node through [`expand`](Self::expand);
+    /// returns the index of the first empty frame found (`u32::MAX` if
+    /// none).
+    fn walk_scalar(&mut self, addr: LineAddr) -> u32 {
         // Level 0: the W first-level candidates (also what a lookup
-        // reads — and, on the access path, the rows the preceding
-        // `lookup_mut` already hashed and stashed).
+        // reads — and, on the access path of a 4-way array, the rows the
+        // preceding `lookup_mut` already hashed and stashed).
         let probed = (self.ways == 4 && self.probe.0 == addr).then_some(self.probe.1);
-        // Index of the first empty-frame node, tracked while walking so
-        // the mirror pass below never rescans: an empty frame is either
-        // among the roots (the walk then goes no deeper) or the early-
-        // stopping last node an expansion pushed.
+        // An empty frame is either among the roots (the walk then goes
+        // no deeper) or the early-stopping last node an expansion pushed.
         let mut first_empty_idx = u32::MAX;
-        let mut found_empty = false;
         for way in 0..self.ways {
             let row = match probed {
                 Some(rows) => u64::from(rows[way as usize]),
@@ -488,98 +508,98 @@ impl ZArray {
             });
             self.walk.stats.tag_reads += 1;
             if a == INVALID_TAG {
-                if !found_empty {
-                    first_empty_idx = self.walk.nodes.len() as u32 - 1;
-                }
-                found_empty = true;
+                first_empty_idx = first_empty_idx.min(way);
             } else if let Some(b) = self.bloom.as_mut() {
                 b.insert(a);
             }
         }
         self.walk.stats.levels = 1;
-
-        if !found_empty && self.levels > 1 {
-            match self.walk_kind {
-                WalkKind::Bfs => {
-                    // Level-batched expansion: the frontier is contiguous
-                    // in the walk table (insertion order is BFS order), so
-                    // each iteration takes one whole level and expands it
-                    // node by node with the exact per-node semantics of
-                    // the scalar loop (depth and cap checks, empty-frame
-                    // early stop).
-                    let fast4 = self.ways as usize == FRAME_WAYS
-                        && self.rows_cacheable()
-                        && self.bloom.is_none()
-                        && self.levels as usize <= EXPAND4_MAX_LEVELS;
-                    let mut level_start = 0usize;
-                    'walk: loop {
-                        let level_end = self.walk.nodes.len();
-                        if level_start == level_end {
-                            break; // previous level expanded to nothing
-                        }
-                        // All nodes in a level share its depth.
-                        if u32::from(self.walk.nodes[level_start].level) + 1 >= self.levels {
-                            break;
-                        }
-                        for i in level_start..level_end {
-                            let len = self.walk.nodes.len() as u32;
-                            if len >= self.max_candidates {
-                                break 'walk;
-                            }
-                            // `expand4` needs full headroom under the cap
-                            // (it never checks mid-parent); a parent that
-                            // could hit the cap takes the scalar path,
-                            // whose per-child check matches it exactly.
-                            let empty = if fast4 && len + 3 <= self.max_candidates {
-                                self.expand4(i as u32)
-                            } else {
-                                self.expand(i as u32)
-                            };
-                            if empty {
-                                first_empty_idx = self.walk.nodes.len() as u32 - 1;
-                                break 'walk;
-                            }
-                        }
-                        level_start = level_end;
+        if first_empty_idx != u32::MAX || self.levels == 1 {
+            return first_empty_idx;
+        }
+        match self.walk_kind {
+            WalkKind::Bfs => {
+                // Level-batched expansion: the frontier is contiguous in
+                // the walk table (insertion order is BFS order), so each
+                // iteration takes one whole level and expands it node by
+                // node (depth and cap checks, empty-frame early stop).
+                let mut level_start = 0usize;
+                loop {
+                    let level_end = self.walk.nodes.len();
+                    if level_start == level_end {
+                        break; // previous level expanded to nothing
                     }
-                }
-                WalkKind::Dfs => {
-                    // Cuckoo order: follow one chain as deep as the
-                    // candidate budget allows, then backtrack. Budget is
-                    // the same R as the BFS configuration so ablations
-                    // compare equal associativity.
-                    let budget = super::walk::replacement_candidates(self.ways, self.levels)
-                        .min(u64::from(self.max_candidates))
-                        as u32;
-                    // Clamp expand()'s candidate cap so a single expansion
-                    // cannot overshoot the DFS budget.
-                    let saved_cap = self.max_candidates;
-                    self.max_candidates = budget;
-                    self.walk.stack.clear();
-                    self.walk
-                        .stack
-                        .extend((0..self.walk.nodes.len() as u32).rev());
-                    while let Some(idx) = self.walk.stack.pop() {
-                        if self.walk.nodes.len() as u32 >= budget {
-                            break;
+                    // All nodes in a level share its depth.
+                    if u32::from(self.walk.nodes[level_start].level) + 1 >= self.levels {
+                        break;
+                    }
+                    for i in level_start..level_end {
+                        if self.walk.nodes.len() as u32 >= self.max_candidates {
+                            return u32::MAX;
                         }
-                        let before = self.walk.nodes.len() as u32;
-                        if self.expand(idx) {
-                            first_empty_idx = self.walk.nodes.len() as u32 - 1;
-                            break;
-                        }
-                        // Push new children so the most recent is expanded
-                        // first (depth-first).
-                        for child in (before..self.walk.nodes.len() as u32).rev() {
-                            self.walk.stack.push(child);
+                        if self.expand(i as u32) {
+                            return self.walk.nodes.len() as u32 - 1;
                         }
                     }
-                    self.walk.stack.clear();
-                    self.max_candidates = saved_cap;
+                    level_start = level_end;
                 }
             }
+            WalkKind::Dfs => {
+                // Cuckoo order: follow one chain as deep as the candidate
+                // budget allows, then backtrack. Budget is the same R as
+                // the BFS configuration so ablations compare equal
+                // associativity.
+                let budget = super::walk::replacement_candidates(self.ways, self.levels)
+                    .min(u64::from(self.max_candidates)) as u32;
+                // Clamp expand()'s candidate cap so a single expansion
+                // cannot overshoot the DFS budget.
+                let saved_cap = self.max_candidates;
+                self.max_candidates = budget;
+                self.walk.stack.clear();
+                self.walk
+                    .stack
+                    .extend((0..self.walk.nodes.len() as u32).rev());
+                while let Some(idx) = self.walk.stack.pop() {
+                    if self.walk.nodes.len() as u32 >= budget {
+                        break;
+                    }
+                    let before = self.walk.nodes.len() as u32;
+                    if self.expand(idx) {
+                        first_empty_idx = self.walk.nodes.len() as u32 - 1;
+                        break;
+                    }
+                    // Push new children so the most recent is expanded
+                    // first (depth-first).
+                    for child in (before..self.walk.nodes.len() as u32).rev() {
+                        self.walk.stack.push(child);
+                    }
+                }
+                self.walk.stack.clear();
+                self.max_candidates = saved_cap;
+            }
         }
+        first_empty_idx
+    }
 
+    /// The replacement walk behind [`CacheArray::candidates`].
+    fn walk_core(&mut self, addr: LineAddr, out: &mut CandidateSet) {
+        out.clear();
+        // Match the walk table's pre-sizing so a caller-provided set
+        // reaches steady state after its first walk.
+        out.reserve(self.walk.nodes.capacity());
+        self.walk.clear(addr);
+        if let Some(b) = self.bloom.as_mut() {
+            b.clear();
+        }
+        let first_empty_idx = if self.ways as usize == FRAME_WAYS
+            && self.rows_cacheable()
+            && self.bloom.is_none()
+            && self.walk_kind == WalkKind::Bfs
+        {
+            self.walk4(addr)
+        } else {
+            self.walk_scalar(addr)
+        };
         self.walk.stats.candidates = self.walk.nodes.len() as u32;
 
         // Mirror the finished walk table into the caller's candidate set
@@ -786,7 +806,7 @@ impl CacheArray for ZArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::walk::replacement_candidates;
+    use crate::array::walk::{replacement_candidates, WalkStats};
 
     fn fill(z: &mut ZArray, addrs: impl IntoIterator<Item = u64>) {
         let mut cands = CandidateSet::new();
@@ -949,6 +969,71 @@ mod tests {
         );
         // DFS reaches deeper levels than BFS for the same budget.
         assert!(cands.levels >= 2);
+    }
+
+    /// Every field of every walk node, the first empty frame and the
+    /// walk's statistics.
+    type Observed = (Vec<(u64, u32, u32, u8, u8)>, u32, WalkStats);
+
+    /// Runs `walk` on a cleared walk table and returns everything an
+    /// install or a caller can observe of it.
+    fn observe(z: &mut ZArray, addr: u64, walk: fn(&mut ZArray, u64) -> u32) -> Observed {
+        z.walk.clear(addr);
+        let first_empty = walk(z, addr);
+        z.walk.stats.candidates = z.walk.nodes.len() as u32;
+        let nodes = z.walk.nodes.iter();
+        let nodes = nodes.map(|n| (n.addr, n.slot.0, n.parent, n.way, n.level));
+        (nodes.collect(), first_empty, z.walk.stats)
+    }
+
+    #[test]
+    fn walk4_matches_the_scalar_walk() {
+        // Every 4-way shape the fast path takes, on a small array (so
+        // slots repeat along paths) through cold start, steady state and
+        // invalidation holes (so the walk stops at empty frames deep in
+        // the tree): the node table, the first empty frame and the
+        // WalkStats must equal the scalar walk's.
+        for (levels, cap) in [(1, None), (2, None), (3, None), (4, None), (3, Some(5))]
+            .into_iter()
+            .chain([4, 8, 16, 24, 51].map(|c| (3, Some(c))))
+            .chain([(4, Some(100))])
+        {
+            let mut z = ZArray::new(64, 4, levels, 23);
+            if let Some(c) = cap {
+                z.set_max_candidates(c);
+            }
+            let mut cands = CandidateSet::new();
+            let mut out = InstallOutcome::default();
+            let (mut dups, mut deep_empties) = (0, 0);
+            for a in 1..3_000u64 {
+                let addr = a * 7 % 509;
+                if a % 5 == 0 {
+                    z.invalidate(a * 3 % 509);
+                }
+                if z.lookup_mut(addr).is_some() {
+                    continue;
+                }
+                let fast = observe(&mut z, addr, ZArray::walk4);
+                let scalar = observe(&mut z, addr, ZArray::walk_scalar);
+                assert_eq!(fast, scalar, "L={levels} cap={cap:?} addr={addr}");
+                dups += fast.2.path_dups_skipped;
+                deep_empties += u32::from(fast.1 != u32::MAX && fast.1 >= 4);
+                z.candidates(addr, &mut cands);
+                let pick = cands.as_slice()[a as usize % cands.len()];
+                let victim = *cands.first_empty().unwrap_or(&pick);
+                z.install(addr, &victim, &mut out);
+            }
+            if levels > 2 && cap.is_none_or(|c| c > 16) {
+                assert!(
+                    dups > 0,
+                    "L={levels} cap={cap:?}: no path repeats exercised"
+                );
+                assert!(
+                    deep_empties > 0,
+                    "L={levels} cap={cap:?}: no deep empty frame"
+                );
+            }
+        }
     }
 
     #[test]

@@ -93,6 +93,19 @@ fn bfs_install_path_is_allocation_free() {
     assert_steady(ZArray::new(1 << 10, 4, 3, 7), "Z4/52 BFS");
 }
 
+/// The other walk shapes the benchmarked designs use: the one-level
+/// skew cache, the two-level Z4/16 and a Z4/52 capped at 16 candidates
+/// (the middle walk-budget tier of serve and tenants).
+#[test]
+fn other_bfs_shapes_are_allocation_free() {
+    assert_steady(ZArray::new(1 << 10, 4, 1, 7), "Z4/4 BFS");
+    assert_steady(ZArray::new(1 << 10, 4, 2, 7), "Z4/16 BFS");
+    assert_steady(
+        ZArray::new(1 << 10, 4, 3, 7).with_max_candidates(16),
+        "Z4/52 BFS capped at 16",
+    );
+}
+
 #[test]
 fn dfs_install_path_is_allocation_free() {
     assert_steady(
@@ -104,8 +117,7 @@ fn dfs_install_path_is_allocation_free() {
 /// The multi-tenant wrapper layers quota-aware victim selection (a
 /// closure over the candidate/score slices) and per-tenant bookkeeping
 /// on top of the walk; none of it may allocate once the shared array's
-/// buffers — including the walk table's ancestor buffer the batched
-/// expansion scans — reach steady-state capacity.
+/// buffers reach steady-state capacity.
 #[test]
 fn partitioned_access_path_is_allocation_free() {
     let cfg = PartitionConfig::new(
@@ -121,8 +133,8 @@ fn partitioned_access_path_is_allocation_free() {
             },
             TenantGrant {
                 quota: 300,
-                // A capped walk exercises the scalar-tail path next to
-                // the expand4 fast path.
+                // A capped walk stops mid-level, next to the other
+                // tenant's full walks.
                 walk_budget: 20,
             },
         ],

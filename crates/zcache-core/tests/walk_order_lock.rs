@@ -1,17 +1,18 @@
 //! Candidate-order regression lock for the replacement walk.
 //!
-//! The level-batched walk (and its `expand4` fast path) must be
-//! *semantics-invisible*: the exact candidate sequence — slot, resident
-//! address and token of every node, in emission order — decides which
-//! victim every policy picks, so any reordering silently changes every
-//! downstream figure. This test drives a mixed hit/miss/install stream
-//! from fixed seeds through each walk shape (both `expand4`-eligible
-//! and scalar-fallback configurations, BFS and DFS, Bloom on and off,
-//! capped and uncapped) and folds every candidate the array ever emits
-//! into a digest that is pinned here.
+//! Every walk implementation (the 4-way fast path and the scalar
+//! `expand` loop) must be *semantics-invisible*: the exact candidate
+//! sequence — slot, resident address and token of every node, in
+//! emission order — decides which victim every policy picks, so any
+//! reordering silently changes every downstream figure. This test drives
+//! a mixed hit/miss/install stream from fixed seeds through each walk
+//! shape (4-way fast-path and scalar configurations, one to four
+//! levels, BFS and DFS, Bloom on and off, capped and uncapped) and folds
+//! every candidate the array ever emits, and every relocation move, into
+//! a digest that is pinned here.
 //!
-//! The pinned values were produced by the pre-batching scalar walker;
-//! the batched walker must reproduce them bit for bit. If an
+//! The pinned values were produced by earlier walkers (see `EXPECTED`);
+//! the current one must reproduce them bit for bit. If an
 //! intentional semantic change ever invalidates them, re-pin alongside
 //! the goldens of `zbench check` — never to silence a diff.
 
@@ -34,7 +35,7 @@ struct Shape {
 }
 
 const SHAPES: &[Shape] = &[
-    // The expand4 fast path: 4 ways, cached rows, no Bloom.
+    // The 4-way fast path: 4 ways, cached rows, no Bloom.
     Shape {
         name: "z2",
         ways: 4,
@@ -59,8 +60,8 @@ const SHAPES: &[Shape] = &[
         bloom: false,
         max_candidates: None,
     },
-    // A cap forces the tail of each level through the scalar loop
-    // (expand4 needs 3 slots of headroom) and exercises mid-level stops.
+    // A cap truncates the walk mid-level, mid-parent or on a level
+    // boundary, depending on where it falls.
     Shape {
         name: "z4-cap100",
         ways: 4,
@@ -77,7 +78,7 @@ const SHAPES: &[Shape] = &[
         bloom: false,
         max_candidates: Some(5),
     },
-    // Bloom dedup disables expand4 entirely.
+    // Bloom dedup takes the scalar loop.
     Shape {
         name: "z3-bloom",
         ways: 4,
@@ -112,10 +113,41 @@ const SHAPES: &[Shape] = &[
         bloom: false,
         max_candidates: None,
     },
+    // Z4/4: the one-level skew design of fig4, a walk of roots only.
+    Shape {
+        name: "z1",
+        ways: 4,
+        levels: 1,
+        kind: WalkKind::Bfs,
+        bloom: false,
+        max_candidates: None,
+    },
+    // The ShadowDuel middle tier that serve and tenants apply: the cap
+    // falls exactly on the level-1 boundary.
+    Shape {
+        name: "z3-cap16",
+        ways: 4,
+        levels: 3,
+        kind: WalkKind::Bfs,
+        bloom: false,
+        max_candidates: Some(16),
+    },
+    // `zbench ablate`'s early-stopped walk: the cap falls mid-parent in
+    // level 2.
+    Shape {
+        name: "z3-cap24",
+        ways: 4,
+        levels: 3,
+        kind: WalkKind::Bfs,
+        bloom: false,
+        max_candidates: Some(24),
+    },
 ];
 
-/// Pinned digests, one per shape, produced by the scalar reference
-/// walker (pre-batching) over the exact stream below.
+/// Pinned digests, one per shape, over the exact stream below. The
+/// first nine were produced by the pre-batching scalar walker; `z1`,
+/// `z3-cap16` and `z3-cap24` by the per-node `expand` dispatch that the
+/// fixed-shape 4-way walk replaced.
 const EXPECTED: &[(&str, u64)] = &[
     ("z2", 0xc0e7caa4e7d7bf55),
     ("z3", 0xc5db6a9c4e6a7b31),
@@ -126,6 +158,11 @@ const EXPECTED: &[(&str, u64)] = &[
     ("w3-l3", 0xe79724cfe4990729),
     ("w5-l2", 0xdfe589ad6227e1b5),
     ("z3-dfs", 0x34019c0ca1e51e76),
+    ("z1", 0x202708577896b3f2),
+    // Equal to z2's: a 3-level walk capped at 16 stops exactly where a
+    // 2-level walk ends.
+    ("z3-cap16", 0xc0e7caa4e7d7bf55),
+    ("z3-cap24", 0xa565822293b6ae0d),
 ];
 
 fn digest_shape(shape: &Shape) -> u64 {
