@@ -11,12 +11,14 @@
 //! On divergence, [`shrink_repro`] delta-debugs the offending stream to
 //! a minimal trace and serializes it under `tests/corpus/`, where the
 //! `oracle_conformance` regression test replays it on every run.
+//! `tenants --check` (see [`crate::exp_tenants`]) shares the row type
+//! and the shrink-and-write helper.
 
 use crate::{format_table, point_seed, SweepRunner};
 use std::path::{Path, PathBuf};
 use zoracle::{
-    check_grid, corpus, diff::DiffSummary, diff::Divergence, gen_stream, run_diff, shrink,
-    CheckConfig, CheckDesign, CheckPolicy,
+    check_grid, corpus, gen_stream, run_diff, shrink, Access, CheckConfig, CheckDesign,
+    CheckPolicy, DiffSummary, Divergence, PartMix,
 };
 
 /// Options for the conformance sweep.
@@ -55,15 +57,48 @@ impl Default for CheckOpts {
     }
 }
 
-/// Result of one grid pair.
+/// Result of one grid pair of `check` or `tenants --check`.
 #[derive(Debug, Clone)]
 pub struct CheckRow {
     /// The configuration that ran.
     pub cfg: CheckConfig,
+    /// The tenant mix of a partitioned pair (`None`: a plain pair on
+    /// [`gen_stream`]).
+    pub mix: Option<PartMix>,
     /// Seed the access stream was generated from.
     pub stream_seed: u64,
     /// Clean-run summary or first divergence.
     pub result: Result<DiffSummary, Divergence>,
+}
+
+impl CheckRow {
+    /// Generates the pair's `accesses`-long stream and runs it in
+    /// lockstep.
+    pub fn run(
+        cfg: CheckConfig,
+        mix: Option<PartMix>,
+        stream_seed: u64,
+        accesses: usize,
+        digest_every: u64,
+    ) -> Self {
+        let trace = stream(mix, accesses, cfg.lines, stream_seed);
+        let result = run_diff(&cfg, &trace, digest_every);
+        Self {
+            cfg,
+            mix,
+            stream_seed,
+            result,
+        }
+    }
+}
+
+/// A pair's access stream: the mix's tenant-tagged stream, or the plain
+/// conformance stream.
+fn stream(mix: Option<PartMix>, accesses: usize, lines: u64, seed: u64) -> Vec<Access> {
+    match mix {
+        Some(mix) => mix.gen_stream(accesses, lines, seed),
+        None => gen_stream(accesses, lines, seed),
+    }
 }
 
 /// Runs the conformance sweep.
@@ -84,37 +119,42 @@ pub fn run(opts: &CheckOpts) -> Vec<CheckRow> {
         let cfg_seed = point_seed(opts.seed, 2 * grid_idx as u64);
         let stream_seed = point_seed(opts.seed, 2 * grid_idx as u64 + 1);
         let cfg = CheckConfig::new(design, policy, opts.lines, opts.ways, cfg_seed);
-        let trace = gen_stream(opts.accesses, opts.lines, stream_seed);
-        CheckRow {
-            cfg,
-            stream_seed,
-            result: run_diff(&cfg, &trace, opts.digest_every),
-        }
+        CheckRow::run(cfg, None, stream_seed, opts.accesses, opts.digest_every)
     })
 }
 
 /// Regenerates a diverging row's stream, shrinks it to a minimal repro,
-/// and writes it to `corpus_dir`. Returns the repro path and length.
+/// and writes it to `corpus_dir`: `<design>-<policy>-<seed>.trace` for a
+/// plain pair, `part-<mix>-<policy>-[bypass-]<seed>.ptrace` for a
+/// partitioned one. Returns the repro path and length.
 ///
 /// # Panics
 ///
 /// Panics if the row did not diverge.
 pub fn shrink_repro(
     row: &CheckRow,
-    opts: &CheckOpts,
+    accesses: usize,
+    digest_every: u64,
     corpus_dir: &Path,
 ) -> std::io::Result<(PathBuf, usize)> {
     let divergence = row
         .result
         .as_ref()
         .expect_err("shrink_repro needs a diverging row");
-    let trace = gen_stream(opts.accesses, opts.lines, row.stream_seed);
-    let minimal = shrink(&row.cfg, &trace, opts.digest_every);
-    let path = corpus_dir.join(format!(
-        "{}-{}-{:08x}.trace",
-        row.cfg.design, row.cfg.policy, row.cfg.seed as u32
-    ));
-    corpus::write_repro(&path, &row.cfg, &minimal, &divergence.to_string())?;
+    let trace = stream(row.mix, accesses, row.cfg.lines, row.stream_seed);
+    let minimal = shrink(&row.cfg, &trace, digest_every);
+    let (cfg, seed) = (&row.cfg, row.cfg.seed as u32);
+    let name = match row.mix {
+        None => format!("{}-{}-{seed:08x}.trace", cfg.design, cfg.policy),
+        Some(mix) => format!(
+            "part-{}-{}-{}{seed:08x}.ptrace",
+            mix.name(),
+            cfg.policy,
+            if cfg.quota_bypass { "bypass-" } else { "" },
+        ),
+    };
+    let path = corpus_dir.join(name);
+    corpus::write_repro(&path, cfg, &minimal, &divergence.to_string())?;
     Ok((path, minimal.len()))
 }
 

@@ -33,16 +33,13 @@
 //!
 //! [`ShadowDuel`]: zcache_core::ShadowDuel
 
+use crate::exp_check::CheckRow;
 use crate::{format_table, point_seed, SweepRunner};
-use std::path::{Path, PathBuf};
 use zcache_core::{
     AdaptiveConfig, AnyPolicy, ArrayKind, PartitionConfig, PartitionedCache, PolicyKind,
     ShadowDuel, TenantGrant,
 };
-use zoracle::{
-    part_check_grid, run_part_diff_mutated, shrink_part, write_part_repro, PartConfig,
-    PartDivergence, PartMix, PartSummary,
-};
+use zoracle::part_check_grid;
 use zworkloads::multi_tenant::{standard_mixes, TenantMix};
 use zworkloads::{MemRef, ZipfCache};
 
@@ -378,77 +375,34 @@ pub fn report(summaries: &[MixSummary], opts: &TenantOpts) -> String {
     out
 }
 
-/// Result of one `--check` grid pair.
-#[derive(Debug, Clone)]
-pub struct PartCheckRow {
-    /// The partition configuration that ran.
-    pub cfg: PartConfig,
-    /// The tenant mix of the pair.
-    pub mix: PartMix,
-    /// Seed the tenant-tagged stream was generated from.
-    pub stream_seed: u64,
-    /// Clean-run summary or first divergence.
-    pub result: Result<PartSummary, PartDivergence>,
-}
-
 /// Runs the partition lockstep grid (every tenant mix × policy pair in
 /// zoracle differential lockstep), optionally with the quota-bypass
 /// mutation applied to the production side.
 ///
 /// Per-pair seeds derive from [`point_seed`] over the unfiltered grid,
-/// mirroring `zbench check`.
-pub fn run_check(opts: &TenantOpts, bypass: bool) -> Vec<PartCheckRow> {
+/// mirroring `zbench check`; diverging rows shrink with
+/// [`crate::exp_check::shrink_repro`].
+pub fn run_check(opts: &TenantOpts, bypass: bool) -> Vec<CheckRow> {
     let grid = part_check_grid();
     SweepRunner::new(opts.jobs).run(grid.len(), |i| {
         let (mix, policy) = grid[i];
         let cfg_seed = point_seed(opts.seed, 2 * i as u64);
         let stream_seed = point_seed(opts.seed, 2 * i as u64 + 1);
-        let cfg = mix.config(policy, opts.lines, opts.ways, cfg_seed);
-        let trace = mix.gen_stream(opts.accesses, cfg.lines, stream_seed);
-        PartCheckRow {
-            cfg: cfg.clone(),
-            mix,
+        let mut cfg = mix.config(policy, opts.lines, opts.ways, cfg_seed);
+        cfg.quota_bypass = bypass;
+        CheckRow::run(
+            cfg,
+            Some(mix),
             stream_seed,
-            result: run_part_diff_mutated(&cfg, bypass, &trace, opts.digest_every),
-        }
+            opts.accesses,
+            opts.digest_every,
+        )
     })
-}
-
-/// Regenerates a diverging row's stream, ddmin-shrinks it, and writes
-/// the `.ptrace` repro to `corpus_dir`. Returns the path and length.
-///
-/// # Panics
-///
-/// Panics if the row did not diverge.
-pub fn shrink_check_repro(
-    row: &PartCheckRow,
-    opts: &TenantOpts,
-    bypass: bool,
-    corpus_dir: &Path,
-) -> std::io::Result<(PathBuf, usize)> {
-    let divergence = row
-        .result
-        .as_ref()
-        .expect_err("shrink_check_repro needs a diverging row");
-    let trace = row
-        .mix
-        .gen_stream(opts.accesses, row.cfg.lines, row.stream_seed);
-    let minimal = shrink_part(&row.cfg, bypass, &trace, opts.digest_every);
-    let name = format!(
-        "part-{}-{}-{}{:08x}.ptrace",
-        row.mix.name(),
-        row.cfg.policy,
-        if bypass { "bypass-" } else { "" },
-        row.cfg.seed as u32
-    );
-    let path = corpus_dir.join(name);
-    write_part_repro(&path, &row.cfg, bypass, &minimal, &divergence.to_string())?;
-    Ok((path, minimal.len()))
 }
 
 /// Formats the `--check` grid (and, under the mutation, which pairs
 /// caught the mutant).
-pub fn report_check(rows: &[PartCheckRow], opts: &TenantOpts, bypass: bool) -> String {
+pub fn report_check(rows: &[CheckRow], opts: &TenantOpts, bypass: bool) -> String {
     let mut out = if bypass {
         format!(
             "Partition lockstep vs quota-bypass MUTANT: {} pairs x {} accesses\n\
@@ -630,7 +584,10 @@ mod tests {
             "quota-bypass mutant escaped most pairs ({caught}/6 caught)"
         );
         // The flagship isolation mix must catch it under every policy.
-        for r in mutated.iter().filter(|r| r.mix == PartMix::HotVsScan) {
+        for r in mutated
+            .iter()
+            .filter(|r| r.mix == Some(zoracle::PartMix::HotVsScan))
+        {
             assert!(r.result.is_err(), "{} missed the mutant", r.cfg.label());
         }
         let mrep = report_check(&mutated, &opts, true);
@@ -651,13 +608,14 @@ mod tests {
             .find(|r| r.result.is_err())
             .expect("mutant must be caught");
         let dir = std::env::temp_dir().join("zbench-tenants-repro-test");
-        let (path, len) = shrink_check_repro(&row, &opts, true, &dir).unwrap();
+        let (path, len) =
+            crate::exp_check::shrink_repro(&row, opts.accesses, opts.digest_every, &dir).unwrap();
         assert!(
             (1..=256).contains(&len),
             "shrunk repro suspiciously large: {len}"
         );
-        let repro = zoracle::read_part_repro(&path).unwrap();
-        assert!(repro.bypass);
+        let repro = zoracle::corpus::read_repro(&path).unwrap();
+        assert!(repro.cfg.quota_bypass);
         assert!(
             repro.replay(opts.digest_every).is_err(),
             "shrunk bypass repro no longer reproduces"

@@ -242,7 +242,7 @@ fn check(args: &Args, opts: &ExpOpts) {
     println!("{}", exp_check::report(&rows, copts.accesses));
     let diverged: Vec<_> = rows.iter().filter(|r| r.result.is_err()).collect();
     shrink_failures(&diverged, |row, corpus| {
-        Ok(exp_check::shrink_repro(row, &copts, corpus)?.0)
+        Ok(exp_check::shrink_repro(row, copts.accesses, copts.digest_every, corpus)?.0)
     });
 }
 
@@ -290,8 +290,8 @@ fn tenants(args: &Args, opts: &ExpOpts) {
     let rows = exp_tenants::run_check(&topts, bypass);
     println!("{}", exp_tenants::report_check(&rows, &topts, bypass));
     let caught: Vec<_> = rows.iter().filter(|r| r.result.is_err()).collect();
-    let shrink = |row: &&exp_tenants::PartCheckRow, corpus: &Path| {
-        Ok(exp_tenants::shrink_check_repro(row, &topts, bypass, corpus)?.0)
+    let shrink = |row: &&exp_check::CheckRow, corpus: &Path| {
+        Ok(exp_check::shrink_repro(row, topts.accesses, topts.digest_every, corpus)?.0)
     };
     if !bypass {
         shrink_failures(&caught, shrink);

@@ -18,7 +18,7 @@
 //! * [`LruStack`], the exact `O(1)` fully-associative LRU reference
 //!   behind §IV's conflict-miss accounting;
 //! * **replacement policies** as global orderings ([`FullLru`],
-//!   [`BucketedLru`], [`Lfu`], [`RandomRepl`], [`Opt`]/[`OptTrace`],
+//!   [`BucketedLru`], [`Lfu`], [`RandomRepl`], [`Opt`],
 //!   [`Rrip`]), shared across all arrays so associativity and policy
 //!   effects stay separable;
 //! * the **associativity-distribution framework** of §IV
@@ -86,8 +86,8 @@ pub use assoc::{
 };
 pub use cache::{highest_score, AccessOutcome, Cache, CacheBuilder, DynCache};
 pub use repl::{
-    select_victim, AccessCtx, AnyPolicy, BucketedLru, Drrip, FullLru, Lfu, Opt, OptTrace,
-    PolicyKind, RandomRepl, ReplacementPolicy, Rrip,
+    select_victim, AccessCtx, AnyPolicy, BucketedLru, Drrip, FullLru, Lfu, Opt, PolicyKind,
+    RandomRepl, ReplacementPolicy, Rrip,
 };
 pub use seeded_map::SeededMap;
 pub use stats::{CacheStats, UnitHistogram};

@@ -23,7 +23,7 @@ pub use bucketed_lru::BucketedLru;
 pub use drrip::Drrip;
 pub use lfu::Lfu;
 pub use lru::FullLru;
-pub use opt::{Opt, OptTrace};
+pub use opt::Opt;
 pub use random::RandomRepl;
 pub use rrip::Rrip;
 
@@ -34,8 +34,8 @@ use crate::types::{LineAddr, SlotId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessCtx {
     /// Position in the reference stream of this block's *next* use, or
-    /// `u64::MAX` if unknown/never. Only [`Opt`] consumes this; it is
-    /// produced by [`OptTrace`].
+    /// `u64::MAX` if unknown/never. Only [`Opt`] consumes this; zsim's
+    /// `L2Trace::next_uses_into` produces it for recorded traces.
     pub next_use: u64,
 }
 
@@ -132,7 +132,8 @@ pub enum PolicyKind {
     Lfu,
     /// Uniform-random eviction order.
     Random,
-    /// Belady's OPT (requires next-use annotations from [`OptTrace`]).
+    /// Belady's OPT (requires next-use annotations in
+    /// [`AccessCtx::next_use`]).
     Opt,
     /// Static RRIP (2-bit re-reference interval prediction), as an
     /// example of the set-ordering-free policies the paper points to.

@@ -1,7 +1,6 @@
-//! Belady's OPT (MIN) policy, driven by a precomputed trace oracle.
+//! Belady's OPT (MIN) policy, driven by a precomputed next-use oracle.
 
 use super::{AccessCtx, ReplacementPolicy};
-use crate::seeded_map::SeededMap;
 use crate::types::{LineAddr, SlotId};
 
 /// Belady's OPT: evict the block whose next reference is furthest in the
@@ -10,8 +9,9 @@ use crate::types::{LineAddr, SlotId};
 /// The paper runs OPT in trace-driven mode to "decouple replacement
 /// policy issues from associativity effects" (§VI-B). The policy itself
 /// only stores, per slot, the stream position of the resident block's
-/// next use, supplied through [`AccessCtx::next_use`]; [`OptTrace`]
-/// precomputes those positions from a reference stream.
+/// next use, supplied through [`AccessCtx::next_use`]; zsim's
+/// `L2Trace::next_uses_into` precomputes those positions from a
+/// recorded reference stream.
 ///
 /// As the paper notes, in caches with interference across sets (skew,
 /// zcache) OPT is a heuristic, not a true optimum — but a good one.
@@ -53,105 +53,9 @@ impl ReplacementPolicy for Opt {
     }
 }
 
-/// Fixed seed for the oracle's last-seen map: the map's layout never
-/// influences results (only `next_use` values escape), so any constant
-/// keeps preprocessing deterministic.
-const LAST_SEEN_SEED: u64 = 0x0b75_ace1_0f75_ace1;
-
-/// A reference trace annotated with next-use positions, the oracle OPT
-/// needs.
-///
-/// # Examples
-///
-/// ```
-/// use zcache_core::OptTrace;
-///
-/// let t = OptTrace::new(vec![1, 2, 1, 3]);
-/// assert_eq!(t.len(), 4);
-/// assert_eq!(t.next_use(0), 2);          // addr 1 reused at position 2
-/// assert_eq!(t.next_use(1), u64::MAX);   // addr 2 never reused
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct OptTrace {
-    addrs: Vec<LineAddr>,
-    next_use: Vec<u64>,
-}
-
-impl OptTrace {
-    /// Builds the oracle with a single backward scan of the trace.
-    ///
-    /// The last-seen map is a pre-reserved [`SeededMap`] (distinct
-    /// addresses are bounded by the trace length, so it never rehashes)
-    /// rather than an unreserved std `HashMap` — on long traces this is
-    /// the dominant preprocessing cost.
-    pub fn new(addrs: Vec<LineAddr>) -> Self {
-        let mut next_use = vec![u64::MAX; addrs.len()];
-        let mut last_seen: SeededMap<u64> = SeededMap::with_capacity(addrs.len(), LAST_SEEN_SEED);
-        for (i, &a) in addrs.iter().enumerate().rev() {
-            if let Some(later) = last_seen.get(a) {
-                next_use[i] = later;
-            }
-            last_seen.insert(a, i as u64);
-        }
-        Self { addrs, next_use }
-    }
-
-    /// Number of references.
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
-    /// The address at stream position `i`.
-    pub fn addr(&self, i: usize) -> LineAddr {
-        self.addrs[i]
-    }
-
-    /// Stream position of the next reference to the block referenced at
-    /// position `i`, or `u64::MAX` if it is never referenced again.
-    pub fn next_use(&self, i: usize) -> u64 {
-        self.next_use[i]
-    }
-
-    /// Iterates `(addr, next_use)` pairs in stream order.
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, u64)> + '_ {
-        self.addrs
-            .iter()
-            .copied()
-            .zip(self.next_use.iter().copied())
-    }
-
-    /// The raw address stream.
-    pub fn addrs(&self) -> &[LineAddr] {
-        &self.addrs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn oracle_next_use_positions() {
-        let t = OptTrace::new(vec![5, 6, 5, 7, 6, 5]);
-        assert_eq!(t.next_use(0), 2);
-        assert_eq!(t.next_use(1), 4);
-        assert_eq!(t.next_use(2), 5);
-        assert_eq!(t.next_use(3), u64::MAX);
-        assert_eq!(t.next_use(4), u64::MAX);
-        assert_eq!(t.next_use(5), u64::MAX);
-    }
-
-    #[test]
-    fn empty_trace() {
-        let t = OptTrace::new(vec![]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
-    }
 
     #[test]
     fn policy_prefers_furthest_reuse() {
@@ -169,41 +73,5 @@ mod tests {
         p.on_fill(SlotId(0), 1, &AccessCtx { next_use: 5 });
         p.on_hit(SlotId(0), 1, &AccessCtx { next_use: 99 });
         assert_eq!(p.score(SlotId(0)), 99);
-    }
-
-    #[test]
-    fn next_use_matches_hashmap_reference() {
-        // The seeded-table rewrite must be invisible: per-address
-        // next-use positions identical to the original std-HashMap
-        // backward scan, on a trace with heavy reuse.
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let addrs: Vec<LineAddr> = (0..50_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x % 4096
-            })
-            .collect();
-        let mut expect = vec![u64::MAX; addrs.len()];
-        let mut last_seen: std::collections::HashMap<LineAddr, u64> =
-            std::collections::HashMap::new();
-        for (i, &a) in addrs.iter().enumerate().rev() {
-            if let Some(&later) = last_seen.get(&a) {
-                expect[i] = later;
-            }
-            last_seen.insert(a, i as u64);
-        }
-        let t = OptTrace::new(addrs);
-        for (i, &e) in expect.iter().enumerate() {
-            assert_eq!(t.next_use(i), e, "position {i}");
-        }
-    }
-
-    #[test]
-    fn iter_matches_accessors() {
-        let t = OptTrace::new(vec![1, 1, 2]);
-        let v: Vec<_> = t.iter().collect();
-        assert_eq!(v, vec![(1, 1), (1, u64::MAX), (2, u64::MAX)]);
     }
 }

@@ -195,19 +195,17 @@ impl RefArray {
     /// frame) a breadth-first expansion that skips frames already on the
     /// expanding node's path and stops as soon as an empty frame turns
     /// up.
-    pub fn candidates(&self, addr: u64) -> Vec<RefCand> {
-        self.candidates_capped(addr, u32::MAX)
-    }
-
-    /// [`Self::candidates`] under a walk budget: the walk stops growing
-    /// once `cap` candidates have been gathered, truncating at exactly
-    /// the points the production array's `set_max_candidates` does —
-    /// the first level always emits all `ways` frames (`cap` is clamped
-    /// up to `ways`), the outer breadth-first loop re-checks the budget
-    /// before expanding each node, and the inner per-way loop checks it
-    /// after the own-way skip but *before* the on-path check, so on-path
-    /// skips never stretch the budget. Non-walk designs ignore `cap`
-    /// (the production array's budget only gates walk expansion).
+    ///
+    /// `cap` is the walk budget (`u32::MAX` for an unbounded walk): the
+    /// walk stops growing once `cap` candidates have been gathered,
+    /// truncating at exactly the points the production array's
+    /// `set_max_candidates` does — the first level always emits all
+    /// `ways` frames (`cap` is clamped up to `ways`), the outer
+    /// breadth-first loop re-checks the budget before expanding each
+    /// node, and the inner per-way loop checks it after the own-way skip
+    /// but *before* the on-path check, so on-path skips never stretch the
+    /// budget. Non-walk designs ignore `cap` (the production array's
+    /// budget only gates walk expansion).
     pub fn candidates_capped(&self, addr: u64, cap: u32) -> Vec<RefCand> {
         let cap = cap.max(self.ways) as usize;
         match self.kind {
@@ -320,10 +318,10 @@ impl RefArray {
     }
 
     /// Installs `addr`, vacating the candidate at `victim_idx` of the
-    /// `cands` list returned by [`candidates`](Self::candidates) for the
-    /// same address: the victim's block is evicted (if any), every
-    /// ancestor block on the victim's path is relocated one step toward
-    /// the victim, and the incoming block lands in the path's root frame.
+    /// `cands` list returned by [`Self::candidates_capped`] for the same
+    /// address: the victim's block is evicted (if any), every ancestor
+    /// block on the victim's path is relocated one step toward the
+    /// victim, and the incoming block lands in the path's root frame.
     pub fn install(&mut self, addr: u64, victim_idx: usize, cands: &[RefCand]) -> RefInstall {
         let mut path = vec![victim_idx];
         while let Some(p) = cands[*path.last().unwrap()].parent {
@@ -372,7 +370,7 @@ mod tests {
         for d in CheckDesign::ALL {
             let mut a = RefArray::new(&cfg(d));
             for addr in 1..=10u64 {
-                let cands = a.candidates(addr);
+                let cands = a.candidates_capped(addr, u32::MAX);
                 let v = cands.iter().position(|c| c.addr.is_none()).unwrap_or(0);
                 a.install(addr, v, &cands);
                 assert!(a.lookup(addr).is_some(), "{d}: lost {addr}");
@@ -388,13 +386,20 @@ mod tests {
             if a.lookup(addr).is_some() {
                 continue;
             }
-            let cands = a.candidates(addr);
+            let cands = a.candidates_capped(addr, u32::MAX);
             let v = cands.iter().position(|c| c.addr.is_none()).unwrap_or(0);
             a.install(addr, v, &cands);
         }
-        let cands = a.candidates(999_999_999);
+        let cands = a.candidates_capped(999_999_999, u32::MAX);
         assert!(cands.iter().all(|c| c.level < 3));
         assert!(cands.iter().any(|c| c.level == 2), "full walk reaches L2");
+        // A walk budget truncates the walk; level 0 always emits all
+        // ways (the budget is clamped up to the way count).
+        for cap in [1u32, 4, 7, 16, 52] {
+            let n = a.candidates_capped(999_999_999, cap).len();
+            assert!(n >= 4, "level 0 always emits all ways, got {n}");
+            assert!(n <= cap.max(4) as usize, "cap {cap} produced {n}");
+        }
     }
 
     #[test]
@@ -404,12 +409,12 @@ mod tests {
             if a.lookup(addr).is_some() {
                 continue;
             }
-            let cands = a.candidates(addr);
+            let cands = a.candidates_capped(addr, u32::MAX);
             let v = cands.iter().position(|c| c.addr.is_none()).unwrap_or(0);
             a.install(addr, v, &cands);
         }
         let addr = 123_456_789;
-        let cands = a.candidates(addr);
+        let cands = a.candidates_capped(addr, u32::MAX);
         let deep = cands.iter().position(|c| c.level == 2).unwrap();
         let resident_before: Vec<u64> = {
             let mut v = Vec::new();
@@ -432,7 +437,7 @@ mod tests {
     fn fully_offers_lowest_empty_frame() {
         let mut a = RefArray::new(&cfg(CheckDesign::Fully));
         for addr in 1..=3u64 {
-            let cands = a.candidates(addr);
+            let cands = a.candidates_capped(addr, u32::MAX);
             assert_eq!(cands.len(), 1);
             assert_eq!(cands[0].slot, (addr - 1) as u32);
             a.install(addr, 0, &cands);

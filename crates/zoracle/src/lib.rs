@@ -7,15 +7,18 @@
 //! (`slot_on_path`) that only manifested on walks ≥ 4 levels — exactly
 //! the class of bug a spot-check property misses. This crate provides
 //! the antidote: *obviously correct* reference implementations that
-//! recompute everything from scratch on every access, plus a
-//! differential runner that drives a production [`DynCache`] and its
-//! reference twin over the same deterministic access stream and compares
+//! recompute everything from scratch on every access, plus one
+//! differential runner, [`run_diff`], that drives a production cache
+//! and its reference twin over the same deterministic access stream and
+//! compares
 //!
 //! * hit/miss outcome of every access,
 //! * the full replacement-candidate list of every miss (slots and
 //!   resident blocks, in discovery order),
 //! * the chosen victim, relocation move list, filled frame, and
 //!   write-back flag of every install,
+//! * for a partitioned check, every tenant's occupancy after every
+//!   access,
 //! * a digest of the complete tag + dirty state every K accesses.
 //!
 //! On divergence, [`shrink()`] delta-debugs the offending trace down to a
@@ -28,25 +31,51 @@
 //! zcache walk is recomputed naively with explicit parent chains; victim
 //! selection re-derives the global rank from plain maps.
 //!
+//! # One harness
+//!
+//! A [`CheckConfig`] without tenants checks a [`DynCache`]; with tenants
+//! it checks a [`PartitionedCache`] (zcache designs only). Both run
+//! against the same [`OracleCache`], the same loop, shrinker and repro
+//! format: a plain check is the one-tenant case (quota = lines,
+//! unbounded walk). The reference's only variation points are the two
+//! that make up a design's associativity — the walk cap (each tenant's
+//! budget) and the victim rule (quota-eligible candidates first when
+//! enforcement is on) — so a new reference plugs into the one harness.
+//!
+//! [`DynCache`]: zcache_core::DynCache
+//! [`PartitionedCache`]: zcache_core::PartitionedCache
+//!
 //! # Scope
 //!
-//! The grid covers the deterministic designs and global-rank policies:
-//! set-associative (bit-select and H3 indexing), skew-associative,
-//! 2- and 3-level zcaches, and fully-associative, each under LRU, LFU
-//! and OPT. `RandomCands` arrays and the `Random` policy are excluded —
-//! mirroring their PRNG consumption order would copy the implementation
-//! rather than re-derive it — as are the non-global-rank policies
-//! (RRIP/DRRIP age state mutates during selection).
+//! The plain grid ([`check_grid`]) covers the deterministic designs and
+//! global-rank policies: set-associative (bit-select and H3 indexing),
+//! skew-associative, 2- and 3-level zcaches, and fully-associative, each
+//! under LRU, LFU and OPT. The partition grid ([`part_check_grid`])
+//! runs two adversarial tenant mixes on the zcaches under the same
+//! policies, and a config's `quota_bypass` mutation shows the lockstep
+//! catches quota-enforcement bugs. `RandomCands` arrays and the `Random`
+//! policy are excluded — mirroring their PRNG consumption order would
+//! copy the implementation rather than re-derive it — as are the
+//! non-global-rank policies (RRIP/DRRIP age state mutates during
+//! selection).
 //!
 //! # Example
 //!
 //! ```
-//! use zoracle::{diff, stream, CheckConfig, CheckDesign, CheckPolicy};
+//! use zoracle::{gen_stream, run_diff, CheckConfig, CheckDesign, CheckPolicy, PartMix};
 //!
 //! let cfg = CheckConfig::new(CheckDesign::Z3, CheckPolicy::Lru, 64, 4, 42);
-//! let trace = stream::gen_stream(5_000, 64, 7);
-//! let summary = diff::run_diff(&cfg, &trace, 256).expect("no divergence");
+//! let trace = gen_stream(5_000, 64, 7);
+//! let summary = run_diff(&cfg, &trace, 256).expect("no divergence");
 //! assert_eq!(summary.accesses, 5_000);
+//!
+//! // The same harness on a partitioned cache, then with quota
+//! // enforcement stripped from the production side: caught.
+//! let mut cfg = PartMix::HotVsScan.config(CheckPolicy::Lru, 64, 4, 42);
+//! let trace = PartMix::HotVsScan.gen_stream(5_000, 64, 7);
+//! assert!(run_diff(&cfg, &trace, 256).is_ok());
+//! cfg.quota_bypass = true;
+//! assert!(run_diff(&cfg, &trace, 256).is_err());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,16 +93,12 @@ pub mod stream;
 pub use array::RefArray;
 pub use diff::{run_diff, DiffSummary, Divergence, DivergenceKind};
 pub use oracle::OracleCache;
-pub use partition::{
-    load_part_corpus, part_check_grid, read_part_repro, run_part_diff, run_part_diff_mutated,
-    shrink_part, write_part_repro, PartAccess, PartConfig, PartDivergence, PartDivergenceKind,
-    PartMix, PartRepro, PartSummary, RefPartitionedCache,
-};
+pub use partition::{part_check_grid, PartMix};
 pub use policy::RefPolicy;
 pub use shrink::shrink;
 pub use stream::{gen_stream, next_uses, Access};
 
-use zcache_core::{ArrayKind, CacheBuilder, DynCache, PolicyKind};
+use zcache_core::{ArrayKind, PolicyKind, TenantGrant};
 use zhash::HashKind;
 
 /// A design point of the conformance grid.
@@ -189,8 +214,16 @@ impl std::fmt::Display for CheckPolicy {
 }
 
 /// One fully-specified conformance check: a design × policy pair plus
-/// geometry and seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// geometry, seed and, for a partitioned check, the tenants.
+///
+/// A plain check (no tenants) runs a [`DynCache`] against a reference
+/// holding one tenant with quota = lines and an unbounded walk. With
+/// tenants, the production side is a [`PartitionedCache`] (zcache
+/// designs only) and the reference walks under each tenant's budget.
+///
+/// [`DynCache`]: zcache_core::DynCache
+/// [`PartitionedCache`]: zcache_core::PartitionedCache
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckConfig {
     /// Array design under test.
     pub design: CheckDesign,
@@ -202,10 +235,19 @@ pub struct CheckConfig {
     pub ways: u32,
     /// Hash/stream seed shared by both sides.
     pub seed: u64,
+    /// Per-tenant quotas and walk budgets; empty for a plain check.
+    pub tenants: Vec<TenantGrant>,
+    /// Whether quotas constrain victim selection on both sides (`false`
+    /// = the shared baseline).
+    pub enforce_quota: bool,
+    /// Reintroduces the quota-bypass bug on the production side only:
+    /// its victim selection ignores quotas, so the lockstep must
+    /// diverge.
+    pub quota_bypass: bool,
 }
 
 impl CheckConfig {
-    /// Creates a check configuration.
+    /// Creates a plain check configuration.
     pub fn new(design: CheckDesign, policy: CheckPolicy, lines: u64, ways: u32, seed: u64) -> Self {
         Self {
             design,
@@ -213,28 +255,25 @@ impl CheckConfig {
             lines,
             ways,
             seed,
+            tenants: Vec::new(),
+            enforce_quota: false,
+            quota_bypass: false,
         }
     }
 
-    /// Builds the production cache under test.
-    pub fn build_dut(&self) -> DynCache {
-        CacheBuilder::new()
-            .lines(self.lines)
-            .ways(self.ways)
-            .array(self.design.array_kind())
-            .policy(self.policy.policy_kind())
-            .seed(self.seed)
-            .build()
+    /// Whether this is a partitioned check (its traces are
+    /// tenant-tagged).
+    pub fn has_tenants(&self) -> bool {
+        !self.tenants.is_empty()
     }
 
-    /// Builds the reference twin.
-    pub fn build_oracle(&self) -> OracleCache {
-        OracleCache::new(self)
-    }
-
-    /// Short label, e.g. `z3/lru`.
+    /// Short label, e.g. `z3/lru`, or `z3/lru/3t` with three tenants.
     pub fn label(&self) -> String {
-        format!("{}/{}", self.design, self.policy)
+        if self.has_tenants() {
+            format!("{}/{}/{}t", self.design, self.policy, self.tenants.len())
+        } else {
+            format!("{}/{}", self.design, self.policy)
+        }
     }
 }
 

@@ -26,25 +26,25 @@ use crate::CheckConfig;
 const GREEDY_CAP: usize = 2048;
 
 /// Shrinks `trace` to a smaller trace that still makes `run_diff`
-/// diverge under `cfg`. Returns the input unchanged if it does not
-/// diverge in the first place.
+/// diverge under `cfg` (a mutation the config carries included).
+/// Returns the input unchanged if it does not diverge in the first
+/// place.
 pub fn shrink(cfg: &CheckConfig, trace: &[Access], digest_every: u64) -> Vec<Access> {
     let fails = |t: &[Access]| run_diff(cfg, t, digest_every).is_err();
 
     let Err(d) = run_diff(cfg, trace, digest_every) else {
         return trace.to_vec();
     };
-    let mut cur: Vec<Access> = trace[..=d.index].to_vec();
-    debug_assert!(fails(&cur), "truncation must preserve the divergence");
+    let cur = &trace[..=d.index];
+    debug_assert!(fails(cur), "truncation must preserve the divergence");
 
-    cur = ddmin(&cur, &fails);
-    greedy_min_items(cur, &fails)
+    greedy_min(ddmin(cur, &fails), &fails)
 }
 
-/// The greedy 1-minimization stage, generic like [`ddmin_items`]: try
-/// deleting each remaining item one at a time until a fixpoint. Inputs
-/// longer than [`GREEDY_CAP`] are returned as-is.
-pub(crate) fn greedy_min_items<T: Clone>(mut cur: Vec<T>, fails: &dyn Fn(&[T]) -> bool) -> Vec<T> {
+/// The greedy 1-minimization stage: try deleting each remaining access
+/// one at a time until a fixpoint. Inputs longer than [`GREEDY_CAP`] are
+/// returned as-is.
+fn greedy_min(mut cur: Vec<Access>, fails: &dyn Fn(&[Access]) -> bool) -> Vec<Access> {
     if cur.len() > GREEDY_CAP {
         return cur;
     }
@@ -70,13 +70,6 @@ pub(crate) fn greedy_min_items<T: Clone>(mut cur: Vec<T>, fails: &dyn Fn(&[T]) -
 /// each chunk's complement, recurse on success with adjusted
 /// granularity, double `n` otherwise.
 fn ddmin(trace: &[Access], fails: &dyn Fn(&[Access]) -> bool) -> Vec<Access> {
-    ddmin_items(trace, fails)
-}
-
-/// [`ddmin`] over any clonable item type, so trace-like sequences other
-/// than plain [`Access`] streams (e.g. the partition module's
-/// tenant-tagged accesses) reuse the same minimization.
-pub(crate) fn ddmin_items<T: Clone>(trace: &[T], fails: &dyn Fn(&[T]) -> bool) -> Vec<T> {
     let mut cur = trace.to_vec();
     let mut n = 2usize;
     while cur.len() >= 2 {
@@ -129,12 +122,17 @@ pub(crate) fn ddmin_items<T: Clone>(trace: &[T], fails: &dyn Fn(&[T]) -> bool) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CheckDesign, CheckPolicy, PartMix};
 
     /// ddmin against a synthetic predicate: "contains both 3 and 7".
     #[test]
     fn ddmin_finds_minimal_pair() {
         let trace: Vec<Access> = (0..100u64)
-            .map(|addr| Access { addr, write: false })
+            .map(|addr| Access {
+                tenant: 0,
+                addr,
+                write: false,
+            })
             .collect();
         let fails = |t: &[Access]| t.iter().any(|a| a.addr == 3) && t.iter().any(|a| a.addr == 7);
         let min = ddmin(&trace, &fails);
@@ -144,8 +142,25 @@ mod tests {
 
     #[test]
     fn shrink_returns_input_when_clean() {
-        let cfg = CheckConfig::new(crate::CheckDesign::Z2, crate::CheckPolicy::Lru, 64, 4, 3);
+        let plain = CheckConfig::new(CheckDesign::Z2, CheckPolicy::Lru, 64, 4, 3);
         let trace = crate::stream::gen_stream(500, 64, 3);
-        assert_eq!(shrink(&cfg, &trace, 64), trace);
+        assert_eq!(shrink(&plain, &trace, 64), trace);
+        let part = PartMix::Twins.config(CheckPolicy::Lru, 64, 4, 3);
+        let trace = PartMix::Twins.gen_stream(500, 64, 1);
+        assert_eq!(shrink(&part, &trace, 64), trace);
+    }
+
+    #[test]
+    fn shrinks_a_caught_mutant() {
+        let mut cfg = PartMix::Twins.config(CheckPolicy::Lru, 64, 4, 3);
+        cfg.quota_bypass = true;
+        let trace = PartMix::Twins.gen_stream(8_000, 64, 29);
+        let shrunk = shrink(&cfg, &trace, 64);
+        assert!(
+            shrunk.len() < trace.len(),
+            "shrinking must make progress ({} accesses)",
+            shrunk.len()
+        );
+        assert!(run_diff(&cfg, &shrunk, 64).is_err());
     }
 }

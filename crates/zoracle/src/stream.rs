@@ -1,15 +1,38 @@
 //! Deterministic access-stream generation and next-use annotation.
 
 use std::collections::HashMap;
+use zcache_core::partition::TENANT_SHIFT;
 use zhash::SplitMix64;
 
 /// One access of a differential trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
-    /// Line address.
+    /// Issuing tenant (always 0 in a plain check).
+    pub tenant: usize,
+    /// Line address (below [`TENANT_SHIFT`] bits in a partitioned check).
     pub addr: u64,
     /// Whether the access writes.
     pub write: bool,
+}
+
+impl Access {
+    /// The address both caches store: the line tagged with its tenant,
+    /// the namespace a partitioned cache keeps its tenants in (tenant 0
+    /// leaves the line unchanged).
+    pub fn key(&self) -> u64 {
+        self.addr | ((self.tenant as u64) << TENANT_SHIFT)
+    }
+
+    /// The access as a repro-file line: `R|W <hex-addr>`, prefixed with
+    /// `T<tenant> ` in a tenant-tagged trace.
+    pub fn line(&self, tagged: bool) -> String {
+        let op = if self.write { "W" } else { "R" };
+        if tagged {
+            format!("T{} {op} {:#x}", self.tenant, self.addr)
+        } else {
+            format!("{op} {:#x}", self.addr)
+        }
+    }
 }
 
 /// Generates a deterministic stream of `n` accesses sized to stress a
@@ -50,24 +73,28 @@ pub fn gen_stream(n: usize, lines: u64, seed: u64) -> Vec<Access> {
             0x4000_0000 + cold
         };
         let write = rng.next_below(10) < 3;
-        out.push(Access { addr, write });
+        out.push(Access {
+            tenant: 0,
+            addr,
+            write,
+        });
     }
     out
 }
 
 /// Next-use positions for a trace: `next[i]` is the stream index of the
-/// following access to `trace[i].addr`, or `u64::MAX` if there is none.
-/// Computed with a single backward scan, independently of the
-/// `OptTrace` helper in `zcache-core` (the annotation feeds both sides
-/// of the differential check).
+/// following access to the same tenant's `trace[i].addr`, or `u64::MAX`
+/// if there is none. Computed with a single backward scan over a plain
+/// `HashMap`, independently of zsim's `L2Trace::next_uses_into` (the
+/// annotation feeds both sides of the differential check).
 pub fn next_uses(trace: &[Access]) -> Vec<u64> {
     let mut next = vec![u64::MAX; trace.len()];
     let mut seen: HashMap<u64, u64> = HashMap::new();
     for (i, a) in trace.iter().enumerate().rev() {
-        if let Some(&later) = seen.get(&a.addr) {
+        if let Some(&later) = seen.get(&a.key()) {
             next[i] = later;
         }
-        seen.insert(a.addr, i as u64);
+        seen.insert(a.key(), i as u64);
     }
     next
 }
@@ -93,9 +120,17 @@ mod tests {
     fn next_uses_point_forward() {
         let t: Vec<Access> = [5u64, 6, 5, 7, 6, 5]
             .into_iter()
-            .map(|addr| Access { addr, write: false })
+            .map(|addr| Access {
+                tenant: 0,
+                addr,
+                write: false,
+            })
             .collect();
         let n = next_uses(&t);
         assert_eq!(n, vec![2, 4, 5, u64::MAX, u64::MAX, u64::MAX]);
+        // The same line of another tenant is another block.
+        let mut t = t;
+        t[2].tenant = 1;
+        assert_eq!(next_uses(&t)[0], 5);
     }
 }

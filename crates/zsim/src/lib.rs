@@ -46,6 +46,7 @@ mod coherence;
 mod config;
 mod l2;
 mod mem;
+mod sched;
 mod stats;
 mod system;
 pub mod trace;

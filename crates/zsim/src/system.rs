@@ -3,6 +3,7 @@
 use crate::coherence::{cores_in, Directory};
 use crate::config::SimConfig;
 use crate::l2::L2;
+use crate::sched::Scheduler;
 use crate::stats::SimStats;
 use zcache_core::{DynCache, PolicyKind};
 use zworkloads::{AddressStream, MemRef, Workload};
@@ -11,8 +12,8 @@ use zworkloads::{AddressStream, MemRef, Workload};
 /// stalls), private 4-way L1s, a shared banked L2 of the configured
 /// design, a MESI directory, and bandwidth-limited memory controllers.
 ///
-/// Cores advance on a global event heap ordered by cycle, so the
-/// interleaving is deterministic for a given configuration and seed.
+/// Cores advance in global `(cycle, core)` order, so the interleaving is
+/// deterministic for a given configuration and seed.
 ///
 /// # Examples
 ///
@@ -154,77 +155,30 @@ impl System {
         let mut streams = workload.streams(cores, self.cfg.seed);
         let mut instrs = vec![0u64; cores];
         let mut cycles = vec![0u64; cores];
-        // Global event order: smallest (cycle, core) first, exactly the
-        // order a min-heap of (cycle, core) pairs would pop. Each core's
-        // clock is kept as one packed key `(cycle << core_bits) | core`,
-        // so lexicographic (cycle, core) order is plain `u64` order and
-        // one branchless min1/min2 sweep finds both the lead core and
-        // the runner-up. Retired cores park at `u64::MAX`.
-        //
-        // Dispatch is batched: after one sweep, the lead core's
-        // references stream through the core→L1→L2 chain back-to-back
-        // for as long as its packed key stays below the runner-up's —
-        // i.e. for as long as the lead would win the sweep again (ties
-        // break to the lower core index, which is exactly what the
-        // packed-key order encodes). The interleaving is identical to a
-        // one-sweep-per-reference loop; the group merely skips the
-        // sweeps whose outcome is already known. Each core holds one
-        // pre-drawn pending reference — streams draw from per-core
-        // RNGs, so drawing a core's next reference early never perturbs
-        // another core's sequence. Pre-drawing also tells us each core's
-        // *next* L1 probe set before its dispatch slot arrives, so we
-        // hint it (`prefetch_lookup`, a pure prefetch with no state or
-        // stats effect) and let the tag read overlap the other cores'
-        // dispatches in the group.
-        let core_bits = cores.next_power_of_two().trailing_zeros().max(1);
-        let mut keys = vec![0u64; cores];
-        for (c, k) in keys.iter_mut().enumerate() {
-            *k = c as u64;
-        }
+        // Each core holds one pre-drawn pending reference — streams draw
+        // from per-core RNGs, so drawing a core's next reference early
+        // never perturbs another core's sequence. Pre-drawing also tells
+        // us each core's *next* L1 probe set before its dispatch slot
+        // arrives, so we hint it (`prefetch_lookup`, a pure prefetch with
+        // no state or stats effect) and let the tag read overlap the other
+        // cores' dispatches in the scheduler's batch.
         let mut pending: Vec<MemRef> = streams.iter_mut().map(|s| s.next_ref()).collect();
         for (c, r) in pending.iter().enumerate() {
             self.l1s[c].prefetch_lookup(r.line);
         }
-        let mut active = cores;
-
-        while active > 0 {
-            // Branchless two-minimum sweep: min/max compile to cmov, so
-            // the sweep has no data-dependent branches at all.
-            let mut lead = u64::MAX;
-            let mut runner = u64::MAX;
-            for &k in &keys {
-                let hi = k.max(lead);
-                lead = k.min(lead);
-                runner = runner.min(hi);
+        Scheduler::new(cores).run(|core, now| {
+            let r = pending[core];
+            instrs[core] += u64::from(r.gap);
+            let stall = self.access(core as u32, r.line, r.write, u64::MAX, now);
+            let next = now + u64::from(r.gap) + stall;
+            cycles[core] = next;
+            if instrs[core] >= budget {
+                return None;
             }
-            loop {
-                let core = (lead & ((1 << core_bits) - 1)) as usize;
-                let now = lead >> core_bits;
-                let r = pending[core];
-                instrs[core] += u64::from(r.gap);
-                let stall = self.access(core as u32, r.line, r.write, u64::MAX, now);
-                let next = now + u64::from(r.gap) + stall;
-                cycles[core] = next;
-                if instrs[core] >= budget {
-                    keys[core] = u64::MAX;
-                    active -= 1;
-                    break;
-                }
-                pending[core] = streams[core].next_ref();
-                self.l1s[core].prefetch_lookup(pending[core].line);
-                debug_assert!(
-                    next < (1 << (63 - core_bits)),
-                    "cycle count overflows packed key"
-                );
-                let nk = (next << core_bits) | core as u64;
-                if nk < runner {
-                    lead = nk;
-                    continue;
-                }
-                keys[core] = nk;
-                break;
-            }
-        }
+            pending[core] = streams[core].next_ref();
+            self.l1s[core].prefetch_lookup(pending[core].line);
+            Some(next)
+        });
 
         self.build_stats(&instrs, &cycles)
     }

@@ -9,6 +9,7 @@
 
 use crate::config::SimConfig;
 use crate::l2::L2;
+use crate::sched::Scheduler;
 use crate::stats::SimStats;
 use zcache_core::{CacheStats, PolicyKind, SeededMap};
 use zworkloads::{AddressStream, Workload, ZipfCache};
@@ -97,21 +98,6 @@ impl L2Trace {
     }
 }
 
-/// The core with the earliest next event, and that event's time: a
-/// linear argmin over per-core times that picks the smallest
-/// `(time, core)` pair, the exact order a binary heap would pop.
-fn next_event(next_time: &[u64]) -> (usize, u64) {
-    let mut core = 0usize;
-    let mut now = u64::MAX;
-    for (c, &t) in next_time.iter().enumerate() {
-        if t < now {
-            now = t;
-            core = c;
-        }
-    }
-    (core, now)
-}
-
 /// Runs `workload` through per-core L1s (no timing-accurate L2) and
 /// records the resulting L2 reference stream.
 ///
@@ -142,10 +128,7 @@ pub fn record_trace_into(
     trace.refs.clear();
     let refs = &mut trace.refs;
 
-    let mut next_time = vec![0u64; cores];
-    let mut active = cores;
-    while active > 0 {
-        let (c, now) = next_event(&next_time);
+    Scheduler::new(cores).run(|c, now| {
         let r = streams[c].next_ref();
         instrs[c] += u64::from(r.gap);
         pending_work[c] = pending_work[c].saturating_add(r.gap);
@@ -171,13 +154,8 @@ pub fn record_trace_into(
             pending_work[c] = 0;
             next += NOMINAL_MISS_STALL;
         }
-        if instrs[c] < cfg.instrs_per_core {
-            next_time[c] = next;
-        } else {
-            next_time[c] = u64::MAX;
-            active -= 1;
-        }
-    }
+        (instrs[c] < cfg.instrs_per_core).then_some(next)
+    });
 
     let mut l1_stats = CacheStats::new();
     for l1 in &l1s {
@@ -196,7 +174,6 @@ pub struct ReplayScratch {
     queues: Vec<Vec<u32>>,
     heads: Vec<usize>,
     cycles: Vec<u64>,
-    next_time: Vec<u64>,
 }
 
 impl ReplayScratch {
@@ -269,21 +246,14 @@ pub fn replay_with(
     scratch.cycles.clear();
     scratch.cycles.resize(cores, 0);
     let cycles = &mut scratch.cycles[..];
-    scratch.next_time.clear();
-    scratch.next_time.resize(cores, 0);
-    let next_time = &mut scratch.next_time[..];
 
-    let mut active = 0usize;
+    let mut sched = Scheduler::new(cores);
     for (c, q) in queues.iter().enumerate() {
         if q.is_empty() {
-            next_time[c] = u64::MAX;
-        } else {
-            next_time[c] = 0;
-            active += 1;
+            sched.retire(c);
         }
     }
-    while active > 0 {
-        let (c, now) = next_event(next_time);
+    sched.run(|c, now| {
         let pos = queues[c][heads[c]] as usize;
         heads[c] += 1;
         let r = &trace.refs[pos];
@@ -298,13 +268,8 @@ pub fn replay_with(
         }
 
         cycles[c] = next;
-        if heads[c] < queues[c].len() {
-            next_time[c] = next;
-        } else {
-            next_time[c] = u64::MAX;
-            active -= 1;
-        }
-    }
+        (heads[c] < queues[c].len()).then_some(next)
+    });
 
     l2.sim_stats(
         trace.instructions,
@@ -348,16 +313,21 @@ mod tests {
 
     #[test]
     fn next_uses_point_forward_to_same_line() {
+        // Every position must name the *next* use of its line, as a plain
+        // std-HashMap backward scan computes it, not merely some later
+        // use.
         let wl = by_name("gcc", 4, Scale::SMALL).unwrap();
         let t = record_trace(&tiny_cfg(), &wl);
-        let nu = t.next_uses();
-        for (i, r) in t.refs.iter().enumerate().take(2_000) {
-            let n = nu[i];
-            if n != u64::MAX {
-                assert!(n > i as u64);
-                assert_eq!(t.refs[n as usize].line, r.line);
+        let mut expect = vec![u64::MAX; t.len()];
+        let mut last_seen = std::collections::HashMap::new();
+        for (i, r) in t.refs.iter().enumerate().rev() {
+            if let Some(&later) = last_seen.get(&r.line) {
+                expect[i] = later;
             }
+            last_seen.insert(r.line, i as u64);
         }
+        assert!(expect.iter().any(|&n| n != u64::MAX), "no reuse to check");
+        assert_eq!(t.next_uses(), expect);
     }
 
     #[test]

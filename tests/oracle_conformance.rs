@@ -8,7 +8,9 @@
 //!    miniature) — catches regressions in walk order, victim selection,
 //!    relocation bookkeeping, or policy state.
 //! 2. Corpus replay — every shrunk divergence ever caught is replayed,
-//!    so a bug fixed once stays fixed (`tests/corpus/*.trace`).
+//!    so a bug fixed once stays fixed (`tests/corpus/*.trace` and the
+//!    mutation-free `*.ptrace` repros; `partition_conformance` replays
+//!    the mutant ones).
 //! 3. zsim-recorded L2 streams — real workload-shaped traffic (sharing,
 //!    write-backs, streaming phases) instead of synthetic mixtures.
 
@@ -31,8 +33,9 @@ fn full_grid_conforms_on_synthetic_streams() {
 fn corpus_repros_stay_fixed() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     let repros = corpus::load_corpus(&dir).expect("corpus must parse");
-    for (path, repro) in &repros {
-        if let Err(d) = run_diff(&repro.cfg, &repro.trace, 1) {
+    let fixed: Vec<_> = repros.iter().filter(|(_, r)| !r.cfg.quota_bypass).collect();
+    for (path, repro) in &fixed {
+        if let Err(d) = repro.replay(1) {
             panic!(
                 "regression: {} diverges again on {} ({}): {d}",
                 repro.cfg.label(),
@@ -45,8 +48,8 @@ fn corpus_repros_stay_fixed() {
     // from the PR-3 mutation check; an empty corpus means the replay
     // test silently checks nothing.
     assert!(
-        !repros.is_empty(),
-        "tests/corpus/ is empty — the regression corpus was deleted?"
+        !fixed.is_empty(),
+        "tests/corpus/ holds no fixed-bug repro — the regression corpus was deleted?"
     );
 }
 
@@ -65,7 +68,11 @@ fn zsim_trace_drives_oracle_cleanly() {
         .conformance_stream()
         .into_iter()
         .take(20_000)
-        .map(|(addr, write)| Access { addr, write })
+        .map(|(addr, write)| Access {
+            tenant: 0,
+            addr,
+            write,
+        })
         .collect();
     assert!(stream.len() > 5_000, "trace too short to exercise anything");
 
@@ -93,7 +100,10 @@ fn state_digest_discriminates_between_runs() {
     let trace = gen_stream(4_000, 64, 13);
     let base = run_diff(&cfg, &trace, 64).expect("clean").digest;
 
-    let reseeded = CheckConfig { seed: 12, ..cfg };
+    let reseeded = CheckConfig {
+        seed: 12,
+        ..cfg.clone()
+    };
     let other_seed = run_diff(&reseeded, &trace, 64).expect("clean").digest;
     assert_ne!(base, other_seed, "digest blind to hash seeding");
 

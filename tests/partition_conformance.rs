@@ -9,10 +9,11 @@
 //!    hit/miss, the budget-capped candidate list, the quota victim,
 //!    relocations, write-back flags, and the per-tenant occupancy
 //!    recount; divergence anywhere fails the pair.
-//! 2. Corpus replay — committed `.ptrace` repros are replayed every
-//!    run. A `# mutation: quota-bypass` repro must *still diverge*
-//!    (the lockstep keeps catching the enforcement mutant); a plain
-//!    repro records a fixed bug and must stay fixed.
+//! 2. Corpus replay — every committed repro carrying the
+//!    `# mutation: quota-bypass` header is replayed and must *still
+//!    diverge* (the lockstep keeps catching the enforcement mutant);
+//!    `oracle_conformance` replays the mutation-free repros, which
+//!    record fixed bugs and must stay fixed.
 //! 3. Mutation adequacy — the quota-bypass mutant must be caught
 //!    within a bounded access count on every grid pair, so the
 //!    differential harness is demonstrably sensitive to enforcement
@@ -21,15 +22,15 @@
 //! [`PartitionedCache`]: zcache_core::PartitionedCache
 
 use std::path::Path;
-use zoracle::{part_check_grid, run_part_diff, run_part_diff_mutated, PartMix};
+use zoracle::{corpus, part_check_grid, run_diff, PartMix};
 
 #[test]
 fn partition_grid_conforms_on_synthetic_streams() {
     for (i, (mix, policy)) in part_check_grid().into_iter().enumerate() {
         let cfg = mix.config(policy, 64, 4, 3000 + i as u64);
         let trace = mix.gen_stream(8_000, cfg.lines, 4000 + i as u64);
-        let summary = run_part_diff(&cfg, &trace, 256)
-            .unwrap_or_else(|d| panic!("{} diverged: {d}", cfg.label()));
+        let summary =
+            run_diff(&cfg, &trace, 256).unwrap_or_else(|d| panic!("{} diverged: {d}", cfg.label()));
         assert_eq!(summary.accesses, 8_000);
         assert!(summary.misses > 0, "{}: stream too tame", cfg.label());
         assert!(
@@ -43,31 +44,22 @@ fn partition_grid_conforms_on_synthetic_streams() {
 #[test]
 fn partition_corpus_repros_replay() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let repros = zoracle::load_part_corpus(&dir).expect("partition corpus must parse");
-    for (path, repro) in &repros {
-        let result = repro.replay(1);
-        if repro.bypass {
-            assert!(
-                result.is_err(),
-                "mutant repro {} ({}) no longer diverges — the lockstep \
-                 stopped catching the quota-bypass mutation",
-                path.display(),
-                repro.note
-            );
-        } else if let Err(d) = result {
-            panic!(
-                "regression: {} diverges again on {} ({}): {d}",
-                repro.cfg.label(),
-                path.display(),
-                repro.note
-            );
-        }
+    let repros = corpus::load_corpus(&dir).expect("corpus must parse");
+    let mutants: Vec<_> = repros.iter().filter(|(_, r)| r.cfg.quota_bypass).collect();
+    for (path, repro) in &mutants {
+        assert!(
+            repro.replay(1).is_err(),
+            "mutant repro {} ({}) no longer diverges — the lockstep \
+             stopped catching the quota-bypass mutation",
+            path.display(),
+            repro.note
+        );
     }
     // `zbench tenants --check --mutate quota-bypass` seeds the corpus
     // with at least one shrunk mutant repro; an empty corpus means the
     // replay test silently checks nothing.
     assert!(
-        repros.iter().any(|(_, r)| r.bypass),
+        !mutants.is_empty(),
         "tests/corpus/ holds no partition mutant repro"
     );
 }
@@ -75,7 +67,8 @@ fn partition_corpus_repros_replay() {
 #[test]
 fn quota_bypass_mutant_is_caught_on_every_pair() {
     for (i, (mix, policy)) in part_check_grid().into_iter().enumerate() {
-        let cfg = mix.config(policy, 64, 4, 5000 + i as u64);
+        let mut cfg = mix.config(policy, 64, 4, 5000 + i as u64);
+        cfg.quota_bypass = true;
         // The asymmetric mix diverges almost immediately (the scanners
         // flood past quota within the first few hundred installs); the
         // symmetric twins hover near their grants, so enforcement binds
@@ -85,7 +78,7 @@ fn quota_bypass_mutant_is_caught_on_every_pair() {
             PartMix::Twins => 100_000,
         };
         let trace = mix.gen_stream(bound, cfg.lines, 6000 + i as u64);
-        let d = match run_part_diff_mutated(&cfg, true, &trace, 256) {
+        let d = match run_diff(&cfg, &trace, 256) {
             Err(d) => d,
             Ok(_) => panic!(
                 "{}: quota-bypass mutant escaped {bound} accesses",
