@@ -1,13 +1,13 @@
 //! §VIII future-work experiment: adaptive walk throttling.
 //!
-//! Compares a fixed Z4/52, the adaptive-walk zcache
-//! ([`AdaptiveZCache`]), and the skew-associative floor (Z4/4) on
-//! workloads where high associativity pays off and workloads where it
-//! is wasted, measuring miss rate and walk tag bandwidth.
+//! Compares a fixed Z4/52, an adaptive-walk Z4/52 (its walk budget
+//! steered by a [`ShadowDuel`]), and the skew-associative floor (Z4/4)
+//! on workloads where high associativity pays off and workloads where
+//! it is wasted, measuring miss rate and walk tag bandwidth.
 
 use crate::opts::ExpOpts;
 use crate::{format_table, lineup};
-use zcache_core::{AdaptiveConfig, AdaptiveZCache, ArrayKind, FullLru, ZArray};
+use zcache_core::{AdaptiveConfig, ArrayKind, FullLru, ShadowDuel};
 use zsim::trace::record_trace;
 use zworkloads::suite::by_name;
 
@@ -55,22 +55,25 @@ pub fn run(opts: &ExpOpts) -> Vec<AdaptiveRow> {
             });
         }
 
-        // Adaptive.
-        let mut adaptive = AdaptiveZCache::new(
-            ZArray::new(lines, 4, 3, opts.seed),
-            FullLru::new,
-            AdaptiveConfig::default(),
-        );
+        // Adaptive: the duel observes each access first and retunes the
+        // walk budget whenever its recommendation changes.
+        let mut adaptive =
+            lineup::builder(ArrayKind::ZCache { levels: 3 }, 4, lines, opts.seed).build();
+        let mut duel =
+            ShadowDuel::for_geometry(lines, 4, 3, FullLru::new, AdaptiveConfig::default());
         for &a in &refs {
+            if let Some(budget) = duel.observe(a) {
+                adaptive.array_mut().set_max_candidates(budget);
+            }
             adaptive.access(a);
         }
         rows.push(AdaptiveRow {
             workload: name.into(),
             variant: "Z4/52 adaptive".into(),
-            miss_rate: adaptive.cache().stats().miss_rate(),
-            tag_reads: adaptive.cache().stats().tag_reads,
-            final_budget: adaptive.current_budget(),
-            adaptations: adaptive.adaptations(),
+            miss_rate: adaptive.stats().miss_rate(),
+            tag_reads: adaptive.stats().tag_reads,
+            final_budget: duel.budget(),
+            adaptations: duel.adaptations(),
         });
     }
     rows

@@ -17,19 +17,22 @@
 //! geometrically so the duel tracks phase changes without drowning in
 //! per-window noise.
 //!
-//! Two consumers exist today: [`AdaptiveZCache`] wires a duel straight
-//! into a `Cache<ZArray, P>` (this module), and the `zserve` service
-//! tier's overload controller feeds per-shard duels and clamps their
-//! recommendation further when request queues back up.
+//! A duel only recommends; its consumer applies the budget. A
+//! [`PartitionedCache`](crate::PartitionedCache) gives every tenant a
+//! duel of its own, `zbench adaptive` steers a plain cache's walk with
+//! one (observe, then `array_mut().set_max_candidates` on a change, then
+//! access), and the `zserve` service tier's overload controller feeds
+//! per-shard duels and clamps their recommendation further when request
+//! queues back up.
 
-use crate::array::{CacheArray, ZArray};
+use crate::array::ZArray;
 use crate::cache::Cache;
 use crate::repl::ReplacementPolicy;
 use crate::replacement_candidates;
 use crate::types::LineAddr;
 use zhash::{Hasher64, Mix64};
 
-/// Tuning knobs for [`ShadowDuel`] / [`AdaptiveZCache`].
+/// Tuning knobs for [`ShadowDuel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Sampled accesses between budget re-evaluations.
@@ -71,9 +74,9 @@ impl Default for AdaptiveConfig {
 ///
 /// The duel owns its two shadow caches and the aged miss counters; it
 /// knows nothing about the array it steers, so one duel can drive a
-/// [`Cache`] directly ([`AdaptiveZCache`]) or feed a higher-level
-/// controller that mixes in other signals (e.g. queue depth under
-/// overload, as the `zserve` service tier does).
+/// [`Cache`] directly or feed a higher-level controller that mixes in
+/// other signals (e.g. queue depth under overload, as the `zserve`
+/// service tier does).
 ///
 /// # Examples
 ///
@@ -273,103 +276,40 @@ impl<P: ReplacementPolicy> ShadowDuel<P> {
     }
 }
 
-/// An adaptive-walk zcache: a [`Cache`] over a [`ZArray`] whose
-/// candidate budget follows a [`ShadowDuel`] between the minimum and
-/// the maximum walk depth.
-///
-/// # Examples
-///
-/// ```
-/// use zcache_core::{AdaptiveConfig, AdaptiveZCache, FullLru, ZArray};
-///
-/// let array = ZArray::new(1 << 12, 4, 3, 1); // up to 52 candidates
-/// let mut cache = AdaptiveZCache::new(array, FullLru::new, AdaptiveConfig::default());
-/// for addr in 0..50_000u64 {
-///     cache.access(addr % 20_000);
-/// }
-/// assert!(cache.current_budget() >= 4 && cache.current_budget() <= 52);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AdaptiveZCache<P> {
-    inner: Cache<ZArray, P>,
-    duel: ShadowDuel<P>,
-}
-
-impl<P: ReplacementPolicy> AdaptiveZCache<P> {
-    /// Wraps an array with an adaptive controller; `make_policy` builds
-    /// the replacement policy for a given frame count (used for the main
-    /// cache and both shadows, so the duel reflects the real policy).
-    ///
-    /// The budget starts at the full configured depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array has fewer than `4 × ways` frames (too small
-    /// to derive shadow arrays).
-    pub fn new<F: Fn(u64) -> P>(array: ZArray, make_policy: F, cfg: AdaptiveConfig) -> Self {
-        let lines = array.lines();
-        let duel = ShadowDuel::for_geometry(lines, array.ways(), array.levels(), &make_policy, cfg);
-        Self {
-            inner: Cache::new(array, make_policy(lines)),
-            duel,
-        }
-    }
-
-    /// Performs one access, re-evaluating the walk budget at window
-    /// boundaries.
-    pub fn access(&mut self, addr: LineAddr) -> crate::cache::AccessOutcome {
-        if let Some(budget) = self.duel.observe(addr) {
-            self.inner.array_mut().set_max_candidates(budget);
-        }
-        self.inner.access(addr)
-    }
-
-    /// The current candidate budget.
-    pub fn current_budget(&self) -> u32 {
-        self.duel.budget()
-    }
-
-    /// Number of budget changes performed.
-    pub fn adaptations(&self) -> u64 {
-        self.duel.adaptations()
-    }
-
-    /// The wrapped cache (for statistics).
-    pub fn cache(&self) -> &Cache<ZArray, P> {
-        &self.inner
-    }
-
-    /// Shadow miss counts so far, `(shallow, deep)` — diagnostics.
-    pub fn shadow_misses(&self) -> (u64, u64) {
-        self.duel.shadow_misses()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repl::{FullLru, Rrip};
+    use crate::partition::{PartitionConfig, PartitionedCache, TenantGrant};
+    use crate::repl::{FullLru, PolicyKind, Rrip};
     use zhash::SplitMix64;
 
-    fn adaptive_lru(lines: u64) -> AdaptiveZCache<FullLru> {
-        AdaptiveZCache::new(
-            ZArray::new(lines, 4, 3, 1),
-            FullLru::new,
-            AdaptiveConfig {
-                window: 256,
-                ..AdaptiveConfig::default()
-            },
-        )
+    /// A duel steering a whole Z4/52 array: one tenant whose quota is
+    /// every frame and whose walk budget starts at the duel's top tier.
+    /// This is the per-tenant duel path `tenants` runs. Enforcement is
+    /// off, but a lone tenant owning the array selects the same victims
+    /// with it on.
+    fn adaptive(lines: u64, policy: PolicyKind, window: u64) -> PartitionedCache {
+        let grant = TenantGrant {
+            quota: lines,
+            walk_budget: 52,
+        };
+        let mut cfg = PartitionConfig::new(lines, 4, 3, policy, 1, vec![grant]);
+        cfg.enforce_quota = false;
+        cfg.adaptive = Some(AdaptiveConfig {
+            window,
+            ..AdaptiveConfig::default()
+        });
+        PartitionedCache::new(&cfg)
     }
 
     #[test]
     fn budget_stays_in_bounds() {
-        let mut c = adaptive_lru(1024);
+        let mut c = adaptive(1024, PolicyKind::Lru, 256);
         let mut rng = SplitMix64::new(1);
         for _ in 0..100_000 {
-            c.access(rng.next_below(8192));
-            assert!(c.current_budget() >= 4);
-            assert!(c.current_budget() <= 52);
+            c.access(0, rng.next_below(8192), false);
+            assert!(c.budget_of(0) >= 4);
+            assert!(c.budget_of(0) <= 52);
         }
     }
 
@@ -378,26 +318,27 @@ mod tests {
         // Blocks are referenced exactly once: every victim is equally
         // worthless, the duel measures zero benefit, and the walk
         // collapses to the skew-associative floor.
-        let mut c = adaptive_lru(1024);
+        let mut c = adaptive(1024, PolicyKind::Lru, 256);
         for addr in 0..400_000u64 {
-            c.access(addr);
+            c.access(0, addr, false);
         }
-        assert_eq!(c.current_budget(), 4, "no-reuse stream must throttle");
+        assert_eq!(c.budget_of(0), 4, "no-reuse stream must throttle");
     }
 
     #[test]
     fn saves_tag_bandwidth_versus_fixed_walk_on_stream() {
         let mut fixed = Cache::new(ZArray::new(1024, 4, 3, 1), FullLru::new(1024));
-        let mut adap = adaptive_lru(1024);
+        let mut adap = adaptive(1024, PolicyKind::Lru, 256);
         for addr in 0..200_000u64 {
             fixed.access(addr);
-            adap.access(addr);
+            adap.access(0, addr, false);
         }
-        assert_eq!(fixed.stats().misses, adap.cache().stats().misses);
+        let adap = adap.cache().stats();
+        assert_eq!(fixed.stats().misses, adap.misses);
         assert!(
-            (adap.cache().stats().tag_reads as f64) < fixed.stats().tag_reads as f64 * 0.5,
+            (adap.tag_reads as f64) < fixed.stats().tag_reads as f64 * 0.5,
             "adaptive {} vs fixed {} tag reads",
-            adap.cache().stats().tag_reads,
+            adap.tag_reads,
             fixed.stats().tag_reads
         );
     }
@@ -415,27 +356,29 @@ mod tests {
 
     #[test]
     fn measured_benefit_keeps_walk_deep_under_rrip() {
-        let mut c = AdaptiveZCache::new(
-            ZArray::new(1024, 4, 3, 1),
-            Rrip::new,
-            AdaptiveConfig {
-                window: 512,
-                ..AdaptiveConfig::default()
-            },
-        );
+        let mut c = adaptive(1024, PolicyKind::Rrip, 512);
+        // A standalone duel fed the same stream exposes the shadows.
+        let cfg = AdaptiveConfig {
+            window: 512,
+            ..AdaptiveConfig::default()
+        };
+        let mut duel = ShadowDuel::for_geometry(1024, 4, 3, Rrip::new, cfg);
         let mut rng = SplitMix64::new(7);
         let mut deep_checks = 0u64;
         let mut checks = 0u64;
         for i in 0..600_000u64 {
-            c.access(hot_scan(&mut rng, i));
+            let addr = hot_scan(&mut rng, i);
+            duel.observe(addr);
+            c.access(0, addr, false);
             if i > 100_000 && i % 1_000 == 0 {
+                assert_eq!(duel.budget(), c.budget_of(0), "step {i}");
                 checks += 1;
-                if c.current_budget() > 4 {
+                if c.budget_of(0) > 4 {
                     deep_checks += 1;
                 }
             }
         }
-        let (shallow, deep) = c.shadow_misses();
+        let (shallow, deep) = duel.shadow_misses();
         assert!(
             deep < shallow,
             "deep shadow should miss less ({deep} vs {shallow})"
@@ -451,19 +394,12 @@ mod tests {
         // Whatever the workload, the adaptive cache must land close to
         // the better fixed configuration.
         let mut fixed_deep = Cache::new(ZArray::new(1024, 4, 3, 1), Rrip::new(1024));
-        let mut adap = AdaptiveZCache::new(
-            ZArray::new(1024, 4, 3, 1),
-            Rrip::new,
-            AdaptiveConfig {
-                window: 512,
-                ..AdaptiveConfig::default()
-            },
-        );
+        let mut adap = adaptive(1024, PolicyKind::Rrip, 512);
         let mut r1 = SplitMix64::new(7);
         let mut r2 = SplitMix64::new(7);
         for i in 0..400_000u64 {
             fixed_deep.access(hot_scan(&mut r1, i));
-            adap.access(hot_scan(&mut r2, i));
+            adap.access(0, hot_scan(&mut r2, i), false);
         }
         let (a, d) = (
             adap.cache().stats().miss_rate(),
@@ -474,27 +410,22 @@ mod tests {
 
     #[test]
     fn standalone_duel_matches_adaptive_cache_budget() {
-        // The extracted controller and the wired-in cache must make the
-        // same sequence of recommendations for the same stream.
-        let mut duel = ShadowDuel::for_geometry(
-            1024,
-            4,
-            3,
-            FullLru::new,
-            AdaptiveConfig {
-                window: 256,
-                ..AdaptiveConfig::default()
-            },
-        );
-        let mut c = adaptive_lru(1024);
+        // A standalone duel and one steering a cache must make the same
+        // sequence of recommendations for the same stream.
+        let cfg = AdaptiveConfig {
+            window: 256,
+            ..AdaptiveConfig::default()
+        };
+        let mut duel = ShadowDuel::for_geometry(1024, 4, 3, FullLru::new, cfg);
+        let mut c = adaptive(1024, PolicyKind::Lru, 256);
         let mut rng = SplitMix64::new(11);
         for i in 0..200_000u64 {
             let addr = if i % 3 == 0 { rng.next_below(600) } else { i };
             duel.observe(addr);
-            c.access(addr);
-            assert_eq!(duel.budget(), c.current_budget(), "step {i}");
+            c.access(0, addr, false);
+            assert_eq!(duel.budget(), c.budget_of(0), "step {i}");
         }
-        assert_eq!(duel.adaptations(), c.adaptations());
+        assert_eq!(duel.adaptations(), c.tenant_stats(0).budget_changes);
         assert_eq!(duel.tiers(), (4, 16, 52));
     }
 
@@ -592,10 +523,6 @@ mod tests {
     fn tiny_array_panics() {
         assert_eq!(ShadowDuel::<FullLru>::check_geometry(16, 4), Ok(()));
         assert!(ShadowDuel::<FullLru>::check_geometry(8, 4).is_err());
-        let _ = AdaptiveZCache::new(
-            ZArray::new(8, 4, 3, 1),
-            FullLru::new,
-            AdaptiveConfig::default(),
-        );
+        let _ = ShadowDuel::for_geometry(8, 4, 3, FullLru::new, AdaptiveConfig::default());
     }
 }

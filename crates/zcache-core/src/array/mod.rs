@@ -2,7 +2,7 @@
 //!
 //! An array holds tags, implements associative lookup, and — the part the
 //! paper cares about — produces a set of *replacement candidates* on a
-//! miss. The five organizations match §II–§III of the paper:
+//! miss. The organizations match §II–§IV of the paper:
 //!
 //! * [`SetAssocArray`] — conventional set-associative, optionally with a
 //!   hashed index.
@@ -12,23 +12,20 @@
 //!   install. A one-level walk is the skew-associative cache (Seznec):
 //!   candidates are the `W` first-level locations and installs never
 //!   relocate, which is how [`ArrayKind::Skew`] is built.
-//! * [`FullyAssocArray`] — every block is a candidate (the associativity
-//!   reference point).
-//! * [`RandomCandsArray`] — the §IV-B *random candidates cache*: `n`
-//!   uniformly random candidates, which meets the uniformity assumption by
-//!   construction.
+//! * [`FullyAssocArray`] — any block in any frame. A miss offers every
+//!   frame (the associativity reference point) or, as the §IV-B *random
+//!   candidates cache*, `n` uniformly random frames, which meets the
+//!   uniformity assumption by construction.
 
 mod fully;
-mod random_cands;
 mod setassoc;
 mod tags;
 mod walk;
 mod zarray;
 
 pub use fully::FullyAssocArray;
-pub use random_cands::RandomCandsArray;
 pub use setassoc::SetAssocArray;
-pub use tags::{TagIndex, TagStore, INVALID_TAG};
+pub use tags::{TagStore, INVALID_TAG};
 pub use walk::{replacement_candidates, WalkKind, WalkStats};
 pub use zarray::{WalkNodeInfo, ZArray};
 
@@ -306,7 +303,8 @@ pub enum ArrayKind {
     },
     /// Fully associative.
     Fully,
-    /// Random-candidates reference design with `n` candidates per miss.
+    /// The §IV-B random-candidates design: a [`FullyAssocArray`] that
+    /// offers `n` random frames per miss.
     RandomCands {
         /// Candidates drawn uniformly (with repetition) per miss.
         n: u32,
@@ -372,10 +370,8 @@ pub enum AnyArray {
     SetAssoc(SetAssocArray),
     /// See [`ZArray`].
     ZCache(ZArray),
-    /// See [`FullyAssocArray`].
+    /// See [`FullyAssocArray`] (both candidate rules).
     Fully(FullyAssocArray),
-    /// See [`RandomCandsArray`].
-    RandomCands(RandomCandsArray),
 }
 
 macro_rules! delegate {
@@ -384,7 +380,6 @@ macro_rules! delegate {
             AnyArray::SetAssoc($inner) => $e,
             AnyArray::ZCache($inner) => $e,
             AnyArray::Fully($inner) => $e,
-            AnyArray::RandomCands($inner) => $e,
         }
     };
 }

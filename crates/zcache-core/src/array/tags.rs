@@ -1,4 +1,4 @@
-//! Sentinel-tag storage and a deterministic open-addressing tag index.
+//! Sentinel-tag storage.
 //!
 //! Every array keeps its tags in a [`TagStore`]: a flat `Vec<u64>` where
 //! [`INVALID_TAG`] marks an empty frame. Compared to the obvious
@@ -6,19 +6,12 @@
 //! 16), so walks and lookups touch half the cache lines, and tag
 //! comparisons compile to a single `u64` compare.
 //!
-//! The associative designs ([`FullyAssocArray`], [`RandomCandsArray`])
-//! additionally need an address→slot map. [`TagIndex`] replaces
-//! `std::collections::HashMap` there: a seeded [`Mix64`]-hashed
-//! open-addressing table with linear probing and backward-shift deletion.
-//! Besides being faster than SipHash for 64-bit keys, it is *fully
-//! deterministic* — `HashMap`'s `RandomState` draws a fresh seed per
-//! process, which is exactly the kind of latent nondeterminism the
-//! differential-conformance harness exists to rule out.
+//! The fully-associative layout ([`FullyAssocArray`]) additionally needs
+//! an address→slot map; it uses a fixed-capacity
+//! [`SeededMap`](crate::SeededMap) directly.
 //!
 //! [`FullyAssocArray`]: super::FullyAssocArray
-//! [`RandomCandsArray`]: super::RandomCandsArray
 
-use crate::seeded_map::SeededMap;
 use crate::types::{LineAddr, SlotId};
 
 /// Reserved tag value marking an empty frame.
@@ -85,15 +78,6 @@ impl TagStore {
         self.tags[idx] = addr;
     }
 
-    /// Writes an optional block into frame `idx` (relocation helper).
-    #[inline]
-    pub fn set_opt(&mut self, idx: usize, addr: Option<LineAddr>) {
-        match addr {
-            Some(a) => self.set(idx, a),
-            None => self.tags[idx] = INVALID_TAG,
-        }
-    }
-
     /// Empties frame `idx`.
     #[inline]
     pub fn clear_slot(&mut self, idx: usize) {
@@ -118,67 +102,6 @@ impl TagStore {
     }
 }
 
-/// A seeded open-addressing address→slot map (linear probing,
-/// backward-shift deletion, power-of-two capacity, load factor ≤ 0.5).
-///
-/// A thin, capacity-fixed wrapper over [`SeededMap`] — the map holds at
-/// most one entry per cache frame, so it is sized once for `lines`
-/// entries and never rehashes. The open-addressing machinery itself
-/// lives in [`crate::seeded_map`], shared with the zsim directory and
-/// the OPT oracle.
-#[derive(Debug, Clone)]
-pub struct TagIndex {
-    map: SeededMap<u32>,
-}
-
-impl TagIndex {
-    /// Creates an index able to hold `lines` entries at ≤ 0.5 load.
-    pub fn with_capacity(lines: usize, seed: u64) -> Self {
-        Self {
-            map: SeededMap::fixed_capacity(lines, seed),
-        }
-    }
-
-    /// Entries currently stored.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the index is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The slot holding `addr`, if present.
-    #[inline]
-    pub fn get(&self, addr: LineAddr) -> Option<SlotId> {
-        self.map.get(addr).map(SlotId)
-    }
-
-    /// Inserts or updates the mapping `addr → slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is [`INVALID_TAG`] or the table is full (more
-    /// entries than the construction-time `lines`).
-    #[inline]
-    pub fn insert(&mut self, addr: LineAddr, slot: SlotId) {
-        self.map.insert(addr, slot.0);
-    }
-
-    /// Removes `addr`, returning its slot if it was present.
-    ///
-    /// Backward-shift deletion (see [`SeededMap::remove`]): probe chains
-    /// never grow with churn and behavior stays a pure function of the
-    /// current contents.
-    #[inline]
-    pub fn remove(&mut self, addr: LineAddr) -> Option<SlotId> {
-        self.map.remove(addr).map(SlotId)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,10 +116,6 @@ mod tests {
         s.set(0, 42);
         assert_eq!(s.get(0), Some(42));
         assert_eq!(s.raw(0), 42);
-        s.set_opt(1, Some(7));
-        s.set_opt(2, None);
-        assert_eq!(s.get(1), Some(7));
-        assert_eq!(s.get(2), None);
         s.clear_slot(0);
         assert_eq!(s.get(0), None);
     }
@@ -216,95 +135,5 @@ mod tests {
     #[should_panic(expected = "reserved line address")]
     fn store_rejects_sentinel_as_address() {
         TagStore::new(1).set(0, INVALID_TAG);
-    }
-
-    #[test]
-    fn index_insert_get_remove() {
-        let mut idx = TagIndex::with_capacity(16, 1);
-        assert!(idx.is_empty());
-        for a in 0..16u64 {
-            idx.insert(a * 1000, SlotId(a as u32));
-        }
-        assert_eq!(idx.len(), 16);
-        for a in 0..16u64 {
-            assert_eq!(idx.get(a * 1000), Some(SlotId(a as u32)));
-        }
-        assert_eq!(idx.get(999), None);
-        assert_eq!(idx.remove(5000), Some(SlotId(5)));
-        assert_eq!(idx.remove(5000), None);
-        assert_eq!(idx.get(5000), None);
-        assert_eq!(idx.len(), 15);
-        // Every other entry survives the backward shift.
-        for a in 0..16u64 {
-            if a != 5 {
-                assert_eq!(idx.get(a * 1000), Some(SlotId(a as u32)));
-            }
-        }
-    }
-
-    #[test]
-    fn index_update_in_place() {
-        let mut idx = TagIndex::with_capacity(4, 2);
-        idx.insert(9, SlotId(1));
-        idx.insert(9, SlotId(3));
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx.get(9), Some(SlotId(3)));
-    }
-
-    #[test]
-    fn index_survives_heavy_churn() {
-        // Backward-shift deletion is the easiest thing to get wrong;
-        // hammer it against a model map.
-        let mut idx = TagIndex::with_capacity(64, 3);
-        let mut model = std::collections::BTreeMap::new();
-        let mut x = 0x1234_5678_9abc_def0u64;
-        for step in 0..20_000u64 {
-            // xorshift64 for address variety, folded to a small universe
-            // so collisions and re-insertions are common.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let addr = x % 200;
-            if step % 3 == 0 && model.contains_key(&addr) {
-                assert_eq!(idx.remove(addr), model.remove(&addr).map(SlotId));
-            } else if model.len() < 64 {
-                let slot = (step % 64) as u32;
-                idx.insert(addr, SlotId(slot));
-                model.insert(addr, slot);
-            }
-            if step % 97 == 0 {
-                for (&a, &s) in &model {
-                    assert_eq!(idx.get(a), Some(SlotId(s)), "step {step} addr {a}");
-                }
-                assert_eq!(idx.len(), model.len());
-            }
-        }
-    }
-
-    #[test]
-    fn index_is_seed_deterministic() {
-        // Same contents + same seed ⇒ identical internal layout, so the
-        // map contributes no process-dependent behavior anywhere.
-        let build = |seed| {
-            let mut idx = TagIndex::with_capacity(32, seed);
-            for a in 0..32u64 {
-                idx.insert(a * 31 + 7, SlotId(a as u32));
-            }
-            idx.remove(7);
-            idx.remove(31 * 5 + 7);
-            // Table (layout) iteration order is the observable layout.
-            idx.map.iter().collect::<Vec<_>>()
-        };
-        assert_eq!(build(9), build(9));
-        assert_ne!(build(9), build(10), "seed must permute the layout");
-    }
-
-    #[test]
-    #[should_panic(expected = "over capacity")]
-    fn index_rejects_overfill() {
-        let mut idx = TagIndex::with_capacity(2, 1);
-        for a in 0..10u64 {
-            idx.insert(a + 1, SlotId(a as u32));
-        }
     }
 }

@@ -215,11 +215,6 @@ impl ZArray {
         self
     }
 
-    /// Walk depth in levels.
-    pub fn levels(&self) -> u32 {
-        self.levels
-    }
-
     /// Rows per way.
     pub fn rows_per_way(&self) -> u64 {
         self.rows

@@ -1,7 +1,7 @@
 //! The cache front-end: array + policy + statistics + instrumentation.
 
 use crate::array::{AnyArray, ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
-use crate::array::{FullyAssocArray, RandomCandsArray, SetAssocArray, ZArray};
+use crate::array::{FullyAssocArray, SetAssocArray, ZArray};
 use crate::assoc::AssociativityMeter;
 use crate::repl::{AccessCtx, AnyPolicy, PolicyKind, ReplacementPolicy};
 use crate::stats::CacheStats;
@@ -310,11 +310,11 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
     }
 
     /// Mutable access to the underlying array, for controllers that
-    /// retune it at run time (e.g. [`AdaptiveZCache`]). Mutations must
-    /// not move or remove resident blocks — the per-slot policy and
-    /// dirty state would go stale.
+    /// retune it at run time (e.g. a [`ShadowDuel`] setting the walk
+    /// budget). Mutations must not move or remove resident blocks — the
+    /// per-slot policy and dirty state would go stale.
     ///
-    /// [`AdaptiveZCache`]: crate::AdaptiveZCache
+    /// [`ShadowDuel`]: crate::ShadowDuel
     pub fn array_mut(&mut self) -> &mut A {
         &mut self.array
     }
@@ -516,10 +516,10 @@ impl CacheBuilder {
             }
             ArrayKind::Fully => AnyArray::Fully(FullyAssocArray::new(self.lines)),
             ArrayKind::RandomCands { n } => {
-                AnyArray::RandomCands(RandomCandsArray::new(self.lines, n, self.seed))
+                AnyArray::Fully(FullyAssocArray::random_candidates(self.lines, n, self.seed))
             }
         };
-        let policy = self.policy.build(self.lines, self.seed);
+        let policy = self.policy.build(self.lines);
         let mut cache = Cache::new(array, policy);
         if let Some((bins, period)) = self.meter {
             cache.set_meter(AssociativityMeter::new(bins, period));

@@ -13,14 +13,15 @@
 //!   `R = W·Σ(W−1)^l` replacement candidates, followed by relocations
 //!   along the victim's path;
 //! * the comparison designs: [`SetAssocArray`] (± index hashing),
-//!   skew-associative (a one-level [`ZArray`]), [`FullyAssocArray`], and
-//!   the analytical [`RandomCandsArray`];
+//!   skew-associative (a one-level [`ZArray`]), and [`FullyAssocArray`],
+//!   whose misses offer every frame or, as §IV-B's analytical
+//!   random-candidates cache, `n` random ones;
 //! * [`LruStack`], the exact `O(1)` fully-associative LRU reference
 //!   behind §IV's conflict-miss accounting;
 //! * **replacement policies** as global orderings ([`FullLru`],
-//!   [`BucketedLru`], [`Lfu`], [`RandomRepl`], [`Opt`],
-//!   [`Rrip`]), shared across all arrays so associativity and policy
-//!   effects stay separable;
+//!   [`BucketedLru`], [`Lfu`], [`Opt`], [`Rrip`], [`Drrip`]), shared
+//!   across all arrays so associativity and policy effects stay
+//!   separable;
 //! * the **associativity-distribution framework** of §IV
 //!   ([`AssociativityMeter`], [`uniform_assoc_cdf`]): eviction priorities
 //!   as a probability distribution, with the analytic reference
@@ -66,7 +67,7 @@ mod stats;
 mod types;
 mod victim;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveZCache, ShadowDuel};
+pub use adaptive::{AdaptiveConfig, ShadowDuel};
 pub use failure::PanicFailure;
 pub use lru_stack::LruStack;
 pub use partition::{
@@ -77,8 +78,8 @@ pub use victim::VictimCache;
 
 pub use array::{
     digest_step, replacement_candidates, AnyArray, ArrayKind, CacheArray, Candidate, CandidateSet,
-    FullyAssocArray, InstallOutcome, RandomCandsArray, SetAssocArray, TagIndex, TagStore, WalkKind,
-    WalkNodeInfo, WalkStats, ZArray, DIGEST_SEED, INVALID_TAG,
+    FullyAssocArray, InstallOutcome, SetAssocArray, TagStore, WalkKind, WalkNodeInfo, WalkStats,
+    ZArray, DIGEST_SEED, INVALID_TAG,
 };
 pub use assoc::{
     eviction_priority, ks_distance_to_uniform, uniform_assoc_cdf, uniform_assoc_mean,
@@ -86,8 +87,8 @@ pub use assoc::{
 };
 pub use cache::{highest_score, AccessOutcome, Cache, CacheBuilder, DynCache};
 pub use repl::{
-    select_victim, AccessCtx, AnyPolicy, BucketedLru, Drrip, FullLru, Lfu, Opt, PolicyKind,
-    RandomRepl, ReplacementPolicy, Rrip,
+    AccessCtx, AnyPolicy, BucketedLru, Drrip, FullLru, Lfu, Opt, PolicyKind, ReplacementPolicy,
+    Rrip,
 };
 pub use seeded_map::SeededMap;
 pub use stats::{CacheStats, UnitHistogram};

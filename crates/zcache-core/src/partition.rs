@@ -86,8 +86,7 @@ pub struct PartitionConfig {
     pub levels: u32,
     /// Replacement policy shared by all tenants.
     pub policy: PolicyKind,
-    /// Seed for the array hash functions (and the policy, where
-    /// applicable).
+    /// Seed for the array hash functions.
     pub seed: u64,
     /// Whether quotas constrain victim selection. `false` degrades the
     /// cache to plain sharing — the baseline the isolation sweeps
@@ -232,12 +231,11 @@ impl PartitionedCache {
                 occupancy: 0,
                 stats: TenantStats::default(),
                 duel: cfg.adaptive.map(|acfg| {
-                    let (policy, seed) = (cfg.policy, cfg.seed);
                     ShadowDuel::for_geometry(
                         cfg.lines,
                         cfg.ways,
                         cfg.levels,
-                        |l| policy.build(l, seed),
+                        |l| cfg.policy.build(l),
                         acfg,
                     )
                 }),

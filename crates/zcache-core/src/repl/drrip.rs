@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn works_inside_any_policy() {
         use crate::repl::{PolicyKind, ReplacementPolicy as _};
-        let mut p = PolicyKind::Drrip.build(16, 1);
+        let mut p = PolicyKind::Drrip.build(16);
         p.on_fill(SlotId(0), 1, &CTX);
         p.on_hit(SlotId(0), 1, &CTX);
         assert_eq!(p.score(SlotId(0)), 0);

@@ -16,7 +16,6 @@ mod drrip;
 mod lfu;
 mod lru;
 mod opt;
-mod random;
 mod rrip;
 
 pub use bucketed_lru::BucketedLru;
@@ -24,7 +23,6 @@ pub use drrip::Drrip;
 pub use lfu::Lfu;
 pub use lru::FullLru;
 pub use opt::Opt;
-pub use random::RandomRepl;
 pub use rrip::Rrip;
 
 use crate::array::Candidate;
@@ -86,34 +84,6 @@ pub trait ReplacementPolicy {
     }
 }
 
-/// Selects the best victim from a candidate set: an empty frame if one
-/// exists, otherwise the occupied candidate with the highest
-/// [`score`](ReplacementPolicy::score) (first wins ties).
-///
-/// Returns `None` only for an empty candidate set.
-pub fn select_victim<P: ReplacementPolicy + ?Sized>(
-    policy: &P,
-    cands: &[Candidate],
-) -> Option<Candidate> {
-    if cands.is_empty() {
-        return None;
-    }
-    let mut best: Option<(Candidate, u64)> = None;
-    for c in cands {
-        match c.addr {
-            None => return Some(*c), // free frame: perfect victim
-            Some(_) => {
-                let s = policy.score(c.slot);
-                match &best {
-                    Some((_, bs)) if *bs >= s => {}
-                    _ => best = Some((*c, s)),
-                }
-            }
-        }
-    }
-    best.map(|(c, _)| c)
-}
-
 /// Policy selector for [`CacheBuilder`](crate::CacheBuilder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
@@ -130,8 +100,6 @@ pub enum PolicyKind {
     },
     /// Least-frequently-used.
     Lfu,
-    /// Uniform-random eviction order.
-    Random,
     /// Belady's OPT (requires next-use annotations in
     /// [`AccessCtx::next_use`]).
     Opt,
@@ -149,7 +117,6 @@ impl std::fmt::Display for PolicyKind {
             PolicyKind::Lru => write!(f, "lru"),
             PolicyKind::BucketedLru { bits, k } => write!(f, "bucketed-lru({bits}b,k={k})"),
             PolicyKind::Lfu => write!(f, "lfu"),
-            PolicyKind::Random => write!(f, "random"),
             PolicyKind::Opt => write!(f, "opt"),
             PolicyKind::Rrip => write!(f, "rrip"),
             PolicyKind::Drrip => write!(f, "drrip"),
@@ -159,14 +126,13 @@ impl std::fmt::Display for PolicyKind {
 
 impl PolicyKind {
     /// Instantiates the policy for a cache with `lines` frames.
-    pub fn build(self, lines: u64, seed: u64) -> AnyPolicy {
+    pub fn build(self, lines: u64) -> AnyPolicy {
         match self {
             PolicyKind::Lru => AnyPolicy::Lru(FullLru::new(lines)),
             PolicyKind::BucketedLru { bits, k } => {
                 AnyPolicy::BucketedLru(BucketedLru::new(lines, bits, k))
             }
             PolicyKind::Lfu => AnyPolicy::Lfu(Lfu::new(lines)),
-            PolicyKind::Random => AnyPolicy::Random(RandomRepl::new(lines, seed)),
             PolicyKind::Opt => AnyPolicy::Opt(Opt::new(lines)),
             PolicyKind::Rrip => AnyPolicy::Rrip(Rrip::new(lines)),
             PolicyKind::Drrip => AnyPolicy::Drrip(Drrip::new(lines)),
@@ -183,8 +149,6 @@ pub enum AnyPolicy {
     BucketedLru(BucketedLru),
     /// See [`Lfu`].
     Lfu(Lfu),
-    /// See [`RandomRepl`].
-    Random(RandomRepl),
     /// See [`Opt`].
     Opt(Opt),
     /// See [`Rrip`].
@@ -199,7 +163,6 @@ macro_rules! delegate {
             AnyPolicy::Lru($inner) => $e,
             AnyPolicy::BucketedLru($inner) => $e,
             AnyPolicy::Lfu($inner) => $e,
-            AnyPolicy::Random($inner) => $e,
             AnyPolicy::Opt($inner) => $e,
             AnyPolicy::Rrip($inner) => $e,
             AnyPolicy::Drrip($inner) => $e,
@@ -244,47 +207,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn select_prefers_empty_frame() {
-        let p = FullLru::new(8);
-        let cands = [
-            Candidate {
-                slot: SlotId(0),
-                addr: Some(1),
-                token: 0,
-            },
-            Candidate {
-                slot: SlotId(1),
-                addr: None,
-                token: 1,
-            },
-        ];
-        assert_eq!(select_victim(&p, &cands).unwrap().slot, SlotId(1));
-    }
-
-    #[test]
-    fn select_takes_highest_score() {
-        let mut p = FullLru::new(8);
-        let ctx = AccessCtx::UNKNOWN;
-        p.on_fill(SlotId(0), 10, &ctx); // oldest
-        p.on_fill(SlotId(1), 11, &ctx);
-        p.on_fill(SlotId(2), 12, &ctx); // newest
-        let cands: Vec<_> = (0..3)
-            .map(|i| Candidate {
-                slot: SlotId(i),
-                addr: Some(u64::from(i) + 10),
-                token: i,
-            })
-            .collect();
-        assert_eq!(select_victim(&p, &cands).unwrap().slot, SlotId(0));
-    }
-
-    #[test]
-    fn select_empty_set_is_none() {
-        let p = FullLru::new(4);
-        assert!(select_victim(&p, &[]).is_none());
-    }
-
-    #[test]
     fn policy_kind_display() {
         assert_eq!(PolicyKind::Lru.to_string(), "lru");
         assert_eq!(
@@ -300,12 +222,12 @@ mod tests {
             PolicyKind::Lru,
             PolicyKind::BucketedLru { bits: 8, k: 16 },
             PolicyKind::Lfu,
-            PolicyKind::Random,
             PolicyKind::Opt,
             PolicyKind::Rrip,
+            PolicyKind::Drrip,
         ];
         for k in kinds {
-            let mut p = k.build(16, 1);
+            let mut p = k.build(16);
             let ctx = AccessCtx::UNKNOWN;
             p.on_fill(SlotId(0), 5, &ctx);
             p.on_hit(SlotId(0), 5, &ctx);

@@ -156,7 +156,6 @@ mod tests {
     fn scan_resistance() {
         // A hot block (rrpv 0) should survive eviction pressure from
         // never-reused scan blocks (inserted at rrpv 2).
-        use super::super::select_victim;
         let mut p = Rrip::new(3);
         p.on_fill(SlotId(0), 1, &CTX);
         p.on_hit(SlotId(0), 1, &CTX); // hot
@@ -164,7 +163,9 @@ mod tests {
         p.on_fill(SlotId(2), 3, &CTX); // scan
         let cs = cands(&[0, 1, 2]);
         p.before_select(&cs);
-        let v = select_victim(&p, &cs).unwrap();
+        let mut scores = Vec::new();
+        p.score_many(&cs, &mut scores);
+        let v = cs[crate::cache::highest_score(&cs, &scores)];
         assert_ne!(v.slot, SlotId(0), "hot block must not be the victim");
     }
 }

@@ -1,12 +1,12 @@
 //! A seeded open-addressing map for `u64` keys, shared by every hot
 //! lookup structure in the workspace.
 //!
-//! Generalized from the tag index the arrays use
-//! ([`TagIndex`](crate::TagIndex) is now a thin wrapper): a seeded
-//! [`Mix64`]-hashed table with linear probing, backward-shift deletion
-//! (no tombstones), power-of-two capacity and load factor ≤ 0.5. The
-//! same structure backs the zsim MESI directory and the OPT next-use
-//! oracle, replacing `std::collections::HashMap` on those paths.
+//! A seeded [`Mix64`]-hashed table with linear probing, backward-shift
+//! deletion (no tombstones), power-of-two capacity and load factor
+//! ≤ 0.5. It is the address→slot index of
+//! [`FullyAssocArray`](crate::FullyAssocArray), the zsim MESI directory
+//! and the OPT next-use oracle, replacing `std::collections::HashMap` on
+//! those paths.
 //!
 //! Two properties matter to the consumers:
 //!

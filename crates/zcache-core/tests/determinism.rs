@@ -1,14 +1,14 @@
 //! Regression test: candidate sequences are a pure function of the
 //! configuration seed.
 //!
-//! The fully-associative and random-candidates arrays used to index
-//! their tags with `std::collections::HashMap`, whose SipHash keys are
-//! randomized *per instance* — two identically-configured caches in the
-//! same process could disagree on iteration-order-derived candidate
-//! sequences, which is exactly the kind of hazard that makes
+//! The fully-associative array, under both of its candidate rules, used
+//! to index its tags with `std::collections::HashMap`, whose SipHash
+//! keys are randomized *per instance* — two identically-configured
+//! caches in the same process could disagree on iteration-order-derived
+//! candidate sequences, which is exactly the kind of hazard that makes
 //! differential runs against `zoracle` unreproducible. The seeded
-//! open-addressing `TagIndex` removes the randomness; this test pins
-//! that property for every design so it cannot regress.
+//! open-addressing `SeededMap` index removes the randomness; this test
+//! pins that property for every design so it cannot regress.
 
 use zcache_core::{ArrayKind, CacheBuilder, DynCache, PolicyKind};
 use zhash::HashKind;

@@ -21,7 +21,6 @@ fn all_policies() -> Vec<(&'static str, PolicyKind)> {
         ("lru", PolicyKind::Lru),
         ("bucketed-lru", PolicyKind::BucketedLru { bits: 4, k: 8 }),
         ("lfu", PolicyKind::Lfu),
-        ("random", PolicyKind::Random),
         ("opt", PolicyKind::Opt),
         ("rrip", PolicyKind::Rrip),
         ("drrip", PolicyKind::Drrip),
@@ -57,10 +56,9 @@ proptest! {
     fn score_many_matches_score_elementwise(
         evs in events(),
         cands in cand_slots(),
-        seed in 0..u64::MAX,
     ) {
         for (name, kind) in all_policies() {
-            let mut p = kind.build(LINES, seed);
+            let mut p = kind.build(LINES);
             for &(kind, slot, other, addr, next_use) in &evs {
                 let slot = SlotId(u32::from(slot) % LINES as u32);
                 let ctx = AccessCtx { next_use };

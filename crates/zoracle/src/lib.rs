@@ -53,11 +53,12 @@
 //! under LRU, LFU and OPT. The partition grid ([`part_check_grid`])
 //! runs two adversarial tenant mixes on the zcaches under the same
 //! policies, and a config's `quota_bypass` mutation shows the lockstep
-//! catches quota-enforcement bugs. `RandomCands` arrays and the `Random`
-//! policy are excluded — mirroring their PRNG consumption order would
-//! copy the implementation rather than re-derive it — as are the
-//! non-global-rank policies (RRIP/DRRIP age state mutates during
-//! selection).
+//! catches quota-enforcement bugs. The random-candidates rule of the
+//! fully-associative array (`ArrayKind::RandomCands`) is excluded —
+//! mirroring its PRNG consumption order would copy the implementation
+//! rather than re-derive it; the `fully` pairs cover the layout it
+//! shares — as are the non-global-rank policies (RRIP/DRRIP age state
+//! mutates during selection).
 //!
 //! # Example
 //!

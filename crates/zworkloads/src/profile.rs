@@ -2,11 +2,11 @@
 //!
 //! The analytical fast-path (`zbench predict`) needs one fact about a
 //! workload: how far down the LRU stack each reference reaches. This
-//! module streams any reference sequence — a [`TraceReader`] or raw line
-//! addresses — through a [`StackProfiler`] that computes every reference's *stack
-//! distance* (the number of distinct lines touched since the previous
-//! reference to the same line) in `O(log n)` per access, and folds the
-//! distances into a compact [`ReuseProfile`] histogram.
+//! module streams a sequence of line addresses through a
+//! [`StackProfiler`] that computes every reference's *stack distance*
+//! (the number of distinct lines touched since the previous reference to
+//! the same line) in `O(log n)` per access, and folds the distances into
+//! a compact [`ReuseProfile`] histogram.
 //!
 //! A fully-associative LRU cache of `C` lines hits a reference iff its
 //! stack distance is `< C` (Mattson's stack property; see Gysi et al.,
@@ -42,9 +42,7 @@
 //! assert_eq!(profile.count_at_distance(2), 3);
 //! ```
 
-use crate::trace_io::TraceReader;
 use std::collections::HashMap;
-use std::io::{self, BufRead, Write};
 
 /// Largest exactly-resolved distance: distances `0..LINEAR_CUTOFF` get
 /// one bucket each, so capacities inside the linear range see *exact*
@@ -91,9 +89,7 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 /// plus the cold (first-touch) reference count.
 ///
 /// Buckets are exact for distances below 512 and ~6%-wide above, so the
-/// profile of a billion-reference trace is a few kilobytes. Profiles
-/// round-trip through a plain-text format (see [`ReuseProfile::write_to`])
-/// and merge, so per-shard profiles can be combined offline.
+/// profile of a billion-reference trace is a few kilobytes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReuseProfile {
     /// `buckets[bucket_index(d)]` = references with stack distance `d`.
@@ -157,139 +153,6 @@ impl ReuseProfile {
                 let (lo, hi) = bucket_bounds(i);
                 (lo, hi, c)
             })
-    }
-
-    /// Reuses with stack distance `>= d` (cold references excluded).
-    /// Buckets straddling `d` are apportioned by distance overlap.
-    pub fn tail_mass(&self, d: u64) -> f64 {
-        let mut mass = 0.0;
-        for (lo, hi, count) in self.iter_buckets() {
-            if lo >= d {
-                mass += count as f64;
-            } else if hi >= d {
-                let width = (hi - lo + 1) as f64;
-                mass += count as f64 * (hi - d + 1) as f64 / width;
-            }
-        }
-        mass
-    }
-
-    /// Folds another profile into this one.
-    pub fn merge(&mut self, other: &ReuseProfile) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.cold += other.cold;
-        self.total += other.total;
-    }
-
-    /// Writes the profile in the versioned plain-text format:
-    ///
-    /// ```text
-    /// # zprofile v1
-    /// cold <count>
-    /// d <bucket-lo> <count>
-    /// ```
-    ///
-    /// Bucket lines are emitted in ascending distance order; `total` is
-    /// implied (cold + bucket counts) so the format has no redundant
-    /// field to drift out of sync.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "# zprofile v1")?;
-        writeln!(w, "cold {}", self.cold)?;
-        for (lo, _, count) in self.iter_buckets() {
-            writeln!(w, "d {lo} {count}")?;
-        }
-        Ok(())
-    }
-
-    /// Parses a profile written by [`write_to`](Self::write_to).
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` (with a 1-based line number) on a missing or
-    /// wrong header, an unknown record, a bucket key that is not a bucket
-    /// lower bound, or a duplicate/unordered bucket line.
-    pub fn read_from<R: BufRead>(r: R) -> io::Result<Self> {
-        let bad = |lineno: usize, msg: String| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("line {lineno}: {msg}"))
-        };
-        let mut profile = ReuseProfile::new();
-        let mut seen_header = false;
-        let mut last_lo: Option<u64> = None;
-        for (i, line) in r.lines().enumerate() {
-            let line = line?;
-            let lineno = i + 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if !seen_header {
-                if trimmed != "# zprofile v1" {
-                    return Err(bad(
-                        lineno,
-                        format!("expected `# zprofile v1` header, got {trimmed:?}"),
-                    ));
-                }
-                seen_header = true;
-                continue;
-            }
-            if trimmed.starts_with('#') {
-                continue;
-            }
-            let mut parts = trimmed.split_whitespace();
-            match parts.next() {
-                Some("cold") => {
-                    let n: u64 = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad(lineno, format!("invalid cold count: {trimmed:?}")))?;
-                    profile.cold += n;
-                    profile.total += n;
-                }
-                Some("d") => {
-                    let lo: u64 = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad(lineno, format!("invalid distance: {trimmed:?}")))?;
-                    let count: u64 = parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad(lineno, format!("invalid count: {trimmed:?}")))?;
-                    let idx = bucket_index(lo);
-                    if bucket_bounds(idx).0 != lo {
-                        return Err(bad(
-                            lineno,
-                            format!("{lo} is not a bucket lower bound (layout v1)"),
-                        ));
-                    }
-                    if last_lo.is_some_and(|p| p >= lo) {
-                        return Err(bad(lineno, format!("bucket {lo} out of order")));
-                    }
-                    last_lo = Some(lo);
-                    if profile.buckets.len() <= idx {
-                        profile.buckets.resize(idx + 1, 0);
-                    }
-                    profile.buckets[idx] += count;
-                    profile.total += count;
-                }
-                _ => return Err(bad(lineno, format!("unknown record: {trimmed:?}"))),
-            }
-            if parts.next().is_some() {
-                return Err(bad(lineno, format!("trailing fields: {trimmed:?}")));
-            }
-        }
-        if !seen_header {
-            return Err(bad(1, "empty profile (missing header)".to_string()));
-        }
-        Ok(profile)
     }
 }
 
@@ -357,21 +220,6 @@ impl StackProfiler {
             None => self.profile.record_cold(),
         }
         distance
-    }
-
-    /// Drains a [`TraceReader`], recording every reference.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the reader's first I/O or parse error; the
-    /// profile keeps everything recorded before it.
-    pub fn record_trace<R: BufRead>(&mut self, reader: TraceReader<R>) -> io::Result<u64> {
-        let mut n = 0;
-        for r in reader {
-            self.record(r?.line);
-            n += 1;
-        }
-        Ok(n)
     }
 
     /// Sum of marks at positions `< pos`.
@@ -549,95 +397,6 @@ mod tests {
             assert!(i == prev || i == prev + 1, "gap at {d}");
             prev = i;
         }
-    }
-
-    #[test]
-    fn tail_mass_apportions_straddling_buckets() {
-        let mut p = ReuseProfile::new();
-        // A log-range bucket: distance 600 lands in a 32-wide bucket.
-        p.record_distance(600);
-        let (lo, hi) = bucket_bounds(bucket_index(600));
-        assert!(hi > lo);
-        assert_eq!(p.tail_mass(lo), 1.0);
-        assert_eq!(p.tail_mass(hi + 1), 0.0);
-        let mid = (lo + hi) / 2;
-        let frac = p.tail_mass(mid);
-        assert!(frac > 0.0 && frac < 1.0);
-        // Exact range: no apportioning.
-        let mut q = ReuseProfile::new();
-        q.record_distance(10);
-        assert_eq!(q.tail_mass(10), 1.0);
-        assert_eq!(q.tail_mass(11), 0.0);
-    }
-
-    #[test]
-    fn profile_text_roundtrip() {
-        let mut rng = SplitMix64::new(3);
-        let mut prof = StackProfiler::new();
-        for _ in 0..5000 {
-            prof.record(rng.next_u64() % 700);
-        }
-        let p = prof.into_profile();
-        let mut buf = Vec::new();
-        p.write_to(&mut buf).unwrap();
-        let back = ReuseProfile::read_from(&buf[..]).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn profile_read_rejects_malformed() {
-        for (text, what) in [
-            ("", "empty"),
-            ("cold 3\n", "missing header"),
-            ("# zprofile v2\ncold 1\n", "wrong version"),
-            ("# zprofile v1\ncold x\n", "bad cold"),
-            ("# zprofile v1\nd 513 1\n", "non-boundary bucket key"),
-            ("# zprofile v1\nd 1 1\nd 1 2\n", "duplicate bucket"),
-            ("# zprofile v1\nd 5 1\nd 2 2\n", "out of order"),
-            ("# zprofile v1\nq 1 2\n", "unknown record"),
-            ("# zprofile v1\nd 1 2 3\n", "trailing fields"),
-        ] {
-            let err = ReuseProfile::read_from(text.as_bytes());
-            assert!(err.is_err(), "accepted {what}: {text:?}");
-            if !text.is_empty() {
-                let msg = err.unwrap_err().to_string();
-                assert!(msg.starts_with("line "), "{what}: {msg}");
-            }
-        }
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = ReuseProfile::new();
-        let mut b = ReuseProfile::new();
-        a.record_distance(3);
-        a.record_cold();
-        b.record_distance(3);
-        b.record_distance(1000);
-        a.merge(&b);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.cold(), 1);
-        assert_eq!(a.count_at_distance(3), 2);
-        assert_eq!(a.count_at_distance(1000), 1);
-    }
-
-    #[test]
-    fn record_trace_profiles_a_reader() {
-        let text = "R 1\nR 2\nW 1\nR 2\n";
-        let mut p = StackProfiler::new();
-        let n = p.record_trace(TraceReader::new(text.as_bytes())).unwrap();
-        assert_eq!(n, 4);
-        assert_eq!(p.profile().cold(), 2);
-        assert_eq!(p.profile().count_at_distance(1), 2);
-    }
-
-    #[test]
-    fn record_trace_stops_at_parse_error() {
-        let text = "R 1\nR zz\nR 2\n";
-        let mut p = StackProfiler::new();
-        let err = p.record_trace(TraceReader::new(text.as_bytes()));
-        assert!(err.is_err());
-        assert_eq!(p.profile().total(), 1);
     }
 
     #[test]

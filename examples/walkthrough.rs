@@ -5,8 +5,8 @@
 //! Run with: `cargo run --example walkthrough`
 
 use zcache_repro::zcache_core::{
-    replacement_candidates, CacheArray, CandidateSet, FullLru, InstallOutcome, ReplacementPolicy,
-    SlotId, ZArray,
+    highest_score, replacement_candidates, CacheArray, CandidateSet, FullLru, InstallOutcome,
+    ReplacementPolicy, SlotId, ZArray,
 };
 
 fn name_of(addr: Option<u64>) -> String {
@@ -113,9 +113,12 @@ fn main() {
         );
     }
 
-    // Pick the LRU-preferred victim and perform the relocations.
-    let victim =
-        zcache_repro::zcache_core::select_victim(&lru, cands.as_slice()).expect("candidates exist");
+    // Pick the LRU-preferred victim the way `Cache` does (the array is
+    // full, so no candidate is an empty frame) and perform the
+    // relocations.
+    let mut scores = Vec::new();
+    lru.score_many(cands.as_slice(), &mut scores);
+    let victim = cands.as_slice()[highest_score(cands.as_slice(), &scores)];
     println!(
         "\nVictim: block {} at {} (highest LRU age among candidates)",
         name_of(victim.addr),

@@ -85,8 +85,8 @@ proptest! {
             PolicyKind::Lru,
             PolicyKind::BucketedLru { bits: 4, k: 7 },
             PolicyKind::Lfu,
-            PolicyKind::Random,
             PolicyKind::Rrip,
+            PolicyKind::Drrip,
         ];
         for policy in policies {
             check_sequence(ArrayKind::ZCache { levels: 3 }, policy, &addrs, 3);
