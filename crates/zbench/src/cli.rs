@@ -109,8 +109,8 @@ impl Command {
             Dumptrace => "Export a workload's L2 stream as a trace file",
             Check => "Conformance sweep vs zoracle; shrinks a repro on divergence",
             Tenants => "Multi-tenant quota partitioning (MPKI, Jain fairness)",
-            Perf => "Access-path throughput; writes BENCH_access.json",
-            Serve => "Sharded service tier; writes BENCH_serve.json",
+            Perf => "Access-path throughput (median/min/max per pair)",
+            Serve => "Sharded service tier; --chaos runs the fault-injection soak",
             All => "Everything from table1 to conflicts",
         }
     }
@@ -321,7 +321,7 @@ pub static FLAGS: &[Flag] = &[
         .help("print a count-only per-miss walk profile instead of timing"),
     Flag::new("--out", Kind::Text("FILE"))
         .on(set(&[Predict, Perf, Serve]))
-        .help("JSON artifact path (default BENCH_predict/access/serve.json)"),
+        .help("write the JSON artifact to FILE (without it, nothing is written)"),
     Flag::new("--chaos", Kind::Switch)
         .on(set(&[Serve]))
         .help("run the fault-injection soak matrix (exits 1 on invariant violations)"),
@@ -339,7 +339,7 @@ pub static FLAGS: &[Flag] = &[
         .help("cross-validation error tolerance"),
     Flag::new("--validate", Kind::Switch)
         .on(set(&[Predict]))
-        .help("also simulate every grid point, compare, and write BENCH_predict.json"),
+        .help("also simulate every grid point and compare (exits 1 past --tol)"),
 ];
 
 /// A parsed command line whose every flag value passed its kind and

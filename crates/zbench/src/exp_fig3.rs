@@ -125,24 +125,19 @@ pub struct Fig3Row {
     pub ks: f64,
 }
 
-/// Feeds a recorded L2 trace through one array and returns the meter.
+/// Feeds a recorded L2 trace through one array and returns its
+/// eviction-priority histogram.
 pub fn measure(
     trace: &L2Trace,
     array: ArrayKind,
     ways: u32,
     lines: u64,
     seed: u64,
-) -> (UnitHistogram, f64, u64) {
+) -> UnitHistogram {
     // Sample every 17th eviction: the rank scan is O(lines).
     let builder = lineup::builder(array, ways, lines, seed).meter(128, 17);
     let cache = lineup::drive(&builder, trace.refs.iter().map(|r| (r.line, r.write)));
-    let candidates = cache.stats().avg_candidates().round() as u64;
-    let meter = cache.meter().expect("meter attached");
-    (
-        meter.histogram().clone(),
-        meter.ks_distance_to_uniform(candidates.max(1) as u32),
-        candidates,
-    )
+    cache.meter().expect("meter attached").histogram().clone()
 }
 
 /// Runs the experiment for one panel over the Fig. 3 workload selection.
@@ -164,7 +159,7 @@ pub fn run(panel: Fig3Panel, opts: &ExpOpts) -> Vec<Fig3Row> {
             .designs()
             .into_iter()
             .map(|(label, array, ways, nominal_r)| {
-                let (hist, _, _) = measure(&trace, array, ways, opts.scale.l2_lines, seed);
+                let hist = measure(&trace, array, ways, opts.scale.l2_lines, seed);
                 // KS is evaluated against the design's nominal R (the paper
                 // compares against the uniformity curve for that R). With too
                 // few sampled evictions the distance is meaningless: NaN.

@@ -58,19 +58,8 @@ pub fn run(policy: PolicyKind, opts: &ExpOpts) -> Fig5Result {
         cfg.seed = point_seed(opts.seed, i as u64);
         scratch.record(&cfg, wl);
 
-        // Baseline: serial SA-4.
-        let baseline_design = designs[0]
-            .1
-            .with_policy(policy)
-            .with_lookup(LookupMode::Serial);
-        let base_stats = scratch.replay(&cfg.clone().with_l2(baseline_design));
-        let base_cost = baseline_design
-            .cache_design(cfg.l2_lines, cfg.l2_banks)
-            .cost();
-        let base_energy = power.evaluate(&base_stats.energy_counts(), &base_cost);
-        let base_ipc = base_stats.ipc();
-        let base_mpki = base_stats.l2_mpki();
-
+        // The first cell, serial SA-4, is the baseline.
+        let mut base = None;
         let mut cells = Vec::new();
         for (label, design) in &designs {
             for lookup in [LookupMode::Serial, LookupMode::Parallel] {
@@ -78,17 +67,16 @@ pub fn run(policy: PolicyKind, opts: &ExpOpts) -> Fig5Result {
                 let stats = scratch.replay(&cfg.clone().with_l2(d));
                 let cost = d.cache_design(cfg.l2_lines, cfg.l2_banks).cost();
                 let energy = power.evaluate(&stats.energy_counts(), &cost);
+                let (ipc, bips_w) = (stats.ipc(), energy.bips_per_watt);
+                let (base_ipc, base_bips_w, base_mpki) =
+                    *base.get_or_insert((ipc, bips_w, stats.l2_mpki()));
                 cells.push(Fig5Cell {
                     workload: wl.name().to_string(),
                     design: label.clone(),
                     lookup,
-                    ipc_rel: if base_ipc > 0.0 {
-                        stats.ipc() / base_ipc
-                    } else {
-                        1.0
-                    },
-                    bips_w_rel: if base_energy.bips_per_watt > 0.0 {
-                        energy.bips_per_watt / base_energy.bips_per_watt
+                    ipc_rel: if base_ipc > 0.0 { ipc / base_ipc } else { 1.0 },
+                    bips_w_rel: if base_bips_w > 0.0 {
+                        bips_w / base_bips_w
                     } else {
                         1.0
                     },

@@ -6,8 +6,8 @@
 //! install), so this experiment measures that path directly: a
 //! fixed-seed Zipf reference stream is replayed `reps` times through
 //! each (design × policy) pair of the standard lineup, and the median,
-//! min and max accesses/sec of each pair are reported and written to
-//! `BENCH_access.json`.
+//! min and max accesses/sec of each pair are reported (and, with
+//! `--out`, written as JSON).
 //!
 //! The stream, seeds and geometries are pinned so runs are comparable
 //! across commits. Comparing two commits takes an interleaved A/B run on
@@ -377,8 +377,8 @@ pub fn report(rows: &[PerfRow], opts: &PerfOpts) -> String {
     out
 }
 
-/// Serializes the rows (plus run metadata) as the `BENCH_access.json`
-/// artifact. Hand-rolled JSON: the build environment has no serde.
+/// Serializes the rows (plus run metadata) as the JSON artifact `--out`
+/// writes. Hand-rolled JSON: the build environment has no serde.
 pub fn to_json(rows: &[PerfRow], opts: &PerfOpts) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": \"zbench-perf-v3\",\n");

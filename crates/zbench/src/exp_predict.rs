@@ -16,8 +16,10 @@
 //! `zcache_core` cache under full LRU; the `fully` rows through
 //! `LruStack`, a list-based LRU independent of the Fenwick-tree
 //! profile), the absolute miss-ratio error is reported per design, and
-//! the run fails if any error exceeds the tolerance. The pinned
-//! artifact lives in `BENCH_predict.json`.
+//! the run fails if any error exceeds the tolerance. `--out FILE`
+//! writes the rows as JSON; the committed `BENCH_predict.json` is one
+//! such run, pinned with its command line in
+//! `crates/zbench/tests/pinned.sh`, which regenerates it.
 
 use crate::opts::ExpOpts;
 use crate::pipeline::PointScratch;
@@ -431,12 +433,11 @@ pub fn worst_errors(rows: &[ValidationRow]) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Serializes the validation run as the pinned JSON artifact
-/// (`BENCH_predict.json`).
+/// Serializes the validation run as the JSON artifact `--out` writes.
 ///
 /// Everything in it is a pure function of the options, so regenerating
-/// with the same flags is byte-identical — the artifact is pinned by an
-/// exact-equality regression test.
+/// with the same flags is byte-identical, which is what lets
+/// `BENCH_predict.json` be pinned.
 pub fn to_json(rows: &[ValidationRow], opts: &PredictOpts) -> String {
     let mut s = String::from("{\n  \"version\": \"zbench-predict-v1\",\n");
     s.push_str(&format!(

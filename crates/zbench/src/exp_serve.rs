@@ -4,10 +4,12 @@
 //!
 //! Soak points (seed × schedule) fan out across `--jobs` workers via
 //! [`SweepRunner`] and merge in canonical (seed-major, matrix-order)
-//! order, so the report — and the pinned `BENCH_serve.json` artifact —
-//! is byte-identical for any worker count. Each point is single-run
+//! order, so the report — and the JSON artifact `--out` writes — is
+//! byte-identical for any worker count. Each point is single-run
 //! deterministic already (virtual time, seeded faults), which is what
-//! makes the parallel fan-out safe.
+//! makes the parallel fan-out safe. The committed `BENCH_serve.json` is
+//! the `--chaos --smoke --seed 1` run, pinned with its command line in
+//! `crates/zbench/tests/pinned.sh`, which regenerates it.
 
 use crate::{format_table, SweepRunner};
 use zserve::soak::{schedule_matrix, soak_point, SoakReport, SoakRow};

@@ -95,10 +95,12 @@ fn policies(args: &Args) -> Vec<PolicyKind> {
     }
 }
 
-/// Writes a JSON artifact to `--out` (default `default`) and names it
-/// on stdout.
-fn write_artifact(args: &Args, default: &str, json: &str) {
-    let path = args.text("--out").unwrap_or(default);
+/// Writes a JSON artifact to `--out` and names it on stdout; without
+/// `--out`, writes nothing.
+fn write_artifact(args: &Args, json: &str) {
+    let Some(path) = args.text("--out") else {
+        return;
+    };
     if let Err(e) = std::fs::write(path, json) {
         cli::fail(format!("cannot write {path}: {e}"));
     }
@@ -155,11 +157,7 @@ fn predict(args: &Args, opts: ExpOpts) {
     }
     let rows = exp_predict::validate(&popts);
     println!("{}", exp_predict::report_validation(&rows, popts.tol));
-    write_artifact(
-        args,
-        "BENCH_predict.json",
-        &exp_predict::to_json(&rows, &popts),
-    );
+    write_artifact(args, &exp_predict::to_json(&rows, &popts));
     if !exp_predict::within_tolerance(&rows, popts.tol) {
         eprintln!(
             "cross-validation failed: a design exceeds tolerance {:.4} (see table)",
@@ -345,8 +343,8 @@ fn perf(args: &Args, opts: &ExpOpts) {
         if rows.is_empty() {
             no_rows();
         }
-        // Counts only, and no BENCH json: a profile run must never
-        // overwrite the throughput artifact.
+        // Counts only: a profile run writes no throughput artifact,
+        // even with `--out`.
         println!("{}", exp_perf::report_walk_profile(&rows, &popts));
         return;
     }
@@ -356,7 +354,7 @@ fn perf(args: &Args, opts: &ExpOpts) {
         no_rows();
     }
     println!("{}", exp_perf::report(&rows, &popts));
-    write_artifact(args, "BENCH_access.json", &exp_perf::to_json(&rows, &popts));
+    write_artifact(args, &exp_perf::to_json(&rows, &popts));
 }
 
 /// Runs the zserve service-tier benchmark; with `--chaos`, the full
@@ -397,11 +395,7 @@ fn serve(args: &Args, opts: &ExpOpts) {
     };
     let soak = exp_serve::run(&cfg, &seeds, mode, opts.jobs, chaos);
     println!("{}", exp_serve::report(&soak, &cfg));
-    write_artifact(
-        args,
-        "BENCH_serve.json",
-        &exp_serve::to_json(&soak, &cfg, &seeds),
-    );
+    write_artifact(args, &exp_serve::to_json(&soak, &cfg, &seeds));
 
     let violated: Vec<_> = soak
         .rows

@@ -1,105 +1,108 @@
-//! Byte-for-byte goldens of `zbench` stdout.
+//! Every pinned `zbench` output, regenerated and compared byte for byte.
 //!
-//! Every case runs one command at a small size and compares its stdout
-//! with `tests/golden/<name>.txt`, at `--jobs 1` and at `--jobs 4` when
-//! the command takes `--jobs`. `TMP` stands for a scratch directory,
-//! which the goldens show as `<tmp>`. To re-record a golden after an
-//! intended output change, run the case's command line and redirect its
-//! stdout into the file.
+//! `tests/pinned.sh` lists each pinned file with the `zbench` arguments
+//! that regenerate it, and running it rewrites them all from the release
+//! binary. This test parses its `pin` lines (`pin_full` lines run at
+//! default size, which only the script does) and runs each with the
+//! debug binary, at `--jobs 1` and at `--jobs 4` when the command takes
+//! `--jobs`. Every run must exit 0, and its stdout, or the file it
+//! writes through `--out` (redirected to a scratch path here), must
+//! equal the pinned file. `$tmp` stands for a scratch directory, which
+//! pinned stdout shows as `<tmp>`.
 
+use std::path::Path;
 use std::process::Command;
 use zbench::cli::{self, FLAGS};
 
-/// `(golden name, command line)`, in run order: `trace` replays the
-/// file `dumptrace` writes.
-const CASES: &[(&str, &str)] = &[
-    ("table1", "table1"),
-    ("table2", "table2"),
-    (
-        "fig3",
-        "fig3 --scale small --cores 4 --instrs 2000 --workloads 1",
-    ),
-    (
-        "fig4",
-        "fig4 --scale small --cores 4 --instrs 2000 --workloads 1",
-    ),
-    (
-        "fig5",
-        "fig5 --scale small --cores 4 --instrs 2000 --workloads 1",
-    ),
-    (
-        "bandwidth",
-        "bandwidth --scale small --cores 4 --instrs 2000 --workloads 1",
-    ),
-    (
-        "ablate",
-        "ablate --scale small --cores 4 --instrs 2000 --workloads 1",
-    ),
-    (
-        "adaptive",
-        "adaptive --scale small --cores 4 --instrs 2000 --workloads 1",
-    ),
-    (
-        "conflicts",
-        "conflicts --scale small --cores 4 --instrs 2000 --workloads 1",
-    ),
-    ("predict-smoke", "predict --smoke"),
-    (
-        "predict-sizes",
-        "predict --smoke --workloads 1 --sizes 512,1024 --tol 0.2",
-    ),
-    ("check", "check --accesses 20000"),
-    ("tenants", "tenants --accesses 4000 --lines 128"),
-    ("tenants-check", "tenants --check --accesses 5000"),
-    (
-        "dumptrace",
-        "dumptrace canneal TMP/canneal.trace --cores 4 --instrs 5000",
-    ),
-    ("trace", "trace TMP/canneal.trace"),
-    (
-        "perf-profile-walks",
-        "perf --profile walks --smoke --filter z3:",
-    ),
-    ("serve-smoke", "serve --smoke --out TMP/serve.json"),
-];
+/// One `pin FILE ARGS...` line of the manifest.
+struct Pin {
+    /// The pinned file, relative to the repository root.
+    file: String,
+    /// The `zbench` arguments that regenerate it.
+    args: Vec<String>,
+}
+
+/// The `pin` lines of `tests/pinned.sh`, in run order. Their words must
+/// need no shell quoting, so bash and this parser read them alike.
+fn pins(manifest: &str) -> Vec<Pin> {
+    let plain = |w: &str| {
+        w.replace("$tmp", "")
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || "-_./,:".contains(c))
+    };
+    manifest
+        .lines()
+        .filter_map(|line| {
+            let mut words = line.split_whitespace();
+            if words.next() != Some("pin") {
+                return None;
+            }
+            let words: Vec<String> = words.map(String::from).collect();
+            assert!(words.iter().all(|w| plain(w)), "needs quoting: {line}");
+            let (file, args) = words.split_first().expect("pin FILE ARGS...");
+            Some(Pin {
+                file: file.clone(),
+                args: args.to_vec(),
+            })
+        })
+        .collect()
+}
+
+/// Runs every pin at `jobs` workers and returns the mismatches.
+fn run_pins(root: &Path, pins: &[Pin], jobs: usize) -> Vec<String> {
+    let jobs_flag = FLAGS.iter().find(|f| f.name == "--jobs").unwrap();
+    let tmp = std::env::temp_dir().join(format!("zbench-pinned-{}-{jobs}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let scratch = tmp.join("out");
+    let tmp = tmp.to_str().unwrap();
+    let mut mismatches = Vec::new();
+    for pin in pins {
+        let mut args: Vec<String> = pin.args.iter().map(|a| a.replace("$tmp", tmp)).collect();
+        let takes_jobs = jobs_flag.applies_to(cli::Command::from_name(&args[0]).unwrap());
+        if !takes_jobs && jobs != 1 {
+            continue;
+        }
+        if takes_jobs {
+            args.extend(["--jobs".to_string(), jobs.to_string()]);
+        }
+        let out_value = (args.windows(2))
+            .position(|w| w[0] == "--out" && w[1] == pin.file)
+            .map(|i| i + 1);
+        if let Some(i) = out_value {
+            args[i] = scratch.to_str().unwrap().to_string();
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_zbench"))
+            .args(&args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?} failed: {stderr}");
+        let produced = match out_value {
+            Some(_) => std::fs::read(&scratch).unwrap(),
+            None => (String::from_utf8_lossy(&out.stdout).replace(tmp, "<tmp>")).into_bytes(),
+        };
+        if produced != std::fs::read(root.join(&pin.file)).unwrap() {
+            mismatches.push(format!("{} ({args:?})", pin.file));
+        }
+    }
+    std::fs::remove_dir_all(tmp).ok();
+    mismatches
+}
 
 #[test]
-fn stdout_matches_the_goldens_at_any_job_count() {
-    let jobs_flag = FLAGS.iter().find(|f| f.name == "--jobs").unwrap();
-    let golden_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
-    let mut mismatches = Vec::new();
-    for jobs in [1, 4] {
-        let tmp = std::env::temp_dir().join(format!("zbench-golden-{}-{jobs}", std::process::id()));
-        std::fs::create_dir_all(&tmp).unwrap();
-        let tmp = tmp.to_str().unwrap();
-        for &(name, line) in CASES {
-            let mut args: Vec<String> = line
-                .replace("TMP", tmp)
-                .split(' ')
-                .map(String::from)
-                .collect();
-            let takes_jobs = jobs_flag.applies_to(cli::Command::from_name(&args[0]).unwrap());
-            if !takes_jobs && jobs != 1 {
-                continue;
-            }
-            if takes_jobs {
-                args.extend(["--jobs".to_string(), jobs.to_string()]);
-            }
-            let out = Command::new(env!("CARGO_BIN_EXE_zbench"))
-                .args(&args)
-                .output()
-                .unwrap();
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(out.status.success(), "{args:?} failed: {stderr}");
-            let golden = std::fs::read_to_string(format!("{golden_dir}/{name}.txt")).unwrap();
-            if String::from_utf8_lossy(&out.stdout).replace(tmp, "<tmp>") != golden {
-                mismatches.push(format!("{name} ({args:?})"));
-            }
-        }
-        std::fs::remove_dir_all(tmp).ok();
-    }
+fn pinned_outputs_match_at_any_job_count() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let manifest = std::fs::read_to_string(root.join("crates/zbench/tests/pinned.sh")).unwrap();
+    let pins = pins(&manifest);
+    // The two passes share nothing, so they run side by side.
+    let (root, pins) = (&root, &pins);
+    let mismatches: Vec<String> = std::thread::scope(|s| {
+        let passes = [1, 4].map(|jobs| s.spawn(move || run_pins(root, pins, jobs)));
+        passes.into_iter().flat_map(|p| p.join().unwrap()).collect()
+    });
     assert!(
         mismatches.is_empty(),
-        "stdout differs from tests/golden/: {mismatches:#?}"
+        "output differs from the pinned file; if the change is intended, \
+         run crates/zbench/tests/pinned.sh to regenerate: {mismatches:#?}"
     );
 }

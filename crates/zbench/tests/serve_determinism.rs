@@ -1,7 +1,7 @@
-//! `zbench serve` guarantees: the soak report and the pinned
-//! `BENCH_serve.json` artifact are byte-identical for any `--jobs`
-//! value, because each soak point is virtual-time deterministic and
-//! [`zbench::SweepRunner`] merges points in canonical order.
+//! `zbench serve` guarantees: the soak report and its JSON artifact
+//! are byte-identical for any `--jobs` value, because each soak point
+//! is virtual-time deterministic and [`zbench::SweepRunner`] merges
+//! points in canonical order.
 
 use zbench::exp_serve::{self, ServeMode};
 use zserve::ServeConfig;

@@ -32,38 +32,31 @@ use crate::replacement_candidates;
 use crate::types::LineAddr;
 use zhash::{Hasher64, Mix64};
 
+/// Windows between halvings of the duel counters (phase aging).
+const AGE_PERIOD: u32 = 16;
+
+/// The duel recommends the full budget when the deep shadow's miss rate
+/// beats the shallow shadow's by more than this fraction of sampled
+/// accesses, the two-level budget above a quarter of it, and the
+/// skew-associative floor below that.
+const BENEFIT_THRESHOLD: f64 = 0.005;
+
 /// Tuning knobs for [`ShadowDuel`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveConfig {
     /// Sampled accesses between budget re-evaluations.
     pub window: u64,
-    /// Windows between counter halvings (phase aging).
-    pub age_period: u32,
-    /// Use the full budget when the deep shadow's miss rate beats the
-    /// shallow shadow's by more than this fraction of sampled accesses;
-    /// fall to the two-level budget above a quarter of it, and to the
-    /// skew-associative floor below that.
-    pub benefit_threshold: f64,
     /// Address-sampling ratio: 1-in-`2^sample_shift` accesses feed the
     /// shadows, whose arrays shrink by the same factor so their pressure
     /// matches the main cache's.
     pub sample_shift: u32,
-    /// Hysteresis: after a recommendation change, suppress further
-    /// changes for this many windows, so a workload sitting on a tier
-    /// boundary can't flap the budget every window (each flap retunes
-    /// the main array). `0` reacts every window (no hysteresis); the
-    /// first change after construction is never delayed.
-    pub dwell: u32,
 }
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         Self {
             window: 1024,
-            age_period: 16,
-            benefit_threshold: 0.005,
             sample_shift: 5, // 1 in 32
-            dwell: 0,
         }
     }
 }
@@ -103,9 +96,6 @@ pub struct ShadowDuel<P> {
     budget: u32,
     window_samples: u64,
     windows_since_age: u32,
-    /// Windows since the last recommendation change; saturated at
-    /// construction so the first change is never dwell-delayed.
-    windows_since_change: u32,
     // Aged duel counters.
     acc_samples: f64,
     acc_shallow: f64,
@@ -184,7 +174,6 @@ impl<P: ReplacementPolicy> ShadowDuel<P> {
             budget: max_budget,
             window_samples: 0,
             windows_since_age: 0,
-            windows_since_change: u32::MAX,
             acc_samples: 0.0,
             acc_shallow: 0.0,
             acc_deep: 0.0,
@@ -224,7 +213,7 @@ impl<P: ReplacementPolicy> ShadowDuel<P> {
 
         // Age the counters so old phases fade.
         self.windows_since_age += 1;
-        if self.windows_since_age >= self.cfg.age_period {
+        if self.windows_since_age >= AGE_PERIOD {
             self.acc_samples /= 2.0;
             self.acc_shallow /= 2.0;
             self.acc_deep /= 2.0;
@@ -232,20 +221,16 @@ impl<P: ReplacementPolicy> ShadowDuel<P> {
         }
 
         let benefit = (self.acc_shallow - self.acc_deep) / self.acc_samples.max(1.0);
-        let target = if benefit > self.cfg.benefit_threshold {
+        let target = if benefit > BENEFIT_THRESHOLD {
             self.max_budget
-        } else if benefit > self.cfg.benefit_threshold / 4.0 {
+        } else if benefit > BENEFIT_THRESHOLD / 4.0 {
             self.mid_budget
         } else {
             self.min_budget
         };
-        // Hysteresis: a change starts a dwell window during which the
-        // recommendation is pinned, even if the measured target moves.
-        self.windows_since_change = self.windows_since_change.saturating_add(1);
-        if target != self.budget && self.windows_since_change > self.cfg.dwell {
+        if target != self.budget {
             self.budget = target;
             self.adaptations += 1;
-            self.windows_since_change = 0;
             Some(target)
         } else {
             None
@@ -427,95 +412,6 @@ mod tests {
         }
         assert_eq!(duel.adaptations(), c.tenant_stats(0).budget_changes);
         assert_eq!(duel.tiers(), (4, 16, 52));
-    }
-
-    /// Drives a duel with an adversarial phase-alternating stream —
-    /// `phase_windows` windows of conflict-heavy reuse (deep walk pays)
-    /// followed by `phase_windows` windows of no-reuse scanning (deep
-    /// walk is worthless), repeated — and returns the access index of
-    /// every recommendation change.
-    fn change_indices(dwell: u32, window: u64, phase_windows: u64, accesses: u64) -> Vec<u64> {
-        let cfg = AdaptiveConfig {
-            window,
-            age_period: 1, // fastest decay: maximally twitchy counters
-            benefit_threshold: 0.005,
-            sample_shift: 0, // every access sampled: windows are exact
-            dwell,
-        };
-        let mut duel = ShadowDuel::for_geometry(1024, 4, 3, FullLru::new, cfg);
-        let mut rng = SplitMix64::new(23);
-        let mut changes = Vec::new();
-        let mut scan = 10_000_000u64;
-        for i in 0..accesses {
-            let phase = (i / (window * phase_windows)) % 2;
-            let addr = if phase == 0 {
-                // Hot reuse slightly under the shadow capacity: the
-                // 1-level shadow thrashes on conflicts, the deep walk
-                // approximates full LRU and mostly fits.
-                rng.next_below(900)
-            } else {
-                scan += 1;
-                scan
-            };
-            if duel.observe(addr).is_some() {
-                changes.push(i);
-            }
-        }
-        changes
-    }
-
-    #[test]
-    fn dwell_bounds_budget_oscillation_under_adversarial_phases() {
-        // The property: with `dwell = D`, two recommendation changes are
-        // never closer than (D+1) windows — the tier is pinned for the
-        // dwell period no matter how hard the phases flap.
-        let (window, dwell) = (128u64, 4u32);
-        let with_dwell = change_indices(dwell, window, 2, 200_000);
-        assert!(
-            with_dwell.len() >= 2,
-            "stream too tame: only {} changes with dwell",
-            with_dwell.len()
-        );
-        let min_gap_allowed = window * u64::from(dwell + 1);
-        for pair in with_dwell.windows(2) {
-            assert!(
-                pair[1] - pair[0] >= min_gap_allowed,
-                "changes at {} and {} violate the {}-window dwell",
-                pair[0],
-                pair[1],
-                dwell
-            );
-        }
-
-        // Mutation validation: the same stream genuinely oscillates
-        // faster than the dwell allows when hysteresis is off, so the
-        // assertion above is load-bearing — removing the dwell check
-        // from `decide` makes the dwell run behave like this one and
-        // the gap assertion fail.
-        let without = change_indices(0, window, 2, 200_000);
-        let min_gap = without
-            .windows(2)
-            .map(|p| p[1] - p[0])
-            .min()
-            .expect("dwell-free run must change at least twice");
-        assert!(
-            min_gap < min_gap_allowed,
-            "dwell-free min gap {min_gap} never violates the bound; the dwell test is vacuous"
-        );
-        assert!(
-            without.len() > with_dwell.len(),
-            "hysteresis should suppress changes ({} vs {})",
-            without.len(),
-            with_dwell.len()
-        );
-    }
-
-    #[test]
-    fn first_change_is_not_dwell_delayed() {
-        // A huge dwell must not delay the *first* adaptation: the
-        // since-change counter starts saturated.
-        let changes = change_indices(1_000_000, 128, 2, 50_000);
-        assert_eq!(changes.len(), 1, "exactly the initial adaptation");
     }
 
     #[test]

@@ -541,7 +541,6 @@ mod tests {
         cfg.adaptive = Some(AdaptiveConfig {
             window: 256,
             sample_shift: 0,
-            ..AdaptiveConfig::default()
         });
         let run = || {
             let mut c = PartitionedCache::new(&cfg);

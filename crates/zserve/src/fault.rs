@@ -230,7 +230,8 @@ impl FaultPlan {
 
     /// Parses repro-format text: `fault` lines become events, comments
     /// (`#`) and blank lines are skipped, anything else is an error
-    /// naming the offending 1-based line.
+    /// naming the offending 1-based line. So is a window whose end,
+    /// `at + dur`, does not fit in a `u64`.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut events = Vec::new();
         for (i, line) in text.lines().enumerate() {
@@ -247,7 +248,7 @@ impl FaultPlan {
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| bad("bad shard"))?;
-            let at = parts
+            let at: u64 = parts
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or_else(|| bad("bad start tick"))?;
@@ -261,6 +262,9 @@ impl FaultPlan {
                 .ok_or_else(|| bad("bad fault kind"))?;
             if parts.next().is_some() {
                 return Err(bad("trailing fields"));
+            }
+            if at.checked_add(dur).is_none() {
+                return Err(bad("window ends past tick u64::MAX"));
             }
             events.push(FaultEvent {
                 shard,
@@ -338,8 +342,10 @@ mod tests {
             "fault 0 1 1 nope",
             "fault 0 1 1 stall extra",
             "nonsense 0 1 1 stall",
+            "fault 0 1 18446744073709551615 stall",
         ] {
-            assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");
+            let err = FaultPlan::parse(bad).expect_err(bad);
+            assert!(err.starts_with("line 1: "), "{bad:?}: {err}");
         }
         let ok = FaultPlan::parse("# comment\n\nfault 1 10 5 slow:3\n").unwrap();
         assert_eq!(ok.events[0].kind, FaultKind::Slowdown { factor: 3 });

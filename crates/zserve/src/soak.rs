@@ -430,14 +430,14 @@ pub fn replay_repro(base: &ServeConfig, text: &str) -> Result<SoakRow, String> {
     let mut name = None;
     let mut seed = None;
     let mut overload = false;
-    for line in text.lines() {
+    for (i, line) in text.lines().enumerate() {
         if let Some(rest) = line.strip_prefix("# schedule:") {
             name = Some(rest.trim().to_string());
         } else if let Some(rest) = line.strip_prefix("# seed:") {
             seed = Some(
                 rest.trim()
                     .parse()
-                    .map_err(|_| format!("bad seed directive: {line:?}"))?,
+                    .map_err(|_| format!("line {}: bad seed directive: {line:?}", i + 1))?,
             );
         } else if let Some(rest) = line.strip_prefix("# overload:") {
             overload = rest.trim() == "true";
@@ -511,8 +511,20 @@ mod tests {
     }
 
     #[test]
-    fn replay_rejects_missing_directives() {
+    fn replay_rejects_malformed_repros() {
         assert!(replay_repro(&smoke(), "fault 0 1 1 stall\n").is_err());
         assert!(replay_repro(&smoke(), "# schedule: x\nfault 0 1 1 stall\n").is_err());
+        // A malformed line is named by number. A window ending past
+        // u64::MAX is rejected before any tick arithmetic can overflow.
+        for (text, prefix) in [
+            ("# schedule: x\n# seed: -1\n", "line 2: bad seed directive"),
+            (
+                "# schedule: x\n# seed: 1\nfault 0 1 18446744073709551615 stall\n",
+                "line 3: ",
+            ),
+        ] {
+            let err = replay_repro(&smoke(), text).unwrap_err();
+            assert!(err.starts_with(prefix), "{text:?}: {err}");
+        }
     }
 }
