@@ -265,9 +265,10 @@ pub static FLAGS: &[Flag] = &[
     Flag::new("--scale", Kind::Choice(&["small", "paper"]))
         .on(EXP | set(&[Table1, Fig2, Predict, Trace, Dumptrace]))
         .help("cache scale (default small)"),
-    Flag::new("--cores", int(0, u32::MAX as u64))
+    // 1 to 64: the MESI directory's sharer masks are `u64`.
+    Flag::new("--cores", int(1, 64))
         .on(EXP | set(&[Table1, Predict, Dumptrace]))
-        .help("simulated cores (default 32)"),
+        .help("simulated cores, 1 to 64 (default 32)"),
     Flag::new("--instrs", int(0, u64::MAX))
         .on(EXP | set(&[Predict, Dumptrace]))
         .help("instructions per core (default 100000)"),

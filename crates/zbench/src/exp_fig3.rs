@@ -140,6 +140,17 @@ pub fn measure(
     cache.meter().expect("meter attached").histogram().clone()
 }
 
+/// KS distance of `hist` to the uniformity curve of the design's
+/// nominal `R` (the paper compares against the curve for that R). With
+/// too few sampled evictions the distance is meaningless: NaN.
+fn ks_to_nominal(hist: &UnitHistogram, nominal_r: u64) -> f64 {
+    if hist.total() < 50 {
+        f64::NAN
+    } else {
+        zcache_core::ks_distance_to_uniform(hist, nominal_r as u32)
+    }
+}
+
 /// Runs the experiment for one panel over the Fig. 3 workload selection.
 ///
 /// One sweep point per workload: trace recording dominates the cost, so
@@ -160,14 +171,7 @@ pub fn run(panel: Fig3Panel, opts: &ExpOpts) -> Vec<Fig3Row> {
             .into_iter()
             .map(|(label, array, ways, nominal_r)| {
                 let hist = measure(&trace, array, ways, opts.scale.l2_lines, seed);
-                // KS is evaluated against the design's nominal R (the paper
-                // compares against the uniformity curve for that R). With too
-                // few sampled evictions the distance is meaningless: NaN.
-                let ks = if hist.total() < 50 {
-                    f64::NAN
-                } else {
-                    zcache_core::ks_distance_to_uniform(&hist, nominal_r as u32)
-                };
+                let ks = ks_to_nominal(&hist, nominal_r);
                 Fig3Row {
                     workload: wl.name().to_string(),
                     design: label,
@@ -228,22 +232,26 @@ mod tests {
 
     #[test]
     fn zcache_matches_uniformity_better_than_unhashed_sa() {
+        // Compare the conflict-pathological workload, wupwise, on the
+        // trace and seeds `run` gives its sweep point.
         let o = opts();
-        let sa = run(Fig3Panel::SetAssoc, &o);
-        let z = run(Fig3Panel::ZCache, &o);
-        // Compare the conflict-pathological workload: wupwise.
-        let sa_wup: f64 = sa
+        let workloads = fig3_selection(o.scale);
+        let i = workloads
             .iter()
-            .filter(|r| r.workload == "wupwise" && r.design == "SA-4")
-            .map(|r| r.ks)
-            .next()
+            .position(|w| w.name() == "wupwise")
             .unwrap();
-        let z_wup: f64 = z
-            .iter()
-            .filter(|r| r.workload == "wupwise" && r.design == "Z4/16")
-            .map(|r| r.ks)
-            .next()
-            .unwrap();
+        let seed = point_seed(o.seed, i as u64);
+        let mut cfg = o.sim_config();
+        cfg.seed = seed;
+        let trace = record_trace(&cfg, &workloads[i]);
+        let ks = |panel: Fig3Panel, design: &str| {
+            let (_, array, ways, nominal_r) =
+                panel.designs().into_iter().find(|d| d.0 == design).unwrap();
+            let hist = measure(&trace, array, ways, o.scale.l2_lines, seed);
+            ks_to_nominal(&hist, nominal_r)
+        };
+        let sa_wup = ks(Fig3Panel::SetAssoc, "SA-4");
+        let z_wup = ks(Fig3Panel::ZCache, "Z4/16");
         assert!(
             z_wup < sa_wup,
             "zcache KS {z_wup} should beat unhashed SA {sa_wup}"

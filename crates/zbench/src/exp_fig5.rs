@@ -183,19 +183,25 @@ pub fn report(res: &Fig5Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    fn opts() -> ExpOpts {
-        ExpOpts {
-            max_workloads: Some(5),
-            cores: 8,
-            instrs_per_core: 25_000,
-            ..ExpOpts::smoke()
-        }
+    /// The one LRU sweep the tests below read, run once per test binary.
+    fn lru() -> &'static Fig5Result {
+        static RES: OnceLock<Fig5Result> = OnceLock::new();
+        RES.get_or_init(|| {
+            let opts = ExpOpts {
+                max_workloads: Some(5),
+                cores: 8,
+                instrs_per_core: 25_000,
+                ..ExpOpts::smoke()
+            };
+            run(PolicyKind::Lru, &opts)
+        })
     }
 
     #[test]
     fn baseline_normalizes_to_one() {
-        let res = run(PolicyKind::Lru, &opts());
+        let res = lru();
         let (ipc, bw) = res.geomeans("SA-4", LookupMode::Serial, |_| true);
         assert!((ipc - 1.0).abs() < 1e-9, "baseline ipc {ipc}");
         assert!((bw - 1.0).abs() < 1e-9, "baseline bips/w {bw}");
@@ -203,7 +209,7 @@ mod tests {
 
     #[test]
     fn parallel_lookup_is_not_slower() {
-        let res = run(PolicyKind::Lru, &opts());
+        let res = lru();
         for d in res.designs() {
             let (i_ser, _) = res.geomeans(&d, LookupMode::Serial, |_| true);
             let (i_par, _) = res.geomeans(&d, LookupMode::Parallel, |_| true);
@@ -216,8 +222,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let res = run(PolicyKind::Lru, &opts());
-        let r = report(&res);
+        let r = report(lru());
         assert!(r.contains("Fig. 5"));
         assert!(r.contains("Z4/52"));
         assert!(r.contains("parallel"));

@@ -126,6 +126,11 @@ fn float_flags_check_their_floors() {
     );
     assert_rejected(&["perf", "--reps", "0"], "--reps");
     assert_rejected(&["perf", "--accesses", "0"], "--accesses");
+    // Sharer masks are u64. At 65 cores a debug build panicked on a
+    // shift overflow and a release build aliased core 64 onto core 0;
+    // at 0 the run printed an all-zero report.
+    assert_rejected(&["bandwidth", "--cores", "0"], "--cores");
+    assert_rejected(&["bandwidth", "--cores", "65"], "--cores");
 }
 
 #[test]

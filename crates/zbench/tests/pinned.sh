@@ -55,6 +55,7 @@ pin crates/zbench/tests/golden/fig3.txt fig3 --scale small --cores 4 --instrs 20
 pin crates/zbench/tests/golden/fig4.txt fig4 --scale small --cores 4 --instrs 2000 --workloads 1
 pin crates/zbench/tests/golden/fig5.txt fig5 --scale small --cores 4 --instrs 2000 --workloads 1
 pin crates/zbench/tests/golden/bandwidth.txt bandwidth --scale small --cores 4 --instrs 2000 --workloads 1
+pin crates/zbench/tests/golden/bandwidth-32.txt bandwidth --scale small --cores 32 --instrs 2000 --workloads 2
 pin crates/zbench/tests/golden/ablate.txt ablate --scale small --cores 4 --instrs 2000 --workloads 1
 pin crates/zbench/tests/golden/adaptive.txt adaptive --scale small --cores 4 --instrs 2000 --workloads 1
 pin crates/zbench/tests/golden/conflicts.txt conflicts --scale small --cores 4 --instrs 2000 --workloads 1

@@ -116,14 +116,18 @@ pub struct WalkNodeInfo {
 /// Interleaves the four ways' byte-sliced evaluation tables. A single
 /// byte at position `b` contributes `hash((v as u64) << (8 * b))` to each
 /// way's hash, and H3 is linear over GF(2), so XORing these entries per
-/// input byte reproduces every way's full hash exactly.
+/// input byte reproduces every way's full hash exactly. Each entry is
+/// built from the one with its lowest set bit peeled off, XORed with the
+/// ways' hashes of that bit, so the tables take 64 hashes per way.
 fn build_fused(hashers: &[AnyHasher]) -> Box<[[[u64; FRAME_WAYS]; 256]; 8]> {
+    let bit_rows: [[u64; FRAME_WAYS]; 64] =
+        std::array::from_fn(|bit| std::array::from_fn(|w| hashers[w].hash(1 << bit)));
     let mut t = vec![[[0u64; FRAME_WAYS]; 256]; 8];
     for (b, table) in t.iter_mut().enumerate() {
-        for (v, entry) in table.iter_mut().enumerate() {
-            for (w, h) in hashers.iter().enumerate().take(FRAME_WAYS) {
-                entry[w] = h.hash((v as u64) << (8 * b));
-            }
+        for v in 1usize..256 {
+            let rest = table[v & (v - 1)];
+            let row = bit_rows[8 * b + v.trailing_zeros() as usize];
+            table[v] = std::array::from_fn(|w| rest[w] ^ row[w]);
         }
     }
     let boxed: Box<[[[u64; FRAME_WAYS]; 256]; 8]> =

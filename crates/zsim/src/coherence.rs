@@ -28,16 +28,11 @@ impl DirEntry {
 /// path of [`System::access`](crate::System::access), where SipHash plus
 /// `RandomState`'s per-process seeding cost both throughput and
 /// reproducibility. Sized via [`with_capacity`](Self::with_capacity) to
-/// the L2's line count, the map never rehashes during simulation.
+/// the L2's line count, the map never rehashes during simulation, and an
+/// entry beyond that count (an inclusion bug) panics.
 #[derive(Debug, Clone)]
 pub struct Directory {
     entries: SeededMap<DirEntry>,
-}
-
-impl Default for Directory {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Directory {
@@ -45,21 +40,16 @@ impl Directory {
     /// (iteration sorts), so one constant serves every configuration.
     const SEED_SALT: u64 = 0xd19_0c7e_u64;
 
-    /// Creates an empty directory with a small default capacity (grows
-    /// deterministically as needed).
-    pub fn new() -> Self {
-        Self::with_capacity(64, 0)
-    }
-
-    /// Creates an empty directory pre-sized for an L2 of `lines` frames.
+    /// Creates an empty directory for an L2 of `lines` frames, at fixed
+    /// capacity: registering a line while `lines` are tracked panics.
     ///
-    /// `lines + 1` entries fit without growth: on an L2 miss the new
-    /// line is registered before the inclusion victim is removed, so the
-    /// directory transiently holds one entry more than the L2 has
-    /// frames.
+    /// Exactly `lines` entries suffice because the directory tracks the
+    /// L2-resident lines and nothing else: on an L2 miss,
+    /// [`System::access`](crate::System::access) removes the inclusion
+    /// victim before it registers the new line.
     pub fn with_capacity(lines: usize, seed: u64) -> Self {
         Self {
-            entries: SeededMap::with_capacity(lines + 1, seed ^ Self::SEED_SALT),
+            entries: SeededMap::fixed_capacity(lines, seed ^ Self::SEED_SALT),
         }
     }
 
@@ -149,9 +139,16 @@ impl Directory {
     }
 }
 
-/// Iterates the set cores in a sharer bitmask.
-pub fn cores_in(mask: u64) -> impl Iterator<Item = u32> {
-    (0..64u32).filter(move |c| mask & (1 << c) != 0)
+/// Iterates the set cores in a sharer bitmask, in ascending order.
+///
+/// Visits only the set bits: each step takes the lowest one
+/// (`trailing_zeros`) and clears it.
+pub fn cores_in(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        let core = mask.trailing_zeros();
+        mask &= mask.wrapping_sub(1);
+        (core < 64).then_some(core)
+    })
 }
 
 #[cfg(test)]
@@ -160,7 +157,7 @@ mod tests {
 
     #[test]
     fn insert_and_share() {
-        let mut d = Directory::new();
+        let mut d = Directory::with_capacity(64, 0);
         d.insert(10, 0, false);
         assert_eq!(d.add_sharer(10, 1), None);
         let e = d.get(10).unwrap();
@@ -170,7 +167,7 @@ mod tests {
 
     #[test]
     fn read_of_modified_line_downgrades_owner() {
-        let mut d = Directory::new();
+        let mut d = Directory::with_capacity(64, 0);
         d.insert(10, 2, true);
         assert_eq!(d.add_sharer(10, 5), Some(2));
         let e = d.get(10).unwrap();
@@ -183,7 +180,7 @@ mod tests {
 
     #[test]
     fn write_invalidates_other_sharers() {
-        let mut d = Directory::new();
+        let mut d = Directory::with_capacity(64, 0);
         d.insert(10, 0, false);
         d.add_sharer(10, 1);
         d.add_sharer(10, 2);
@@ -196,7 +193,7 @@ mod tests {
 
     #[test]
     fn remove_sharer_clears_ownership() {
-        let mut d = Directory::new();
+        let mut d = Directory::with_capacity(64, 0);
         d.insert(7, 4, true);
         d.remove_sharer(7, 4);
         let e = d.get(7).unwrap();
@@ -206,7 +203,7 @@ mod tests {
 
     #[test]
     fn remove_returns_back_invalidation_mask() {
-        let mut d = Directory::new();
+        let mut d = Directory::with_capacity(64, 0);
         d.insert(9, 0, false);
         d.add_sharer(9, 3);
         assert_eq!(d.remove(9), 0b1001);
@@ -237,8 +234,10 @@ mod tests {
     fn iter_identical_across_identically_seeded_runs() {
         // Regression for the open-addressing swap: two runs with the
         // same seed and history iterate in exactly the same order.
+        // Lines are drawn from 0..256, so a fixed table of 256 holds any
+        // history.
         let build = || {
-            let mut d = Directory::with_capacity(128, 7);
+            let mut d = Directory::with_capacity(256, 7);
             let mut x = 0xdead_beefu64;
             for step in 0..500u64 {
                 x ^= x << 13;
@@ -262,8 +261,30 @@ mod tests {
     }
 
     #[test]
-    fn cores_in_mask() {
-        let v: Vec<u32> = cores_in(0b1010_0001).collect();
-        assert_eq!(v, vec![0, 5, 7]);
+    fn cores_in_matches_the_bit_test_reference() {
+        // Random masks of three densities, each also with bits 0 and 63
+        // forced on, against a test of all 64 bits in order.
+        let mut rng = zhash::SplitMix64::new(64);
+        let mut masks = vec![
+            0,
+            1,
+            1 << 63,
+            u64::MAX,
+            0b1010_0001,
+            1 | (1 << 31) | (1 << 63),
+        ];
+        for _ in 0..500 {
+            let dense = rng.next_u64() | rng.next_u64();
+            let half = rng.next_u64();
+            let sparse = rng.next_u64() & rng.next_u64() & rng.next_u64();
+            for m in [dense, half, sparse] {
+                masks.extend([m, m | 1 | (1 << 63)]);
+            }
+        }
+        for mask in masks {
+            let want: Vec<u32> = (0..64).filter(|c| mask & (1 << c) != 0).collect();
+            let got: Vec<u32> = cores_in(mask).collect();
+            assert_eq!(got, want, "{mask:#x}");
+        }
     }
 }

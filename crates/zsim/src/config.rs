@@ -111,6 +111,8 @@ impl L2Design {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Core count (paper: 32 in-order x86 cores, IPC = 1 except memory).
+    /// [`System`](crate::System) takes 1 to 64: the directory's sharer
+    /// masks are `u64`.
     pub cores: u32,
     /// Per-core L1 capacity in lines (paper: 32 KB / 64 B = 512).
     pub l1_lines: u64,

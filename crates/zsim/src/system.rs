@@ -46,9 +46,15 @@ impl System {
     /// # Panics
     ///
     /// Panics if the L2 policy is [`PolicyKind::Opt`] (OPT needs future
-    /// knowledge; use [`crate::trace`]'s record/replay mode), or if the
-    /// cache geometry is invalid.
+    /// knowledge; use [`crate::trace`]'s record/replay mode), if
+    /// [`SimConfig::cores`] is outside `1..=64` (the directory's sharer
+    /// masks are `u64`), or if the cache geometry is invalid.
     pub fn new(cfg: SimConfig) -> Self {
+        assert!(
+            (1..=64).contains(&cfg.cores),
+            "{} cores: the directory tracks 1 to 64",
+            cfg.cores
+        );
         assert!(
             cfg.l2.policy != PolicyKind::Opt,
             "OPT requires trace-driven simulation; use zsim::trace::record_trace + replay"
@@ -110,11 +116,11 @@ impl System {
                 stall += u64::from(self.cfg.coherence_penalty);
             }
         } else {
-            self.dir.insert(line, core, write);
-
             // Inclusion victim: back-invalidate L1 copies. The L2 wrote
             // its own dirty victims back; a copy dirty only in an L1
-            // still has to go to memory.
+            // still has to go to memory. It leaves the directory before
+            // the new line enters, so the directory never tracks more
+            // lines than the L2 has frames.
             if let Some(ev2) = lout.evicted {
                 let mask = self.dir.remove(ev2);
                 let mut dirty_in_l1 = false;
@@ -128,6 +134,7 @@ impl System {
                     self.l2.spill(ev2, now + stall);
                 }
             }
+            self.dir.insert(line, core, write);
         }
         stall
     }
@@ -342,6 +349,15 @@ mod tests {
             z.l2_mpki(),
             base.l2_mpki()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "the directory tracks 1 to 64")]
+    fn more_cores_than_sharer_bits_panics() {
+        // Core 64 would alias core 0 in the u64 sharer masks.
+        let mut cfg = tiny_cfg();
+        cfg.cores = 65;
+        let _ = System::new(cfg);
     }
 
     #[test]

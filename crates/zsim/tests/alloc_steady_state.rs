@@ -8,17 +8,22 @@
 //! allocator makes that a hard test rather than a bench note.
 
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use zsim::{L2Design, SimConfig, System};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. The tests below run on
+    /// parallel threads, and one test's warm-up allocations must not
+    /// land in another's steady-state window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { SysAlloc.alloc(layout) }
     }
 
@@ -27,7 +32,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.with(|n| n.set(n.get() + 1));
         unsafe { SysAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -68,9 +73,9 @@ fn assert_steady(design: L2Design, label: &str) {
     // reusable buffer reach its steady-state capacity.
     drive(&mut sys, 0x9e37_79b9, 60_000);
     // Steady state: fresh addresses, misses, evictions, coherence.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     drive(&mut sys, 0x51ed_2701, 30_000);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = ALLOCS.with(Cell::get);
     assert_eq!(
         after - before,
         0,
