@@ -286,28 +286,25 @@ pub static FLAGS: &[Flag] = &[
         .help("one policy (default: opt and lru; check: all three); only check takes lfu"),
     Flag::new("--accesses", int(1, usize::MAX as u64))
         .on(set(&[Check, Tenants, Perf]))
-        .help("accesses per pair or mix (check 100000, tenants 200000, tenants --check 30000)"),
+        .help("accesses per pair or mix (check 100000, tenants 200000)"),
     Flag::new("--design", Kind::Choice(CHECK_DESIGNS))
         .on(set(&[Check]))
         .help("one design (default all)"),
     Flag::new("--lines", int(0, u64::MAX))
         .on(set(&[Check, Tenants]))
-        .help("cache frames (check 64, tenants 1024, tenants --check 64)"),
+        .help("cache frames (check 64, tenants 1024)"),
     Flag::new("--ways", int(0, u32::MAX as u64))
         .on(set(&[Check, Tenants]))
         .help("ways per array (default 4)"),
     Flag::new("--digest-every", int(1, u64::MAX))
-        .on(set(&[Check, Tenants]))
+        .on(set(&[Check]))
         .help("full-state digest interval of the lockstep (default 1024)"),
+    Flag::new("--mutate", Kind::Choice(&["quota-bypass"]))
+        .on(set(&[Check]))
+        .help("strip quota enforcement from the partitioned pairs; exits 1 if any pair misses it"),
     Flag::new("--quota-frac", float(0.0, true))
         .on(set(&[Tenants]))
         .help("fraction of the array granted as quotas (default 1.0; > 1 overcommits)"),
-    Flag::new("--check", Kind::Switch)
-        .on(set(&[Tenants]))
-        .help("run the partition lockstep grid vs zoracle (exits 1 on divergence)"),
-    Flag::new("--mutate", Kind::Choice(&["quota-bypass"]))
-        .on(set(&[Tenants]))
-        .help("with --check: mutate the production side; exits 1 if any pair misses it"),
     Flag::new("--smoke", Kind::Switch)
         .on(set(&[Predict, Perf, Serve]))
         .help("short CI configuration"),

@@ -1,30 +1,36 @@
 //! `zbench check` — the differential conformance sweep.
 //!
-//! Runs every (design × policy) pair of the `zoracle` grid over a
-//! deterministic access stream, comparing the production cache against
-//! its brute-force reference twin access by access (see
-//! [`zoracle::diff`]). Pairs fan out over the [`SweepRunner`] worker
-//! pool; per-pair seeds derive from [`point_seed`] over the *unfiltered*
-//! grid, so `--design`/`--policy` filters reproduce exactly the same
-//! runs a full sweep would perform.
+//! Runs every pair of zoracle's two grids over a deterministic access
+//! stream, comparing the production cache against its brute-force
+//! reference twin access by access (see [`zoracle::diff`]): the
+//! (design × policy) pairs of [`check_grid`] on the plain conformance
+//! stream, then the (tenant mix × policy) pairs of [`part_check_grid`],
+//! a partitioned cache on its mix's tenant-tagged stream. Pairs fan out
+//! over the [`SweepRunner`] worker pool; each pair's seeds derive from
+//! [`point_seed`] over its index in its own *unfiltered* grid, so
+//! `--design`/`--policy` filters reproduce exactly the same runs a full
+//! sweep would perform.
 //!
 //! On divergence, [`shrink_repro`] delta-debugs the offending stream to
 //! a minimal trace and serializes it under `tests/corpus/`, where the
 //! `oracle_conformance` regression test replays it on every run.
-//! `tenants --check` (see [`crate::exp_tenants`]) shares the row type
-//! and the shrink-and-write helper.
+//!
+//! `--mutate quota-bypass` inverts the roles: only the partitioned
+//! pairs run, with quota enforcement stripped from their production
+//! side, and each must diverge. One caught pair is shrunk into the
+//! corpus, where the replay test checks that it keeps diverging.
 
 use crate::{format_table, point_seed, SweepRunner};
 use std::path::{Path, PathBuf};
 use zoracle::{
-    check_grid, corpus, gen_stream, run_diff, shrink, Access, CheckConfig, CheckDesign,
-    CheckPolicy, DiffSummary, Divergence, PartMix,
+    check_grid, corpus, gen_stream, part_check_grid, run_diff, shrink, Access, CheckConfig,
+    CheckDesign, CheckPolicy, DiffSummary, Divergence, PartMix,
 };
 
 /// Options for the conformance sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckOpts {
-    /// Accesses per (design × policy) pair.
+    /// Accesses per pair.
     pub accesses: usize,
     /// Cache frames (small enough that walks hit full depth quickly).
     pub lines: u64,
@@ -40,6 +46,9 @@ pub struct CheckOpts {
     pub policy: Option<CheckPolicy>,
     /// Compare full state digests every this many accesses.
     pub digest_every: u64,
+    /// Strip quota enforcement from the production side
+    /// (`--mutate quota-bypass`); only the partitioned pairs run.
+    pub quota_bypass: bool,
 }
 
 impl Default for CheckOpts {
@@ -53,11 +62,12 @@ impl Default for CheckOpts {
             design: None,
             policy: None,
             digest_every: 1024,
+            quota_bypass: false,
         }
     }
 }
 
-/// Result of one grid pair of `check` or `tenants --check`.
+/// Result of one pair of the sweep.
 #[derive(Debug, Clone)]
 pub struct CheckRow {
     /// The configuration that ran.
@@ -71,27 +81,6 @@ pub struct CheckRow {
     pub result: Result<DiffSummary, Divergence>,
 }
 
-impl CheckRow {
-    /// Generates the pair's `accesses`-long stream and runs it in
-    /// lockstep.
-    pub fn run(
-        cfg: CheckConfig,
-        mix: Option<PartMix>,
-        stream_seed: u64,
-        accesses: usize,
-        digest_every: u64,
-    ) -> Self {
-        let trace = stream(mix, accesses, cfg.lines, stream_seed);
-        let result = run_diff(&cfg, &trace, digest_every);
-        Self {
-            cfg,
-            mix,
-            stream_seed,
-            result,
-        }
-    }
-}
-
 /// A pair's access stream: the mix's tenant-tagged stream, or the plain
 /// conformance stream.
 fn stream(mix: Option<PartMix>, accesses: usize, lines: u64, seed: u64) -> Vec<Access> {
@@ -101,25 +90,49 @@ fn stream(mix: Option<PartMix>, accesses: usize, lines: u64, seed: u64) -> Vec<A
     }
 }
 
-/// Runs the conformance sweep.
+/// Runs the conformance sweep: the plain pairs, then the partitioned
+/// ones, each grid in its own order, keeping the pairs `opts` selects.
 pub fn run(opts: &CheckOpts) -> Vec<CheckRow> {
-    // Index the full grid before filtering so a filtered run reproduces
-    // the exact same (seed, stream) a full sweep would use for that pair.
-    let points: Vec<(usize, CheckDesign, CheckPolicy)> = check_grid()
+    // Index each grid before filtering so a filtered run reproduces the
+    // exact same (seed, stream) a full sweep would use for that pair.
+    let seeds = |i: usize| {
+        let i = 2 * i as u64;
+        (point_seed(opts.seed, i), point_seed(opts.seed, i + 1))
+    };
+    let plain = check_grid().into_iter().enumerate().map(|(i, (d, p))| {
+        let (cfg_seed, stream_seed) = seeds(i);
+        let cfg = CheckConfig::new(d, p, opts.lines, opts.ways, cfg_seed);
+        (cfg, None, stream_seed)
+    });
+    let partitioned = part_check_grid()
         .into_iter()
         .enumerate()
-        .filter(|(_, (d, p))| {
-            opts.design.is_none_or(|want| *d == want) && opts.policy.is_none_or(|want| *p == want)
+        .map(|(i, (mix, p))| {
+            let (cfg_seed, stream_seed) = seeds(i);
+            let mut cfg = mix.config(p, opts.lines, opts.ways, cfg_seed);
+            cfg.quota_bypass = opts.quota_bypass;
+            (cfg, Some(mix), stream_seed)
+        });
+    // Only a pair with tenants has quotas to bypass.
+    let pairs: Vec<_> = plain
+        .filter(|_| !opts.quota_bypass)
+        .chain(partitioned)
+        .filter(|(cfg, ..)| {
+            opts.design.is_none_or(|want| cfg.design == want)
+                && opts.policy.is_none_or(|want| cfg.policy == want)
         })
-        .map(|(i, (d, p))| (i, d, p))
         .collect();
 
-    SweepRunner::new(opts.jobs).run(points.len(), |k| {
-        let (grid_idx, design, policy) = points[k];
-        let cfg_seed = point_seed(opts.seed, 2 * grid_idx as u64);
-        let stream_seed = point_seed(opts.seed, 2 * grid_idx as u64 + 1);
-        let cfg = CheckConfig::new(design, policy, opts.lines, opts.ways, cfg_seed);
-        CheckRow::run(cfg, None, stream_seed, opts.accesses, opts.digest_every)
+    SweepRunner::new(opts.jobs).run(pairs.len(), |k| {
+        let (cfg, mix, stream_seed) = pairs[k].clone();
+        let trace = stream(mix, opts.accesses, cfg.lines, stream_seed);
+        let result = run_diff(&cfg, &trace, opts.digest_every);
+        CheckRow {
+            cfg,
+            mix,
+            stream_seed,
+            result,
+        }
     })
 }
 
@@ -158,29 +171,37 @@ pub fn shrink_repro(
     Ok((path, minimal.len()))
 }
 
-/// Formats the sweep as a table (one row per pair, FAIL rows last).
-pub fn report(rows: &[CheckRow], accesses: usize) -> String {
-    let mut out = format!(
-        "Differential conformance: {} pairs x {} accesses (dut vs zoracle reference)\n\n",
-        rows.len(),
-        accesses
-    );
+/// Formats the sweep as one table, one row per pair. Under the mutant a
+/// diverging row reads CAUGHT, the desired outcome.
+pub fn report(rows: &[CheckRow], opts: &CheckOpts) -> String {
+    let (n, accesses) = (rows.len(), opts.accesses);
+    let mut out = if opts.quota_bypass {
+        format!(
+            "Differential conformance vs the quota-bypass MUTANT: {n} pairs x {accesses} accesses\n\
+             (a CAUGHT row means the lockstep caught the mutation, the desired outcome)\n\n"
+        )
+    } else {
+        format!(
+            "Differential conformance: {n} pairs x {accesses} accesses (dut vs zoracle reference)\n\n"
+        )
+    };
+    let diverged = if opts.quota_bypass { "CAUGHT" } else { "FAIL" };
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| match &r.result {
             Ok(s) => vec![
-                r.cfg.design.to_string(),
-                r.cfg.policy.to_string(),
+                r.cfg.label(),
                 "ok".into(),
                 s.misses.to_string(),
                 s.evictions.to_string(),
                 s.relocations.to_string(),
+                s.cross_evictions.to_string(),
                 format!("{:016x}", s.digest),
             ],
             Err(d) => vec![
-                r.cfg.design.to_string(),
-                r.cfg.policy.to_string(),
-                "FAIL".into(),
+                r.cfg.label(),
+                diverged.into(),
+                "-".into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -190,13 +211,17 @@ pub fn report(rows: &[CheckRow], accesses: usize) -> String {
         .collect();
     out.push_str(&format_table(
         &[
-            "design", "policy", "status", "misses", "evict", "reloc", "digest",
+            "pair", "status", "misses", "evict", "reloc", "cross", "digest",
         ],
         &table,
     ));
     let failures = rows.iter().filter(|r| r.result.is_err()).count();
     out.push('\n');
-    if failures == 0 {
+    if opts.quota_bypass {
+        out.push_str(&format!(
+            "{failures}/{n} pairs caught the quota-bypass mutant\n"
+        ));
+    } else if failures == 0 {
         out.push_str("all pairs conform\n");
     } else {
         out.push_str(&format!("{failures} pair(s) DIVERGED\n"));
@@ -221,7 +246,7 @@ mod tests {
             ..CheckOpts::default()
         };
         let rows = run(&opts);
-        assert_eq!(rows.len(), 18);
+        assert_eq!(rows.len(), 24);
         for r in &rows {
             assert!(r.result.is_ok(), "{}: {:?}", r.cfg.label(), r.result);
         }
@@ -247,11 +272,12 @@ mod tests {
             design: Some(CheckDesign::Z3),
             ..opts
         });
-        assert_eq!(only_z3.len(), 3);
+        // Three plain pairs and the three hot-vs-scan pairs.
+        assert_eq!(only_z3.len(), 6);
         for row in &only_z3 {
             let twin = full
                 .iter()
-                .find(|r| r.cfg.design == row.cfg.design && r.cfg.policy == row.cfg.policy)
+                .find(|r| r.cfg.label() == row.cfg.label())
                 .unwrap();
             assert_eq!(row.cfg.seed, twin.cfg.seed, "filter changed point seed");
             assert_eq!(
@@ -270,8 +296,77 @@ mod tests {
             ..CheckOpts::default()
         };
         let rows = run(&opts);
-        let rep = report(&rows, opts.accesses);
+        let rep = report(&rows, &opts);
         assert!(rep.contains("all pairs conform"), "{rep}");
         assert!(rep.contains("sa-bitsel"));
+    }
+
+    #[test]
+    fn check_grid_is_clean_and_catches_the_mutant() {
+        let opts = CheckOpts {
+            accesses: 12_000,
+            lines: 64,
+            jobs: 2,
+            digest_every: 256,
+            ..CheckOpts::default()
+        };
+        let clean = run(&opts);
+        assert_eq!(clean.iter().filter(|r| r.mix.is_some()).count(), 6);
+        for r in &clean {
+            assert!(r.result.is_ok(), "{}: {:?}", r.cfg.label(), r.result);
+        }
+        let rep = report(&clean, &opts);
+        assert!(rep.contains("all pairs conform"), "{rep}");
+
+        let mutant = CheckOpts {
+            quota_bypass: true,
+            ..opts
+        };
+        let mutated = run(&mutant);
+        assert_eq!(
+            mutated.len(),
+            6,
+            "the mutant runs the partitioned pairs only"
+        );
+        let caught = mutated.iter().filter(|r| r.result.is_err()).count();
+        assert!(
+            caught >= 4,
+            "quota-bypass mutant escaped most pairs ({caught}/6 caught)"
+        );
+        // The flagship isolation mix must catch it under every policy.
+        for r in mutated.iter().filter(|r| r.mix == Some(PartMix::HotVsScan)) {
+            assert!(r.result.is_err(), "{} missed the mutant", r.cfg.label());
+        }
+        let mrep = report(&mutated, &mutant);
+        assert!(mrep.contains("CAUGHT"), "{mrep}");
+    }
+
+    #[test]
+    fn mutation_repro_shrinks_and_replays() {
+        let opts = CheckOpts {
+            accesses: 8_000,
+            lines: 64,
+            jobs: 1,
+            digest_every: 256,
+            quota_bypass: true,
+            ..CheckOpts::default()
+        };
+        let row = run(&opts)
+            .into_iter()
+            .find(|r| r.result.is_err())
+            .expect("mutant must be caught");
+        let dir = std::env::temp_dir().join("zbench-mutant-repro-test");
+        let (path, len) = shrink_repro(&row, opts.accesses, opts.digest_every, &dir).unwrap();
+        assert!(
+            (1..=256).contains(&len),
+            "shrunk repro suspiciously large: {len}"
+        );
+        let repro = corpus::read_repro(&path).unwrap();
+        assert!(repro.cfg.quota_bypass);
+        assert!(
+            repro.replay(opts.digest_every).is_err(),
+            "shrunk bypass repro no longer reproduces"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

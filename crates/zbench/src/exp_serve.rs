@@ -87,23 +87,24 @@ pub fn report(soak: &SoakReport, base: &ServeConfig) -> String {
         .rows
         .iter()
         .map(|r| {
-            let total = (r.hits + r.misses).max(1);
+            let (s, latency) = (&r.stats, r.stats.latency_summary());
+            let total = (s.hits + s.misses).max(1);
             vec![
                 r.schedule.clone(),
                 r.seed.to_string(),
                 r.ticks.to_string(),
-                r.acked.to_string(),
-                r.failed.to_string(),
-                r.retries.to_string(),
-                r.hedges.to_string(),
-                r.shard_crashes.to_string(),
-                r.shard_rebuilds.to_string(),
-                r.budget_reductions.to_string(),
-                r.budget_restorations.to_string(),
-                format!("{:.3}", r.hits as f64 / total as f64),
-                r.latency.p50.to_string(),
-                r.latency.p99.to_string(),
-                r.latency.max.to_string(),
+                s.acked.to_string(),
+                s.failed.to_string(),
+                s.retries.to_string(),
+                s.hedges.to_string(),
+                s.shard_crashes.to_string(),
+                s.shard_rebuilds.to_string(),
+                s.budget_reductions.to_string(),
+                s.budget_restorations.to_string(),
+                format!("{:.3}", s.hits as f64 / total as f64),
+                latency.p50.to_string(),
+                latency.p99.to_string(),
+                latency.max.to_string(),
                 r.violations.len().to_string(),
             ]
         })
@@ -130,6 +131,7 @@ fn json_escape(s: &str) -> String {
 }
 
 fn row_json(r: &SoakRow) -> String {
+    let (s, latency) = (&r.stats, r.stats.latency_summary());
     let violations = r
         .violations
         .iter()
@@ -148,26 +150,26 @@ fn row_json(r: &SoakRow) -> String {
         r.seed,
         r.transparent,
         r.ticks,
-        r.ops_issued,
-        r.acked,
-        r.failed,
-        r.retries,
-        r.hedges,
-        r.timeouts,
-        r.queue_rejections,
-        r.admission_rejections,
-        r.duplicate_acks,
-        r.dropped_replies,
-        r.shard_crashes,
-        r.shard_rebuilds,
-        r.budget_reductions,
-        r.budget_restorations,
-        r.hits,
-        r.misses,
-        r.latency.p50,
-        r.latency.p95,
-        r.latency.p99,
-        r.latency.max,
+        s.ops_issued,
+        s.acked,
+        s.failed,
+        s.retries,
+        s.hedges,
+        s.timeouts,
+        s.queue_rejections,
+        s.admission_rejections,
+        s.duplicate_acks,
+        s.dropped_replies,
+        s.shard_crashes,
+        s.shard_rebuilds,
+        s.budget_reductions,
+        s.budget_restorations,
+        s.hits,
+        s.misses,
+        latency.p50,
+        latency.p95,
+        latency.p99,
+        latency.max,
         r.digest,
         violations,
     )

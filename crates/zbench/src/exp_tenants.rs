@@ -1,5 +1,4 @@
-//! `zbench tenants` — multi-tenant partitioned-zcache isolation sweep
-//! and the partition lockstep conformance check.
+//! `zbench tenants` — multi-tenant partitioned-zcache isolation sweep.
 //!
 //! The sweep drives each [`standard_mixes`] tenant mix through three
 //! cache modes built on the *same* interleaved reference stream:
@@ -21,33 +20,26 @@
 //! EXPERIMENTS.md): the Zipf-hot tenant's partitioned MPKI stays within
 //! 2× of its solo run while its shared MPKI blows far past it.
 //!
-//! `--check` instead runs the [`part_check_grid`] differential sweep —
-//! every (tenant mix × policy) pair in zoracle lockstep — and
-//! `--mutate quota-bypass` re-runs that grid with the quota-bypass
-//! mutation applied to the production side, verifying the lockstep
-//! *catches* the mutant and ddmin-shrinking one caught divergence into
-//! `tests/corpus/` (where `partition_conformance` replays it forever).
+//! The partitioned cache's zoracle lockstep, and the quota-bypass
+//! mutant it catches, run in `zbench check` ([`crate::exp_check`]).
 //!
 //! Points fan out over the [`SweepRunner`]; all randomness derives from
 //! [`point_seed`], so output is byte-identical for any `--jobs` value.
 //!
 //! [`ShadowDuel`]: zcache_core::ShadowDuel
 
-use crate::exp_check::CheckRow;
 use crate::{format_table, point_seed, SweepRunner};
 use zcache_core::{
     AdaptiveConfig, AnyPolicy, ArrayKind, PartitionConfig, PartitionedCache, PolicyKind,
     ShadowDuel, TenantGrant,
 };
-use zoracle::part_check_grid;
 use zworkloads::multi_tenant::{standard_mixes, TenantMix};
 use zworkloads::{MemRef, ZipfCache};
 
-/// Options for the tenants sweep and the `--check` lockstep grid.
+/// Options for the tenants sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantOpts {
-    /// Interleaved references per mix (sweep) or accesses per grid pair
-    /// (`--check`).
+    /// Interleaved references per mix.
     pub accesses: usize,
     /// Shared cache frames.
     pub lines: u64,
@@ -62,8 +54,6 @@ pub struct TenantOpts {
     /// Fraction of the array granted as quotas in total (1.0 = exactly
     /// the array; > 1 overcommits, weakening enforcement).
     pub quota_frac: f64,
-    /// Full-state digest interval of the `--check` lockstep.
-    pub digest_every: u64,
 }
 
 impl Default for TenantOpts {
@@ -76,7 +66,6 @@ impl Default for TenantOpts {
             seed: 1,
             jobs: crate::opts::default_jobs(),
             quota_frac: 1.0,
-            digest_every: 1024,
         }
     }
 }
@@ -243,20 +232,16 @@ fn jain(rows: &[TenantRow], mode_mpki: impl Fn(&TenantRow) -> f64) -> f64 {
     }
 }
 
-/// Checks, without panicking, that every structure the isolation sweep
-/// (or, with `check`, the lockstep grid) builds accepts `opts`'
-/// geometry: the shared zcache array, and for the sweep the per-tenant
+/// Checks, without panicking, that every structure the sweep builds
+/// accepts `opts`' geometry: the shared zcache array and the per-tenant
 /// walk-budget duels of the partitioned mode.
-pub fn check_geometry(opts: &TenantOpts, check: bool) -> Result<(), String> {
+pub fn check_geometry(opts: &TenantOpts) -> Result<(), String> {
     let kind = ArrayKind::ZCache {
         levels: opts.levels,
     };
     kind.check_geometry(opts.lines, opts.ways)
         .map_err(|e| format!("cannot build {kind}: {e}"))?;
-    if !check {
-        ShadowDuel::<AnyPolicy>::check_geometry(opts.lines, opts.ways)?;
-    }
-    Ok(())
+    ShadowDuel::<AnyPolicy>::check_geometry(opts.lines, opts.ways)
 }
 
 /// Runs the isolation sweep over every standard mix.
@@ -375,93 +360,6 @@ pub fn report(summaries: &[MixSummary], opts: &TenantOpts) -> String {
     out
 }
 
-/// Runs the partition lockstep grid (every tenant mix × policy pair in
-/// zoracle differential lockstep), optionally with the quota-bypass
-/// mutation applied to the production side.
-///
-/// Per-pair seeds derive from [`point_seed`] over the unfiltered grid,
-/// mirroring `zbench check`; diverging rows shrink with
-/// [`crate::exp_check::shrink_repro`].
-pub fn run_check(opts: &TenantOpts, bypass: bool) -> Vec<CheckRow> {
-    let grid = part_check_grid();
-    SweepRunner::new(opts.jobs).run(grid.len(), |i| {
-        let (mix, policy) = grid[i];
-        let cfg_seed = point_seed(opts.seed, 2 * i as u64);
-        let stream_seed = point_seed(opts.seed, 2 * i as u64 + 1);
-        let mut cfg = mix.config(policy, opts.lines, opts.ways, cfg_seed);
-        cfg.quota_bypass = bypass;
-        CheckRow::run(
-            cfg,
-            Some(mix),
-            stream_seed,
-            opts.accesses,
-            opts.digest_every,
-        )
-    })
-}
-
-/// Formats the `--check` grid (and, under the mutation, which pairs
-/// caught the mutant).
-pub fn report_check(rows: &[CheckRow], opts: &TenantOpts, bypass: bool) -> String {
-    let mut out = if bypass {
-        format!(
-            "Partition lockstep vs quota-bypass MUTANT: {} pairs x {} accesses\n\
-             (a FAIL row means the lockstep caught the mutation — the desired outcome)\n\n",
-            rows.len(),
-            opts.accesses
-        )
-    } else {
-        format!(
-            "Partition lockstep conformance: {} pairs x {} accesses (dut vs zoracle)\n\n",
-            rows.len(),
-            opts.accesses
-        )
-    };
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| match &r.result {
-            Ok(s) => vec![
-                r.cfg.label(),
-                "ok".into(),
-                s.misses.to_string(),
-                s.evictions.to_string(),
-                s.cross_evictions.to_string(),
-                format!("{:016x}", s.digest),
-            ],
-            Err(d) => vec![
-                r.cfg.label(),
-                if bypass { "CAUGHT" } else { "FAIL" }.into(),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-                format!("diverged at #{}", d.index),
-            ],
-        })
-        .collect();
-    out.push_str(&format_table(
-        &["pair", "status", "misses", "evict", "cross", "digest"],
-        &table,
-    ));
-    let failures = rows.iter().filter(|r| r.result.is_err()).count();
-    out.push('\n');
-    if bypass {
-        out.push_str(&format!(
-            "{failures}/{} pairs caught the quota-bypass mutant\n",
-            rows.len()
-        ));
-    } else if failures == 0 {
-        out.push_str("all pairs conform\n");
-    } else {
-        out.push_str(&format!("{failures} pair(s) DIVERGED\n"));
-        for r in rows {
-            if let Err(d) = &r.result {
-                out.push_str(&format!("  {}: {d}\n", r.cfg.label()));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,68 +456,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn check_grid_is_clean_and_catches_the_mutant() {
-        let opts = TenantOpts {
-            accesses: 12_000,
-            lines: 64,
-            jobs: 2,
-            digest_every: 256,
-            ..TenantOpts::default()
-        };
-        let clean = run_check(&opts, false);
-        assert_eq!(clean.len(), 6);
-        for r in &clean {
-            assert!(r.result.is_ok(), "{}: {:?}", r.cfg.label(), r.result);
-        }
-        let rep = report_check(&clean, &opts, false);
-        assert!(rep.contains("all pairs conform"), "{rep}");
-
-        let mutated = run_check(&opts, true);
-        let caught = mutated.iter().filter(|r| r.result.is_err()).count();
-        assert!(
-            caught >= 4,
-            "quota-bypass mutant escaped most pairs ({caught}/6 caught)"
-        );
-        // The flagship isolation mix must catch it under every policy.
-        for r in mutated
-            .iter()
-            .filter(|r| r.mix == Some(zoracle::PartMix::HotVsScan))
-        {
-            assert!(r.result.is_err(), "{} missed the mutant", r.cfg.label());
-        }
-        let mrep = report_check(&mutated, &opts, true);
-        assert!(mrep.contains("CAUGHT"), "{mrep}");
-    }
-
-    #[test]
-    fn mutation_repro_shrinks_and_replays() {
-        let opts = TenantOpts {
-            accesses: 8_000,
-            lines: 64,
-            jobs: 1,
-            digest_every: 256,
-            ..TenantOpts::default()
-        };
-        let row = run_check(&opts, true)
-            .into_iter()
-            .find(|r| r.result.is_err())
-            .expect("mutant must be caught");
-        let dir = std::env::temp_dir().join("zbench-tenants-repro-test");
-        let (path, len) =
-            crate::exp_check::shrink_repro(&row, opts.accesses, opts.digest_every, &dir).unwrap();
-        assert!(
-            (1..=256).contains(&len),
-            "shrunk repro suspiciously large: {len}"
-        );
-        let repro = zoracle::corpus::read_repro(&path).unwrap();
-        assert!(repro.cfg.quota_bypass);
-        assert!(
-            repro.replay(opts.digest_every).is_err(),
-            "shrunk bypass repro no longer reproduces"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

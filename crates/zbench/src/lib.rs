@@ -12,12 +12,12 @@
 //! | [`exp_fig5`] | Fig. 5 — IPC and BIPS/W for serial/parallel lookups |
 //! | [`exp_bandwidth`] | §VI-D — tag-array bandwidth and self-throttling |
 //! | [`exp_ablate`] | DESIGN.md ablations — walk strategy, early stop, Bloom dedup, bucketed-LRU parameters |
-//! | [`exp_check`] | Differential conformance sweep against the `zoracle` brute-force reference models |
+//! | [`exp_check`] | Differential conformance sweep against the `zoracle` brute-force reference models, plain and partitioned, and the quota-bypass mutant it must catch |
 //! | [`exp_perf`] | Simulator throughput (accesses/sec) across the design lineup |
 //! | [`exp_adaptive`] | §VIII future work — adaptive walk throttling |
 //! | [`exp_conflicts`] | §IV conflict-miss decomposition vs fully-associative |
 //! | [`exp_predict`] | Analytical miss-ratio fast-path — reuse-distance profiles convolved with the §IV uniformity model, cross-validated against simulation |
-//! | [`exp_tenants`] | Multi-tenant quota partitioning — solo/shared/partitioned MPKI per tenant, Jain fairness, and the partition lockstep grid vs `zoracle` (with quota-bypass mutation testing) |
+//! | [`exp_tenants`] | Multi-tenant quota partitioning — solo/shared/partitioned MPKI per tenant, Jain fairness |
 //!
 //! The experiments that replay a stream through caches of their own build
 //! and drive them with [`lineup`]. The `zbench` binary exposes one

@@ -4,9 +4,9 @@
 //! text. Every flag — its value kind and bounds, the commands it applies
 //! to and its help line — is declared once, in [`zbench::cli::FLAGS`].
 //!
-//! `check` and `tenants --check` exit 1 on divergence and `serve --chaos`
-//! on invariant violations, after shrinking each failure to a minimal
-//! repro under `tests/corpus/`.
+//! `check` exits 1 on divergence (under `--mutate`, on a pair that misses
+//! the mutant) and `serve --chaos` on invariant violations, after
+//! shrinking each failure to a minimal repro under `tests/corpus/`.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -107,10 +107,10 @@ fn write_artifact(args: &Args, json: &str) {
     println!("wrote {path}");
 }
 
-/// The divergence workflow of `check`, `tenants --check` and `serve
-/// --chaos`: `shrink` writes a minimal repro of each failure into
-/// `tests/corpus/`, which the corpus regression tests replay, and the
-/// process exits 1 if there was any failure.
+/// The divergence workflow of `check` and `serve --chaos`: `shrink`
+/// writes a minimal repro of each failure into `tests/corpus/`, which
+/// the corpus regression tests replay, and the process exits 1 if there
+/// was any failure.
 fn shrink_failures<T>(failures: &[T], shrink: impl Fn(&T, &Path) -> io::Result<PathBuf>) {
     if failures.is_empty() {
         return;
@@ -208,6 +208,10 @@ fn dumptrace(args: &Args, opts: &ExpOpts) {
 }
 
 /// Runs the differential conformance sweep against the zoracle models.
+/// Under `--mutate` the roles invert: every pair is expected to
+/// diverge, the first caught divergence is shrunk into the corpus (so
+/// the regression test replays the mutant forever), and an undetected
+/// mutant exits 1.
 fn check(args: &Args, opts: &ExpOpts) {
     let d = exp_check::CheckOpts::default();
     let copts = exp_check::CheckOpts {
@@ -223,6 +227,7 @@ fn check(args: &Args, opts: &ExpOpts) {
             .text("--policy")
             .map(|n| zoracle::CheckPolicy::from_name(n).expect("--policy choices")),
         digest_every: args.get("--digest-every").unwrap_or(d.digest_every),
+        quota_bypass: args.on("--mutate"),
     };
     for design in zoracle::CheckDesign::ALL {
         let kind = design.array_kind();
@@ -237,79 +242,58 @@ fn check(args: &Args, opts: &ExpOpts) {
     }
 
     let rows = exp_check::run(&copts);
-    println!("{}", exp_check::report(&rows, copts.accesses));
+    if rows.is_empty() {
+        cli::fail(
+            "--mutate quota-bypass: --design/--policy leave no partitioned pair \
+             (those run z2 and z3)",
+        );
+    }
+    println!("{}", exp_check::report(&rows, &copts));
     let diverged: Vec<_> = rows.iter().filter(|r| r.result.is_err()).collect();
-    shrink_failures(&diverged, |row, corpus| {
-        Ok(exp_check::shrink_repro(row, copts.accesses, copts.digest_every, corpus)?.0)
-    });
-}
-
-/// Runs the multi-tenant sweep, or with `--check` the partition lockstep
-/// grid. Under `--mutate` the roles invert: every pair is expected to
-/// diverge, the first caught divergence is shrunk into the corpus (so
-/// the regression test replays the mutant forever), and an undetected
-/// mutant exits 1.
-fn tenants(args: &Args, opts: &ExpOpts) {
-    let check = args.on("--check");
-    let bypass = args.on("--mutate");
-    if bypass && !check {
-        cli::fail("--mutate requires --check");
-    }
-    let d = exp_tenants::TenantOpts::default();
-    // The lockstep grid recomputes the reference exhaustively per
-    // access, so it defaults to check-scale geometry.
-    let (lines, accesses) = if check {
-        (64, 30_000)
-    } else {
-        (d.lines, d.accesses)
-    };
-    let topts = exp_tenants::TenantOpts {
-        accesses: args.get("--accesses").unwrap_or(accesses),
-        lines: args.get("--lines").unwrap_or(lines),
-        ways: args.get("--ways").unwrap_or(d.ways),
-        seed: opts.seed,
-        jobs: opts.jobs,
-        quota_frac: args.get("--quota-frac").unwrap_or(d.quota_frac),
-        digest_every: args.get("--digest-every").unwrap_or(d.digest_every),
-        ..d
-    };
-    if let Err(e) = exp_tenants::check_geometry(&topts, check) {
-        cli::fail(format!(
-            "--lines {} --ways {}: {e}",
-            topts.lines, topts.ways
-        ));
-    }
-    if !check {
-        let summaries = exp_tenants::run(&topts);
-        println!("{}", exp_tenants::report(&summaries, &topts));
-        return;
-    }
-
-    let rows = exp_tenants::run_check(&topts, bypass);
-    println!("{}", exp_tenants::report_check(&rows, &topts, bypass));
-    let caught: Vec<_> = rows.iter().filter(|r| r.result.is_err()).collect();
     let shrink = |row: &&exp_check::CheckRow, corpus: &Path| {
-        Ok(exp_check::shrink_repro(row, topts.accesses, topts.digest_every, corpus)?.0)
+        Ok(exp_check::shrink_repro(row, copts.accesses, copts.digest_every, corpus)?.0)
     };
-    if !bypass {
-        shrink_failures(&caught, shrink);
+    if !copts.quota_bypass {
+        shrink_failures(&diverged, shrink);
         return;
     }
     // One caught mutant is enough for the corpus.
-    if let Some(row) = caught.first() {
+    if let Some(row) = diverged.first() {
         match shrink(row, Path::new("tests/corpus")) {
             Ok(path) => eprintln!("  wrote mutant repro {}", path.display()),
             Err(e) => eprintln!("  failed to write repro: {e}"),
         }
     }
-    if caught.len() < rows.len() {
+    if diverged.len() < rows.len() {
         eprintln!(
             "quota-bypass mutant ESCAPED {} of {} pairs",
-            rows.len() - caught.len(),
+            rows.len() - diverged.len(),
             rows.len()
         );
         std::process::exit(1);
     }
+}
+
+/// Runs the multi-tenant isolation sweep.
+fn tenants(args: &Args, opts: &ExpOpts) {
+    let d = exp_tenants::TenantOpts::default();
+    let topts = exp_tenants::TenantOpts {
+        accesses: args.get("--accesses").unwrap_or(d.accesses),
+        lines: args.get("--lines").unwrap_or(d.lines),
+        ways: args.get("--ways").unwrap_or(d.ways),
+        seed: opts.seed,
+        jobs: opts.jobs,
+        quota_frac: args.get("--quota-frac").unwrap_or(d.quota_frac),
+        ..d
+    };
+    if let Err(e) = exp_tenants::check_geometry(&topts) {
+        cli::fail(format!(
+            "--lines {} --ways {}: {e}",
+            topts.lines, topts.ways
+        ));
+    }
+    let summaries = exp_tenants::run(&topts);
+    println!("{}", exp_tenants::report(&summaries, &topts));
 }
 
 fn perf(args: &Args, opts: &ExpOpts) {

@@ -120,10 +120,6 @@ fn float_flags_check_their_floors() {
     // panicked inside the lockstep sweep (exit 101), --reps ran one rep
     // anyway and --accesses printed a NaN miss ratio.
     assert_rejected(&["check", "--digest-every", "0"], "--digest-every");
-    assert_rejected(
-        &["tenants", "--check", "--digest-every", "0"],
-        "--digest-every",
-    );
     assert_rejected(&["perf", "--reps", "0"], "--reps");
     assert_rejected(&["perf", "--accesses", "0"], "--accesses");
     // Sharer masks are u64. At 65 cores a debug build panicked on a
@@ -134,10 +130,17 @@ fn float_flags_check_their_floors() {
 }
 
 #[test]
-fn mutate_needs_check() {
-    assert_rejected(&["tenants", "--mutate", "quota-bypass"], "requires --check");
+fn the_lockstep_and_its_mutant_run_in_check_only() {
+    // The lockstep, its digest interval and its mutant belong to
+    // `check`; `tenants` is the isolation sweep alone.
+    assert_rejected(&["tenants", "--check"], "--check");
+    assert_rejected(&["tenants", "--mutate", "quota-bypass"], "--mutate");
+    assert_rejected(&["tenants", "--digest-every", "1"], "--digest-every");
+    assert_rejected(&["check", "--mutate", "row-hammer"], "--mutate");
+    // Only the partitioned pairs (z2 and z3) have quotas to bypass: a
+    // filter that leaves none must not pass on zero rows.
     assert_rejected(
-        &["tenants", "--check", "--mutate", "row-hammer"],
+        &["check", "--design", "fully", "--mutate", "quota-bypass"],
         "--mutate",
     );
 }
@@ -152,7 +155,6 @@ fn bad_cache_geometry_exits_2_before_the_sweep() {
     assert_rejected(&["check", "--design", "fully", "--lines", "0"], "--lines");
     assert_rejected(&["tenants", "--lines", "100"], "--lines");
     assert_rejected(&["tenants", "--ways", "0"], "--ways");
-    assert_rejected(&["tenants", "--check", "--lines", "60"], "--lines");
     // Too small for the sweep's walk-budget duels (fewer than 4 x ways
     // frames): rejected before ShadowDuel::for_geometry's assert.
     assert_rejected(&["tenants", "--lines", "4"], "--lines");
@@ -173,8 +175,9 @@ fn bad_cache_geometry_exits_2_before_the_sweep() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // The lockstep grid builds no duel, so four frames are enough.
-    let out = zbench(&["tenants", "--check", "--lines", "4", "--accesses", "2000"]);
+    // The lockstep builds no duel, so four frames are enough for its
+    // partitioned pairs.
+    let out = zbench(&["check", "--lines", "4", "--accesses", "2000"]);
     assert_eq!(
         out.status.code(),
         Some(0),

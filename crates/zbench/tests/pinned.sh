@@ -64,7 +64,6 @@ pin crates/zbench/tests/golden/predict-sizes.txt predict --smoke --workloads 1 -
 pin BENCH_predict.json predict --smoke --workloads 4 --validate --out BENCH_predict.json
 pin crates/zbench/tests/golden/check.txt check --accesses 20000
 pin crates/zbench/tests/golden/tenants.txt tenants --accesses 4000 --lines 128
-pin crates/zbench/tests/golden/tenants-check.txt tenants --check --accesses 5000
 pin crates/zbench/tests/golden/dumptrace.txt dumptrace canneal $tmp/canneal.trace --cores 4 --instrs 5000
 pin crates/zbench/tests/golden/trace.txt trace $tmp/canneal.trace
 pin crates/zbench/tests/golden/perf-profile-walks.txt perf --profile walks --smoke --filter z3:

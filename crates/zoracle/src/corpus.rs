@@ -4,7 +4,8 @@
 //! check: a `#`-commented header carrying the configuration, followed by
 //! one access per line in the `R|W <hex-addr>` format `zworkloads`
 //! trace files use (so the body can be inspected or replayed with the
-//! existing trace tooling):
+//! existing trace tooling). As there, the address is hex with or
+//! without one `0x`:
 //!
 //! ```text
 //! # zoracle repro: install differs (...)
@@ -39,8 +40,8 @@
 //!
 //! Files live in `tests/corpus/` (`.trace` for plain checks, `.ptrace`
 //! for partitioned ones) and are replayed by the `oracle_conformance`
-//! and `partition_conformance` regression tests on every run, so a bug
-//! caught once stays caught — and a mutant repro keeps being caught.
+//! regression test on every run, so a bug caught once stays caught —
+//! and a mutant repro keeps being caught.
 //!
 //! [`read_repro`] checks a file against what its replay relies on — a
 //! geometry the arrays accept and of at most [`MAX_REPRO_LINES`] frames,
@@ -125,6 +126,13 @@ fn parse_u64(s: &str, n: usize) -> io::Result<u64> {
         s.parse()
     };
     r.map_err(|e| bad(n, format!("bad number {s:?}: {e}")))
+}
+
+/// An access address: hex with at most one `0x`, as `zworkloads`'
+/// trace reader takes it (`R 100` is 0x100).
+fn parse_addr(s: &str, n: usize) -> io::Result<u64> {
+    u64::from_str_radix(s.strip_prefix("0x").unwrap_or(s), 16)
+        .map_err(|e| bad(n, format!("bad number {s:?}: {e}")))
 }
 
 fn parse_u32(s: &str, n: usize) -> io::Result<u32> {
@@ -271,7 +279,7 @@ pub fn read_repro(path: &Path) -> io::Result<Repro> {
             "W" | "w" => true,
             other => return Err(bad(n, format!("bad op {other:?}"))),
         };
-        let addr = parse_u64(field("address")?, n)?;
+        let addr = parse_addr(field("address")?, n)?;
         if tagged && addr >> TENANT_SHIFT != 0 {
             return Err(bad(
                 n,
@@ -363,6 +371,16 @@ mod tests {
     }
 
     #[test]
+    fn bare_addresses_read_as_hex() {
+        let path = std::env::temp_dir().join("zoracle-corpus-hex.trace");
+        let text = "# design: z3\n# policy: lru\n# lines: 64\n# ways: 4\n# seed: 1\nR 100\n";
+        std::fs::write(&path, text).unwrap();
+        let repro = read_repro(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(repro.trace[0].addr, 0x100);
+    }
+
+    #[test]
     fn missing_corpus_dir_is_empty() {
         let got = load_corpus(Path::new("/nonexistent/zoracle-corpus")).unwrap();
         assert!(got.is_empty());
@@ -401,6 +419,7 @@ mod tests {
             (format!("{PLAIN}R 0x1\nX 0x2\n"), "line 7: bad op \"X\""),
             (format!("{PLAIN}W\n"), "line 6: missing address"),
             (format!("{PLAIN}R 0xzz\n"), "line 6: bad number"),
+            (format!("{PLAIN}R 0x0x1f\n"), "line 6: bad number"),
             (format!("{PLAIN}T0 R 0x1\n"), "line 6: bad op \"T0\""),
             (
                 format!("{PLAIN}# enforce: true\n"),

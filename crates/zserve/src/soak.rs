@@ -23,7 +23,7 @@
 
 use crate::fault::{FaultKind, FaultMenu, FaultPlan};
 use crate::service::{ServeConfig, ServeReport, ZServe};
-use crate::stats::LatencySummary;
+use crate::stats::ServeStats;
 
 /// One named soak schedule.
 #[derive(Debug, Clone)]
@@ -127,9 +127,8 @@ pub fn schedule_matrix(cfg: &ServeConfig, seed: u64) -> Vec<Schedule> {
     ]
 }
 
-/// One soak point's outcome: the flattened run numbers plus any
-/// invariant violations (and, when shrinking was requested, a minimal
-/// repro).
+/// One soak point's outcome: the run's counters plus any invariant
+/// violations (and, when shrinking was requested, a minimal repro).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakRow {
     /// Schedule name.
@@ -140,40 +139,8 @@ pub struct SoakRow {
     pub transparent: bool,
     /// Virtual ticks the chaos run took.
     pub ticks: u64,
-    /// Ops issued / acked / failed.
-    pub ops_issued: u64,
-    /// Acknowledged exactly once.
-    pub acked: u64,
-    /// Ops that exhausted their attempt budget.
-    pub failed: u64,
-    /// Retry attempts sent.
-    pub retries: u64,
-    /// Hedged requests sent.
-    pub hedges: u64,
-    /// Attempt timeouts.
-    pub timeouts: u64,
-    /// Queue-full / shard-down bounces.
-    pub queue_rejections: u64,
-    /// Admission-control deferrals.
-    pub admission_rejections: u64,
-    /// Suppressed duplicate acks.
-    pub duplicate_acks: u64,
-    /// Served replies discarded by drop faults.
-    pub dropped_replies: u64,
-    /// Shard panics caught.
-    pub shard_crashes: u64,
-    /// Cold rebuilds completed.
-    pub shard_rebuilds: u64,
-    /// Walk-budget decreases.
-    pub budget_reductions: u64,
-    /// Walk-budget increases.
-    pub budget_restorations: u64,
-    /// Cache hits / misses across shards.
-    pub hits: u64,
-    /// Cache misses across shards.
-    pub misses: u64,
-    /// Completed-op latency percentiles, in ticks.
-    pub latency: LatencySummary,
+    /// The run's counters and completed-op latencies.
+    pub stats: ServeStats,
     /// Combined cache-state digest.
     pub digest: u64,
     /// Invariant violations (empty = pass).
@@ -202,6 +169,7 @@ impl SoakReport {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for r in &self.rows {
+            let (s, latency) = (&r.stats, r.stats.latency_summary());
             out.push_str(&format!(
                 "schedule={} seed={} transparent={} ticks={} issued={} acked={} failed={} \
                  retries={} hedges={} timeouts={} qrej={} arej={} dups={} dropped={} \
@@ -211,26 +179,26 @@ impl SoakReport {
                 r.seed,
                 if r.transparent { "yes" } else { "no" },
                 r.ticks,
-                r.ops_issued,
-                r.acked,
-                r.failed,
-                r.retries,
-                r.hedges,
-                r.timeouts,
-                r.queue_rejections,
-                r.admission_rejections,
-                r.duplicate_acks,
-                r.dropped_replies,
-                r.shard_crashes,
-                r.shard_rebuilds,
-                r.budget_reductions,
-                r.budget_restorations,
-                r.hits,
-                r.misses,
-                r.latency.p50,
-                r.latency.p95,
-                r.latency.p99,
-                r.latency.max,
+                s.ops_issued,
+                s.acked,
+                s.failed,
+                s.retries,
+                s.hedges,
+                s.timeouts,
+                s.queue_rejections,
+                s.admission_rejections,
+                s.duplicate_acks,
+                s.dropped_replies,
+                s.shard_crashes,
+                s.shard_rebuilds,
+                s.budget_reductions,
+                s.budget_restorations,
+                s.hits,
+                s.misses,
+                latency.p50,
+                latency.p95,
+                latency.p99,
+                latency.max,
                 r.digest,
                 if r.violations.is_empty() {
                     "none".to_string()
@@ -363,29 +331,12 @@ pub fn soak_point(base: &ServeConfig, schedule: &Schedule, seed: u64, shrink: bo
     } else {
         None
     };
-    let s = &report.stats;
     SoakRow {
         schedule: schedule.name.clone(),
         seed,
         transparent,
         ticks: report.ticks,
-        ops_issued: s.ops_issued,
-        acked: s.acked,
-        failed: s.failed,
-        retries: s.retries,
-        hedges: s.hedges,
-        timeouts: s.timeouts,
-        queue_rejections: s.queue_rejections,
-        admission_rejections: s.admission_rejections,
-        duplicate_acks: s.duplicate_acks,
-        dropped_replies: s.dropped_replies,
-        shard_crashes: s.shard_crashes,
-        shard_rebuilds: s.shard_rebuilds,
-        budget_reductions: s.budget_reductions,
-        budget_restorations: s.budget_restorations,
-        hits: s.hits,
-        misses: s.misses,
-        latency: s.latency_summary(),
+        stats: report.stats,
         digest: report.combined_digest,
         violations,
         repro,
@@ -507,7 +458,7 @@ mod tests {
         assert_eq!(row.schedule, "drop");
         assert_eq!(row.seed, 9);
         assert!(row.violations.is_empty(), "{:?}", row.violations);
-        assert!(row.dropped_replies > 0);
+        assert!(row.stats.dropped_replies > 0);
     }
 
     #[test]

@@ -28,14 +28,15 @@ fn full_matrix_survives_chaos() {
         );
     }
     // The matrix must have actually hurt: faults fired, recovery ran.
-    let total = |f: fn(&zserve::soak::SoakRow) -> u64| report.rows.iter().map(f).sum::<u64>();
-    assert!(total(|r| r.dropped_replies) > 0);
-    assert!(total(|r| r.shard_crashes) > 0);
-    assert!(total(|r| r.shard_rebuilds) > 0);
-    assert!(total(|r| r.retries) > 0);
-    assert!(total(|r| r.queue_rejections) > 0);
-    assert!(total(|r| r.budget_reductions) > 0);
-    assert!(total(|r| r.budget_restorations) > 0);
+    let total =
+        |f: fn(&zserve::ServeStats) -> u64| report.rows.iter().map(|r| f(&r.stats)).sum::<u64>();
+    assert!(total(|s| s.dropped_replies) > 0);
+    assert!(total(|s| s.shard_crashes) > 0);
+    assert!(total(|s| s.shard_rebuilds) > 0);
+    assert!(total(|s| s.retries) > 0);
+    assert!(total(|s| s.queue_rejections) > 0);
+    assert!(total(|s| s.budget_reductions) > 0);
+    assert!(total(|s| s.budget_restorations) > 0);
 }
 
 #[test]

@@ -79,7 +79,7 @@ impl System {
     /// seeded table, and ports/memory are fixed arrays (verified by
     /// `tests/alloc_steady_state.rs`).
     #[inline]
-    pub fn access(&mut self, core: u32, line: u64, write: bool, next_use: u64, now: u64) -> u64 {
+    pub fn access(&mut self, core: u32, line: u64, write: bool, now: u64) -> u64 {
         let out = self.l1s[core as usize].access_full(line, write, u64::MAX);
 
         if out.hit {
@@ -102,7 +102,9 @@ impl System {
         }
 
         // Demand access to the L2 (a store miss fetches a clean copy).
-        let (mut stall, lout) = self.l2.demand(line, false, next_use, now);
+        // The policy is never OPT here (see `new`), so no next use is
+        // known.
+        let (mut stall, lout) = self.l2.demand(line, false, u64::MAX, now);
 
         if lout.hit {
             if write {
@@ -176,7 +178,7 @@ impl System {
         Scheduler::new(cores).run(|core, now| {
             let r = pending[core];
             instrs[core] += u64::from(r.gap);
-            let stall = self.access(core as u32, r.line, r.write, u64::MAX, now);
+            let stall = self.access(core as u32, r.line, r.write, now);
             let next = now + u64::from(r.gap) + stall;
             cycles[core] = next;
             if instrs[core] >= budget {

@@ -61,7 +61,7 @@ fn drive(sys: &mut System, seed: u64, steps: u64) {
             (u64::from(core) << 32) | ((x >> 8) % 200_000)
         };
         let write = x.is_multiple_of(4);
-        now += 1 + sys.access(core, line, write, u64::MAX, now);
+        now += 1 + sys.access(core, line, write, now);
     }
 }
 

@@ -5,7 +5,8 @@
 //!
 //! Format: one reference per line, `R <hex-line-addr>` or
 //! `W <hex-line-addr>`, with an optional third column for the
-//! instruction gap. `#`-prefixed lines are comments.
+//! instruction gap. The address is hex with or without one `0x`, so a
+//! bare `100` is 0x100. `#`-prefixed lines are comments.
 //!
 //! ```text
 //! # canneal, core 0
@@ -88,7 +89,7 @@ impl<R: BufRead> TraceReader<R> {
             .next()
             .ok_or_else(|| bad("missing address"))
             .and_then(|a| {
-                u64::from_str_radix(a.trim_start_matches("0x"), 16)
+                u64::from_str_radix(a.strip_prefix("0x").unwrap_or(a), 16)
                     .map_err(|_| bad("invalid hex address"))
             })?;
         let gap = match parts.next() {
@@ -244,19 +245,22 @@ mod tests {
 
     #[test]
     fn parses_comments_blanks_and_prefixes() {
-        let text = "# header\n\nR 0x10\nw 20 3\n";
+        let text = "# header\n\nR 0x10\nw 20 3\nR 100\n";
         let refs = read_trace(text.as_bytes()).unwrap();
-        assert_eq!(refs.len(), 2);
+        assert_eq!(refs.len(), 3);
         assert_eq!(refs[0].line, 0x10);
         assert!(!refs[0].write);
         assert_eq!(refs[1].line, 0x20);
         assert!(refs[1].write);
         assert_eq!(refs[1].gap, 3);
+        // A bare address is hex, as in a zoracle repro.
+        assert_eq!(refs[2].line, 0x100);
     }
 
     #[test]
     fn rejects_malformed_lines() {
-        for bad in ["X 10", "R", "R zz", "R 10 x", "R 10 1 extra"] {
+        // An address takes one `0x` at most.
+        for bad in ["X 10", "R", "R zz", "R 10 x", "R 10 1 extra", "R 0x0x1f"] {
             assert!(read_trace(bad.as_bytes()).is_err(), "accepted {bad:?}");
         }
     }

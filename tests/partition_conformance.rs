@@ -55,7 +55,7 @@ fn partition_corpus_repros_replay() {
             repro.note
         );
     }
-    // `zbench tenants --check --mutate quota-bypass` seeds the corpus
+    // `zbench check --mutate quota-bypass` seeds the corpus
     // with at least one shrunk mutant repro; an empty corpus means the
     // replay test silently checks nothing.
     assert!(
