@@ -4,7 +4,7 @@ use super::tags::INVALID_TAG;
 use super::walk::{WalkKind, WalkNode, WalkTable, NO_PARENT};
 use super::{ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::types::{LineAddr, Location, SlotId};
-use zhash::{AnyHasher, BloomFilter, HashKind, Hasher64};
+use zhash::{AnyHasher, BloomFilter, H3Hash, HashKind, Hasher64};
 
 /// A zcache array: `W` ways indexed by distinct hash functions, with a
 /// multi-level replacement walk.
@@ -39,7 +39,8 @@ pub struct ZArray {
     levels: u32,
     max_candidates: u32,
     walk_kind: WalkKind,
-    hashers: Vec<AnyHasher>,
+    /// How an address maps to its row in each way.
+    index: WayIndex,
     /// `frames[way * rows + row]`: one record per frame.
     frames: Vec<Frame>,
     /// Probe memo `(addr, per-way rows)` stashed by
@@ -49,14 +50,6 @@ pub struct ZArray {
     /// family, so the memo can never go stale; it is only ever *read*
     /// when the stashed address matches. 4-way only (`FRAME_WAYS`).
     probe: (LineAddr, [u32; FRAME_WAYS]),
-    /// Fused byte-sliced H3 tables: `fused[b][v]` holds the per-way hash
-    /// contributions of byte value `v` at byte position `b`, interleaved
-    /// so one pass over the address bytes yields all four ways' hashes
-    /// from shared cache lines (the per-way tables would cost four
-    /// separate scans). Built from the public [`Hasher64::hash`], so the
-    /// values are identical to the per-way path by GF(2) linearity.
-    /// `None` unless `ways == 4` with H3 hashing.
-    fused: Option<Box<[[[u64; FRAME_WAYS]; 256]; 8]>>,
     walk: WalkTable,
     bloom: Option<BloomFilter>,
 }
@@ -113,26 +106,80 @@ pub struct WalkNodeInfo {
     pub parent: Option<u32>,
 }
 
-/// Interleaves the four ways' byte-sliced evaluation tables. A single
-/// byte at position `b` contributes `hash((v as u64) << (8 * b))` to each
-/// way's hash, and H3 is linear over GF(2), so XORing these entries per
-/// input byte reproduces every way's full hash exactly. Each entry is
-/// built from the one with its lowest set bit peeled off, XORed with the
-/// ways' hashes of that bit, so the tables take 64 hashes per way.
-fn build_fused(hashers: &[AnyHasher]) -> Box<[[[u64; FRAME_WAYS]; 256]; 8]> {
-    let bit_rows: [[u64; FRAME_WAYS]; 64] =
-        std::array::from_fn(|bit| std::array::from_fn(|w| hashers[w].hash(1 << bit)));
-    let mut t = vec![[[0u64; FRAME_WAYS]; 256]; 8];
-    for (b, table) in t.iter_mut().enumerate() {
-        for v in 1usize..256 {
-            let rest = table[v & (v - 1)];
-            let row = bit_rows[8 * b + v.trailing_zeros() as usize];
-            table[v] = std::array::from_fn(|w| rest[w] ^ row[w]);
+/// How a [`ZArray`] maps an address to its row in each way.
+#[derive(Debug, Clone)]
+enum WayIndex {
+    /// 4-way H3 with rows that fit a [`Frame`]'s 16-bit lanes: all four
+    /// ways from one packed table.
+    Packed(Box<PackedH3>),
+    /// Every other configuration (other way counts, `Mix64` or
+    /// bit-select hashing, more than 2^16 rows per way): one hasher per
+    /// way.
+    PerWay(Vec<AnyHasher>),
+}
+
+/// Four ways' H3 functions evaluated together, sized to the index:
+/// `table[b][v]` holds, in 16-bit lane `w` (bits `16w..16w + 16`), way
+/// `w`'s hash of byte value `v` at byte position `b`, masked to the row
+/// bits. H3 is linear over GF(2) and masking commutes with XOR, so one
+/// `u64` XOR per address byte yields every way's row in its lane: the
+/// [`Frame::rows`] vector. 16 KiB, where per-way tables of full 64-bit
+/// hashes take 64 KiB.
+#[derive(Debug, Clone)]
+struct PackedH3 {
+    table: [[u64; 256]; 8],
+    /// The ways' H3 matrices, kept as the by-definition reference the
+    /// debug build checks the table against.
+    matrices: [[u64; 64]; FRAME_WAYS],
+}
+
+impl PackedH3 {
+    /// Builds the table for `row_bits <= 16`. Each entry is the one with
+    /// its lowest set bit peeled off, XORed with the lanes of that bit's
+    /// matrix rows.
+    fn new(matrices: [[u64; 64]; FRAME_WAYS], row_bits: u32) -> Box<Self> {
+        debug_assert!(row_bits <= u16::BITS);
+        let mask = (1u64 << row_bits) - 1;
+        let bit_lanes: [u64; 64] = std::array::from_fn(|bit| {
+            (0..FRAME_WAYS).fold(0, |acc, w| acc | (matrices[w][bit] & mask) << (16 * w))
+        });
+        let mut p = Box::new(Self {
+            table: [[0; 256]; 8],
+            matrices,
+        });
+        for (b, table) in p.table.iter_mut().enumerate() {
+            for v in 1usize..256 {
+                table[v] = table[v & (v - 1)] ^ bit_lanes[8 * b + v.trailing_zeros() as usize];
+            }
         }
+        p
     }
-    let boxed: Box<[[[u64; FRAME_WAYS]; 256]; 8]> =
-        t.into_boxed_slice().try_into().expect("exactly 8 tables");
-    boxed
+
+    /// The four ways' rows of `addr`: one table load per address byte,
+    /// up to its highest non-zero byte.
+    #[inline(always)]
+    fn rows(&self, addr: LineAddr) -> [u16; FRAME_WAYS] {
+        let mut acc = 0u64;
+        let mut x = addr;
+        let mut byte = 0usize;
+        while x != 0 {
+            acc ^= self.table[byte][(x & 0xff) as usize];
+            x >>= 8;
+            byte += 1;
+        }
+        std::array::from_fn(|w| (acc >> (16 * w)) as u16)
+    }
+
+    /// Way `w`'s H3 hash of `addr` by definition: the XOR of the matrix
+    /// rows its set bits select. Reads no table.
+    fn reference(&self, w: usize, mut addr: LineAddr) -> u64 {
+        let mut out = 0;
+        while addr != 0 {
+            out ^= self.matrices[w][addr.trailing_zeros() as usize];
+            addr &= addr - 1;
+        }
+        out
+    }
 }
 
 impl ZArray {
@@ -162,10 +209,15 @@ impl ZArray {
             .check_geometry(lines, ways)
             .unwrap_or_else(|e| panic!("{e}"));
         let rows = lines / u64::from(ways);
-        let hashers: Vec<AnyHasher> = (0..ways)
-            .map(|w| hash.build(seed.wrapping_mul(0x1000).wrapping_add(u64::from(w))))
-            .collect();
-        let fused = (ways == 4 && hash == HashKind::H3).then(|| build_fused(&hashers));
+        let row_bits = rows.trailing_zeros();
+        let way_seed = |w: u32| seed.wrapping_mul(0x1000).wrapping_add(u64::from(w));
+        let index = if ways as usize == FRAME_WAYS && hash == HashKind::H3 && row_bits <= u16::BITS
+        {
+            let matrices = std::array::from_fn(|w| H3Hash::matrix(way_seed(w as u32)));
+            WayIndex::Packed(PackedH3::new(matrices, row_bits))
+        } else {
+            WayIndex::PerWay((0..ways).map(|w| hash.build(way_seed(w))).collect())
+        };
         // Pre-size the walk table to the full R = W·Σ(W−1)^l bound
         // (capped for degenerate configurations) so steady-state walks
         // never grow it.
@@ -175,14 +227,13 @@ impl ZArray {
         Self {
             ways,
             rows,
-            row_bits: rows.trailing_zeros(),
+            row_bits,
             levels,
             max_candidates: u32::MAX,
             walk_kind: WalkKind::Bfs,
-            hashers,
+            index,
             frames: vec![EMPTY_FRAME; lines as usize],
             probe: (INVALID_TAG, [0; FRAME_WAYS]),
-            fused,
             walk,
             bloom: None,
         }
@@ -234,32 +285,25 @@ impl ZArray {
 
     /// The row `addr` hashes to in `way`.
     pub fn row_of(&self, addr: LineAddr, way: u32) -> u64 {
-        self.hashers[way as usize].index(addr, self.row_bits)
+        match &self.index {
+            WayIndex::Packed(p) => u64::from(p.rows(addr)[way as usize]),
+            WayIndex::PerWay(h) => h[way as usize].index(addr, self.row_bits),
+        }
     }
 
-    /// All four ways' rows in one pass over the address bytes, via the
-    /// fused tables; `None` for non-H3 or non-4-way configurations.
+    /// All four ways' rows in one pass over the address bytes, through
+    /// the packed table; `None` for arrays on the per-way path.
     #[inline]
-    fn rows4(&self, addr: LineAddr) -> Option<[u64; FRAME_WAYS]> {
-        let t = self.fused.as_deref()?;
-        let mask = self.rows - 1;
-        let mut acc = [0u64; FRAME_WAYS];
-        let mut x = addr;
-        let mut byte = 0usize;
-        while x != 0 {
-            let e = &t[byte][(x & 0xff) as usize];
-            acc[0] ^= e[0];
-            acc[1] ^= e[1];
-            acc[2] ^= e[2];
-            acc[3] ^= e[3];
-            x >>= 8;
-            byte += 1;
-        }
-        for (w, a) in acc.iter_mut().enumerate() {
-            *a &= mask;
-            debug_assert_eq!(*a, self.row_of(addr, w as u32), "fused H3 mismatch");
-        }
-        Some(acc)
+    fn rows4(&self, addr: LineAddr) -> Option<[u16; FRAME_WAYS]> {
+        let WayIndex::Packed(p) = &self.index else {
+            return None;
+        };
+        let rows = p.rows(addr);
+        debug_assert!(
+            (0..FRAME_WAYS).all(|w| u64::from(rows[w]) == p.reference(w, addr) & (self.rows - 1)),
+            "packed H3 mismatch"
+        );
+        Some(rows)
     }
 
     /// Statistics of the most recent walk.
@@ -383,8 +427,9 @@ impl ZArray {
             self.probe.1
         } else {
             let rows = self.rows4(addr);
-            [0, 1, 2, 3]
-                .map(|w| rows.map_or_else(|| self.row_of(addr, w), |r| r[w as usize]) as u32)
+            [0, 1, 2, 3].map(|w| {
+                rows.map_or_else(|| self.row_of(addr, w) as u32, |r| u32::from(r[w as usize]))
+            })
         };
         debug_assert!((0..4).all(|w| u64::from(root_rows[w]) == self.row_of(addr, w as u32)));
         let rows = self.rows as u32;
@@ -628,7 +673,7 @@ impl CacheArray for ZArray {
         // of serializing behind the early-return of the generic loop.
         if self.ways == 4 {
             let [r0, r1, r2, r3] = match self.rows4(addr) {
-                Some(rows) => rows,
+                Some(rows) => rows.map(u64::from),
                 None => [
                     self.row_of(addr, 0),
                     self.row_of(addr, 1),
@@ -670,7 +715,7 @@ impl CacheArray for ZArray {
     fn lookup_mut(&mut self, addr: LineAddr) -> Option<SlotId> {
         if self.ways == 4 && addr != INVALID_TAG {
             let [r0, r1, r2, r3] = match self.rows4(addr) {
-                Some(rows) => rows.map(|r| r as u32),
+                Some(rows) => rows.map(u32::from),
                 None => [
                     self.row_of(addr, 0) as u32,
                     self.row_of(addr, 1) as u32,
@@ -1095,6 +1140,42 @@ mod tests {
             .filter(|&&a| skew.row_of(a, 1) == t1)
             .count();
         assert!(same <= 2, "way-1 conflicts should be rare, got {same}");
+    }
+
+    #[test]
+    fn packed_rows_are_h3_by_definition() {
+        // Each way's row equals that way's own H3 function, built apart
+        // from the packed table, at every width the table serves: random
+        // lines with all eight bytes set (every byte position's table),
+        // the edge lines and tenant-tagged lines. At 17 row bits the
+        // array takes the per-way path with the same values.
+        let mut rng = zhash::SplitMix64::new(0x9ac4);
+        let mut addrs = vec![0, 1, INVALID_TAG - 1];
+        while addrs.len() < 200 {
+            let a = rng.next_u64();
+            if a.to_le_bytes().iter().all(|&b| b != 0) && a != INVALID_TAG {
+                addrs.push(a);
+            }
+        }
+        addrs.extend((0..64).map(|t| rng.next_u64() >> 8 | t << 56));
+        for seed in [0, 5, 0xdead_beef] {
+            for row_bits in 1..=17 {
+                let z = ZArray::new(4 << row_bits, 4, 3, seed);
+                let packed = matches!(z.index, WayIndex::Packed(_));
+                assert_eq!(packed, row_bits <= 16, "{row_bits} row bits");
+                for w in 0..4u32 {
+                    let h3 = H3Hash::new(seed.wrapping_mul(0x1000).wrapping_add(u64::from(w)));
+                    for &a in &addrs {
+                        let want = h3.index(a, row_bits);
+                        assert_eq!(
+                            z.row_of(a, w),
+                            want,
+                            "seed {seed} bits {row_bits} way {w} {a:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

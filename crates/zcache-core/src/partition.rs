@@ -374,6 +374,12 @@ impl PartitionedCache {
 /// The partition victim rule: among candidates whose owner is at/over
 /// quota, the highest score wins (first wins ties); with enforcement off
 /// or no eligible candidate, the default rule, [`highest_score`].
+///
+/// One pass without a per-candidate branch: a candidate's key is its
+/// score with an eligibility bit above it, from a mask of the over-quota
+/// tenants built once per miss. The first highest key is the first
+/// highest eligible score when any candidate is eligible, and the first
+/// highest score, [`highest_score`]'s pick, when none is.
 fn select_quota_victim(
     cands: &[Candidate],
     scores: &[u64],
@@ -381,20 +387,22 @@ fn select_quota_victim(
     enforce: bool,
 ) -> usize {
     debug_assert_eq!(cands.len(), scores.len());
-    if enforce {
-        let mut best: Option<(usize, u64)> = None;
-        for (i, (c, &s)) in cands.iter().zip(scores).enumerate() {
-            let addr = c.addr.expect("selector only sees occupied frames");
-            let t = &tenants[tenant_of(addr)];
-            if t.occupancy >= t.quota && best.is_none_or(|(_, bs)| s > bs) {
-                best = Some((i, s));
-            }
-        }
-        if let Some((i, _)) = best {
-            return i;
-        }
+    if !enforce {
+        return highest_score(cands, scores);
     }
-    highest_score(cands, scores)
+    // Bit `t` set: tenant `t` is at or over its quota (`MAX_TENANTS` is 64).
+    let over = tenants
+        .iter()
+        .enumerate()
+        .fold(0u64, |m, (t, s)| m | u64::from(s.occupancy >= s.quota) << t);
+    let mut best = (0, 0u128);
+    for (i, (c, &s)) in cands.iter().zip(scores).enumerate() {
+        let owner = tenant_of(c.addr.expect("selector only sees occupied frames"));
+        debug_assert!(owner < tenants.len(), "candidate of unknown tenant {owner}");
+        let key = u128::from(over.wrapping_shr(owner as u32) & 1) << 64 | u128::from(s);
+        best = if key > best.1 { (i, key) } else { best };
+    }
+    best.0
 }
 
 #[cfg(test)]

@@ -7,26 +7,33 @@
 //! `CandidateSet` and the `InstallOutcome` move list are all reusable
 //! buffers that reach their steady-state capacity during warm-up.
 //!
-//! The count is per thread: the test harness runs tests on parallel
+//! The same allocator counts the bytes it hands out, which bounds what
+//! building an array costs: its frames and one row table, not tables
+//! that grow with the hash width.
+//!
+//! The counts are per thread: the test harness runs tests on parallel
 //! threads, and one test's set-up must not land in another's window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use zcache_core::{
-    CacheArray, CandidateSet, InstallOutcome, LruStack, PartitionConfig, PartitionedCache,
-    PolicyKind, TenantGrant, WalkKind, ZArray,
+    AdaptiveConfig, CacheArray, CandidateSet, FullLru, InstallOutcome, LruStack, PartitionConfig,
+    PartitionedCache, PolicyKind, ShadowDuel, TenantGrant, WalkKind, ZArray,
 };
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_alloc() {
+/// Counts one allocation or reallocation handing out `bytes`.
+fn count_alloc(bytes: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 /// Allocations made so far by the calling thread.
@@ -34,9 +41,15 @@ fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// Bytes the calling thread's allocations have asked for so far (a
+/// reallocation counts its new size), freed or not.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -45,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -183,5 +196,48 @@ fn lru_stack_access_is_allocation_free() {
         0,
         "LruStack steady-state access allocated {} time(s)",
         after - before
+    );
+}
+
+/// Runs `build` and returns what it built with the bytes it allocated.
+fn built<T>(build: impl FnOnce() -> T) -> (T, u64) {
+    let before = bytes();
+    let built = build();
+    (built, bytes() - before)
+}
+
+/// A zsim L2 bank's array, 2048 frames of a Z4/52: its 16-byte frames,
+/// one 16 KiB table of four 16-bit row lanes per address byte value and
+/// position, and the slack: four 512-byte H3 matrices and the walk
+/// buffers sized to 52 candidates. Tables of full 64-bit hashes per way
+/// would add 48 KiB at least.
+#[test]
+fn zarray_footprint_is_frames_and_one_row_table() {
+    const FRAMES: u64 = 2048 * 16;
+    const TABLE: u64 = 16 << 10;
+    const SLACK: u64 = 4 << 10;
+    for seed in [1, 7] {
+        let (z, got) = built(|| ZArray::new(2048, 4, 3, seed));
+        assert_eq!(z.lines(), 2048);
+        assert!(
+            got <= FRAMES + TABLE + SLACK,
+            "ZArray::new(2048, 4, 3, {seed}) allocated {got} bytes, over {}",
+            FRAMES + TABLE + SLACK
+        );
+    }
+}
+
+/// The walk-budget duel of a 1024-frame cache: two 64-frame shadow
+/// Z4 caches (1 in 16 lines sampled), each one row table (16 KiB), its
+/// H3 matrices (2 KiB), its frames (1 KiB) and its policy and walk
+/// buffers, all within 24 KiB a shadow.
+#[test]
+fn shadow_duel_footprint_is_two_small_caches() {
+    const BOUND: u64 = 2 * (24 << 10);
+    let (_duel, got) =
+        built(|| ShadowDuel::for_geometry(1024, 4, 3, FullLru::new, AdaptiveConfig::default()));
+    assert!(
+        got <= BOUND,
+        "ShadowDuel of 1024 frames allocated {got} bytes, over {BOUND}"
     );
 }

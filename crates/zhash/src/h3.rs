@@ -42,12 +42,15 @@ impl H3Hash {
     /// Creates an H3 function with a matrix derived deterministically from
     /// `seed`.
     pub fn new(seed: u64) -> Self {
+        Self::from_rows(Self::matrix(seed))
+    }
+
+    /// The matrix [`H3Hash::new`] draws for `seed`, without building the
+    /// evaluation tables: for callers that evaluate several functions
+    /// through tables of their own.
+    pub fn matrix(seed: u64) -> [u64; 64] {
         let mut rng = SplitMix64::new(seed ^ 0xa5a5_a5a5_0000_0001);
-        let mut rows = [0u64; 64];
-        for row in rows.iter_mut() {
-            *row = rng.next_u64();
-        }
-        Self::from_rows(rows)
+        std::array::from_fn(|_| rng.next_u64())
     }
 
     /// Creates an H3 function from an explicit matrix.
@@ -209,6 +212,13 @@ mod tests {
             assert_eq!(h.hash(x), reference(x));
         }
         assert_eq!(h.hash(u64::MAX), reference(u64::MAX));
+    }
+
+    #[test]
+    fn matrix_is_the_seeded_functions_matrix() {
+        for seed in [0, 1, 0x1003, u64::MAX] {
+            assert_eq!(&H3Hash::matrix(seed), H3Hash::new(seed).rows());
+        }
     }
 
     #[test]

@@ -119,20 +119,26 @@ fn bad(n: usize, msg: String) -> io::Error {
     invalid(format!("line {n}: {msg}"))
 }
 
+/// The `digits` of field `s` in `radix`, unsigned: `from_str_radix`
+/// alone would also take a leading `+`.
+fn parse_digits(s: &str, digits: &str, radix: u32, n: usize) -> io::Result<u64> {
+    if digits.starts_with('+') {
+        return Err(bad(n, format!("bad number {s:?}: sign not allowed")));
+    }
+    u64::from_str_radix(digits, radix).map_err(|e| bad(n, format!("bad number {s:?}: {e}")))
+}
+
 fn parse_u64(s: &str, n: usize) -> io::Result<u64> {
-    let r = if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16)
-    } else {
-        s.parse()
-    };
-    r.map_err(|e| bad(n, format!("bad number {s:?}: {e}")))
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => parse_digits(s, hex, 16, n),
+        None => parse_digits(s, s, 10, n),
+    }
 }
 
 /// An access address: hex with at most one `0x`, as `zworkloads`'
 /// trace reader takes it (`R 100` is 0x100).
 fn parse_addr(s: &str, n: usize) -> io::Result<u64> {
-    u64::from_str_radix(s.strip_prefix("0x").unwrap_or(s), 16)
-        .map_err(|e| bad(n, format!("bad number {s:?}: {e}")))
+    parse_digits(s, s.strip_prefix("0x").unwrap_or(s), 16, n)
 }
 
 fn parse_u32(s: &str, n: usize) -> io::Result<u32> {
@@ -268,7 +274,8 @@ pub fn read_repro(path: &Path) -> io::Result<Repro> {
         let tenant = if tagged {
             let t = field("tenant")?;
             t.strip_prefix('T')
-                .and_then(|t| t.parse::<usize>().ok())
+                .filter(|d| !d.starts_with('+'))
+                .and_then(|d| d.parse::<usize>().ok())
                 .filter(|&t| t < tenants.len())
                 .ok_or_else(|| bad(n, format!("bad tenant {t:?} ({} declared)", tenants.len())))?
         } else {
@@ -420,6 +427,14 @@ mod tests {
             (format!("{PLAIN}W\n"), "line 6: missing address"),
             (format!("{PLAIN}R 0xzz\n"), "line 6: bad number"),
             (format!("{PLAIN}R 0x0x1f\n"), "line 6: bad number"),
+            (
+                format!("{PLAIN}R +1f\n"),
+                "line 6: bad number \"+1f\": sign",
+            ),
+            (format!("{PLAIN}R 0x+1f\n"), "line 6: bad number"),
+            (PLAIN.replace("ways: 4", "ways: +4"), "line 4: bad number"),
+            (PLAIN.replace("seed: 1", "seed: 0x+1"), "line 5: bad number"),
+            (part("# tenant: 32 +52\n"), "line 8: bad number"),
             (format!("{PLAIN}T0 R 0x1\n"), "line 6: bad op \"T0\""),
             (
                 format!("{PLAIN}# enforce: true\n"),
@@ -439,6 +454,7 @@ mod tests {
             (part("# mutation: gremlins\n"), "line 8: unknown mutation"),
             (part("T5 R 0x1\n"), "line 8: bad tenant \"T5\" (1 declared)"),
             (part("R 0x1\n"), "line 8: bad tenant \"R\""),
+            (part("T+0 R 0x1\n"), "line 8: bad tenant \"T+0\""),
             (
                 part("T0 R 0x100000000000000\n"),
                 "line 8: address 0x100000000000000 overflows",

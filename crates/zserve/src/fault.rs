@@ -52,10 +52,10 @@ impl FaultKind {
 
     fn parse_token(tok: &str) -> Option<FaultKind> {
         if let Some(f) = tok.strip_prefix("slow:") {
-            return f.parse().ok().map(|factor| FaultKind::Slowdown { factor });
+            return parse_unsigned(f).map(|factor| FaultKind::Slowdown { factor });
         }
         if let Some(c) = tok.strip_prefix("burst:") {
-            return c.parse().ok().map(|cap| FaultKind::QueueBurst { cap });
+            return parse_unsigned(c).map(|cap| FaultKind::QueueBurst { cap });
         }
         match tok {
             "stall" => Some(FaultKind::Stall),
@@ -246,15 +246,15 @@ impl FaultPlan {
             }
             let shard = parts
                 .next()
-                .and_then(|s| s.parse().ok())
+                .and_then(parse_unsigned)
                 .ok_or_else(|| bad("bad shard"))?;
             let at: u64 = parts
                 .next()
-                .and_then(|s| s.parse().ok())
+                .and_then(parse_unsigned)
                 .ok_or_else(|| bad("bad start tick"))?;
             let dur = parts
                 .next()
-                .and_then(|s| s.parse().ok())
+                .and_then(parse_unsigned)
                 .ok_or_else(|| bad("bad duration"))?;
             let kind = parts
                 .next()
@@ -274,6 +274,16 @@ impl FaultPlan {
             });
         }
         Ok(Self { events })
+    }
+}
+
+/// A decimal field of a serve repro: `str::parse` alone would also take
+/// a leading `+`.
+pub(crate) fn parse_unsigned<T: std::str::FromStr>(s: &str) -> Option<T> {
+    if s.starts_with('+') {
+        None
+    } else {
+        s.parse().ok()
     }
 }
 
@@ -343,6 +353,11 @@ mod tests {
             "fault 0 1 1 stall extra",
             "nonsense 0 1 1 stall",
             "fault 0 1 18446744073709551615 stall",
+            "fault +0 1 1 stall",
+            "fault 0 +1 1 stall",
+            "fault 0 1 +1 stall",
+            "fault 0 1 1 slow:+3",
+            "fault 0 1 1 burst:+2",
         ] {
             let err = FaultPlan::parse(bad).expect_err(bad);
             assert!(err.starts_with("line 1: "), "{bad:?}: {err}");

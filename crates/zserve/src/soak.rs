@@ -21,7 +21,7 @@
 //! a minimal failing [`FaultPlan`], serialized as a text repro that
 //! [`replay_repro`] can run straight from a corpus file.
 
-use crate::fault::{FaultKind, FaultMenu, FaultPlan};
+use crate::fault::{parse_unsigned, FaultKind, FaultMenu, FaultPlan};
 use crate::service::{ServeConfig, ServeReport, ZServe};
 use crate::stats::ServeStats;
 
@@ -386,9 +386,8 @@ pub fn replay_repro(base: &ServeConfig, text: &str) -> Result<SoakRow, String> {
             name = Some(rest.trim().to_string());
         } else if let Some(rest) = line.strip_prefix("# seed:") {
             seed = Some(
-                rest.trim()
-                    .parse()
-                    .map_err(|_| format!("line {}: bad seed directive: {line:?}", i + 1))?,
+                parse_unsigned(rest.trim())
+                    .ok_or_else(|| format!("line {}: bad seed directive: {line:?}", i + 1))?,
             );
         } else if let Some(rest) = line.strip_prefix("# overload:") {
             overload = rest.trim() == "true";
@@ -469,6 +468,7 @@ mod tests {
         // u64::MAX is rejected before any tick arithmetic can overflow.
         for (text, prefix) in [
             ("# schedule: x\n# seed: -1\n", "line 2: bad seed directive"),
+            ("# schedule: x\n# seed: +1\n", "line 2: bad seed directive"),
             (
                 "# schedule: x\n# seed: 1\nfault 0 1 18446744073709551615 stall\n",
                 "line 3: ",

@@ -89,11 +89,16 @@ impl<R: BufRead> TraceReader<R> {
             .next()
             .ok_or_else(|| bad("missing address"))
             .and_then(|a| {
-                u64::from_str_radix(a.strip_prefix("0x").unwrap_or(a), 16)
-                    .map_err(|_| bad("invalid hex address"))
+                // `from_str_radix` and `parse` would also take a `+`.
+                let digits = a.strip_prefix("0x").unwrap_or(a);
+                match u64::from_str_radix(digits, 16) {
+                    Ok(addr) if !digits.starts_with('+') => Ok(addr),
+                    _ => Err(bad("invalid hex address")),
+                }
             })?;
         let gap = match parts.next() {
             None => 1,
+            Some(g) if g.starts_with('+') => return Err(bad("invalid gap")),
             Some(g) => g.parse::<u32>().map_err(|_| bad("invalid gap"))?.max(1),
         };
         if parts.next().is_some() {
@@ -259,8 +264,18 @@ mod tests {
 
     #[test]
     fn rejects_malformed_lines() {
-        // An address takes one `0x` at most.
-        for bad in ["X 10", "R", "R zz", "R 10 x", "R 10 1 extra", "R 0x0x1f"] {
+        // An address takes one `0x` at most, and no field takes a sign.
+        for bad in [
+            "X 10",
+            "R",
+            "R zz",
+            "R 10 x",
+            "R 10 1 extra",
+            "R 0x0x1f",
+            "R +1f",
+            "R 0x+1f",
+            "W 20 +3",
+        ] {
             assert!(read_trace(bad.as_bytes()).is_err(), "accepted {bad:?}");
         }
     }
