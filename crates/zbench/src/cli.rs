@@ -461,6 +461,10 @@ fn commands_of(flag: &Flag) -> String {
         .join(" ")
 }
 
+/// Exit status of a run whose stdout reader closed the pipe: the status
+/// a shell reports for a process ended by `SIGPIPE`.
+pub const EXIT_STDOUT_CLOSED: i32 = 141;
+
 /// The usage text, generated from the commands and [`FLAGS`].
 pub fn usage() -> String {
     let mut out = String::from("usage: zbench <command> [options]\n\ncommands:\n");
@@ -474,6 +478,10 @@ pub fn usage() -> String {
         out.push_str(&format!("  {:<23} {}\n", call.trim_end(), flag.help));
         out.push_str(&format!("  {:<23} [{}]\n", "", commands_of(flag)));
     }
+    out.push_str(&format!(
+        "\nexit status: 0 done, 1 a failed check (check, serve --chaos, \
+         predict --validate),\n  2 a command-line error, {EXIT_STDOUT_CLOSED} stdout closed by its reader\n"
+    ));
     out
 }
 

@@ -65,7 +65,6 @@ pub fn run(opts: &ExpOpts) -> Vec<AblationRow> {
     let cfg = opts.sim_config();
     let wl = by_name("cactusADM", opts.cores as usize, opts.scale).expect("cactusADM in suite");
     let trace = record_trace(&cfg, &wl);
-    let refs: Vec<(u64, bool)> = trace.refs.iter().map(|r| (r.line, r.write)).collect();
     // Size the array to the traced core count so aggregate footprint
     // stays ~3× capacity — pressured enough for walks and relocations,
     // reused enough that associativity differentiates.
@@ -74,7 +73,7 @@ pub fn run(opts: &ExpOpts) -> Vec<AblationRow> {
     let entries = variants(lines, opts.seed);
     SweepRunner::from_opts(opts).run(entries.len(), |i| {
         let (label, builder) = &entries[i];
-        let cache = lineup::drive(builder, refs.iter().copied());
+        let cache = lineup::drive(builder, trace.accesses());
         let s = cache.stats();
         AblationRow {
             variant: label.to_string(),

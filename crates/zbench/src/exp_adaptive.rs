@@ -39,12 +39,11 @@ pub fn run(opts: &ExpOpts) -> Vec<AdaptiveRow> {
     for name in ["cactusADM", "lbm"] {
         let wl = by_name(name, opts.cores as usize, opts.scale).expect("workload in suite");
         let trace = record_trace(&cfg, &wl);
-        let refs: Vec<u64> = trace.refs.iter().map(|r| r.line).collect();
 
         // Fixed Z4/52, then the fixed Z4/4 skew floor; reads only.
         for (variant, levels, budget) in [("Z4/52 fixed", 3, 52), ("Z4/4 fixed", 1, 4)] {
             let builder = lineup::builder(ArrayKind::ZCache { levels }, 4, lines, opts.seed);
-            let fixed = lineup::drive(&builder, refs.iter().map(|&a| (a, false)));
+            let fixed = lineup::drive(&builder, trace.refs.iter().map(|r| (r.line, false)));
             rows.push(AdaptiveRow {
                 workload: name.into(),
                 variant: variant.into(),
@@ -61,11 +60,11 @@ pub fn run(opts: &ExpOpts) -> Vec<AdaptiveRow> {
             lineup::builder(ArrayKind::ZCache { levels: 3 }, 4, lines, opts.seed).build();
         let mut duel =
             ShadowDuel::for_geometry(lines, 4, 3, FullLru::new, AdaptiveConfig::default());
-        for &a in &refs {
-            if let Some(budget) = duel.observe(a) {
+        for r in &trace.refs {
+            if let Some(budget) = duel.observe(r.line) {
                 adaptive.array_mut().set_max_candidates(budget);
             }
-            adaptive.access(a);
+            adaptive.access(r.line);
         }
         rows.push(AdaptiveRow {
             workload: name.into(),

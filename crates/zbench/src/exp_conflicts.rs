@@ -60,11 +60,10 @@ pub fn run(opts: &ExpOpts) -> Vec<ConflictRow> {
         let mut cfg = opts.sim_config();
         cfg.seed = seed;
         let trace = record_trace(&cfg, wl);
-        let refs: Vec<(u64, bool)> = trace.refs.iter().map(|r| (r.line, r.write)).collect();
 
         // The stack property makes the fully-associative LRU reference
         // exact without simulating a fully-associative array.
-        let fully = LruStack::misses(lines, refs.iter().map(|r| r.0));
+        let fully = LruStack::misses(lines, trace.refs.iter().map(|r| r.line));
         let row = |label: String, misses: u64| {
             let conflict = misses as i64 - fully as i64;
             ConflictRow {
@@ -84,7 +83,7 @@ pub fn run(opts: &ExpOpts) -> Vec<ConflictRow> {
         let mut rows: Vec<ConflictRow> = lineup::fig_lineup(lines, seed)
             .into_iter()
             .map(|(label, builder)| {
-                let misses = lineup::drive(&builder, refs.iter().copied()).stats().misses;
+                let misses = lineup::drive(&builder, trace.accesses()).stats().misses;
                 row(label, misses)
             })
             .collect();
@@ -97,8 +96,8 @@ pub fn run(opts: &ExpOpts) -> Vec<ConflictRow> {
         };
         let main = lineup::builder(bitsel, 4, lines, seed).build();
         let mut vc = VictimCache::new(main, VICTIM_BUFFER_LINES);
-        for &(line, _) in &refs {
-            vc.access(line);
+        for r in &trace.refs {
+            vc.access(r.line);
         }
         rows.push(row("SA-4+VC".to_string(), vc.system_misses()));
         rows

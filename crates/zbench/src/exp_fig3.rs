@@ -136,7 +136,7 @@ pub fn measure(
 ) -> UnitHistogram {
     // Sample every 17th eviction: the rank scan is O(lines).
     let builder = lineup::builder(array, ways, lines, seed).meter(128, 17);
-    let cache = lineup::drive(&builder, trace.refs.iter().map(|r| (r.line, r.write)));
+    let cache = lineup::drive(&builder, trace.accesses());
     cache.meter().expect("meter attached").histogram().clone()
 }
 

@@ -301,27 +301,22 @@ pub fn validate(opts: &PredictOpts) -> Vec<ValidationRow> {
             cfg.seed = seed;
             scratch.record(&cfg, wl);
             let (profile, _) = profile_trace(scratch);
-            let refs: Vec<(u64, bool)> = scratch
-                .trace()
-                .refs
-                .iter()
-                .map(|r| (r.line, r.write))
-                .collect();
+            let trace = scratch.trace();
             let mut rows = Vec::new();
             for &lines in &opts.sizes {
                 for (label, cands, array, ways) in &designs {
                     let misses = if *array == ArrayKind::Fully {
-                        LruStack::misses(lines, refs.iter().map(|r| r.0))
+                        LruStack::misses(lines, trace.refs.iter().map(|r| r.line))
                     } else {
                         let builder = lineup::builder(*array, *ways, lines, seed);
-                        lineup::drive(&builder, refs.iter().copied()).stats().misses
+                        lineup::drive(&builder, trace.accesses()).stats().misses
                     };
                     rows.push(ValidationRow {
                         workload: wl.name().to_string(),
                         design: label.clone(),
                         lines,
                         predicted: model::predict_miss_ratio(&profile, lines, *cands),
-                        simulated: misses as f64 / refs.len().max(1) as f64,
+                        simulated: misses as f64 / trace.len().max(1) as f64,
                     });
                 }
             }

@@ -34,7 +34,7 @@ use zcache_core::{
     ShadowDuel, TenantGrant,
 };
 use zworkloads::multi_tenant::{standard_mixes, TenantMix};
-use zworkloads::{MemRef, ZipfCache};
+use zworkloads::ZipfCache;
 
 /// Options for the tenants sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,6 +126,19 @@ enum Mode {
     Solo(usize),
 }
 
+/// One reference of a mix's interleaved stream in 16 bytes: the
+/// [`MemRef`](zworkloads::MemRef) fields and the tenant, a `u8` because
+/// a partitioned cache takes at most
+/// [`MAX_TENANTS`](zcache_core::partition::MAX_TENANTS) = 64.
+#[derive(Debug, Clone, Copy)]
+struct TaggedRef {
+    line: u64,
+    gap: u32,
+    write: bool,
+    tenant: u8,
+}
+const _: () = assert!(std::mem::size_of::<TaggedRef>() == 16);
+
 /// Per-tenant counters of one mode run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ModeStat {
@@ -139,7 +152,7 @@ fn run_mode(
     mode: Mode,
     opts: &TenantOpts,
     cfg_seed: u64,
-    stream: &[(usize, MemRef)],
+    stream: &[TaggedRef],
 ) -> ModeStat {
     let k = mix.tenant_count();
     let grants = grants(mix, opts);
@@ -171,7 +184,8 @@ fn run_mode(
     }
     let mut cache = PartitionedCache::new(&cfg);
     let mut instructions = vec![0u64; k];
-    for &(t, r) in stream {
+    for r in stream {
+        let t = usize::from(r.tenant);
         instructions[t] += u64::from(r.gap);
         match mode {
             Mode::Solo(me) => {
@@ -273,7 +287,15 @@ pub fn run(opts: &TenantOpts) -> Vec<MixSummary> {
         if *stream_mix != m {
             let mut src = mix.stream(point_seed(opts.seed, 2 * m as u64 + 1), zipf);
             stream.clear();
-            stream.extend((0..opts.accesses).map(|_| src.next_tagged()));
+            stream.extend((0..opts.accesses).map(|_| {
+                let (t, r) = src.next_tagged();
+                TaggedRef {
+                    line: r.line,
+                    gap: r.gap,
+                    write: r.write,
+                    tenant: u8::try_from(t).expect("at most MAX_TENANTS tenants"),
+                }
+            }));
             *stream_mix = m;
         }
         run_mode(mix, mode, opts, point_seed(opts.seed, 2 * m as u64), stream)

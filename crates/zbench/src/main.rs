@@ -7,8 +7,10 @@
 //! `check` exits 1 on divergence (under `--mutate`, on a pair that misses
 //! the mutant) and `serve --chaos` on invariant violations, after
 //! shrinking each failure to a minimal repro under `tests/corpus/`.
+//! Every line of stdout goes through [`print_line`], so a reader that
+//! stops reading ends the run quietly.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use zbench::cli::{self, Args, Command};
 use zbench::opts::ExpOpts;
@@ -19,29 +21,52 @@ use zbench::{
 use zcache_core::PolicyKind;
 use zworkloads::suite::Scale;
 
+/// `println!` through [`print_line`].
+macro_rules! say {
+    () => {
+        print_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        print_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. If the reader has closed the pipe the run
+/// ends at once, silently, with [`cli::EXIT_STDOUT_CLOSED`]; any other
+/// write error ends it with the error and status 1.
+fn print_line(line: std::fmt::Arguments) {
+    if let Err(e) = writeln!(io::stdout().lock(), "{line}") {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(cli::EXIT_STDOUT_CLOSED);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = cli::parse(&argv).unwrap_or_else(|e| cli::fail(e));
     let opts = exp_opts(&args);
     match args.command {
         Command::Table1 => table1(&opts),
-        Command::Table2 => println!("{}", exp_table2::report(&exp_table2::run())),
+        Command::Table2 => say!("{}", exp_table2::report(&exp_table2::run())),
         Command::Fig2 => fig2(&opts),
         Command::Fig3 => fig3(&opts),
         Command::Fig4 => {
             for policy in policies(&args) {
-                println!("{}", exp_fig4::report(&exp_fig4::run(policy, &opts)));
+                say!("{}", exp_fig4::report(&exp_fig4::run(policy, &opts)));
             }
         }
         Command::Fig5 => {
             for policy in policies(&args) {
-                println!("{}", exp_fig5::report(&exp_fig5::run(policy, &opts)));
+                say!("{}", exp_fig5::report(&exp_fig5::run(policy, &opts)));
             }
         }
-        Command::Bandwidth => println!("{}", exp_bandwidth::report(&exp_bandwidth::run(&opts))),
-        Command::Ablate => println!("{}", exp_ablate::report(&exp_ablate::run(&opts))),
-        Command::Adaptive => println!("{}", exp_adaptive::report(&exp_adaptive::run(&opts))),
-        Command::Conflicts => println!("{}", exp_conflicts::report(&exp_conflicts::run(&opts))),
+        Command::Bandwidth => say!("{}", exp_bandwidth::report(&exp_bandwidth::run(&opts))),
+        Command::Ablate => say!("{}", exp_ablate::report(&exp_ablate::run(&opts))),
+        Command::Adaptive => say!("{}", exp_adaptive::report(&exp_adaptive::run(&opts))),
+        Command::Conflicts => say!("{}", exp_conflicts::report(&exp_conflicts::run(&opts))),
         Command::Predict => predict(&args, opts),
         Command::Trace => trace(&args, &opts),
         Command::Dumptrace => dumptrace(&args, &opts),
@@ -51,17 +76,17 @@ fn main() {
         Command::Serve => serve(&args, &opts),
         Command::All => {
             table1(&opts);
-            println!("{}", exp_table2::report(&exp_table2::run()));
+            say!("{}", exp_table2::report(&exp_table2::run()));
             fig2(&opts);
             fig3(&opts);
             for policy in policies(&args) {
-                println!("{}", exp_fig4::report(&exp_fig4::run(policy, &opts)));
-                println!("{}", exp_fig5::report(&exp_fig5::run(policy, &opts)));
+                say!("{}", exp_fig4::report(&exp_fig4::run(policy, &opts)));
+                say!("{}", exp_fig5::report(&exp_fig5::run(policy, &opts)));
             }
-            println!("{}", exp_bandwidth::report(&exp_bandwidth::run(&opts)));
-            println!("{}", exp_ablate::report(&exp_ablate::run(&opts)));
-            println!("{}", exp_adaptive::report(&exp_adaptive::run(&opts)));
-            println!("{}", exp_conflicts::report(&exp_conflicts::run(&opts)));
+            say!("{}", exp_bandwidth::report(&exp_bandwidth::run(&opts)));
+            say!("{}", exp_ablate::report(&exp_ablate::run(&opts)));
+            say!("{}", exp_adaptive::report(&exp_adaptive::run(&opts)));
+            say!("{}", exp_conflicts::report(&exp_conflicts::run(&opts)));
         }
     }
 }
@@ -104,7 +129,7 @@ fn write_artifact(args: &Args, json: &str) {
     if let Err(e) = std::fs::write(path, json) {
         cli::fail(format!("cannot write {path}: {e}"));
     }
-    println!("wrote {path}");
+    say!("wrote {path}");
 }
 
 /// The divergence workflow of `check` and `serve --chaos`: `shrink`
@@ -126,13 +151,13 @@ fn shrink_failures<T>(failures: &[T], shrink: impl Fn(&T, &Path) -> io::Result<P
 
 fn fig2(opts: &ExpOpts) {
     let rows = exp_fig2::default_run(opts.scale, opts.seed);
-    println!("{}", exp_fig2::report(&rows));
+    say!("{}", exp_fig2::report(&rows));
 }
 
 fn fig3(opts: &ExpOpts) {
     for panel in exp_fig3::Fig3Panel::all() {
         let rows = exp_fig3::run(panel, opts);
-        println!("{}", exp_fig3::report(panel, &rows));
+        say!("{}", exp_fig3::report(panel, &rows));
     }
 }
 
@@ -152,11 +177,11 @@ fn predict(args: &Args, opts: ExpOpts) {
         cli::fail(format!("--sizes: {e}"));
     }
     if !args.on("--validate") {
-        println!("{}", exp_predict::report(&exp_predict::run(&popts)));
+        say!("{}", exp_predict::report(&exp_predict::run(&popts)));
         return;
     }
     let rows = exp_predict::validate(&popts);
-    println!("{}", exp_predict::report_validation(&rows, popts.tol));
+    say!("{}", exp_predict::report_validation(&rows, popts.tol));
     write_artifact(args, &exp_predict::to_json(&rows, &popts));
     if !exp_predict::within_tolerance(&rows, popts.tol) {
         eprintln!(
@@ -177,7 +202,7 @@ fn trace(args: &Args, opts: &ExpOpts) {
     let lines = opts.scale.l2_lines / 8;
     let (rows, trace_len) = exp_trace::run_streaming(reader, lines, opts.seed)
         .unwrap_or_else(|e| cli::fail(format!("cannot read {path}: {e}")));
-    println!("{}", exp_trace::report(&rows, trace_len, lines));
+    say!("{}", exp_trace::report(&rows, trace_len, lines));
 }
 
 /// Records a workload's L2 reference stream and exports it in the
@@ -200,7 +225,7 @@ fn dumptrace(args: &Args, opts: &ExpOpts) {
         .unwrap_or_else(|e| cli::fail(format!("cannot create {path}: {e}")));
     zworkloads::trace_io::write_trace(std::io::BufWriter::new(file), &refs)
         .unwrap_or_else(|e| cli::fail(format!("cannot write {path}: {e}")));
-    println!(
+    say!(
         "wrote {} references ({} instructions recorded) to {path}",
         refs.len(),
         trace.instructions
@@ -248,7 +273,7 @@ fn check(args: &Args, opts: &ExpOpts) {
              (those run z2 and z3)",
         );
     }
-    println!("{}", exp_check::report(&rows, &copts));
+    say!("{}", exp_check::report(&rows, &copts));
     let diverged: Vec<_> = rows.iter().filter(|r| r.result.is_err()).collect();
     let shrink = |row: &&exp_check::CheckRow, corpus: &Path| {
         Ok(exp_check::shrink_repro(row, copts.accesses, copts.digest_every, corpus)?.0)
@@ -293,7 +318,7 @@ fn tenants(args: &Args, opts: &ExpOpts) {
         ));
     }
     let summaries = exp_tenants::run(&topts);
-    println!("{}", exp_tenants::report(&summaries, &topts));
+    say!("{}", exp_tenants::report(&summaries, &topts));
 }
 
 fn perf(args: &Args, opts: &ExpOpts) {
@@ -329,7 +354,7 @@ fn perf(args: &Args, opts: &ExpOpts) {
         }
         // Counts only: a profile run writes no throughput artifact,
         // even with `--out`.
-        println!("{}", exp_perf::report_walk_profile(&rows, &popts));
+        say!("{}", exp_perf::report_walk_profile(&rows, &popts));
         return;
     }
     popts.reps = args.get("--reps").unwrap_or(popts.reps);
@@ -337,7 +362,7 @@ fn perf(args: &Args, opts: &ExpOpts) {
     if rows.is_empty() {
         no_rows();
     }
-    println!("{}", exp_perf::report(&rows, &popts));
+    say!("{}", exp_perf::report(&rows, &popts));
     write_artifact(args, &exp_perf::to_json(&rows, &popts));
 }
 
@@ -378,7 +403,7 @@ fn serve(args: &Args, opts: &ExpOpts) {
         (cfg.seed..cfg.seed + 4).collect()
     };
     let soak = exp_serve::run(&cfg, &seeds, mode, opts.jobs, chaos);
-    println!("{}", exp_serve::report(&soak, &cfg));
+    say!("{}", exp_serve::report(&soak, &cfg));
     write_artifact(args, &exp_serve::to_json(&soak, &cfg, &seeds));
 
     let violated: Vec<_> = soak
@@ -398,34 +423,35 @@ fn serve(args: &Args, opts: &ExpOpts) {
 
 fn table1(opts: &ExpOpts) {
     let cfg = opts.sim_config();
-    println!("Table I — simulated CMP configuration\n");
-    println!(
+    say!("Table I — simulated CMP configuration\n");
+    say!(
         "  cores               {} in-order x86-like, IPC=1 except memory, 2 GHz",
         cfg.cores
     );
-    println!(
+    say!(
         "  L1 caches           {} KB, {}-way set-associative, 1-cycle latency",
         cfg.l1_lines * 64 / 1024,
         cfg.l1_ways
     );
-    println!(
+    say!(
         "  L2 cache            {} MB, {} banks, shared, inclusive, MESI directory,",
         cfg.l2_lines * 64 / 1024 / 1024,
         cfg.l2_banks
     );
-    println!(
+    say!(
         "                      {}-cycle avg L1-to-L2 latency, {}-cycle bank latency ({})",
         cfg.l1_to_l2_latency,
         cfg.effective_l2_latency(),
         cfg.l2.label()
     );
-    println!(
+    say!(
         "  MCU                 {} memory controllers, {}-cycle zero-load latency,",
-        cfg.mem_controllers, cfg.mem_latency
+        cfg.mem_controllers,
+        cfg.mem_latency
     );
-    println!(
+    say!(
         "                      {} cycles/64B transfer (64 GB/s peak at paper scale)",
         cfg.mem_cycles_per_transfer
     );
-    println!();
+    say!();
 }

@@ -2,10 +2,12 @@
 //!
 //! The fig4/fig5/perf drivers process one grid point at a time: record a
 //! workload's L2 stream, then replay it against every design. A
-//! [`PointScratch`] owns every buffer that pipeline needs — the trace
+//! [`PointScratch`] owns the buffers that pipeline reuses — the trace
 //! itself, the OPT next-use oracle, the replay queues and the Zipf-table
 //! cache — so a worker allocates them once and streams every point it
-//! claims through the same memory. Pair it with
+//! claims through the same memory. The oracle's line → position map is
+//! the exception: it lives only while the oracle is built, so it is not
+//! held beside the replays' L2 banks. Pair it with
 //! [`SweepRunner::run_with`](crate::SweepRunner::run_with).
 
 use zcache_core::{PolicyKind, SeededMap};
@@ -13,32 +15,18 @@ use zsim::trace::{record_trace_into, replay_with, L2Trace, ReplayScratch};
 use zsim::{SimConfig, SimStats};
 use zworkloads::{Workload, ZipfCache};
 
-/// Seed for the per-worker next-use scratch map (layout never escapes).
+/// Seed for the oracle's line → position map (layout never escapes).
 const LAST_SEEN_SEED: u64 = 0x0b75_ace1_0f75_ace1;
 
 /// Per-worker scratch for record-then-replay sweep points.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PointScratch {
     zipf: ZipfCache,
     trace: L2Trace,
-    next_uses: Vec<u64>,
-    last_seen: SeededMap<u64>,
+    next_uses: Vec<u32>,
     replay: ReplayScratch,
     /// Whether `next_uses` matches the current `trace`.
     oracle_ready: bool,
-}
-
-impl Default for PointScratch {
-    fn default() -> Self {
-        Self {
-            zipf: ZipfCache::new(),
-            trace: L2Trace::default(),
-            next_uses: Vec::new(),
-            last_seen: SeededMap::with_capacity(1024, LAST_SEEN_SEED),
-            replay: ReplayScratch::new(),
-            oracle_ready: false,
-        }
-    }
 }
 
 impl PointScratch {
@@ -62,12 +50,14 @@ impl PointScratch {
     /// Replays the recorded trace under `cfg`, computing the next-use
     /// oracle lazily: the backward pass runs at most once per recorded
     /// trace (on the first OPT replay), and not at all for policies that
-    /// never consult it.
+    /// never consult it. Its line → position map is dropped as soon as
+    /// the pass ends.
     pub fn replay(&mut self, cfg: &SimConfig) -> SimStats {
         let oracle = if cfg.l2.policy == PolicyKind::Opt {
             if !self.oracle_ready {
+                let mut last_seen = SeededMap::with_capacity(1024, LAST_SEEN_SEED);
                 self.trace
-                    .next_uses_into(&mut self.next_uses, &mut self.last_seen);
+                    .next_uses_into(&mut self.next_uses, &mut last_seen);
                 self.oracle_ready = true;
             }
             Some(self.next_uses.as_slice())

@@ -6,8 +6,8 @@
 //! and the usage printed, before any downstream `panic!`/`assert!` can
 //! be reached.
 
-use std::process::{Command, Output};
-use zbench::cli::{Command as Cmd, Kind, FLAGS};
+use std::process::{Command, Output, Stdio};
+use zbench::cli::{Command as Cmd, Kind, EXIT_STDOUT_CLOSED, FLAGS};
 
 fn zbench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_zbench"))
@@ -214,4 +214,23 @@ fn predict_rejects_bad_size_grids() {
     assert_rejected(&["predict", "--sizes", "32"], "--sizes");
     // Non-numeric entry in the list.
     assert_rejected(&["predict", "--sizes", "1024,x"], "--sizes");
+}
+
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    // The read end closes before `check` has printed its report, as
+    // when a `| head` or `| grep -q` stops reading.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zbench"))
+        .args(["check", "--accesses", "2000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn zbench");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("zbench did not finish");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.code(), Some(EXIT_STDOUT_CLOSED), "{stderr}");
+    assert!(stderr.is_empty(), "a closed pipe is not an error: {stderr}");
 }

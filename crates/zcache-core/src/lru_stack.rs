@@ -14,18 +14,25 @@ use crate::types::LineAddr;
 /// function of the access stream.
 const INDEX_SEED: u64 = 0x5eed_1a0c;
 
-/// An exact fully-associative LRU cache of `C` lines that only decides
-/// hit or miss: `O(1)` work per access, `O(C)` memory, no allocation
-/// after construction.
+/// An exact fully-associative LRU cache of `C` lines: `O(1)` work per
+/// operation, `O(C)` memory, no allocation after construction.
 ///
 /// Lines live in nodes `0..C` of an intrusive doubly-linked recency
-/// list (parallel `tag`/`prev`/`next` vectors); node `C` is the list's
-/// sentinel, whose `next` is the most and `prev` the least recently
-/// used line. A [`SeededMap`] maps each resident line to its node.
+/// list (parallel `tag`/`dirty`/`prev`/`next` vectors); node `C` is the
+/// list's sentinel, whose `next` is the most and `prev` the least
+/// recently used line. A [`SeededMap`] maps each resident line to its
+/// node. Free nodes form a stack threaded through `next`, which starts
+/// as `0..C` in index order and takes back every
+/// [`remove`](Self::remove)d node, so a new line takes a free node
+/// before the least recently used line is evicted.
 ///
-/// It makes the same hit/miss decisions as a [`FullyAssocArray`] under
-/// [`FullLru`], which remains the cache to use for non-LRU policies,
-/// write-backs or the candidate-level view.
+/// [`access`](Self::access) makes the same hit/miss decisions as a
+/// [`FullyAssocArray`] under [`FullLru`]; [`insert`](Self::insert) and
+/// [`remove`](Self::remove), with a dirty bit per line, make the same
+/// fills, evictions and invalidations, which is what the buffer of
+/// [`VictimCache`](crate::VictimCache) needs. The simulated cache
+/// remains the one to use for non-LRU policies or the candidate-level
+/// view.
 ///
 /// [`FullyAssocArray`]: crate::FullyAssocArray
 /// [`FullLru`]: crate::FullLru
@@ -41,15 +48,23 @@ const INDEX_SEED: u64 = 0x5eed_1a0c;
 /// assert!(lru.access(1)); // 2 is now least recently used
 /// assert!(!lru.access(3)); // evicts 2
 /// assert!(lru.access(1));
-/// assert!(!lru.access(2));
+/// assert!(!lru.access(2)); // evicts 3
+///
+/// assert_eq!(lru.remove(1), Some(false));
+/// assert_eq!(lru.insert(4, true), None); // takes 1's node
+/// assert_eq!(lru.insert(5, false), Some((2, false)));
+/// assert_eq!(lru.insert(6, false), Some((4, true)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct LruStack {
     map: SeededMap<u32>,
     tag: Vec<LineAddr>,
+    dirty: Vec<bool>,
     prev: Vec<u32>,
     next: Vec<u32>,
-    /// Nodes in use; they fill in index order, then recycle the tail.
+    /// Top of the free-node stack; the sentinel when every node is used.
+    free: u32,
+    /// Resident lines.
     len: u32,
 }
 
@@ -64,11 +79,16 @@ impl LruStack {
         assert!(capacity < u64::from(u32::MAX), "capacity must fit in u32");
         let c = capacity as usize;
         let sentinel = c as u32;
+        // Free node `i` links to `i + 1`; the last links to the sentinel,
+        // whose own links make the empty recency list.
+        let next = (1..=sentinel).chain([sentinel]).collect();
         Self {
             map: SeededMap::fixed_capacity(c, INDEX_SEED),
             tag: vec![0; c],
+            dirty: vec![false; c],
             prev: vec![sentinel; c + 1],
-            next: vec![sentinel; c + 1],
+            next,
+            free: 0,
             len: 0,
         }
     }
@@ -92,8 +112,8 @@ impl LruStack {
     }
 
     /// References `line`, makes it the most recently used, and returns
-    /// whether it hit. A miss in a full cache evicts the least recently
-    /// used line.
+    /// whether it hit. A miss fills it clean, evicting the least recently
+    /// used line if no node is free.
     #[inline]
     pub fn access(&mut self, line: LineAddr) -> bool {
         if let Some(node) = self.map.get(line) {
@@ -101,20 +121,53 @@ impl LruStack {
             self.push_front(node);
             return true;
         }
+        self.insert(line, false);
+        false
+    }
+
+    /// Fills `line`, which must not be resident, as the most recently
+    /// used line with the given dirty bit. If no node is free, the least
+    /// recently used line is evicted first and returned with its dirty
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is already resident.
+    #[inline]
+    pub fn insert(&mut self, line: LineAddr, dirty: bool) -> Option<(LineAddr, bool)> {
         let sentinel = self.tag.len() as u32;
-        let node = if self.len < sentinel {
+        let (node, evicted) = if self.free != sentinel {
+            let node = self.free;
+            self.free = self.next[node as usize];
             self.len += 1;
-            self.len - 1
+            (node, None)
         } else {
             let lru = self.prev[sentinel as usize];
-            self.map.remove(self.tag[lru as usize]);
+            let old = self.tag[lru as usize];
+            self.map.remove(old);
             self.unlink(lru);
-            lru
+            (lru, Some((old, self.dirty[lru as usize])))
         };
         self.tag[node as usize] = line;
-        self.map.insert(line, node);
+        self.dirty[node as usize] = dirty;
+        assert!(
+            self.map.insert(line, node).is_none(),
+            "line {line:#x} already resident"
+        );
         self.push_front(node);
-        false
+        evicted
+    }
+
+    /// Removes `line` and returns its dirty bit, or `None` if it was not
+    /// resident. Its node is the next one [`insert`](Self::insert) takes.
+    #[inline]
+    pub fn remove(&mut self, line: LineAddr) -> Option<bool> {
+        let node = self.map.remove(line)?;
+        self.unlink(node);
+        self.next[node as usize] = self.free;
+        self.free = node;
+        self.len -= 1;
+        Some(self.dirty[node as usize])
     }
 
     #[inline(always)]
@@ -165,6 +218,33 @@ mod tests {
         assert_eq!(l.len(), 3);
         assert!(!l.access(2));
         assert!(!l.is_empty());
+    }
+
+    #[test]
+    fn removed_nodes_are_reused_before_the_lru_line() {
+        let mut l = LruStack::new(3);
+        assert_eq!(l.insert(1, true), None);
+        assert_eq!(l.insert(2, false), None);
+        assert_eq!(l.insert(3, true), None);
+        assert_eq!(l.remove(2), Some(false));
+        assert_eq!(l.remove(2), None);
+        assert_eq!(l.len(), 2);
+        assert_eq!(l.insert(4, false), None, "2's node is free");
+        assert_eq!(order(&l), [4, 3, 1]);
+        assert_eq!(l.insert(5, false), Some((1, true)));
+        assert_eq!(l.insert(6, false), Some((3, true)));
+        assert_eq!(order(&l), [6, 5, 4]);
+        assert!(!l.access(1), "a miss fills clean");
+        assert_eq!(l.insert(7, false), Some((5, false)));
+        assert_eq!(l.remove(1), Some(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "already resident")]
+    fn inserting_a_resident_line_panics() {
+        let mut l = LruStack::new(2);
+        l.insert(1, false);
+        l.insert(1, true);
     }
 
     #[test]

@@ -31,7 +31,9 @@ pub struct BucketedLru {
     timestamps: Vec<u32>,
     counter: u32,
     mask: u32,
-    accesses: u64,
+    /// Touches left before the next bump, counting down from `k`: the
+    /// counter bumps on every `k`-th touch without a division.
+    until_bump: u64,
     k: u64,
 }
 
@@ -54,7 +56,7 @@ impl BucketedLru {
             timestamps: vec![0; lines as usize],
             counter: 0,
             mask,
-            accesses: 0,
+            until_bump: k,
             k,
         }
     }
@@ -67,8 +69,9 @@ impl BucketedLru {
 
     #[inline]
     fn touch(&mut self, slot: SlotId) {
-        self.accesses += 1;
-        if self.accesses.is_multiple_of(self.k) {
+        self.until_bump -= 1;
+        if self.until_bump == 0 {
+            self.until_bump = self.k;
             self.counter = (self.counter + 1) & self.mask;
         }
         self.timestamps[slot.idx()] = self.counter;
@@ -160,6 +163,19 @@ mod tests {
         let s = p.score(SlotId(0));
         p.on_move(SlotId(0), SlotId(7));
         assert_eq!(p.score(SlotId(7)), s);
+    }
+
+    #[test]
+    fn bumps_on_every_kth_touch() {
+        // The countdown bumps exactly where the modulo definition does:
+        // after touch n the counter is floor(n / k), mod 2^bits.
+        for k in [1, 2, 3, 64, 204] {
+            let mut p = BucketedLru::new(4, 8, k);
+            for n in 1..=10_000u64 {
+                p.on_hit(SlotId((n % 4) as u32), n, &CTX);
+                assert_eq!(u64::from(p.counter), (n / k) & 0xff, "k={k}, touch {n}");
+            }
+        }
     }
 
     #[test]

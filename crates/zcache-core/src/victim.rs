@@ -9,9 +9,10 @@
 //! ways" and charge extra latency and energy on every main-cache miss,
 //! hit or not.
 
-use crate::array::{CacheArray, FullyAssocArray};
+use crate::array::CacheArray;
 use crate::cache::{AccessOutcome, Cache};
-use crate::repl::{FullLru, ReplacementPolicy};
+use crate::lru_stack::LruStack;
+use crate::repl::ReplacementPolicy;
 use crate::stats::CacheStats;
 use crate::types::LineAddr;
 
@@ -21,6 +22,11 @@ use crate::types::LineAddr;
 /// swaps the block back into the main cache (evicting a block into the
 /// buffer), and a full miss fills the main cache with the displaced
 /// block landing in the buffer.
+///
+/// The buffer is an [`LruStack`], so a probe and a fill cost `O(1)`
+/// whatever its size. A buffered line is never re-referenced while
+/// buffered (a probe hit removes it), so its LRU order is insertion
+/// order.
 ///
 /// # Examples
 ///
@@ -40,7 +46,9 @@ use crate::types::LineAddr;
 #[derive(Debug, Clone)]
 pub struct VictimCache<A, P> {
     main: Cache<A, P>,
-    buffer: Cache<FullyAssocArray, FullLru>,
+    buffer: LruStack,
+    /// The buffer's fills, evictions, write-backs and invalidations.
+    buffer_stats: CacheStats,
     victim_hits: u64,
     victim_probes: u64,
 }
@@ -54,13 +62,10 @@ impl<A: CacheArray, P: ReplacementPolicy> VictimCache<A, P> {
     /// Panics if `buffer_lines == 0`.
     pub fn new(main: Cache<A, P>, buffer_lines: u64) -> Self {
         assert!(buffer_lines > 0, "victim buffer needs at least one line");
-        let buffer = Cache::new(
-            FullyAssocArray::new(buffer_lines),
-            FullLru::new(buffer_lines),
-        );
         Self {
             main,
-            buffer,
+            buffer: LruStack::new(buffer_lines),
+            buffer_stats: CacheStats::new(),
             victim_hits: 0,
             victim_probes: 0,
         }
@@ -77,30 +82,32 @@ impl<A: CacheArray, P: ReplacementPolicy> VictimCache<A, P> {
             return main_out;
         }
 
-        // The block displaced from the main cache goes into the buffer.
+        // A buffer hit moves the block back into the main cache.
         self.victim_probes += 1;
-        let buffer_hit = self.buffer.contains(addr);
-        if buffer_hit {
+        let stats = &mut self.buffer_stats;
+        let recovered = self.buffer.remove(addr);
+        if let Some(dirty) = recovered {
             self.victim_hits += 1;
-            self.buffer.invalidate(addr);
+            stats.invalidations += 1;
+            stats.writebacks += u64::from(dirty);
         }
-        let mut system_eviction = None;
-        let mut system_dirty = false;
+        // The block displaced from the main cache goes into the buffer.
+        let mut out = AccessOutcome {
+            hit: recovered.is_some(),
+            evicted: None,
+            evicted_dirty: false,
+        };
         if let Some(ev) = main_out.evicted {
-            let buf_out = self
-                .buffer
-                .access_full(ev, main_out.evicted_dirty, u64::MAX);
-            if let Some(gone) = buf_out.evicted {
-                system_eviction = Some(gone);
-                system_dirty = buf_out.evicted_dirty;
+            stats.accesses += 1;
+            stats.misses += 1;
+            if let Some((gone, dirty)) = self.buffer.insert(ev, main_out.evicted_dirty) {
+                stats.evictions += 1;
+                stats.writebacks += u64::from(dirty);
+                out.evicted = Some(gone);
+                out.evicted_dirty = dirty;
             }
         }
-
-        AccessOutcome {
-            hit: buffer_hit,
-            evicted: system_eviction,
-            evicted_dirty: system_dirty,
-        }
+        out
     }
 
     /// Fraction of main-cache misses recovered from the victim buffer.
@@ -138,9 +145,13 @@ impl<A: CacheArray, P: ReplacementPolicy> VictimCache<A, P> {
         self.main.stats()
     }
 
-    /// Statistics of the victim buffer.
+    /// Statistics of the victim buffer: accesses (fills; a buffered
+    /// line is never accessed again, so every one misses), hits (none),
+    /// misses, evictions, write-backs (of dirty blocks evicted or
+    /// recovered) and invalidations (recovered blocks). The energy
+    /// counters stay zero.
     pub fn buffer_stats(&self) -> &CacheStats {
-        self.buffer.stats()
+        &self.buffer_stats
     }
 }
 

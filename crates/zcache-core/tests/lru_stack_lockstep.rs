@@ -13,8 +13,19 @@
 //! exactly `C` lines (every access after the first pass hits). An
 //! off-by-one capacity (hit iff `d <= C`) or evicting the most instead
 //! of the least recently used line fails here.
+//!
+//! The victim buffer of `VictimCache` is an `LruStack` filled with
+//! `insert` and probed with `remove`. It runs here against the buffer it
+//! replaced, a `Cache<FullyAssocArray, FullLru>` filled with
+//! `access_full` and probed with `invalidate`: first operation by
+//! operation with random dirty bits, then as a whole victim cache whose
+//! outcomes and buffer counters must match after every access.
 
-use zcache_core::{Cache, FullLru, FullyAssocArray, LruStack};
+use zcache_core::{
+    AccessOutcome, ArrayKind, Cache, CacheBuilder, CacheStats, DynCache, FullLru, FullyAssocArray,
+    LruStack, VictimCache,
+};
+use zhash::HashKind;
 use zhash::SplitMix64;
 use zworkloads::profile::StackProfiler;
 use zworkloads::ZipfTable;
@@ -71,4 +82,138 @@ fn lru_stack_matches_fully_associative_lru() {
             }
         }
     }
+}
+
+#[test]
+fn buffer_operations_match_the_fully_associative_cache() {
+    for c in [1, 2, 64] {
+        let mut stack = LruStack::new(c);
+        let mut sim = Cache::new(FullyAssocArray::new(c), FullLru::new(c));
+        let mut rng = SplitMix64::new(0xb0ff ^ c);
+        let (mut dirty_evictions, mut removals) = (0, 0);
+        for i in 0..20_000 {
+            let line = rng.next_below(2 * c + 5);
+            let dirty = rng.next_below(2) == 0;
+            let at = format!("C={c}: op {i} (line {line})");
+            match rng.next_below(3) {
+                0 if !sim.contains(line) => {
+                    let out = sim.access_full(line, dirty, u64::MAX);
+                    let evicted = out.evicted.map(|e| (e, out.evicted_dirty));
+                    assert_eq!(stack.insert(line, dirty), evicted, "{at}: insert");
+                    dirty_evictions += u32::from(out.evicted_dirty);
+                }
+                1 => {
+                    let gone = sim.invalidate(line);
+                    assert_eq!(stack.remove(line), gone, "{at}: remove");
+                    removals += u32::from(gone.is_some());
+                }
+                _ => {
+                    let hit = !sim.access(line).is_miss();
+                    assert_eq!(stack.access(line), hit, "{at}: access");
+                }
+            }
+            assert_eq!(stack.len(), sim.occupancy(), "{at}: occupancy");
+        }
+        assert!(
+            dirty_evictions > 0 && removals > 0,
+            "C={c}: dirty paths not exercised"
+        );
+    }
+}
+
+/// `VictimCache` as it was built on the simulated buffer: the reference
+/// for its `LruStack` buffer.
+struct CacheBufferVictim {
+    main: DynCache,
+    buffer: Cache<FullyAssocArray, FullLru>,
+}
+
+impl CacheBufferVictim {
+    fn access(&mut self, addr: u64) -> AccessOutcome {
+        let main_out = self.main.access(addr);
+        if main_out.hit {
+            return main_out;
+        }
+        let hit = self.buffer.invalidate(addr).is_some();
+        let mut out = AccessOutcome {
+            hit,
+            evicted: None,
+            evicted_dirty: false,
+        };
+        if let Some(ev) = main_out.evicted {
+            let buf = self
+                .buffer
+                .access_full(ev, main_out.evicted_dirty, u64::MAX);
+            out.evicted = buf.evicted;
+            out.evicted_dirty = buf.evicted_dirty;
+        }
+        out
+    }
+}
+
+/// The counters `VictimCache::buffer_stats` keeps.
+fn counters(s: &CacheStats) -> [u64; 6] {
+    [
+        s.accesses,
+        s.hits,
+        s.misses,
+        s.evictions,
+        s.writebacks,
+        s.invalidations,
+    ]
+}
+
+#[test]
+fn victim_buffer_matches_the_cache_buffer() {
+    let (lines, sets) = (64u64, 16u64);
+    // Mostly three hot sets, so their ways overflow into the buffer.
+    let next_addr = |rng: &mut SplitMix64| {
+        if rng.next_below(4) < 3 {
+            rng.next_below(8) * sets + rng.next_below(3)
+        } else {
+            rng.next_below(4 * lines)
+        }
+    };
+    let (mut dirty_exits, mut dirty_recoveries) = (0, 0);
+    for buffer in [1, 4, 64] {
+        for run in 0..40 {
+            // Main caches start with dirty lines, the only ones a victim
+            // cache (which only reads) can push into its buffer.
+            let mut main = CacheBuilder::new()
+                .lines(lines)
+                .ways(4)
+                .array(ArrayKind::SetAssoc {
+                    hash: HashKind::BitSelect,
+                })
+                .build_lru();
+            let mut rng = SplitMix64::new(run * 131 + buffer);
+            for _ in 0..lines {
+                main.access_write(next_addr(&mut rng));
+            }
+            let mut dut = VictimCache::new(main.clone(), buffer);
+            let mut reference = CacheBufferVictim {
+                main,
+                buffer: Cache::new(FullyAssocArray::new(buffer), FullLru::new(buffer)),
+            };
+            for i in 0..1_000 {
+                let addr = next_addr(&mut rng);
+                let at = format!("buffer {buffer}, run {run}: access {i} ({addr:#x})");
+                let before = reference.buffer.stats().writebacks;
+                let want = reference.access(addr);
+                assert_eq!(dut.access(addr), want, "{at}: outcome");
+                assert_eq!(
+                    counters(dut.buffer_stats()),
+                    counters(reference.buffer.stats()),
+                    "{at}: buffer counters"
+                );
+                dirty_exits += u32::from(want.evicted_dirty);
+                let writebacks = reference.buffer.stats().writebacks - before;
+                dirty_recoveries += u32::from(writebacks > u64::from(want.evicted_dirty));
+            }
+        }
+    }
+    assert!(
+        dirty_exits > 0 && dirty_recoveries > 0,
+        "dirty paths not exercised: {dirty_exits} dirty exits, {dirty_recoveries} recoveries"
+    );
 }

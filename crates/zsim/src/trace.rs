@@ -6,6 +6,13 @@
 //! next-use annotations. Replaying the *same* trace against every design
 //! also removes the (second-order) feedback of inclusion victims on L1
 //! contents, which the paper's trace-driven mode accepts as well.
+//!
+//! Every per-reference buffer is stored at its natural width: a
+//! [`TraceRef`] is 16 bytes (line, work, core, two flags), and the OPT
+//! oracle of [`L2Trace::next_uses_into`] holds one `u32` position per
+//! reference, with `u32::MAX` for "never used again". A trace therefore
+//! holds fewer than 2³² references, and the oracle and the replay refuse
+//! a longer one.
 
 use crate::config::SimConfig;
 use crate::l2::L2;
@@ -18,20 +25,24 @@ use zworkloads::{AddressStream, Workload, ZipfCache};
 /// escapes — only next-use positions do).
 const NEXT_USE_SEED: u64 = 0x0b75_ace1_0f75_ace1;
 
-/// One recorded L2 access.
+/// The next-use oracle's "never used again" position.
+pub const NEVER: u32 = u32::MAX;
+
+/// One recorded L2 access, 16 bytes: the line, the work before it and
+/// the issuing core, in fields ordered so no byte is padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRef {
-    /// Issuing core.
-    pub core: u32,
     /// Line address.
     pub line: u64,
+    /// Core work (instructions ≡ cycles at IPC = 1) since this core's
+    /// previous L2 access.
+    pub work: u32,
+    /// Issuing core; [`record_trace_into`] refuses more than 2¹⁶ cores.
+    pub core: u16,
     /// Store (write-back or store-miss fill) vs load.
     pub write: bool,
     /// Demand access (stalls the core) vs posted write-back.
     pub demand: bool,
-    /// Core work (instructions ≡ cycles at IPC = 1) since this core's
-    /// previous L2 access.
-    pub work: u32,
 }
 
 /// A recorded L2 reference stream plus the L1-side statistics of the
@@ -60,19 +71,26 @@ impl L2Trace {
         self.refs.is_empty()
     }
 
-    /// Flattens the trace to `(line, write)` pairs in global order —
+    /// The references as `(line, write)` pairs in global order, read in
+    /// place: the stream single-array experiments drive their caches
+    /// with (posted write-backs become plain writes).
+    pub fn accesses(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        self.refs.iter().map(|r| (r.line, r.write))
+    }
+
+    /// Flattens the trace to [`accesses`](Self::accesses) pairs —
     /// the shape the `zoracle` differential harness consumes, so a
     /// recorded workload stream can drive a production cache and its
-    /// brute-force reference twin in lockstep (posted write-backs become
-    /// plain writes; bank interleaving is a timing concern the
-    /// single-array conformance check deliberately ignores).
+    /// brute-force reference twin in lockstep (bank interleaving is a
+    /// timing concern the single-array conformance check deliberately
+    /// ignores).
     pub fn conformance_stream(&self) -> Vec<(u64, bool)> {
-        self.refs.iter().map(|r| (r.line, r.write)).collect()
+        self.accesses().collect()
     }
 
     /// Computes, for each reference, the position of the next reference
-    /// to the same line (`u64::MAX` if never) — the OPT oracle.
-    pub fn next_uses(&self) -> Vec<u64> {
+    /// to the same line ([`NEVER`] if none) — the OPT oracle.
+    pub fn next_uses(&self) -> Vec<u32> {
         let mut next = Vec::new();
         let mut last = SeededMap::with_capacity(1024, NEXT_USE_SEED);
         self.next_uses_into(&mut next, &mut last);
@@ -80,21 +98,51 @@ impl L2Trace {
     }
 
     /// Buffer-reusing form of [`L2Trace::next_uses`]: one backward pass
-    /// over the trace, filling `next` (cleared first) and using `last` as
-    /// line → latest-position scratch (also cleared first). Sweeps call
-    /// this once per grid point with long-lived buffers so the oracle
-    /// costs no steady-state allocation.
-    pub fn next_uses_into(&self, next: &mut Vec<u64>, last: &mut SeededMap<u64>) {
+    /// over the trace, filling `next` (cleared first) with one `u32`
+    /// position per reference, [`NEVER`] where the line is not used
+    /// again, and using `last` as line → latest-position scratch (also
+    /// cleared first). Sweeps call this once per grid point with
+    /// long-lived buffers so the oracle costs no steady-state
+    /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace holds 2³² or more references: the last
+    /// position would not fit below [`NEVER`].
+    pub fn next_uses_into(&self, next: &mut Vec<u32>, last: &mut SeededMap<u32>) {
+        check_positions(self.refs.len());
         next.clear();
-        next.resize(self.refs.len(), u64::MAX);
+        next.resize(self.refs.len(), NEVER);
         last.clear();
         for (i, r) in self.refs.iter().enumerate().rev() {
-            let (slot, present) = last.get_or_insert_with(r.line, || i as u64);
+            let (slot, present) = last.get_or_insert_with(r.line, || i as u32);
             if present {
                 next[i] = *slot;
-                *slot = i as u64;
+                *slot = i as u32;
             }
         }
+    }
+}
+
+/// Refuses a trace of `len` references unless every position `0..len`
+/// fits a `u32` below [`NEVER`], i.e. `len < 2³²`.
+fn check_positions(len: usize) {
+    assert!(
+        u32::try_from(len).is_ok(),
+        "a trace of {len} references is too long: positions are u32, so at most 2^32 - 1"
+    );
+}
+
+/// The oracle's `u32` position widened to [`AccessCtx::next_use`]'s
+/// `u64`, [`NEVER`] becoming `u64::MAX`.
+///
+/// [`AccessCtx::next_use`]: zcache_core::AccessCtx::next_use
+#[inline]
+fn widen(next_use: u32) -> u64 {
+    if next_use == NEVER {
+        u64::MAX
+    } else {
+        u64::from(next_use)
     }
 }
 
@@ -113,6 +161,11 @@ pub fn record_trace(cfg: &SimConfig, workload: &Workload) -> L2Trace {
 /// (the reference `Vec` keeps its capacity across grid points) and pulls
 /// Zipf tables from `zipf` instead of rebuilding them per call. Produces
 /// exactly the trace [`record_trace`] does.
+///
+/// # Panics
+///
+/// Panics if `cfg.cores` exceeds 2¹⁶, the most cores [`TraceRef::core`]
+/// can name.
 pub fn record_trace_into(
     cfg: &SimConfig,
     workload: &Workload,
@@ -121,6 +174,10 @@ pub fn record_trace_into(
 ) {
     const NOMINAL_MISS_STALL: u64 = 30;
     let cores = cfg.cores as usize;
+    assert!(
+        cores <= usize::from(u16::MAX) + 1,
+        "cannot record {cores} cores: TraceRef::core is a u16"
+    );
     let mut l1s: Vec<_> = (0..cfg.cores).map(|c| cfg.build_l1(c)).collect();
     let mut streams = workload.streams_cached(cores, cfg.seed, zipf);
     let mut instrs = vec![0u64; cores];
@@ -137,19 +194,19 @@ pub fn record_trace_into(
         if out.is_miss() {
             if let (Some(ev), true) = (out.evicted, out.evicted_dirty) {
                 refs.push(TraceRef {
-                    core: c as u32,
                     line: ev,
+                    work: 0,
+                    core: c as u16,
                     write: true,
                     demand: false,
-                    work: 0,
                 });
             }
             refs.push(TraceRef {
-                core: c as u32,
                 line: r.line,
+                work: pending_work[c],
+                core: c as u16,
                 write: r.write,
                 demand: true,
-                work: pending_work[c],
             });
             pending_work[c] = 0;
             next += NOMINAL_MISS_STALL;
@@ -206,17 +263,19 @@ pub fn replay(cfg: &SimConfig, trace: &L2Trace) -> SimStats {
 /// consults future knowledge), so callers replaying under other policies
 /// pass `None` and skip the oracle's backward pass entirely; sweeps
 /// replaying one trace under OPT across many designs compute it once via
-/// [`L2Trace::next_uses_into`] and share the slice.
+/// [`L2Trace::next_uses_into`] and share the slice. Each `u32` position
+/// is widened to the policy's `u64` next use as it is read, [`NEVER`]
+/// to `u64::MAX`.
 ///
 /// # Panics
 ///
 /// Panics if the policy is OPT and `next_uses` is `None` (a silent
-/// `u64::MAX` fallback would degrade OPT to noise), or if `next_uses` is
-/// shorter than the trace.
+/// `u64::MAX` fallback would degrade OPT to noise), if `next_uses` is
+/// shorter than the trace, or if the trace holds 2³² or more references.
 pub fn replay_with(
     cfg: &SimConfig,
     trace: &L2Trace,
-    next_uses: Option<&[u64]>,
+    next_uses: Option<&[u32]>,
     scratch: &mut ReplayScratch,
 ) -> SimStats {
     assert!(
@@ -226,6 +285,7 @@ pub fn replay_with(
     if let Some(n) = next_uses {
         assert!(n.len() >= trace.refs.len(), "next-use oracle too short");
     }
+    check_positions(trace.refs.len());
     let cores = trace.cores.max(1) as usize;
     let mut l2 = L2::new(cfg);
 
@@ -257,7 +317,7 @@ pub fn replay_with(
         let pos = queues[c][heads[c]] as usize;
         heads[c] += 1;
         let r = &trace.refs[pos];
-        let next_use = next_uses.map_or(u64::MAX, |n| n[pos]);
+        let next_use = next_uses.map_or(u64::MAX, |n| widen(n[pos]));
         let mut next = now + u64::from(r.work);
 
         if r.demand {
@@ -318,16 +378,78 @@ mod tests {
         // use.
         let wl = by_name("gcc", 4, Scale::SMALL).unwrap();
         let t = record_trace(&tiny_cfg(), &wl);
-        let mut expect = vec![u64::MAX; t.len()];
+        let mut expect = vec![u32::MAX; t.len()];
         let mut last_seen = std::collections::HashMap::new();
         for (i, r) in t.refs.iter().enumerate().rev() {
             if let Some(&later) = last_seen.get(&r.line) {
                 expect[i] = later;
             }
-            last_seen.insert(r.line, i as u64);
+            last_seen.insert(r.line, u32::try_from(i).unwrap());
         }
-        assert!(expect.iter().any(|&n| n != u64::MAX), "no reuse to check");
+        assert!(expect.iter().any(|&n| n != u32::MAX), "no reuse to check");
+        assert!(expect.contains(&u32::MAX), "no last use to check");
         assert_eq!(t.next_uses(), expect);
+    }
+
+    #[test]
+    fn trace_ref_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<TraceRef>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "TraceRef::core is a u16")]
+    fn recording_refuses_cores_past_u16() {
+        // Refused before any L1 is built: no 65 537 caches are made.
+        let mut cfg = tiny_cfg();
+        cfg.cores = (1 << 16) + 1;
+        let wl = by_name("gcc", 4, Scale::SMALL).unwrap();
+        record_trace(&cfg, &wl);
+    }
+
+    #[test]
+    fn never_reused_line_reaches_opt_as_u64_max_and_leaves_first() {
+        assert_eq!(widen(NEVER), u64::MAX);
+        assert_eq!(widen(0), 0);
+        assert_eq!(widen(NEVER - 1), u64::from(NEVER - 1));
+        // One core, one 4-line fully-associative bank: lines 1-4 fill it
+        // and line 5 misses. Line 3 is never used again, so OPT must
+        // evict it, and 1, 2 and 4 then hit; evicting any of them
+        // instead costs a sixth miss.
+        let mut cfg = tiny_cfg().with_l2(L2Design {
+            array: zcache_core::ArrayKind::Fully,
+            ways: 4,
+            ..L2Design::baseline().with_policy(PolicyKind::Opt)
+        });
+        cfg.l2_lines = 4;
+        cfg.l2_banks = 1;
+        cfg.l2_bank_latency = Some(1);
+        let t = L2Trace {
+            refs: [1, 2, 3, 4, 5, 1, 2, 4]
+                .map(|line| TraceRef {
+                    line,
+                    work: 1,
+                    core: 0,
+                    write: false,
+                    demand: true,
+                })
+                .to_vec(),
+            instructions: 8,
+            cores: 1,
+            ..Default::default()
+        };
+        let next = t.next_uses();
+        assert_eq!(next, [5, 6, NEVER, 7, NEVER, NEVER, NEVER, NEVER]);
+        let opt = replay_with(&cfg, &t, Some(&next), &mut ReplayScratch::new());
+        assert_eq!(opt.l2.misses, 5);
+        let lru = L2Design {
+            policy: PolicyKind::Lru,
+            ..cfg.l2
+        };
+        let lru = replay(&cfg.clone().with_l2(lru), &t);
+        assert_eq!(
+            lru.l2.misses, 7,
+            "LRU evicts lines 1 and 2: only line 4 hits"
+        );
     }
 
     #[test]
