@@ -272,14 +272,17 @@ pub static FLAGS: &[Flag] = &[
     Flag::new("--instrs", int(0, u64::MAX))
         .on(EXP | set(&[Predict, Dumptrace]))
         .help("instructions per core (default 100000)"),
-    Flag::new("--workloads", int(0, usize::MAX as u64))
-        .on(EXP | set(&[Predict]))
-        .help("limit to the first N workloads"),
+    // fig3 and conflicts sweep fixed selections, ablate and adaptive
+    // named workloads.
+    Flag::new("--workloads", int(1, usize::MAX as u64))
+        .on(set(&[Fig4, Fig5, Bandwidth, Predict, All]))
+        .help("sweep the first N of the 72 suite workloads"),
     Flag::new("--seed", int(0, u64::MAX))
         .on(EXP | set(&[Fig2, Predict, Trace, Dumptrace, Check, Tenants, Perf, Serve]))
         .help("RNG seed (default 1)"),
-    Flag::new("--jobs", int(0, usize::MAX as u64))
-        .on(EXP | set(&[Predict, Check, Tenants, Serve]))
+    // adaptive runs serially.
+    Flag::new("--jobs", int(1, usize::MAX as u64))
+        .on((EXP & !Adaptive.bit()) | set(&[Predict, Check, Tenants, Serve]))
         .help("sweep worker threads (default: all cores); output is byte-identical for any N"),
     Flag::new("--policy", Kind::Choice(&["lru", "lfu", "opt"]))
         .on(set(&[Fig4, Fig5, Check, All]))

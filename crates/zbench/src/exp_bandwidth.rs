@@ -9,7 +9,7 @@
 
 use crate::format_table;
 use crate::opts::ExpOpts;
-use crate::{point_seed, SweepRunner};
+use crate::pipeline::sweep;
 use zsim::{L2Design, System};
 use zworkloads::suite::paper_suite_scaled;
 
@@ -30,22 +30,12 @@ pub struct BandwidthRow {
     pub contention_frac: f64,
 }
 
-/// Runs the bandwidth study with a Z4/52 L2 (execution-driven).
-///
-/// One sweep point per workload, indexed over the full suite so
-/// `--workloads` prefix-filtering leaves per-point seeds unchanged.
+/// Runs the bandwidth study with a Z4/52 L2 (execution-driven), one
+/// [`sweep`] point per kept workload of the suite.
 pub fn run(opts: &ExpOpts) -> Vec<BandwidthRow> {
-    let workloads = paper_suite_scaled(opts.cores as usize, opts.scale);
-    let n = opts
-        .max_workloads
-        .unwrap_or(workloads.len())
-        .min(workloads.len());
-    let cfg = opts.sim_config().with_l2(L2Design::zcache(4, 3));
-    SweepRunner::from_opts(opts).run(n, |i| {
-        let wl = &workloads[i];
-        let mut point_cfg = cfg.clone();
-        point_cfg.seed = point_seed(opts.seed, i as u64);
-        let stats = System::new(point_cfg).run(wl);
+    let suite = paper_suite_scaled(opts.cores as usize, opts.scale);
+    sweep(opts, &suite, opts.kept(suite.len()), |wl, cfg, _| {
+        let stats = System::new(cfg.with_l2(L2Design::zcache(4, 3))).run(wl);
         BandwidthRow {
             workload: wl.name().to_string(),
             load_per_bank: stats.l2_load_per_bank(),

@@ -9,8 +9,8 @@
 //! the metric (under LRU it can go *negative* on anti-LRU patterns).
 
 use crate::opts::ExpOpts;
+use crate::pipeline::sweep;
 use crate::{format_table, lineup};
-use crate::{point_seed, SweepRunner};
 use zcache_core::{ArrayKind, LruStack, VictimCache};
 use zhash::HashKind;
 use zsim::trace::record_trace;
@@ -38,27 +38,20 @@ pub struct ConflictRow {
     pub conflict_frac: f64,
 }
 
-/// Runs the decomposition over a few associativity-sensitive workloads.
-///
-/// One sweep point per retained workload. The point index is the
-/// workload's position in the *full* suite (not the retained subset), so
-/// each workload's [`point_seed`]-derived trace and hash seeds match
-/// what any other filtering of the same grid would compute.
+/// Runs the decomposition over a few associativity-sensitive workloads:
+/// one [`sweep`] point each, seeded by its index in the full suite.
+/// Each point records a fresh trace and leaves the worker's scratch
+/// unused: the scratch would keep the Zipf tables of earlier points
+/// alive beside the fully-associative reference.
 pub fn run(opts: &ExpOpts) -> Vec<ConflictRow> {
     // Array scaled to traced cores, as in the ablations (~3× pressure).
     let lines = (opts.scale.l2_lines * u64::from(opts.cores) / 32).max(1024);
-    let workloads = paper_suite_scaled(opts.cores as usize, opts.scale);
+    let suite = paper_suite_scaled(opts.cores as usize, opts.scale);
     let keep = ["cactusADM", "omnetpp", "gcc", "wupwise"];
-    let points: Vec<usize> = (0..workloads.len())
-        .filter(|&i| keep.contains(&workloads[i].name()))
-        .collect();
+    let points = (0..suite.len()).filter(|&i| keep.contains(&suite[i].name()));
 
-    let per_workload = SweepRunner::from_opts(opts).run(points.len(), |p| {
-        let i = points[p];
-        let wl = &workloads[i];
-        let seed = point_seed(opts.seed, i as u64);
-        let mut cfg = opts.sim_config();
-        cfg.seed = seed;
+    let per_workload = sweep(opts, &suite, points, |wl, cfg, _| {
+        let seed = cfg.seed;
         let trace = record_trace(&cfg, wl);
 
         // The stack property makes the fully-associative LRU reference

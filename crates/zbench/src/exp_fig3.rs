@@ -12,12 +12,14 @@
 //!   closely, so their associativity is fully characterized by `R`.
 
 use crate::opts::ExpOpts;
+use crate::pipeline::sweep;
 use crate::{format_table, lineup};
-use crate::{point_seed, SweepRunner};
-use zcache_core::{replacement_candidates, ArrayKind, UnitHistogram};
+use zcache_core::{ArrayKind, UnitHistogram};
 use zhash::HashKind;
-use zsim::trace::{record_trace, L2Trace};
+use zsim::trace::record_trace;
+use zsim::{L2Design, SimConfig};
 use zworkloads::suite::fig3_selection;
+use zworkloads::Workload;
 
 /// Which Fig. 3 panel a design belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,60 +35,28 @@ pub enum Fig3Panel {
 }
 
 impl Fig3Panel {
-    /// The designs of this panel as `(label, array, ways, candidates)`.
-    pub fn designs(self) -> Vec<(String, ArrayKind, u32, u64)> {
-        match self {
-            Fig3Panel::SetAssoc => vec![
-                (
-                    "SA-4".into(),
-                    ArrayKind::SetAssoc {
-                        hash: HashKind::BitSelect,
-                    },
-                    4,
-                    4,
-                ),
-                (
-                    "SA-16".into(),
-                    ArrayKind::SetAssoc {
-                        hash: HashKind::BitSelect,
-                    },
-                    16,
-                    16,
-                ),
-            ],
-            Fig3Panel::SetAssocHash => vec![
-                (
-                    "SA-4-h3".into(),
-                    ArrayKind::SetAssoc { hash: HashKind::H3 },
-                    4,
-                    4,
-                ),
-                (
-                    "SA-16-h3".into(),
-                    ArrayKind::SetAssoc { hash: HashKind::H3 },
-                    16,
-                    16,
-                ),
-            ],
-            Fig3Panel::Skew => vec![
-                ("skew-4".into(), ArrayKind::Skew, 4, 4),
-                ("skew-16".into(), ArrayKind::Skew, 16, 16),
-            ],
-            Fig3Panel::ZCache => vec![
-                (
-                    "Z4/16".into(),
-                    ArrayKind::ZCache { levels: 2 },
-                    4,
-                    replacement_candidates(4, 2),
-                ),
-                (
-                    "Z4/52".into(),
-                    ArrayKind::ZCache { levels: 3 },
-                    4,
-                    replacement_candidates(4, 3),
-                ),
-            ],
-        }
+    /// The designs of this panel, labelled by [`L2Design::label`] plus
+    /// `-h3` in panel (b), where the H3 index is what is compared (in
+    /// Fig. 4, `SA-4` is the H3 baseline).
+    pub fn designs(self) -> Vec<(String, L2Design)> {
+        let with = |array, ways| L2Design {
+            array,
+            ways,
+            ..L2Design::baseline()
+        };
+        let bitsel = ArrayKind::SetAssoc {
+            hash: HashKind::BitSelect,
+        };
+        let (designs, suffix) = match self {
+            Fig3Panel::SetAssoc => ([with(bitsel, 4), with(bitsel, 16)], ""),
+            Fig3Panel::SetAssocHash => ([L2Design::setassoc(4), L2Design::setassoc(16)], "-h3"),
+            Fig3Panel::Skew => ([with(ArrayKind::Skew, 4), with(ArrayKind::Skew, 16)], ""),
+            Fig3Panel::ZCache => ([L2Design::zcache(4, 2), L2Design::zcache(4, 3)], ""),
+        };
+        designs
+            .into_iter()
+            .map(|d| (format!("{}{suffix}", d.label()), d))
+            .collect()
     }
 
     /// All four panels.
@@ -113,79 +83,71 @@ impl Fig3Panel {
 /// One measured associativity distribution.
 #[derive(Debug, Clone)]
 pub struct Fig3Row {
+    /// Panel of the design.
+    pub panel: Fig3Panel,
     /// Workload name.
     pub workload: String,
     /// Design label.
     pub design: String,
-    /// Replacement candidates of the design.
-    pub candidates: u64,
+    /// Nominal replacement candidates `R` of the design.
+    pub candidates: u32,
     /// Empirical eviction-priority distribution.
     pub hist: UnitHistogram,
     /// KS distance to the uniformity assumption at this `R`.
     pub ks: f64,
 }
 
-/// Feeds a recorded L2 trace through one array and returns its
-/// eviction-priority histogram.
-pub fn measure(
-    trace: &L2Trace,
-    array: ArrayKind,
-    ways: u32,
-    lines: u64,
-    seed: u64,
-) -> UnitHistogram {
-    // Sample every 17th eviction: the rank scan is O(lines).
-    let builder = lineup::builder(array, ways, lines, seed).meter(128, 17);
-    let cache = lineup::drive(&builder, trace.accesses());
-    cache.meter().expect("meter attached").histogram().clone()
-}
-
 /// KS distance of `hist` to the uniformity curve of the design's
 /// nominal `R` (the paper compares against the curve for that R). With
 /// too few sampled evictions the distance is meaningless: NaN.
-fn ks_to_nominal(hist: &UnitHistogram, nominal_r: u64) -> f64 {
+fn ks_to_nominal(hist: &UnitHistogram, nominal_r: u32) -> f64 {
     if hist.total() < 50 {
         f64::NAN
     } else {
-        zcache_core::ks_distance_to_uniform(hist, nominal_r as u32)
+        zcache_core::ks_distance_to_uniform(hist, nominal_r)
     }
 }
 
-/// Runs the experiment for one panel over the Fig. 3 workload selection.
-///
-/// One sweep point per workload: trace recording dominates the cost, so
-/// each point records its trace once and measures every design of the
-/// panel against it. Both the trace and the arrays draw their seed from
-/// [`point_seed`], keeping panels comparable (same workload index ⇒ same
-/// trace) and the output independent of `--jobs`.
-pub fn run(panel: Fig3Panel, opts: &ExpOpts) -> Vec<Fig3Row> {
-    let workloads = fig3_selection(opts.scale);
-    let per_workload = SweepRunner::from_opts(opts).run(workloads.len(), |i| {
-        let wl = &workloads[i];
-        let seed = point_seed(opts.seed, i as u64);
-        let mut cfg = opts.sim_config();
-        cfg.seed = seed;
-        let trace = record_trace(&cfg, wl);
-        panel
-            .designs()
-            .into_iter()
-            .map(|(label, array, ways, nominal_r)| {
-                let hist = measure(&trace, array, ways, opts.scale.l2_lines, seed);
-                let ks = ks_to_nominal(&hist, nominal_r);
-                Fig3Row {
-                    workload: wl.name().to_string(),
-                    design: label,
-                    candidates: nominal_r,
-                    hist,
-                    ks,
-                }
-            })
-            .collect::<Vec<_>>()
+/// One sweep point: records `wl`'s L2 trace once and measures the
+/// eviction-priority histogram of every design of `panels` on it, with
+/// the arrays seeded like the trace.
+fn point(panels: &[Fig3Panel], wl: &Workload, cfg: &SimConfig) -> Vec<Fig3Row> {
+    let trace = record_trace(cfg, wl);
+    let mut rows = Vec::new();
+    for &panel in panels {
+        for (label, design) in panel.designs() {
+            // Sample every 17th eviction: the rank scan is O(lines).
+            let builder = design.builder(cfg.l2_lines, cfg.seed).meter(128, 17);
+            let cache = lineup::drive(&builder, trace.accesses());
+            let hist = cache.meter().expect("meter attached").histogram().clone();
+            let candidates = design.array.candidates(design.ways);
+            rows.push(Fig3Row {
+                panel,
+                workload: wl.name().to_string(),
+                design: label,
+                candidates,
+                ks: ks_to_nominal(&hist, candidates),
+                hist,
+            });
+        }
+    }
+    rows
+}
+
+/// Runs all four panels over the Fig. 3 workload selection: one
+/// [`sweep`] point per workload, which records the workload's trace
+/// once and measures every panel's designs on it. The sweep indexes the
+/// six-workload selection, so point seeds follow a workload's position
+/// there.
+pub fn run(opts: &ExpOpts) -> Vec<Fig3Row> {
+    let selection = fig3_selection(opts.scale);
+    let per_workload = sweep(opts, &selection, 0..selection.len(), |wl, cfg, _| {
+        point(&Fig3Panel::all(), wl, &cfg)
     });
     per_workload.into_iter().flatten().collect()
 }
 
-/// Renders one panel's results.
+/// Renders one panel's rows of a [`run`].
 pub fn report(panel: Fig3Panel, rows: &[Fig3Row]) -> String {
     let mut out = format!(
         "Fig. {} — eviction-priority distributions\n\n",
@@ -201,6 +163,7 @@ pub fn report(panel: Fig3Panel, rows: &[Fig3Row]) -> String {
     ];
     let body: Vec<Vec<String>> = rows
         .iter()
+        .filter(|r| r.panel == panel)
         .map(|r| {
             vec![
                 r.workload.clone(),
@@ -235,23 +198,12 @@ mod tests {
         // Compare the conflict-pathological workload, wupwise, on the
         // trace and seeds `run` gives its sweep point.
         let o = opts();
-        let workloads = fig3_selection(o.scale);
-        let i = workloads
-            .iter()
-            .position(|w| w.name() == "wupwise")
-            .unwrap();
-        let seed = point_seed(o.seed, i as u64);
-        let mut cfg = o.sim_config();
-        cfg.seed = seed;
-        let trace = record_trace(&cfg, &workloads[i]);
-        let ks = |panel: Fig3Panel, design: &str| {
-            let (_, array, ways, nominal_r) =
-                panel.designs().into_iter().find(|d| d.0 == design).unwrap();
-            let hist = measure(&trace, array, ways, o.scale.l2_lines, seed);
-            ks_to_nominal(&hist, nominal_r)
-        };
-        let sa_wup = ks(Fig3Panel::SetAssoc, "SA-4");
-        let z_wup = ks(Fig3Panel::ZCache, "Z4/16");
+        let selection = fig3_selection(o.scale);
+        let i = selection.iter().position(|w| w.name() == "wupwise");
+        let panels = [Fig3Panel::SetAssoc, Fig3Panel::ZCache];
+        let rows = sweep(&o, &selection, i, |wl, cfg, _| point(&panels, wl, &cfg)).concat();
+        let ks = |design: &str| rows.iter().find(|r| r.design == design).unwrap().ks;
+        let (sa_wup, z_wup) = (ks("SA-4"), ks("Z4/16"));
         assert!(
             z_wup < sa_wup,
             "zcache KS {z_wup} should beat unhashed SA {sa_wup}"
@@ -263,8 +215,9 @@ mod tests {
         let mut o = opts();
         o.cores = 4;
         o.instrs_per_core = 20_000;
-        let rows = run(Fig3Panel::Skew, &o);
+        let rows = run(&o);
         let r = report(Fig3Panel::Skew, &rows);
         assert!(r.contains("skew"));
+        assert!(!r.contains("Z4/52"), "another panel's rows");
     }
 }

@@ -11,8 +11,7 @@
 use crate::format_table;
 use crate::geomean;
 use crate::opts::{fig_designs, with_policy, ExpOpts};
-use crate::pipeline::PointScratch;
-use crate::{point_seed, SweepRunner};
+use crate::pipeline::sweep;
 use zcache_core::PolicyKind;
 use zsim::SimStats;
 use zworkloads::suite::paper_suite_scaled;
@@ -47,26 +46,15 @@ pub struct Fig4Result {
 
 /// Runs Fig. 4 for one policy over the suite.
 ///
-/// One sweep point per workload: the point records the workload's trace
-/// and replays it against every design. Point indices (and thus the
-/// [`point_seed`]-derived RNG seeds) come from the workload's position in
-/// the *full* suite, and `--workloads n` keeps a prefix of that grid — so
-/// a filtered run reproduces the unfiltered run's values exactly, and
-/// `--policy` filtering cannot shift them either (the grid per policy is
-/// identical).
+/// One [`sweep`] point per kept workload: the point records the
+/// workload's trace and replays it against every design. `--workloads n`
+/// keeps a prefix of the full suite, so a filtered run reproduces the
+/// unfiltered run's values exactly, and `--policy` filtering cannot
+/// shift them either (the grid per policy is identical).
 pub fn run(policy: PolicyKind, opts: &ExpOpts) -> Fig4Result {
     let designs = with_policy(&fig_designs(), policy);
-    let workloads = paper_suite_scaled(opts.cores as usize, opts.scale);
-    let n = opts
-        .max_workloads
-        .unwrap_or(workloads.len())
-        .min(workloads.len());
-    let base_cfg = opts.sim_config();
-
-    let points = SweepRunner::from_opts(opts).run_with(n, PointScratch::new, |i, scratch| {
-        let wl = &workloads[i];
-        let mut cfg = base_cfg.clone();
-        cfg.seed = point_seed(opts.seed, i as u64);
+    let suite = paper_suite_scaled(opts.cores as usize, opts.scale);
+    let points = sweep(opts, &suite, opts.kept(suite.len()), |wl, cfg, scratch| {
         scratch.record(&cfg, wl);
         let stats: Vec<(String, SimStats)> = designs
             .iter()

@@ -4,8 +4,7 @@
 use crate::format_table;
 use crate::geomean;
 use crate::opts::{fig_designs, ExpOpts};
-use crate::pipeline::PointScratch;
-use crate::{point_seed, SweepRunner};
+use crate::pipeline::sweep;
 use zcache_core::PolicyKind;
 use zenergy::{LookupMode, SystemPowerModel};
 use zworkloads::suite::paper_suite_scaled;
@@ -40,22 +39,12 @@ pub struct Fig5Result {
 /// the recorded trace of every workload; metrics normalized to the
 /// serial-lookup SA-4 baseline.
 pub fn run(policy: PolicyKind, opts: &ExpOpts) -> Fig5Result {
-    let workloads = paper_suite_scaled(opts.cores as usize, opts.scale);
-    let n = opts
-        .max_workloads
-        .unwrap_or(workloads.len())
-        .min(workloads.len());
-    let base_cfg = opts.sim_config();
+    let suite = paper_suite_scaled(opts.cores as usize, opts.scale);
     let power = SystemPowerModel::paper_cmp();
     let designs = fig_designs();
 
-    // One sweep point per workload; point indices run over the full
-    // suite (of which `--workloads` keeps a prefix), so per-point seeds
-    // survive filtering. See `exp_fig4::run`.
-    let per_workload = SweepRunner::from_opts(opts).run_with(n, PointScratch::new, |i, scratch| {
-        let wl = &workloads[i];
-        let mut cfg = base_cfg.clone();
-        cfg.seed = point_seed(opts.seed, i as u64);
+    // One sweep point per kept workload, as in `exp_fig4::run`.
+    let per_workload = sweep(opts, &suite, opts.kept(suite.len()), |wl, cfg, scratch| {
         scratch.record(&cfg, wl);
 
         // The first cell, serial SA-4, is the baseline.

@@ -21,13 +21,12 @@
 //! such run, pinned with its command line in
 //! `crates/zbench/tests/pinned.sh`, which regenerates it.
 
-use crate::opts::ExpOpts;
-use crate::pipeline::PointScratch;
+use crate::opts::{fig_designs, ExpOpts};
+use crate::pipeline::{sweep, PointScratch};
 use crate::{format_table, lineup};
-use crate::{point_seed, SweepRunner};
 use zcache_core::model::{self, DistanceProfile, Prediction};
 use zcache_core::{ArrayKind, LruStack};
-use zhash::HashKind;
+use zsim::L2Design;
 use zworkloads::profile::StackProfiler;
 use zworkloads::suite::paper_suite_scaled;
 
@@ -63,30 +62,15 @@ pub const DEFAULT_TOL: f64 = 0.15;
 pub const FULLY_TOL: f64 = 1e-9;
 
 impl PredictOpts {
-    fn sizes_for(exp: &ExpOpts) -> Vec<u64> {
+    /// Options wrapping an already-configured [`ExpOpts`], with a
+    /// four-size grid derived from its scale and core count.
+    pub fn from_exp(exp: ExpOpts) -> Self {
         // Same pressure scaling as the conflicts experiment: base the
         // grid on the traced-core share of the L2, then sweep an octave
         // down and one up.
         let base = (exp.scale.l2_lines * u64::from(exp.cores) / 32).max(1024);
-        vec![base / 4, base / 2, base, base * 2]
-    }
-
-    /// Default options: the quick experiment config with a four-size
-    /// grid around the scaled L2.
-    pub fn quick() -> Self {
-        let exp = ExpOpts::quick();
         Self {
-            sizes: Self::sizes_for(&exp),
-            exp,
-            tol: DEFAULT_TOL,
-        }
-    }
-
-    /// Options wrapping an already-configured [`ExpOpts`], with the
-    /// size grid derived from its scale and core count.
-    pub fn from_exp(exp: ExpOpts) -> Self {
-        Self {
-            sizes: Self::sizes_for(&exp),
+            sizes: vec![base / 4, base / 2, base, base * 2],
             exp,
             tol: DEFAULT_TOL,
         }
@@ -94,14 +78,9 @@ impl PredictOpts {
 
     /// CI smoke configuration (8 workloads, 3 sizes).
     pub fn smoke() -> Self {
-        let exp = ExpOpts::smoke();
-        let mut sizes = Self::sizes_for(&exp);
-        sizes.truncate(3);
-        Self {
-            exp,
-            sizes,
-            tol: DEFAULT_TOL,
-        }
+        let mut opts = Self::from_exp(ExpOpts::smoke());
+        opts.sizes.truncate(3);
+        opts
     }
 
     /// Validates the size grid (powers of two ≥ 64, non-empty).
@@ -122,44 +101,22 @@ impl PredictOpts {
     }
 }
 
-impl Default for PredictOpts {
-    fn default() -> Self {
-        Self::quick()
-    }
-}
-
-/// The predicted design lineup: label, replacement candidates, and the
-/// concrete array to simulate for validation (`ArrayKind::Fully` is
-/// validated against [`LruStack`] instead).
+/// The predicted design lineup: [`fig_designs`] plus the
+/// fully-associative reference, which validation checks against
+/// [`LruStack`] instead of a simulated array.
 ///
-/// The analytic model sees only `(size, candidates)` — SA-16 and Z4/16
-/// predict identically *by construction*, which is the paper's thesis;
-/// validation then checks that simulation agrees with that collapse.
-pub fn predict_designs() -> Vec<(String, u32, ArrayKind, u32)> {
-    vec![
-        (
-            "SA-4".into(),
-            4,
-            ArrayKind::SetAssoc { hash: HashKind::H3 },
-            4,
-        ),
-        (
-            "SA-16".into(),
-            16,
-            ArrayKind::SetAssoc { hash: HashKind::H3 },
-            16,
-        ),
-        (
-            "SA-32".into(),
-            32,
-            ArrayKind::SetAssoc { hash: HashKind::H3 },
-            32,
-        ),
-        ("Z4/4".into(), 4, ArrayKind::ZCache { levels: 1 }, 4),
-        ("Z4/16".into(), 16, ArrayKind::ZCache { levels: 2 }, 4),
-        ("Z4/52".into(), 52, ArrayKind::ZCache { levels: 3 }, 4),
-        ("fully".into(), u32::MAX, ArrayKind::Fully, 4),
-    ]
+/// The analytic model sees only `(size, candidates)`, the candidates
+/// being [`ArrayKind::candidates`] — SA-16 and Z4/16 predict identically
+/// *by construction*, which is the paper's thesis; validation then
+/// checks that simulation agrees with that collapse.
+pub fn predict_designs() -> Vec<(String, L2Design)> {
+    let mut designs = fig_designs();
+    let fully = L2Design {
+        array: ArrayKind::Fully,
+        ..L2Design::baseline()
+    };
+    designs.push((fully.label(), fully));
+    designs
 }
 
 /// Summary of one workload's reuse profile.
@@ -237,26 +194,14 @@ fn profile_trace(scratch: &PointScratch) -> (DistanceProfile, ProfileSummary) {
     )
 }
 
-/// Runs the analytical sweep: one point per workload, every requested
-/// size × design predicted from that workload's profile.
-///
-/// Point indices cover the full suite before `--workloads` filtering,
-/// so filtered runs reproduce unfiltered values exactly; no simulation
-/// happens anywhere on this path.
+/// Runs the analytical sweep: one [`sweep`] point per kept workload,
+/// every requested size × design predicted from that workload's
+/// profile. No simulation happens anywhere on this path.
 pub fn run(opts: &PredictOpts) -> Vec<PredictRow> {
-    let workloads = paper_suite_scaled(opts.exp.cores as usize, opts.exp.scale);
-    let n = opts
-        .exp
-        .max_workloads
-        .unwrap_or(workloads.len())
-        .min(workloads.len());
-    let base_cfg = opts.exp.sim_config();
+    let exp = &opts.exp;
+    let suite = paper_suite_scaled(exp.cores as usize, exp.scale);
     let designs = predict_designs();
-
-    SweepRunner::from_opts(&opts.exp).run_with(n, PointScratch::new, |i, scratch| {
-        let wl = &workloads[i];
-        let mut cfg = base_cfg.clone();
-        cfg.seed = point_seed(opts.exp.seed, i as u64);
+    sweep(exp, &suite, exp.kept(suite.len()), |wl, cfg, scratch| {
         scratch.record(&cfg, wl);
         let (profile, summary) = profile_trace(scratch);
         let cells = opts
@@ -266,7 +211,7 @@ pub fn run(opts: &PredictOpts) -> Vec<PredictRow> {
                 lines,
                 predictions: designs
                     .iter()
-                    .map(|&(_, cands, _, _)| model::predict(&profile, lines, cands))
+                    .map(|(_, d)| model::predict(&profile, lines, d.array.candidates(d.ways)))
                     .collect(),
                 threshold: model::associativity_threshold(&profile, lines, model::NEAR_FULLY_TOL),
             })
@@ -280,48 +225,38 @@ pub fn run(opts: &PredictOpts) -> Vec<PredictRow> {
 }
 
 /// Runs the cross-validation sweep: every grid point both predicted and
-/// simulated. One sweep point per workload; the simulations for all
-/// (size, design) pairs of that workload run inside its point, so the
-/// output stays byte-identical for any `--jobs`.
+/// simulated. One [`sweep`] point per kept workload; the simulations for
+/// all (size, design) pairs of that workload run inside its point, so
+/// the output stays byte-identical for any `--jobs`.
 pub fn validate(opts: &PredictOpts) -> Vec<ValidationRow> {
-    let workloads = paper_suite_scaled(opts.exp.cores as usize, opts.exp.scale);
-    let n = opts
-        .exp
-        .max_workloads
-        .unwrap_or(workloads.len())
-        .min(workloads.len());
-    let base_cfg = opts.exp.sim_config();
+    let exp = &opts.exp;
+    let suite = paper_suite_scaled(exp.cores as usize, exp.scale);
     let designs = predict_designs();
-
-    let per_workload =
-        SweepRunner::from_opts(&opts.exp).run_with(n, PointScratch::new, |i, scratch| {
-            let wl = &workloads[i];
-            let seed = point_seed(opts.exp.seed, i as u64);
-            let mut cfg = base_cfg.clone();
-            cfg.seed = seed;
-            scratch.record(&cfg, wl);
-            let (profile, _) = profile_trace(scratch);
-            let trace = scratch.trace();
-            let mut rows = Vec::new();
-            for &lines in &opts.sizes {
-                for (label, cands, array, ways) in &designs {
-                    let misses = if *array == ArrayKind::Fully {
-                        LruStack::misses(lines, trace.refs.iter().map(|r| r.line))
-                    } else {
-                        let builder = lineup::builder(*array, *ways, lines, seed);
-                        lineup::drive(&builder, trace.accesses()).stats().misses
-                    };
-                    rows.push(ValidationRow {
-                        workload: wl.name().to_string(),
-                        design: label.clone(),
-                        lines,
-                        predicted: model::predict_miss_ratio(&profile, lines, *cands),
-                        simulated: misses as f64 / trace.len().max(1) as f64,
-                    });
-                }
+    let per_workload = sweep(exp, &suite, exp.kept(suite.len()), |wl, cfg, scratch| {
+        scratch.record(&cfg, wl);
+        let (profile, _) = profile_trace(scratch);
+        let trace = scratch.trace();
+        let mut rows = Vec::new();
+        for &lines in &opts.sizes {
+            for (label, design) in &designs {
+                let misses = if design.array == ArrayKind::Fully {
+                    LruStack::misses(lines, trace.refs.iter().map(|r| r.line))
+                } else {
+                    let builder = design.builder(lines, cfg.seed);
+                    lineup::drive(&builder, trace.accesses()).stats().misses
+                };
+                let candidates = design.array.candidates(design.ways);
+                rows.push(ValidationRow {
+                    workload: wl.name().to_string(),
+                    design: label.clone(),
+                    lines,
+                    predicted: model::predict_miss_ratio(&profile, lines, candidates),
+                    simulated: misses as f64 / trace.len().max(1) as f64,
+                });
             }
-            rows
-        });
+        }
+        rows
+    });
     per_workload.into_iter().flatten().collect()
 }
 
@@ -336,7 +271,7 @@ pub fn report(rows: &[PredictRow]) -> String {
          (* = within 1% of fully associative; n* = associativity threshold)\n\n",
     );
     let mut headers: Vec<String> = vec!["workload".into(), "lines".into()];
-    headers.extend(designs.iter().map(|(l, _, _, _)| l.clone()));
+    headers.extend(designs.iter().map(|(l, _)| l.clone()));
     headers.push("n*".into());
     let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
     let mut body = Vec::new();
@@ -417,7 +352,7 @@ pub fn within_tolerance(rows: &[ValidationRow], tol: f64) -> bool {
 pub fn worst_errors(rows: &[ValidationRow]) -> Vec<(String, f64)> {
     predict_designs()
         .iter()
-        .map(|(label, _, _, _)| {
+        .map(|(label, _)| {
             let err = rows
                 .iter()
                 .filter(|r| &r.design == label)

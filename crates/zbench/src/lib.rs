@@ -19,10 +19,12 @@
 //! | [`exp_predict`] | Analytical miss-ratio fast-path — reuse-distance profiles convolved with the §IV uniformity model, cross-validated against simulation |
 //! | [`exp_tenants`] | Multi-tenant quota partitioning — solo/shared/partitioned MPKI per tenant, Jain fairness |
 //!
-//! The experiments that replay a stream through caches of their own build
-//! and drive them with [`lineup`]. The `zbench` binary exposes one
-//! subcommand per module; library entry points return structured results
-//! so integration tests can assert the paper's headline claims.
+//! The per-workload sweeps (Fig. 3–5, bandwidth, conflicts, predict) run
+//! through one driver, [`pipeline::sweep`]. The experiments that replay a
+//! stream through caches of their own build and drive them with
+//! [`lineup`]. The `zbench` binary exposes one subcommand per module;
+//! library entry points return structured results so integration tests
+//! can assert the paper's headline claims.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -62,8 +64,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///   [`point_seed`]`(base_seed, point_index)`, never from a shared RNG
 ///   whose state would depend on scheduling;
 /// * point indices are assigned over the *full* grid before any
-///   `--workloads`/`--policy` filtering, so a filtered run computes the
-///   exact same value for every point it retains.
+///   filtering — [`pipeline::sweep`] numbers a workload by its index in
+///   the suite, of which `--workloads` keeps a prefix — so a filtered run
+///   computes the exact same value for every point it retains.
 ///
 /// Together these make `zbench` output byte-identical for any `--jobs`
 /// value, while an embarrassingly-parallel sweep scales with cores.

@@ -155,8 +155,8 @@ fn fig2(opts: &ExpOpts) {
 }
 
 fn fig3(opts: &ExpOpts) {
+    let rows = exp_fig3::run(opts);
     for panel in exp_fig3::Fig3Panel::all() {
-        let rows = exp_fig3::run(panel, opts);
         say!("{}", exp_fig3::report(panel, &rows));
     }
 }
@@ -212,22 +212,18 @@ fn dumptrace(args: &Args, opts: &ExpOpts) {
     let wl = zworkloads::suite::by_name(name, opts.cores as usize, opts.scale)
         .unwrap_or_else(|| cli::fail(format!("unknown workload {name:?}")));
     let trace = zsim::trace::record_trace(&opts.sim_config(), &wl);
-    let refs: Vec<zworkloads::MemRef> = trace
-        .refs
-        .iter()
-        .map(|r| zworkloads::MemRef {
-            line: r.line,
-            write: r.write,
-            gap: r.work.max(1),
-        })
-        .collect();
+    let refs = trace.refs.iter().map(|r| zworkloads::MemRef {
+        line: r.line,
+        write: r.write,
+        gap: r.work.max(1),
+    });
     let file = std::fs::File::create(path)
         .unwrap_or_else(|e| cli::fail(format!("cannot create {path}: {e}")));
-    zworkloads::trace_io::write_trace(std::io::BufWriter::new(file), &refs)
+    zworkloads::trace_io::write_trace(std::io::BufWriter::new(file), refs)
         .unwrap_or_else(|e| cli::fail(format!("cannot write {path}: {e}")));
     say!(
         "wrote {} references ({} instructions recorded) to {path}",
-        refs.len(),
+        trace.len(),
         trace.instructions
     );
 }

@@ -1,5 +1,6 @@
 //! Shared experiment options and the standard design lineup.
 
+use std::ops::Range;
 use zcache_core::PolicyKind;
 use zsim::{L2Design, SimConfig};
 use zworkloads::suite::Scale;
@@ -13,7 +14,8 @@ pub struct ExpOpts {
     pub cores: u32,
     /// Instructions per core per run.
     pub instrs_per_core: u64,
-    /// Restrict to the first `n` workloads (None = all 72).
+    /// Restrict the suite sweeps to the first `n` workloads (None = all
+    /// 72); see [`kept`](Self::kept).
     pub max_workloads: Option<usize>,
     /// Base RNG seed.
     pub seed: u64,
@@ -54,6 +56,13 @@ impl ExpOpts {
         }
     }
 
+    /// The suite indices `--workloads` keeps of a `len`-workload suite:
+    /// a prefix, so every kept point has the index, and thus the seed, it
+    /// has in the unfiltered sweep.
+    pub fn kept(&self, len: usize) -> Range<usize> {
+        0..self.max_workloads.map_or(len, |n| n.min(len))
+    }
+
     /// The simulator configuration for these options (baseline L2).
     pub fn sim_config(&self) -> SimConfig {
         let mut cfg = SimConfig::paper();
@@ -72,18 +81,22 @@ impl Default for ExpOpts {
     }
 }
 
-/// The design lineup Fig. 4 and Fig. 5 compare: the SA-4 + H3 baseline,
-/// wider set-associative caches, and zcaches of growing walk depth
-/// (Z4/4 = skew-associative, Z4/16, Z4/52).
+/// The design lineup Fig. 4 and Fig. 5 compare, labelled by
+/// [`L2Design::label`]: the SA-4 + H3 baseline, wider set-associative
+/// caches, and zcaches of growing walk depth (Z4/4 = skew-associative,
+/// Z4/16, Z4/52).
 pub fn fig_designs() -> Vec<(String, L2Design)> {
-    vec![
-        ("SA-4".into(), L2Design::setassoc(4)),
-        ("SA-16".into(), L2Design::setassoc(16)),
-        ("SA-32".into(), L2Design::setassoc(32)),
-        ("Z4/4".into(), L2Design::zcache(4, 1)),
-        ("Z4/16".into(), L2Design::zcache(4, 2)),
-        ("Z4/52".into(), L2Design::zcache(4, 3)),
+    [
+        L2Design::setassoc(4),
+        L2Design::setassoc(16),
+        L2Design::setassoc(32),
+        L2Design::zcache(4, 1),
+        L2Design::zcache(4, 2),
+        L2Design::zcache(4, 3),
     ]
+    .into_iter()
+    .map(|d| (d.label(), d))
+    .collect()
 }
 
 /// Applies a policy to every design in the lineup.
@@ -100,11 +113,30 @@ mod tests {
 
     #[test]
     fn lineup_matches_paper() {
-        let d = fig_designs();
-        assert_eq!(d.len(), 6);
-        assert_eq!(d[0].1.label(), "SA-4");
-        assert_eq!(d[3].1.label(), "Z4/4");
-        assert_eq!(d[5].1.label(), "Z4/52");
+        // The labels fig4, fig5, conflicts and predict print.
+        let labels: Vec<String> = fig_designs().iter().map(|(_, d)| d.label()).collect();
+        assert_eq!(labels, ["SA-4", "SA-16", "SA-32", "Z4/4", "Z4/16", "Z4/52"]);
+    }
+
+    #[test]
+    fn nominal_r_matches_the_values_once_written_by_hand() {
+        // The R of every design the Fig. 3 and predict lineups held as
+        // hand-written tuples, now read from `ArrayKind::candidates`.
+        let r = |designs: Vec<(String, L2Design)>| {
+            (designs.iter())
+                .map(|(label, d)| format!("{label}={}", d.array.candidates(d.ways)))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        assert_eq!(
+            r(crate::exp_predict::predict_designs()),
+            "SA-4=4 SA-16=16 SA-32=32 Z4/4=4 Z4/16=16 Z4/52=52 fully=4294967295"
+        );
+        let fig3 = crate::exp_fig3::Fig3Panel::all().map(|p| p.designs());
+        assert_eq!(
+            r(fig3.concat()),
+            "SA-4=4 SA-16=16 SA-4-h3=4 SA-16-h3=16 skew-4=4 skew-16=16 Z4/16=16 Z4/52=52"
+        );
     }
 
     #[test]
@@ -118,6 +150,13 @@ mod tests {
         assert_eq!(cfg.cores, 8);
         assert_eq!(cfg.instrs_per_core, 1234);
         assert_eq!(cfg.l2_lines, Scale::SMALL.l2_lines);
+        assert_eq!(o.kept(72), 0..72);
+        let some = |n| ExpOpts {
+            max_workloads: Some(n),
+            ..o
+        };
+        assert_eq!(some(3).kept(72), 0..3);
+        assert_eq!(some(100).kept(72), 0..72);
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! Reused per-worker buffers for the trace-driven sweep pipeline.
+//! The one driver of the per-workload sweeps (Fig. 3–5, bandwidth,
+//! conflicts, predict) and the per-worker buffers it offers.
 //!
-//! The fig4/fig5/perf drivers process one grid point at a time: record a
-//! workload's L2 stream, then replay it against every design. A
-//! [`PointScratch`] owns the buffers that pipeline reuses — the trace
-//! itself, the OPT next-use oracle, the replay queues and the Zipf-table
-//! cache — so a worker allocates them once and streams every point it
-//! claims through the same memory. The oracle's line → position map is
-//! the exception: it lives only while the oracle is built, so it is not
-//! held beside the replays' L2 banks. Pair it with
-//! [`SweepRunner::run_with`](crate::SweepRunner::run_with).
+//! [`sweep`] owns which workloads a run keeps and each point's seed and
+//! [`SimConfig`]; what a point measures is the closure each figure
+//! passes. A [`PointScratch`] owns the buffers the record-then-replay
+//! pipeline reuses — the trace, the OPT next-use oracle, the replay
+//! queues and the Zipf-table cache — so a worker allocates them once.
+//! The oracle's line → position map lives only while the oracle is
+//! built, so it is not held beside the replays' L2 banks.
 
+use crate::opts::ExpOpts;
+use crate::{point_seed, SweepRunner};
 use zcache_core::{PolicyKind, SeededMap};
 use zsim::trace::{record_trace_into, replay_with, L2Trace, ReplayScratch};
 use zsim::{SimConfig, SimStats};
@@ -17,6 +18,36 @@ use zworkloads::{Workload, ZipfCache};
 
 /// Seed for the oracle's line → position map (layout never escapes).
 const LAST_SEEN_SEED: u64 = 0x0b75_ace1_0f75_ace1;
+
+/// Runs `point` once per `keep` index `i` of `suite` on a
+/// [`SweepRunner`] of `opts.jobs` workers, results in `keep` order.
+///
+/// Each call gets the workload, [`ExpOpts::sim_config`] seeded with
+/// [`point_seed`]`(opts.seed, i)`, and the worker's [`PointScratch`],
+/// which a point may use or ignore. The seed follows the suite index,
+/// so a filtered run ([`ExpOpts::kept`]) computes the same value for
+/// every point it keeps, and the output is the same for any `--jobs`.
+pub fn sweep<T, F>(
+    opts: &ExpOpts,
+    suite: &[Workload],
+    keep: impl IntoIterator<Item = usize, IntoIter: Clone + Sync>,
+    point: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&Workload, SimConfig, &mut PointScratch) -> T + Sync,
+{
+    // Walked again per point, not collected: the driver allocates
+    // nothing beside what its points do.
+    let keep = keep.into_iter();
+    let n = keep.clone().count();
+    SweepRunner::from_opts(opts).run_with(n, PointScratch::new, |p, scratch| {
+        let i = keep.clone().nth(p).expect("p < n");
+        let mut cfg = opts.sim_config();
+        cfg.seed = point_seed(opts.seed, i as u64);
+        point(&suite[i], cfg, scratch)
+    })
+}
 
 /// Per-worker scratch for record-then-replay sweep points.
 #[derive(Debug, Default)]
@@ -73,7 +104,28 @@ mod tests {
     use super::*;
     use zsim::trace::{record_trace, replay};
     use zsim::L2Design;
-    use zworkloads::suite::{by_name, Scale};
+    use zworkloads::suite::{by_name, paper_suite_scaled, Scale};
+
+    #[test]
+    fn sweep_configures_points_by_suite_index() {
+        let opts = ExpOpts {
+            jobs: 3,
+            ..ExpOpts::smoke()
+        };
+        let suite = paper_suite_scaled(4, Scale::SMALL);
+        let keep = [5, 2, 9, 0];
+        let got = sweep(&opts, &suite, keep, |wl, cfg, _| {
+            (wl.name().to_string(), cfg)
+        });
+        let want: Vec<(String, SimConfig)> = (keep.iter())
+            .map(|&i| {
+                let mut cfg = opts.sim_config();
+                cfg.seed = point_seed(opts.seed, i as u64);
+                (suite[i].name().to_string(), cfg)
+            })
+            .collect();
+        assert_eq!(got, want);
+    }
 
     #[test]
     fn scratch_pipeline_matches_direct_record_replay() {

@@ -127,6 +127,22 @@ fn float_flags_check_their_floors() {
     // at 0 the run printed an all-zero report.
     assert_rejected(&["bandwidth", "--cores", "0"], "--cores");
     assert_rejected(&["bandwidth", "--cores", "65"], "--cores");
+    // At 0 workloads, --validate printed `ok` for every design over
+    // zero rows and exited 0: a check that passed on nothing.
+    assert_rejected(
+        &["predict", "--smoke", "--validate", "--workloads", "0"],
+        "--workloads",
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn dumptrace_reports_a_failed_write() {
+    // The trace fits in the writer's buffer, so only its final flush
+    // meets the full device; that error used to be dropped, and the run
+    // printed `wrote ...` and exited 0.
+    let args = ["dumptrace", "canneal", "/dev/full", "--cores", "4"];
+    assert_rejected(&[&args[..], &["--instrs", "300"]].concat(), "/dev/full");
 }
 
 #[test]

@@ -51,14 +51,16 @@ pin_full() { pin "$@"; }
 
 pin results/table1.txt table1
 pin results/table2.txt table2
-pin crates/zbench/tests/golden/fig3.txt fig3 --scale small --cores 4 --instrs 2000 --workloads 1
+pin crates/zbench/tests/golden/fig3.txt fig3 --scale small --cores 4 --instrs 2000
 pin crates/zbench/tests/golden/fig4.txt fig4 --scale small --cores 4 --instrs 2000 --workloads 1
 pin crates/zbench/tests/golden/fig5.txt fig5 --scale small --cores 4 --instrs 2000 --workloads 1
+pin crates/zbench/tests/golden/fig4-opt-3.txt fig4 --scale small --cores 8 --instrs 20000 --workloads 3 --policy opt
+pin crates/zbench/tests/golden/fig5-lru-3.txt fig5 --scale small --cores 8 --instrs 20000 --workloads 3 --policy lru
 pin crates/zbench/tests/golden/bandwidth.txt bandwidth --scale small --cores 4 --instrs 2000 --workloads 1
 pin crates/zbench/tests/golden/bandwidth-32.txt bandwidth --scale small --cores 32 --instrs 2000 --workloads 2
-pin crates/zbench/tests/golden/ablate.txt ablate --scale small --cores 4 --instrs 2000 --workloads 1
-pin crates/zbench/tests/golden/adaptive.txt adaptive --scale small --cores 4 --instrs 2000 --workloads 1
-pin crates/zbench/tests/golden/conflicts.txt conflicts --scale small --cores 4 --instrs 2000 --workloads 1
+pin crates/zbench/tests/golden/ablate.txt ablate --scale small --cores 4 --instrs 2000
+pin crates/zbench/tests/golden/adaptive.txt adaptive --scale small --cores 4 --instrs 2000
+pin crates/zbench/tests/golden/conflicts.txt conflicts --scale small --cores 4 --instrs 2000
 pin crates/zbench/tests/golden/predict-smoke.txt predict --smoke
 pin crates/zbench/tests/golden/predict-sizes.txt predict --smoke --workloads 1 --sizes 512,1024 --tol 0.2
 pin BENCH_predict.json predict --smoke --workloads 4 --validate --out BENCH_predict.json

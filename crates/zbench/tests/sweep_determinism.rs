@@ -4,8 +4,8 @@
 //! every point it retains).
 
 use zbench::opts::{fig_designs, with_policy, ExpOpts};
-use zbench::pipeline::PointScratch;
-use zbench::{exp_ablate, exp_fig3, exp_fig4, point_seed, SweepRunner};
+use zbench::pipeline::sweep;
+use zbench::{exp_ablate, exp_fig3, exp_fig4};
 use zcache_core::PolicyKind;
 use zworkloads::suite::paper_suite_scaled;
 
@@ -21,17 +21,18 @@ fn opts(jobs: usize) -> ExpOpts {
 
 #[test]
 fn fig3_results_identical_across_job_counts() {
-    let panel = exp_fig3::Fig3Panel::ZCache;
-    let serial = exp_fig3::run(panel, &opts(1));
-    let parallel = exp_fig3::run(panel, &opts(4));
+    let serial = exp_fig3::run(&opts(1));
+    let parallel = exp_fig3::run(&opts(4));
     // Debug formatting serializes every field at full precision, so this
     // is a bitwise comparison of the complete result set, not just of
     // the rounded report.
     assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
-    assert_eq!(
-        exp_fig3::report(panel, &serial),
-        exp_fig3::report(panel, &parallel)
-    );
+    for panel in exp_fig3::Fig3Panel::all() {
+        assert_eq!(
+            exp_fig3::report(panel, &serial),
+            exp_fig3::report(panel, &parallel)
+        );
+    }
 }
 
 #[test]
@@ -61,13 +62,8 @@ fn ablate_results_identical_across_job_counts() {
 fn fig4_simstats_digest(jobs: usize, policy: PolicyKind) -> u64 {
     let o = opts(jobs);
     let designs = with_policy(&fig_designs(), policy);
-    let workloads = paper_suite_scaled(o.cores as usize, o.scale);
-    let n = 4.min(workloads.len());
-    let base_cfg = o.sim_config();
-    let points = SweepRunner::new(jobs).run_with(n, PointScratch::new, |i, scratch| {
-        let wl = &workloads[i];
-        let mut cfg = base_cfg.clone();
-        cfg.seed = point_seed(o.seed, i as u64);
+    let suite = paper_suite_scaled(o.cores as usize, o.scale);
+    let points = sweep(&o, &suite, o.kept(suite.len()), |wl, cfg, scratch| {
         scratch.record(&cfg, wl);
         let mut rendered = String::new();
         for (label, design) in &designs {

@@ -21,9 +21,10 @@ const INDEX_SEED: u64 = 0x5eed_fa11;
 ///   the block with eviction priority 1.0). The LRU miss counts behind
 ///   conflict-miss accounting (§IV: conflict misses = total misses −
 ///   fully-associative misses) come from [`LruStack`](crate::LruStack),
-///   which decides the same hits in `O(1)`; this rule remains for the
-///   differential oracle, the buffer of [`VictimCache`](crate::VictimCache),
-///   non-LRU policies and the `fully` throughput row. Candidate
+///   which decides the same hits in `O(1)`, as does the buffer of
+///   [`VictimCache`](crate::VictimCache). This rule remains for the
+///   differential oracle, `LruStack`'s lockstep reference, non-LRU
+///   policies and the `fully` throughput row. Candidate
 ///   generation is `O(lines)`, so it is meant for analysis runs, not
 ///   large-scale simulation.
 /// * [`random_candidates`](Self::random_candidates) offers `n` frames

@@ -312,6 +312,32 @@ pub enum ArrayKind {
 }
 
 impl ArrayKind {
+    /// The nominal replacement candidates `R` with `ways` ways: the `n`
+    /// of the uniformity model `F_A(x) = xⁿ` (§IV). A zcache has
+    /// [`replacement_candidates`] (saturated), a fully-associative array
+    /// every frame (`u32::MAX`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use zcache_core::ArrayKind;
+    ///
+    /// assert_eq!(ArrayKind::ZCache { levels: 3 }.candidates(4), 52);
+    /// assert_eq!(ArrayKind::Skew.candidates(4), 4);
+    /// assert_eq!(ArrayKind::Fully.candidates(4), u32::MAX);
+    /// assert_eq!(ArrayKind::ZCache { levels: 9 }.candidates(64), u32::MAX);
+    /// ```
+    pub fn candidates(self, ways: u32) -> u32 {
+        match self {
+            ArrayKind::SetAssoc { .. } | ArrayKind::Skew => ways,
+            ArrayKind::ZCache { levels } => {
+                u32::try_from(replacement_candidates(ways, levels)).unwrap_or(u32::MAX)
+            }
+            ArrayKind::Fully => u32::MAX,
+            ArrayKind::RandomCands { n } => n,
+        }
+    }
+
     /// Checks, without panicking, that an array of this kind can be
     /// built with `lines` frames and `ways` ways (ignored by the fully
     /// associative and random-candidate kinds). Every array constructor

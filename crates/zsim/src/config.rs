@@ -71,16 +71,15 @@ impl L2Design {
             .seed(seed)
     }
 
-    /// A short label (`SA-4`, `Z4/52`, `skew-4`, …).
+    /// A short label (`SA-4`, `Z4/52`, `skew-4`, …); a zcache's `R` is
+    /// [`ArrayKind::candidates`].
     pub fn label(&self) -> String {
         match self.array {
             ArrayKind::SetAssoc { .. } => format!("SA-{}", self.ways),
             ArrayKind::Skew => format!("skew-{}", self.ways),
-            ArrayKind::ZCache { levels } => format!(
-                "Z{}/{}",
-                self.ways,
-                zcache_core::replacement_candidates(self.ways, levels)
-            ),
+            ArrayKind::ZCache { .. } => {
+                format!("Z{}/{}", self.ways, self.array.candidates(self.ways))
+            }
             ArrayKind::Fully => "fully".to_string(),
             ArrayKind::RandomCands { n } => format!("rand-{n}"),
         }

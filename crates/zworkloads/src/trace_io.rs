@@ -153,12 +153,16 @@ impl<R: BufRead> Iterator for TraceReader<R> {
     }
 }
 
-/// Writes a trace to a writer in the canonical format.
+/// Writes a trace to a writer in the canonical format, then flushes it,
+/// so a buffered writer reports the failure of its last write.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer.
-pub fn write_trace<W: Write>(mut writer: W, refs: &[MemRef]) -> io::Result<()> {
+/// Propagates I/O errors from the writer, its flush included.
+pub fn write_trace<W: Write>(
+    mut writer: W,
+    refs: impl IntoIterator<Item = MemRef>,
+) -> io::Result<()> {
     for r in refs {
         writeln!(
             writer,
@@ -168,7 +172,7 @@ pub fn write_trace<W: Write>(mut writer: W, refs: &[MemRef]) -> io::Result<()> {
             r.gap
         )?;
     }
-    Ok(())
+    writer.flush()
 }
 
 /// Replays a parsed trace as an [`AddressStream`], cycling when
@@ -243,9 +247,23 @@ mod tests {
             },
         ];
         let mut buf = Vec::new();
-        write_trace(&mut buf, &refs).unwrap();
+        write_trace(&mut buf, refs.iter().copied()).unwrap();
         let parsed = read_trace(&buf[..]).unwrap();
         assert_eq!(parsed, refs);
+    }
+
+    #[test]
+    fn a_failed_flush_is_reported() {
+        // Behind a `BufWriter`, a full sink's refusal surfaces only when
+        // the buffer is flushed.
+        let mut full = [0u8; 0];
+        let one = MemRef {
+            line: 1,
+            write: false,
+            gap: 1,
+        };
+        let err = write_trace(io::BufWriter::new(&mut full[..]), [one]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

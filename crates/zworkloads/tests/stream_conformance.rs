@@ -35,14 +35,14 @@ fn sample_refs() -> Vec<MemRef> {
 fn trace_round_trips_losslessly() {
     let refs = sample_refs();
     let mut buf = Vec::new();
-    write_trace(&mut buf, &refs).unwrap();
+    write_trace(&mut buf, refs.iter().copied()).unwrap();
     let parsed = read_trace(BufReader::new(buf.as_slice())).unwrap();
     assert_eq!(parsed, refs);
 
     // Second generation: write -> read -> write must be byte-stable,
     // so repeated export/import cannot drift.
     let mut buf2 = Vec::new();
-    write_trace(&mut buf2, &parsed).unwrap();
+    write_trace(&mut buf2, parsed).unwrap();
     assert_eq!(buf, buf2);
 }
 
