@@ -93,19 +93,16 @@ pub struct Fig3Row {
     pub candidates: u32,
     /// Empirical eviction-priority distribution.
     pub hist: UnitHistogram,
-    /// KS distance to the uniformity assumption at this `R`.
-    pub ks: f64,
+    /// KS distance to the uniformity assumption at this `R`; `None`
+    /// below 50 sampled evictions, where the distance is meaningless.
+    pub ks: Option<f64>,
 }
 
 /// KS distance of `hist` to the uniformity curve of the design's
-/// nominal `R` (the paper compares against the curve for that R). With
-/// too few sampled evictions the distance is meaningless: NaN.
-fn ks_to_nominal(hist: &UnitHistogram, nominal_r: u32) -> f64 {
-    if hist.total() < 50 {
-        f64::NAN
-    } else {
-        zcache_core::ks_distance_to_uniform(hist, nominal_r)
-    }
+/// nominal `R` (the paper compares against the curve for that R), if
+/// enough evictions were sampled for it to mean anything.
+fn ks_to_nominal(hist: &UnitHistogram, nominal_r: u32) -> Option<f64> {
+    (hist.total() >= 50).then(|| zcache_core::ks_distance_to_uniform(hist, nominal_r))
 }
 
 /// One sweep point: records `wl`'s L2 trace once and measures the
@@ -147,7 +144,9 @@ pub fn run(opts: &ExpOpts) -> Vec<Fig3Row> {
     per_workload.into_iter().flatten().collect()
 }
 
-/// Renders one panel's rows of a [`run`].
+/// Renders one panel's rows of a [`run`]. A row without sampled
+/// evictions has no distribution: its mean and `P(e<0.4)` read `n/a`,
+/// and so does a KS distance [`Fig3Row::ks`] leaves undefined.
 pub fn report(panel: Fig3Panel, rows: &[Fig3Row]) -> String {
     let mut out = format!(
         "Fig. {} — eviction-priority distributions\n\n",
@@ -165,13 +164,20 @@ pub fn report(panel: Fig3Panel, rows: &[Fig3Row]) -> String {
         .iter()
         .filter(|r| r.panel == panel)
         .map(|r| {
+            let na = || "n/a".to_string();
+            let (mean, below) = if r.hist.total() > 0 {
+                let below = r.hist.cdf_at(0.4);
+                (format!("{:.3}", r.hist.mean()), format!("{below:.2e}"))
+            } else {
+                (na(), na())
+            };
             vec![
                 r.workload.clone(),
                 r.design.clone(),
                 r.candidates.to_string(),
-                format!("{:.3}", r.hist.mean()),
-                format!("{:.2e}", r.hist.cdf_at(0.4)),
-                format!("{:.3}", r.ks),
+                mean,
+                below,
+                r.ks.map_or_else(na, |ks| format!("{ks:.3}")),
             ]
         })
         .collect();
@@ -202,7 +208,11 @@ mod tests {
         let i = selection.iter().position(|w| w.name() == "wupwise");
         let panels = [Fig3Panel::SetAssoc, Fig3Panel::ZCache];
         let rows = sweep(&o, &selection, i, |wl, cfg, _| point(&panels, wl, &cfg)).concat();
-        let ks = |design: &str| rows.iter().find(|r| r.design == design).unwrap().ks;
+        let ks = |design: &str| {
+            let row = rows.iter().find(|r| r.design == design).unwrap();
+            row.ks
+                .unwrap_or_else(|| panic!("{design}: too few evictions sampled"))
+        };
         let (sa_wup, z_wup) = (ks("SA-4"), ks("Z4/16"));
         assert!(
             z_wup < sa_wup,
@@ -219,5 +229,39 @@ mod tests {
         let r = report(Fig3Panel::Skew, &rows);
         assert!(r.contains("skew"));
         assert!(!r.contains("Z4/52"), "another panel's rows");
+    }
+
+    #[test]
+    fn unsampled_rows_read_na() {
+        let row = |design: &str, samples: &[f64]| {
+            let mut hist = UnitHistogram::new(128);
+            for &e in samples {
+                hist.record(e);
+            }
+            Fig3Row {
+                panel: Fig3Panel::Skew,
+                workload: "w".into(),
+                design: design.into(),
+                candidates: 4,
+                ks: ks_to_nominal(&hist, 4),
+                hist,
+            }
+        };
+        let rows = [
+            row("none", &[]),
+            row("few", &[0.5; 10]),
+            row("low", &[0.001; 60]),
+        ];
+        let r = report(Fig3Panel::Skew, &rows);
+        let cells = |design: &str| -> Vec<String> {
+            let line = r.lines().find(|l| l.contains(design)).unwrap();
+            line.split_whitespace().skip(3).map(String::from).collect()
+        };
+        assert_eq!(cells("none"), ["n/a", "n/a", "n/a"]);
+        assert_eq!(cells("few"), ["0.504", "0.00e0", "n/a"]);
+        // Sampled, with a mean near 0: it keeps its numbers.
+        let low = cells("low");
+        assert_eq!(low[..2], ["0.004", "1.00e0"]);
+        assert_ne!(low[2], "n/a");
     }
 }

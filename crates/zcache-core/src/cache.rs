@@ -17,6 +17,11 @@ pub struct AccessOutcome {
     pub evicted: Option<LineAddr>,
     /// Whether the evicted block was dirty (needs a write-back).
     pub evicted_dirty: bool,
+    /// Frame the accessed block occupies after the access: the hit
+    /// frame, or [`InstallOutcome::filled_slot`] on a miss. Callers that
+    /// keep per-frame state beside the cache (zsim's in-cache directory)
+    /// index it with this instead of a second lookup.
+    pub slot: SlotId,
 }
 
 impl AccessOutcome {
@@ -24,12 +29,6 @@ impl AccessOutcome {
     pub fn is_miss(&self) -> bool {
         !self.hit
     }
-
-    const HIT: AccessOutcome = AccessOutcome {
-        hit: true,
-        evicted: None,
-        evicted_dirty: false,
-    };
 }
 
 /// The default victim rule: the index of the highest score, first wins
@@ -152,7 +151,12 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         let ctx = AccessCtx { next_use };
         if let Some(slot) = self.array.lookup_mut(addr) {
             self.hit(slot, addr, write, &ctx);
-            return AccessOutcome::HIT;
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+                evicted_dirty: false,
+                slot,
+            };
         }
 
         self.stats.accesses += 1;
@@ -224,11 +228,12 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
             hit: false,
             evicted: self.install.evicted,
             evicted_dirty,
+            slot: filled,
         }
     }
 
     /// Hit bookkeeping shared by [`access_with`](Cache::access_with) and
-    /// [`write_if_present`](Cache::write_if_present).
+    /// [`write_at`](Cache::write_at).
     #[inline]
     fn hit(&mut self, slot: SlotId, addr: LineAddr, write: bool, ctx: &AccessCtx) {
         self.stats.accesses += 1;
@@ -243,18 +248,21 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         self.policy.on_hit(slot, addr, ctx);
     }
 
-    /// Write access that only proceeds if `addr` is resident: the hit
-    /// path of [`access_full`](Cache::access_full) with `write = true`,
-    /// fused with the residence check so callers draining posted
-    /// write-backs do one lookup instead of two (`contains` followed by
-    /// `access_full`). Returns whether the block was present; a miss
-    /// leaves the cache — contents, policy and statistics — untouched.
-    pub fn write_if_present(&mut self, addr: LineAddr, next_use: u64) -> bool {
-        let Some(slot) = self.array.lookup_mut(addr) else {
-            return false;
-        };
+    /// Write hit on `addr`, which the caller found resident in `slot`
+    /// with a [`CacheArray::lookup`] of [`array`](Cache::array): the hit
+    /// path of [`access_full`](Cache::access_full) with `write = true`.
+    /// A caller draining a posted write-back that needs the block's frame
+    /// for its own bookkeeping too (zsim's in-cache directory) then does
+    /// one lookup for both.
+    ///
+    /// Debug builds panic if `slot` does not hold `addr`.
+    pub fn write_at(&mut self, slot: SlotId, addr: LineAddr, next_use: u64) {
+        debug_assert_eq!(
+            self.array.addr_at(slot),
+            Some(addr),
+            "{slot} holds another block"
+        );
         self.hit(slot, addr, true, &AccessCtx { next_use });
-        true
     }
 
     /// Invalidates `addr` (coherence or inclusion victim); returns
@@ -602,6 +610,25 @@ mod tests {
                 written.remove(&e);
             }
         }
+    }
+
+    #[test]
+    fn outcome_reports_the_frame_of_the_accessed_block() {
+        // The frame fits in the outcome's padding.
+        assert_eq!(std::mem::size_of::<AccessOutcome>(), 24);
+        let mut c = CacheBuilder::new()
+            .lines(64)
+            .ways(4)
+            .array(ArrayKind::ZCache { levels: 3 })
+            .build_lru();
+        for a in 0..500u64 {
+            let out = c.access(a % 200);
+            assert_eq!(c.array().lookup(a % 200), Some(out.slot), "access {a}");
+            if out.is_miss() {
+                assert_eq!(out.slot, c.last_install().filled_slot);
+            }
+        }
+        assert!(c.stats().relocations > 0, "misses must relocate");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! A seeded [`Mix64`]-hashed table with linear probing, backward-shift
 //! deletion (no tombstones), power-of-two capacity and load factor
 //! ≤ 0.5. It is the address→slot index of
-//! [`FullyAssocArray`](crate::FullyAssocArray), the zsim MESI directory
-//! and the OPT next-use oracle, replacing `std::collections::HashMap` on
-//! those paths.
+//! [`FullyAssocArray`](crate::FullyAssocArray) and
+//! [`LruStack`](crate::LruStack), and the OPT next-use oracle's map,
+//! replacing `std::collections::HashMap` on those paths.
 //!
 //! Two properties matter to the consumers:
 //!
@@ -246,7 +246,7 @@ impl<V: Copy + Default> SeededMap<V> {
     ///
     /// The order is deterministic for a given `(seed, contents)` but has
     /// no semantic meaning — consumers that need a canonical order must
-    /// sort (the zsim directory sorts by line address).
+    /// sort.
     pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
         self.keys
             .iter()

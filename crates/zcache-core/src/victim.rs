@@ -75,7 +75,8 @@ impl<A: CacheArray, P: ReplacementPolicy> VictimCache<A, P> {
     ///
     /// The returned outcome reports a *hit* for both main-cache hits and
     /// victim-buffer hits (no next-level traffic); `evicted` reports the
-    /// block that left the victim-cache *system*, if any.
+    /// block that left the victim-cache *system*, if any, and `slot` the
+    /// block's frame in the main cache, where a buffer hit moves it back.
     pub fn access(&mut self, addr: LineAddr) -> AccessOutcome {
         let main_out = self.main.access(addr);
         if main_out.hit {
@@ -96,6 +97,7 @@ impl<A: CacheArray, P: ReplacementPolicy> VictimCache<A, P> {
             hit: recovered.is_some(),
             evicted: None,
             evicted_dirty: false,
+            slot: main_out.slot,
         };
         if let Some(ev) = main_out.evicted {
             stats.accesses += 1;

@@ -139,6 +139,7 @@ impl CacheBufferVictim {
             hit,
             evicted: None,
             evicted_dirty: false,
+            slot: main_out.slot,
         };
         if let Some(ev) = main_out.evicted {
             let buf = self

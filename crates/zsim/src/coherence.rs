@@ -1,6 +1,7 @@
-//! MESI-style directory kept alongside the inclusive L2.
+//! MESI-style directory kept in the frames of the inclusive L2.
 
-use zcache_core::{LineAddr, SeededMap};
+use crate::l2::L2;
+use zcache_core::{CacheArray, LineAddr, SlotId};
 
 /// Directory state for one L2-resident line.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -11,131 +12,158 @@ pub struct DirEntry {
     pub owner: Option<u32>,
 }
 
-impl DirEntry {
-    /// Sharers other than `core`.
-    pub fn other_sharers(&self, core: u32) -> u64 {
-        self.sharers & !(1u64 << core)
-    }
-}
-
 /// The full-map directory of the shared L2 (Table I: "MESI directory
-/// coherence"). An entry exists exactly for lines resident in the L2
-/// (inclusive hierarchy), tracking which L1s hold copies and which, if
-/// any, holds the line modified.
+/// coherence"), stored in the L2's frames. The L2 is inclusive, so the
+/// lines the directory tracks are exactly the L2-resident ones, and a
+/// line's entry sits at the index of the frame that holds it, numbered
+/// bank-major ([`frame`](Self::frame)). When a zcache install relocates
+/// blocks, [`relocate`](Self::relocate) moves their entries along, the
+/// way the bank moves their dirty bits; no second index of the lines is
+/// kept.
 ///
-/// Entries live in a seeded open-addressing [`SeededMap`] rather than a
-/// std `HashMap`: directory get/insert/remove sit on the per-access hot
-/// path of [`System::access`](crate::System::access), where SipHash plus
-/// `RandomState`'s per-process seeding cost both throughput and
-/// reproducibility. Sized via [`with_capacity`](Self::with_capacity) to
-/// the L2's line count, the map never rehashes during simulation, and an
-/// entry beyond that count (an inclusion bug) panics.
+/// A frame's entry is its sharer mask plus one modified bit. The owner
+/// is not stored: a modified line has exactly one sharer, its owner.
 #[derive(Debug, Clone)]
-pub struct Directory {
-    entries: SeededMap<DirEntry>,
+pub(crate) struct Directory {
+    /// Bitmask of cores whose L1 may hold the frame's line, per frame.
+    sharers: Vec<u64>,
+    /// One bit per frame: its line's single sharer holds it modified.
+    modified: Vec<u64>,
+    frames_per_bank: usize,
 }
 
 impl Directory {
-    /// Fixed seed salt for the directory table. The layout never leaks
-    /// (iteration sorts), so one constant serves every configuration.
-    const SEED_SALT: u64 = 0xd19_0c7e_u64;
-
-    /// Creates an empty directory for an L2 of `lines` frames, at fixed
-    /// capacity: registering a line while `lines` are tracked panics.
-    ///
-    /// Exactly `lines` entries suffice because the directory tracks the
-    /// L2-resident lines and nothing else: on an L2 miss,
-    /// [`System::access`](crate::System::access) removes the inclusion
-    /// victim before it registers the new line.
-    pub fn with_capacity(lines: usize, seed: u64) -> Self {
+    /// Creates the directory of an L2 of `banks` banks of
+    /// `frames_per_bank` frames each, every frame without sharers.
+    pub(crate) fn new(banks: usize, frames_per_bank: usize) -> Self {
+        let frames = banks * frames_per_bank;
         Self {
-            entries: SeededMap::fixed_capacity(lines, seed ^ Self::SEED_SALT),
+            sharers: vec![0; frames],
+            modified: vec![0; frames.div_ceil(64)],
+            frames_per_bank,
         }
     }
 
-    /// Looks up a line's entry.
+    /// The directory index of bank `bank`'s frame `slot`.
     #[inline]
-    pub fn get(&self, line: LineAddr) -> Option<DirEntry> {
-        self.entries.get(line)
+    pub(crate) fn frame(&self, bank: usize, slot: SlotId) -> usize {
+        bank * self.frames_per_bank + slot.idx()
     }
 
-    /// Registers a line on L2 fill, with `core` as its first sharer.
     #[inline]
-    pub fn insert(&mut self, line: LineAddr, core: u32, modified: bool) {
-        self.entries.insert(
-            line,
-            DirEntry {
-                sharers: 1 << core,
-                owner: modified.then_some(core),
-            },
-        );
+    fn is_modified(&self, f: usize) -> bool {
+        self.modified[f / 64] & (1 << (f % 64)) != 0
+    }
+
+    #[inline]
+    fn set_modified(&mut self, f: usize, modified: bool) {
+        let bit = 1u64 << (f % 64);
+        if modified {
+            self.modified[f / 64] |= bit;
+        } else {
+            self.modified[f / 64] &= !bit;
+        }
+    }
+
+    /// Core holding frame `f`'s line modified, if any.
+    #[inline]
+    pub(crate) fn owner(&self, f: usize) -> Option<u32> {
+        self.is_modified(f)
+            .then(|| self.sharers[f].trailing_zeros())
+    }
+
+    /// The entry of frame `f`.
+    pub(crate) fn entry(&self, f: usize) -> DirEntry {
+        DirEntry {
+            sharers: self.sharers[f],
+            owner: self.owner(f),
+        }
+    }
+
+    /// Registers the line just filled into frame `f`, with `core` as its
+    /// first sharer.
+    #[inline]
+    pub(crate) fn fill(&mut self, f: usize, core: u32, modified: bool) {
+        self.sharers[f] = 1 << core;
+        self.set_modified(f, modified);
     }
 
     /// Adds a reader. Returns the previous dirty owner if it was a
     /// different core (which must then be downgraded).
     #[inline]
-    pub fn add_sharer(&mut self, line: LineAddr, core: u32) -> Option<u32> {
-        let (e, _) = self.entries.get_or_insert_with(line, DirEntry::default);
-        let prev_owner = e.owner.filter(|&o| o != core);
+    pub(crate) fn add_sharer(&mut self, f: usize, core: u32) -> Option<u32> {
+        let prev_owner = self.owner(f).filter(|&o| o != core);
         if prev_owner.is_some() {
-            e.owner = None; // downgraded to shared, L2 copy now up to date
+            self.set_modified(f, false); // downgraded to shared, L2 copy now up to date
         }
-        e.sharers |= 1 << core;
+        self.sharers[f] |= 1 << core;
         prev_owner
     }
 
     /// Makes `core` the exclusive modified owner. Returns the bitmask of
     /// other sharers that must be invalidated.
     #[inline]
-    pub fn make_owner(&mut self, line: LineAddr, core: u32) -> u64 {
-        let (e, _) = self.entries.get_or_insert_with(line, DirEntry::default);
-        let others = e.other_sharers(core);
-        e.sharers = 1 << core;
-        e.owner = Some(core);
+    pub(crate) fn make_owner(&mut self, f: usize, core: u32) -> u64 {
+        let others = self.sharers[f] & !(1u64 << core);
+        self.sharers[f] = 1 << core;
+        self.set_modified(f, true);
         others
     }
 
     /// Drops `core` from a line's sharers (L1 eviction); clears ownership
     /// if `core` owned it.
     #[inline]
-    pub fn remove_sharer(&mut self, line: LineAddr, core: u32) {
-        if let Some(e) = self.entries.get_mut(line) {
-            e.sharers &= !(1u64 << core);
-            if e.owner == Some(core) {
-                e.owner = None;
-            }
+    pub(crate) fn remove_sharer(&mut self, f: usize, core: u32) {
+        if self.owner(f) == Some(core) {
+            self.set_modified(f, false);
         }
+        self.sharers[f] &= !(1u64 << core);
     }
 
-    /// Removes a line on L2 eviction, returning the sharer mask whose L1
-    /// copies must be back-invalidated.
+    /// Clears frame `f` on L2 eviction, returning the sharer mask whose
+    /// L1 copies must be back-invalidated.
     #[inline]
-    pub fn remove(&mut self, line: LineAddr) -> u64 {
-        self.entries.remove(line).map(|e| e.sharers).unwrap_or(0)
+    pub(crate) fn evict(&mut self, f: usize) -> u64 {
+        self.set_modified(f, false);
+        std::mem::take(&mut self.sharers[f])
+    }
+
+    /// Moves frame `from`'s entry to frame `to`, following an L2
+    /// relocation.
+    #[inline]
+    pub(crate) fn relocate(&mut self, from: usize, to: usize) {
+        self.sharers[to] = self.sharers[from];
+        self.set_modified(to, self.is_modified(from));
+    }
+}
+
+/// Read-only view of the directory, for invariant checks in tests and
+/// examples: each L2-resident line with its entry.
+#[derive(Debug, Clone, Copy)]
+pub struct DirectoryView<'a> {
+    pub(crate) dir: &'a Directory,
+    pub(crate) l2: &'a L2,
+}
+
+impl DirectoryView<'_> {
+    /// Looks up a line's entry; `None` if the L2 does not hold it.
+    pub fn get(&self, line: LineAddr) -> Option<DirEntry> {
+        let (bank, slot) = self.l2.locate(line)?;
+        Some(self.dir.entry(self.dir.frame(bank, slot)))
     }
 
     /// Iterates all tracked lines and their entries in ascending line
-    /// address order.
-    ///
-    /// The order is *canonical*, not the table's internal layout, so
-    /// MESI invariant walks and state digests are identical across
-    /// seeds, capacities, and the exact insert/remove history that
-    /// produced the contents. Allocates a sorted snapshot — this is an
+    /// address order. Allocates a sorted snapshot — this is an
     /// inspection API, not a hot path.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, DirEntry)> {
-        let mut v: Vec<(LineAddr, DirEntry)> = self.entries.iter().collect();
+        let mut v = Vec::new();
+        for (bank, cache) in self.l2.banks().iter().enumerate() {
+            cache.array().for_each_valid(&mut |slot, line| {
+                v.push((line, self.dir.entry(self.dir.frame(bank, slot))));
+            });
+        }
         v.sort_unstable_by_key(|&(line, _)| line);
         v.into_iter()
-    }
-
-    /// Number of tracked lines.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the directory tracks no lines.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -155,109 +183,119 @@ pub fn cores_in(mut mask: u64) -> impl Iterator<Item = u32> {
 mod tests {
     use super::*;
 
+    /// A directory of two banks of 64 frames; frame 70 is bank 1's
+    /// slot 6, beyond the first word of modified bits.
+    fn dir() -> Directory {
+        Directory::new(2, 64)
+    }
+
+    #[test]
+    fn frames_are_bank_major() {
+        let d = dir();
+        assert_eq!(d.frame(0, SlotId(5)), 5);
+        assert_eq!(d.frame(1, SlotId(6)), 70);
+    }
+
     #[test]
     fn insert_and_share() {
-        let mut d = Directory::with_capacity(64, 0);
-        d.insert(10, 0, false);
+        let mut d = dir();
+        d.fill(10, 0, false);
         assert_eq!(d.add_sharer(10, 1), None);
-        let e = d.get(10).unwrap();
+        let e = d.entry(10);
         assert_eq!(e.sharers, 0b11);
         assert_eq!(e.owner, None);
     }
 
     #[test]
     fn read_of_modified_line_downgrades_owner() {
-        let mut d = Directory::with_capacity(64, 0);
-        d.insert(10, 2, true);
-        assert_eq!(d.add_sharer(10, 5), Some(2));
-        let e = d.get(10).unwrap();
+        let mut d = dir();
+        d.fill(70, 2, true);
+        assert_eq!(d.add_sharer(70, 5), Some(2));
+        let e = d.entry(70);
         assert_eq!(e.owner, None);
         assert_eq!(e.sharers, (1 << 2) | (1 << 5));
         // Owner re-reading its own line needs no downgrade.
-        d.insert(11, 3, true);
+        d.fill(11, 3, true);
         assert_eq!(d.add_sharer(11, 3), None);
+        assert_eq!(d.entry(11).owner, Some(3));
     }
 
     #[test]
     fn write_invalidates_other_sharers() {
-        let mut d = Directory::with_capacity(64, 0);
-        d.insert(10, 0, false);
+        let mut d = dir();
+        d.fill(10, 0, false);
         d.add_sharer(10, 1);
-        d.add_sharer(10, 2);
-        let to_invalidate = d.make_owner(10, 1);
-        assert_eq!(to_invalidate, (1 << 0) | (1 << 2));
-        let e = d.get(10).unwrap();
-        assert_eq!(e.sharers, 1 << 1);
-        assert_eq!(e.owner, Some(1));
+        d.add_sharer(10, 63);
+        let to_invalidate = d.make_owner(10, 63);
+        assert_eq!(to_invalidate, 0b11);
+        let e = d.entry(10);
+        assert_eq!(e.sharers, 1 << 63);
+        assert_eq!(e.owner, Some(63));
     }
 
     #[test]
     fn remove_sharer_clears_ownership() {
-        let mut d = Directory::with_capacity(64, 0);
-        d.insert(7, 4, true);
+        let mut d = dir();
+        d.fill(7, 4, true);
+        d.remove_sharer(7, 5);
+        assert_eq!(d.entry(7).owner, Some(4), "a non-sharer leaves it owned");
         d.remove_sharer(7, 4);
-        let e = d.get(7).unwrap();
+        let e = d.entry(7);
         assert_eq!(e.sharers, 0);
         assert_eq!(e.owner, None);
     }
 
     #[test]
     fn remove_returns_back_invalidation_mask() {
-        let mut d = Directory::with_capacity(64, 0);
-        d.insert(9, 0, false);
+        let mut d = dir();
+        d.fill(9, 0, false);
         d.add_sharer(9, 3);
-        assert_eq!(d.remove(9), 0b1001);
-        assert_eq!(d.remove(9), 0);
-        assert!(d.is_empty());
+        assert_eq!(d.evict(9), 0b1001);
+        assert_eq!(d.evict(9), 0);
+        d.fill(70, 4, true);
+        assert_eq!(d.evict(70), 1 << 4);
+        assert_eq!(
+            d.entry(70),
+            DirEntry::default(),
+            "the modified bit goes too"
+        );
     }
 
     #[test]
-    fn iter_is_sorted_and_layout_independent() {
-        // Same contents via different histories and different seeds must
-        // iterate identically: ascending line order, nothing else.
-        let mut a = Directory::with_capacity(64, 1);
-        let mut b = Directory::with_capacity(1024, 99);
-        for line in [900u64, 3, 512, 77, 41, 600] {
-            a.insert(line, 0, false);
-        }
-        for line in [41u64, 600, 3, 900, 512, 77, 1000] {
-            b.insert(line, 0, false);
-        }
-        b.remove(1000);
-        let va: Vec<_> = a.iter().collect();
-        let vb: Vec<_> = b.iter().collect();
-        assert_eq!(va, vb);
-        assert!(va.windows(2).all(|w| w[0].0 < w[1].0), "sorted by line");
-    }
-
-    #[test]
-    fn iter_identical_across_identically_seeded_runs() {
-        // Regression for the open-addressing swap: two runs with the
-        // same seed and history iterate in exactly the same order.
-        // Lines are drawn from 0..256, so a fixed table of 256 holds any
-        // history.
-        let build = || {
-            let mut d = Directory::with_capacity(256, 7);
-            let mut x = 0xdead_beefu64;
-            for step in 0..500u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let line = x % 256;
-                match step % 4 {
-                    0 => d.insert(line, (step % 8) as u32, step % 2 == 0),
-                    1 => {
-                        d.add_sharer(line, (step % 8) as u32);
-                    }
-                    2 => {
-                        d.remove(line);
-                    }
-                    _ => d.remove_sharer(line, (step % 8) as u32),
-                }
+    fn relocation_moves_the_whole_entry() {
+        // A zcache install's move chain, oldest ancestor first: the
+        // victim in frame 3 leaves, 70 moves to 3, 8 moves to 70, and
+        // the new line fills 8.
+        let mut d = dir();
+        d.fill(3, 1, false);
+        d.fill(70, 2, true);
+        d.fill(8, 0, false);
+        d.add_sharer(8, 5);
+        assert_eq!(d.evict(3), 1 << 1);
+        d.relocate(70, 3);
+        d.relocate(8, 70);
+        d.fill(8, 6, false);
+        assert_eq!(
+            d.entry(3),
+            DirEntry {
+                sharers: 1 << 2,
+                owner: Some(2)
             }
-            d.iter().collect::<Vec<_>>()
-        };
-        assert_eq!(build(), build());
+        );
+        assert_eq!(
+            d.entry(70),
+            DirEntry {
+                sharers: 0b10_0001,
+                owner: None
+            }
+        );
+        assert_eq!(
+            d.entry(8),
+            DirEntry {
+                sharers: 1 << 6,
+                owner: None
+            }
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::bankport::BankPorts;
 use crate::config::SimConfig;
 use crate::mem::MemoryChannels;
 use crate::stats::SimStats;
-use zcache_core::{AccessOutcome, CacheStats, DynCache};
+use zcache_core::{AccessOutcome, CacheArray, CacheStats, DynCache, SlotId};
 use zhash::{Hasher64, Mix64};
 
 /// The shared, banked L2 plus memory. [`System`](crate::System) and
@@ -62,25 +62,35 @@ impl L2 {
         }
     }
 
+    /// The bank and frame holding `line`, if resident: a tag lookup
+    /// that takes no port time and moves no statistics.
+    #[inline]
+    pub(crate) fn locate(&self, line: u64) -> Option<(usize, SlotId)> {
+        let b = self.bank_of(line);
+        self.banks[b].array().lookup(line).map(|slot| (b, slot))
+    }
+
     /// The banks, in index order.
     pub(crate) fn banks(&self) -> &[DynCache] {
         &self.banks
     }
 
-    /// A demand access issued at cycle `now`. It queues behind other
-    /// demand accesses at the bank's tag port; walk and relocation tag
-    /// traffic beyond the (parallel) lookup then occupies the port off
-    /// the critical path. A miss fetches from memory, and a dirty victim
-    /// is written back. Returns the stall cycles and the bank's outcome.
+    /// A demand access to bank `b`, the one `line` maps to, issued at
+    /// cycle `now`. It queues behind other demand accesses at the bank's
+    /// tag port; walk and relocation tag traffic beyond the (parallel)
+    /// lookup then occupies the port off the critical path. A miss
+    /// fetches from memory, and a dirty victim is written back. Returns
+    /// the stall cycles and the bank's outcome.
     #[inline]
     pub(crate) fn demand(
         &mut self,
+        b: usize,
         line: u64,
         write: bool,
         next_use: u64,
         now: u64,
     ) -> (u64, AccessOutcome) {
-        let b = self.bank_of(line);
+        debug_assert_eq!(b, self.bank_of(line), "line {line:#x} maps elsewhere");
         let mut stall = self.latency;
         stall += self.ports.demand(b, now + stall);
         let bank = &mut self.banks[b];
@@ -101,16 +111,30 @@ impl L2 {
     }
 
     /// A posted write-back issued at cycle `now`: writes the L2 copy if
-    /// it is still resident (one tag-port cycle), else spills to memory.
-    /// Never stalls the core.
+    /// it is still resident, else spills to memory. Never stalls the
+    /// core.
     #[inline]
     pub(crate) fn post_writeback(&mut self, line: u64, next_use: u64, now: u64) {
-        let b = self.bank_of(line);
-        if self.banks[b].write_if_present(line, next_use) {
-            self.ports.background(b, now, 1);
-        } else {
-            self.mem.writeback(line, now);
+        match self.locate(line) {
+            Some((b, slot)) => self.write_back_at(b, slot, line, next_use, now),
+            None => self.mem.writeback(line, now),
         }
+    }
+
+    /// A posted write-back of `line`, which [`locate`](Self::locate)
+    /// found in bank `b`'s frame `slot`, issued at cycle `now`: writes
+    /// the L2 copy in one tag-port cycle. Never stalls the core.
+    #[inline]
+    pub(crate) fn write_back_at(
+        &mut self,
+        b: usize,
+        slot: SlotId,
+        line: u64,
+        next_use: u64,
+        now: u64,
+    ) {
+        self.banks[b].write_at(slot, line, next_use);
+        self.ports.background(b, now, 1);
     }
 
     /// Writes `line` back to memory at cycle `now`.

@@ -52,7 +52,7 @@ mod system;
 pub mod trace;
 
 pub use bankport::BankPorts;
-pub use coherence::{cores_in, DirEntry, Directory};
+pub use coherence::{cores_in, DirEntry, DirectoryView};
 pub use config::{L2Design, SimConfig};
 pub use mem::MemoryChannels;
 pub use stats::SimStats;

@@ -1,16 +1,17 @@
 //! Execution-driven simulation of the Table I CMP.
 
-use crate::coherence::{cores_in, Directory};
+use crate::coherence::{cores_in, Directory, DirectoryView};
 use crate::config::SimConfig;
 use crate::l2::L2;
 use crate::sched::Scheduler;
 use crate::stats::SimStats;
-use zcache_core::{DynCache, PolicyKind};
+use zcache_core::{DynCache, PolicyKind, SlotId};
 use zworkloads::{AddressStream, MemRef, Workload};
 
 /// The simulated machine: 32 in-order cores (IPC = 1 except on memory
 /// stalls), private 4-way L1s, a shared banked L2 of the configured
-/// design, a MESI directory, and bandwidth-limited memory controllers.
+/// design with a MESI directory in its frames, and bandwidth-limited
+/// memory controllers.
 ///
 /// Cores advance in global `(cycle, core)` order, so the interleaving is
 /// deterministic for a given configuration and seed.
@@ -62,7 +63,7 @@ impl System {
         Self {
             l1s: (0..cfg.cores).map(|c| cfg.build_l1(c)).collect(),
             l2: L2::new(&cfg),
-            dir: Directory::with_capacity(cfg.l2_lines as usize, cfg.seed),
+            dir: Directory::new(cfg.l2_banks as usize, cfg.lines_per_bank() as usize),
             invalidation_rounds: 0,
             downgrades: 0,
             back_invalidations: 0,
@@ -75,42 +76,53 @@ impl System {
     /// single-cycle L1 pipeline.
     ///
     /// Steady state performs zero heap allocation: the L1/L2 access
-    /// engines reuse their walk buffers, the directory is a pre-sized
-    /// seeded table, and ports/memory are fixed arrays (verified by
+    /// engines reuse their walk buffers, the directory lives in the L2's
+    /// frames, and ports/memory are fixed arrays (verified by
     /// `tests/alloc_steady_state.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directory must update a line the inclusive L2 does
+    /// not hold (an L1 victim or a write upgrade): an inclusion bug.
     #[inline]
     pub fn access(&mut self, core: u32, line: u64, write: bool, now: u64) -> u64 {
         let out = self.l1s[core as usize].access_full(line, write, u64::MAX);
 
         if out.hit {
             // Upgrade: invalidate other sharers if any.
-            if write && self.dir.get(line).unwrap_or_default().owner != Some(core) {
-                let others = self.dir.make_owner(line, core);
-                return self.invalidate_sharers(line, others);
+            if write {
+                let (b, slot) = self.resident(line);
+                let f = self.dir.frame(b, slot);
+                if self.dir.owner(f) != Some(core) {
+                    let others = self.dir.make_owner(f, core);
+                    return self.invalidate_sharers(line, others);
+                }
             }
             return 0;
         }
 
         // L1 victim: update directory; write back dirty data to the
-        // inclusive L2 (if inclusion is transiently broken, the L2 spills
-        // it straight to memory).
+        // inclusive L2. One lookup finds the victim's frame for both.
         if let Some(ev) = out.evicted {
-            self.dir.remove_sharer(ev, core);
+            let (b, slot) = self.resident(ev);
+            self.dir.remove_sharer(self.dir.frame(b, slot), core);
             if out.evicted_dirty {
-                self.l2.post_writeback(ev, u64::MAX, now);
+                self.l2.write_back_at(b, slot, ev, u64::MAX, now);
             }
         }
 
         // Demand access to the L2 (a store miss fetches a clean copy).
         // The policy is never OPT here (see `new`), so no next use is
         // known.
-        let (mut stall, lout) = self.l2.demand(line, false, u64::MAX, now);
+        let b = self.l2.bank_of(line);
+        let (mut stall, lout) = self.l2.demand(b, line, false, u64::MAX, now);
+        let f = self.dir.frame(b, lout.slot);
 
         if lout.hit {
             if write {
-                let others = self.dir.make_owner(line, core);
+                let others = self.dir.make_owner(f, core);
                 stall += self.invalidate_sharers(line, others);
-            } else if let Some(_prev_owner) = self.dir.add_sharer(line, core) {
+            } else if let Some(_prev_owner) = self.dir.add_sharer(f, core) {
                 // A dirty copy lives in another L1: downgrade it and pull
                 // the data through the L2.
                 self.downgrades += 1;
@@ -118,13 +130,25 @@ impl System {
                 stall += u64::from(self.cfg.coherence_penalty);
             }
         } else {
+            // The install's frames, in order: the inclusion victim's
+            // entry is read before any relocation overwrites its frame,
+            // the relocated lines' entries follow them, and the new line
+            // fills last.
+            let install = self.l2.banks()[b].last_install();
+            let mask = match install.evicted_slot {
+                Some(slot) if install.evicted.is_some() => self.dir.evict(self.dir.frame(b, slot)),
+                _ => 0,
+            };
+            for &(from, to) in &install.moves {
+                self.dir
+                    .relocate(self.dir.frame(b, from), self.dir.frame(b, to));
+            }
+            self.dir.fill(f, core, write);
+
             // Inclusion victim: back-invalidate L1 copies. The L2 wrote
             // its own dirty victims back; a copy dirty only in an L1
-            // still has to go to memory. It leaves the directory before
-            // the new line enters, so the directory never tracks more
-            // lines than the L2 has frames.
+            // still has to go to memory.
             if let Some(ev2) = lout.evicted {
-                let mask = self.dir.remove(ev2);
                 let mut dirty_in_l1 = false;
                 for c in cores_in(mask) {
                     if let Some(d) = self.l1s[c as usize].invalidate(ev2) {
@@ -136,9 +160,18 @@ impl System {
                     self.l2.spill(ev2, now + stall);
                 }
             }
-            self.dir.insert(line, core, write);
         }
         stall
+    }
+
+    /// The bank and frame of `line`, which the inclusive L2 must hold.
+    #[inline]
+    fn resident(&self, line: u64) -> (usize, SlotId) {
+        self.l2.locate(line).unwrap_or_else(|| {
+            panic!(
+                "inclusion violated: the directory updates {line:#x}, which the L2 does not hold"
+            )
+        })
     }
 
     /// Invalidates `line` in the L1s of `others` (a write to a shared
@@ -207,6 +240,14 @@ impl System {
         stats
     }
 
+    /// Statistics of the accesses so far, for callers that drive
+    /// [`access`](Self::access) themselves: the counters of
+    /// [`run`](Self::run)'s result, with the instruction and cycle
+    /// counts, which only `run` keeps, at zero.
+    pub fn stats(&self) -> SimStats {
+        self.build_stats(&[], &[])
+    }
+
     /// The configuration this machine was built with.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
@@ -219,8 +260,11 @@ impl System {
 
     /// Read access to the MESI directory (for invariant checks in
     /// tests/examples).
-    pub fn directory(&self) -> &Directory {
-        &self.dir
+    pub fn directory(&self) -> DirectoryView<'_> {
+        DirectoryView {
+            dir: &self.dir,
+            l2: &self.l2,
+        }
     }
 
     /// Read access to the per-core L1s (for inspection in tests/examples).

@@ -321,7 +321,9 @@ pub fn replay_with(
         let mut next = now + u64::from(r.work);
 
         if r.demand {
-            next += l2.demand(r.line, r.write, next_use, next).0;
+            next += l2
+                .demand(l2.bank_of(r.line), r.line, r.write, next_use, next)
+                .0;
         } else {
             // Posted write-back: never stalls the core.
             l2.post_writeback(r.line, next_use, next);

@@ -1,11 +1,15 @@
-//! Steady-state allocation audit for the full zsim access chain.
+//! Allocation audit for the full zsim access chain.
 //!
 //! `System::access` (L1 → MESI directory → banked L2 → bank ports →
 //! memory channels) is the execution-mode inner loop; after warm-up it
 //! must not touch the heap. The L1/L2 access engines reuse their walk
-//! buffers (PR 2/4), the directory is a pre-sized seeded open-addressing
-//! table, and ports/memory are fixed arrays — a counting global
-//! allocator makes that a hard test rather than a bench note.
+//! buffers, the directory lives in the L2's frames, and ports/memory
+//! are fixed arrays — a counting global allocator makes that a hard
+//! test rather than a bench note.
+//!
+//! The same allocator counts the bytes it hands out, which bounds what
+//! building a machine costs: its banks, L1s and one directory entry per
+//! L2 frame, not a keyed table with slack.
 
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::cell::Cell;
@@ -19,11 +23,21 @@ thread_local! {
     /// parallel threads, and one test's warm-up allocations must not
     /// land in another's steady-state window.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes the current thread's allocations asked for (a reallocation
+    /// counts its new size), freed or not.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation or reallocation handing out `bytes`.
+fn count_alloc(bytes: usize) {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count_alloc(layout.size());
         unsafe { SysAlloc.alloc(layout) }
     }
 
@@ -32,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count_alloc(new_size);
         unsafe { SysAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -92,4 +106,26 @@ fn setassoc_system_access_is_allocation_free() {
 #[test]
 fn zcache_system_access_is_allocation_free() {
     assert_steady(L2Design::zcache(4, 3), "Z4/52");
+}
+
+/// `System::new` for the exec-z4-52 machine (SMALL, 32 cores, Z4/52)
+/// allocates 775 264 bytes: eight L2 banks of 71 296 (2048 frames
+/// each), 32 L1s of 1 088, the directory's 133 120 (an 8-byte sharer
+/// mask and a modified bit per frame) and 36 960 of cache structs, bank
+/// ports and memory channels. The bound allows 4 KiB over that; a keyed
+/// directory at load factor ≤ 0.5 took 786 432 bytes on its own.
+#[test]
+fn system_new_allocates_one_directory_entry_per_frame() {
+    const BOUND: u64 = 775_264 + (4 << 10);
+    let mut cfg = SimConfig::small();
+    cfg.cores = 32;
+    let cfg = cfg.with_l2(L2Design::zcache(4, 3));
+    let before = BYTES.with(Cell::get);
+    let sys = System::new(cfg);
+    let bytes = BYTES.with(Cell::get) - before;
+    assert!(
+        bytes <= BOUND,
+        "System::new allocated {bytes} bytes, over the bound of {BOUND}"
+    );
+    drop(sys);
 }

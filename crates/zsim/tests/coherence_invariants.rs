@@ -1,14 +1,17 @@
-//! End-of-run MESI directory invariants, checked against the live L1/L2
-//! state of the simulated machine, plus bank-port contention accounting.
+//! MESI directory invariants, checked against the live L1/L2 state of
+//! the simulated machine, plus bank-port contention accounting.
 //!
 //! The directory tests drive write-sharing workloads (the worst case for
 //! MESI) through both the set-associative baseline and the Z4/52 zcache,
-//! then walk the final machine state: the invariants must hold for any
-//! L2 organization, since coherence is decoupled from the array.
+//! then walk the machine state: at the end of a run, and every 1 000
+//! accesses of a run that relocates. The directory lives in the L2's
+//! frames, so each zcache relocation must carry a line's entry to its
+//! new frame; a missed move shows up as an L1 copy the directory does
+//! not list.
 
 use zsim::{L2Design, SimConfig, System};
 use zworkloads::suite::{by_name, Scale};
-use zworkloads::{Component, CoreSpec, Workload};
+use zworkloads::{AddressStream, Component, CoreSpec, Workload};
 
 fn tiny_cfg() -> SimConfig {
     let mut cfg = SimConfig::small();
@@ -26,29 +29,49 @@ fn sharing_workload() -> Workload {
     )
 }
 
-/// Walks the final machine state and asserts the MESI safety invariants:
+/// A write-shared hot set beside a shared footprint (40k lines) larger
+/// than the L2, so zcache walks relocate lines and the L2 evicts.
+fn pingpong_big() -> Workload {
+    Workload::multithreaded(
+        "pingpong-big",
+        CoreSpec::new(
+            vec![
+                (0.4, Component::SharedUniform { lines: 32 }),
+                (0.6, Component::SharedUniform { lines: 40_000 }),
+            ],
+            0.5,
+            4,
+        ),
+    )
+}
+
+/// Walks the machine state and asserts the MESI safety invariants:
 ///
 /// 1. A line with a modified owner has no other sharers (so no two L1s
 ///    can ever hold the same line writable).
 /// 2. L1 residency is a subset of the directory's sharer mask (the
 ///    directory never loses track of a cached copy).
 /// 3. Inclusion: every L1-resident line is also L2-resident.
-/// 4. The directory tracks exactly the L2-resident lines, which is why
-///    a table sized to the L2's frames never overflows.
-fn assert_mesi_invariants(sys: &System) {
+/// 4. The directory tracks exactly the L2-resident lines.
+///
+/// `when` names the point of the run in failure messages.
+fn assert_mesi_invariants(sys: &System, when: &str) {
     let mut checked_lines = 0usize;
     for (line, entry) in sys.directory().iter() {
         if let Some(owner) = entry.owner {
             assert_eq!(
                 entry.sharers,
                 1u64 << owner,
-                "line {line:#x}: modified owner {owner} coexists with sharers {:#b}",
+                "{when}: line {line:#x}: modified owner {owner} coexists with sharers {:#b}",
                 entry.sharers
             );
         }
         checked_lines += 1;
     }
-    assert!(checked_lines > 0, "directory empty: test exercised nothing");
+    assert!(
+        checked_lines > 0,
+        "{when}: directory empty: test exercised nothing"
+    );
 
     let mut l2_resident = Vec::new();
     for bank in sys.banks() {
@@ -58,7 +81,7 @@ fn assert_mesi_invariants(sys: &System) {
     let tracked: Vec<u64> = sys.directory().iter().map(|(line, _)| line).collect();
     assert!(
         tracked == l2_resident,
-        "directory tracks {} lines, the L2 holds {}",
+        "{when}: directory tracks {} lines, the L2 holds {}",
         tracked.len(),
         l2_resident.len()
     );
@@ -67,19 +90,18 @@ fn assert_mesi_invariants(sys: &System) {
         let mut resident = Vec::new();
         l1.for_each_resident(&mut |line| resident.push(line));
         for line in resident {
-            let entry = sys
-                .directory()
-                .get(line)
-                .unwrap_or_else(|| panic!("L1 {core} holds {line:#x} untracked by directory"));
+            let entry = sys.directory().get(line).unwrap_or_else(|| {
+                panic!("{when}: L1 {core} holds {line:#x} untracked by directory")
+            });
             assert!(
                 entry.sharers & (1u64 << core) != 0,
-                "L1 {core} holds {line:#x} but is not in sharer mask {:#b}",
+                "{when}: L1 {core} holds {line:#x} but is not in sharer mask {:#b}",
                 entry.sharers
             );
             let bank = sys.bank_index(line);
             assert!(
                 sys.banks()[bank].contains(line),
-                "inclusion violated: L1 {core} holds {line:#x}, L2 bank {bank} does not"
+                "{when}: inclusion violated: L1 {core} holds {line:#x}, L2 bank {bank} does not"
             );
         }
     }
@@ -90,31 +112,49 @@ fn mesi_invariants_hold_on_baseline() {
     let mut sys = System::new(tiny_cfg());
     let stats = sys.run(&sharing_workload());
     assert!(stats.invalidation_rounds > 0, "sharing must invalidate");
-    assert_mesi_invariants(&sys);
+    assert_mesi_invariants(&sys, "after the run");
 }
 
 #[test]
 fn mesi_invariants_hold_on_zcache() {
-    // Relocations move lines between slots without touching the
-    // directory; the invariants must survive heavy walk traffic. The
-    // shared footprint (40k lines) overflows the 16k-line SMALL L2 so
-    // walks and back-invalidations actually happen.
-    let wl = Workload::multithreaded(
-        "pingpong-big",
-        CoreSpec::new(
-            vec![
-                (0.4, Component::SharedUniform { lines: 32 }),
-                (0.6, Component::SharedUniform { lines: 40_000 }),
-            ],
-            0.5,
-            4,
-        ),
-    );
+    // Relocations move lines, and their directory entries, between
+    // frames; the invariants must survive heavy walk traffic.
     let mut sys = System::new(tiny_cfg().with_l2(L2Design::zcache(4, 3)));
-    let stats = sys.run(&wl);
+    let stats = sys.run(&pingpong_big());
     assert!(stats.l2.relocations > 0, "zcache must relocate");
     assert!(stats.invalidation_rounds > 0, "sharing must invalidate");
-    assert_mesi_invariants(&sys);
+    assert_mesi_invariants(&sys, "after the run");
+}
+
+#[test]
+fn mesi_invariants_hold_throughout_a_relocating_run() {
+    // Drives `System::access` directly, the cores in turn on one clock,
+    // and walks the invariants every 1 000 accesses, so a directory
+    // entry left behind by a relocation is caught while the line it
+    // describes is still cached. The L2 is cut to 512 frames, twice the
+    // four L1s: at the SMALL L2's 16k frames an LRU Z4/52 never picks
+    // an L1-resident victim (no back-invalidation in 200 000 accesses).
+    let mut cfg = tiny_cfg().with_l2(L2Design::zcache(4, 3));
+    cfg.l2_lines = 512;
+    let cores = cfg.cores;
+    let mut streams = pingpong_big().streams(cores as usize, cfg.seed);
+    let mut sys = System::new(cfg);
+    let mut now = 0u64;
+    for i in 1..=60_000u64 {
+        let core = (i % u64::from(cores)) as u32;
+        let r = streams[core as usize].next_ref();
+        now += u64::from(r.gap) + sys.access(core, r.line, r.write, now);
+        if i % 1_000 == 0 {
+            assert_mesi_invariants(&sys, &format!("after access {i}"));
+        }
+    }
+    let stats = sys.stats();
+    assert!(stats.l2.relocations > 0, "zcache must relocate");
+    assert!(
+        stats.back_invalidations > 0,
+        "L2 evictions must back-invalidate"
+    );
+    assert!(stats.invalidation_rounds > 0, "sharing must invalidate");
 }
 
 #[test]
