@@ -106,7 +106,7 @@ impl SweepRunner {
 
     /// Like [`run`](Self::run), but hands every worker a private mutable
     /// scratch state built by `init` — the hook for reusing expensive
-    /// buffers (trace vectors, replay queues, Zipf tables) across all the
+    /// buffers (trace vectors, replay index, Zipf tables) across all the
     /// points a worker claims.
     ///
     /// Determinism contract: `f(i, scratch)` must return the same value

@@ -5,19 +5,17 @@
 //! [`SimConfig`]; what a point measures is the closure each figure
 //! passes. A [`PointScratch`] owns the buffers the record-then-replay
 //! pipeline reuses — the trace, the OPT next-use oracle, the replay
-//! queues and the Zipf-table cache — so a worker allocates them once.
-//! The oracle's line → position map lives only while the oracle is
-//! built, so it is not held beside the replays' L2 banks.
+//! index and the Zipf-table cache — so a worker allocates them once.
+//! The trace is trimmed to its length after each recording, and the
+//! oracle's position table lives only while the oracle is built, so
+//! neither is held at more than its size beside the replays' L2 banks.
 
 use crate::opts::ExpOpts;
 use crate::{point_seed, SweepRunner};
-use zcache_core::{PolicyKind, SeededMap};
+use zcache_core::PolicyKind;
 use zsim::trace::{record_trace_into, replay_with, L2Trace, ReplayScratch};
 use zsim::{SimConfig, SimStats};
 use zworkloads::{Workload, ZipfCache};
-
-/// Seed for the oracle's line → position map (layout never escapes).
-const LAST_SEEN_SEED: u64 = 0x0b75_ace1_0f75_ace1;
 
 /// Runs `point` once per `keep` index `i` of `suite` on a
 /// [`SweepRunner`] of `opts.jobs` workers, results in `keep` order.
@@ -81,14 +79,12 @@ impl PointScratch {
     /// Replays the recorded trace under `cfg`, computing the next-use
     /// oracle lazily: the backward pass runs at most once per recorded
     /// trace (on the first OPT replay), and not at all for policies that
-    /// never consult it. Its line → position map is dropped as soon as
-    /// the pass ends.
+    /// never consult it. Its position table is dropped as soon as the
+    /// pass ends.
     pub fn replay(&mut self, cfg: &SimConfig) -> SimStats {
         let oracle = if cfg.l2.policy == PolicyKind::Opt {
             if !self.oracle_ready {
-                let mut last_seen = SeededMap::with_capacity(1024, LAST_SEEN_SEED);
-                self.trace
-                    .next_uses_into(&mut self.next_uses, &mut last_seen);
+                self.trace.fill_next_uses(&mut self.next_uses);
                 self.oracle_ready = true;
             }
             Some(self.next_uses.as_slice())
@@ -133,9 +129,10 @@ mod tests {
         cfg.cores = 4;
         cfg.instrs_per_core = 20_000;
         let mut scratch = PointScratch::new();
-        // Two points back-to-back through one scratch: buffer carry-over
-        // from the first must not perturb the second.
-        for name in ["canneal", "gcc"] {
+        // Three points back-to-back through one scratch: buffer carry-over
+        // from one must not perturb the next, and the third regrows the
+        // trace buffer the second trimmed.
+        for name in ["canneal", "gcc", "canneal"] {
             let wl = by_name(name, 4, Scale::SMALL).unwrap();
             scratch.record(&cfg, &wl);
             let fresh = record_trace(&cfg, &wl);

@@ -33,7 +33,7 @@ use crate::types::{LineAddr, SlotId};
 pub struct AccessCtx {
     /// Position in the reference stream of this block's *next* use, or
     /// `u64::MAX` if unknown/never. Only [`Opt`] consumes this; zsim's
-    /// `L2Trace::next_uses_into` produces it for recorded traces.
+    /// `L2Trace::fill_next_uses` produces it for recorded traces.
     pub next_use: u64,
 }
 

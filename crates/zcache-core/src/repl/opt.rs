@@ -10,7 +10,7 @@ use crate::types::{LineAddr, SlotId};
 /// policy issues from associativity effects" (§VI-B). The policy itself
 /// only stores, per slot, the stream position of the resident block's
 /// next use, supplied through [`AccessCtx::next_use`]; zsim's
-/// `L2Trace::next_uses_into` precomputes those positions from a
+/// `L2Trace::fill_next_uses` precomputes those positions from a
 /// recorded reference stream.
 ///
 /// As the paper notes, in caches with interference across sets (skew,

@@ -5,8 +5,11 @@
 //! deletion (no tombstones), power-of-two capacity and load factor
 //! ≤ 0.5. It is the address→slot index of
 //! [`FullyAssocArray`](crate::FullyAssocArray) and
-//! [`LruStack`](crate::LruStack), and the OPT next-use oracle's map,
-//! replacing `std::collections::HashMap` on those paths.
+//! [`LruStack`](crate::LruStack), replacing `std::collections::HashMap`
+//! on those paths, and the line → position map of zsim's reference OPT
+//! oracle, `L2Trace::next_uses_into`. The production oracle keys a table
+//! of bare `u32` positions by the lines they point at instead, 4 bytes
+//! per slot where this map's are 8 plus the value.
 //!
 //! Two properties matter to the consumers:
 //!

@@ -85,8 +85,9 @@ pub fn gen_stream(n: usize, lines: u64, seed: u64) -> Vec<Access> {
 /// Next-use positions for a trace: `next[i]` is the stream index of the
 /// following access to the same tenant's `trace[i].addr`, or `u64::MAX`
 /// if there is none. Computed with a single backward scan over a plain
-/// `HashMap`, independently of zsim's `L2Trace::next_uses_into` (the
-/// annotation feeds both sides of the differential check).
+/// `HashMap`, independently of zsim's `L2Trace::fill_next_uses` and its
+/// map-based reference `next_uses_into` (the annotation feeds both sides
+/// of the differential check).
 pub fn next_uses(trace: &[Access]) -> Vec<u64> {
     let mut next = vec![u64::MAX; trace.len()];
     let mut seen: HashMap<u64, u64> = HashMap::new();

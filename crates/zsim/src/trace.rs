@@ -7,23 +7,31 @@
 //! also removes the (second-order) feedback of inclusion victims on L1
 //! contents, which the paper's trace-driven mode accepts as well.
 //!
-//! Every per-reference buffer is stored at its natural width: a
-//! [`TraceRef`] is 16 bytes (line, work, core, two flags), and the OPT
-//! oracle of [`L2Trace::next_uses_into`] holds one `u32` position per
-//! reference, with `u32::MAX` for "never used again". A trace therefore
-//! holds fewer than 2³² references, and the oracle and the replay refuse
-//! a longer one.
+//! Every buffer holds only what it needs. A [`TraceRef`] is 16 bytes
+//! (line, work, core, two flags), and [`record_trace_into`] trims the
+//! trace to its length. The OPT oracle of [`L2Trace::fill_next_uses`]
+//! holds one `u32` position per reference, with `u32::MAX` for "never
+//! used again"; its pass keys a table of bare `u32` positions by the
+//! lines they point at, 4 bytes per slot, and drops it at the end. The
+//! replay groups the trace's positions by core in one flat index. A
+//! trace therefore holds fewer than 2³² references, and the oracle and
+//! the replay refuse a longer one.
 
 use crate::config::SimConfig;
 use crate::l2::L2;
 use crate::sched::Scheduler;
 use crate::stats::SimStats;
 use zcache_core::{CacheStats, PolicyKind, SeededMap};
+use zhash::{Hasher64, Mix64};
 use zworkloads::{AddressStream, Workload, ZipfCache};
 
-/// Fixed seed for the next-use oracle's last-seen map (layout never
-/// escapes — only next-use positions do).
+/// Fixed seed of the next-use pass's start slots (layout never escapes
+/// — only next-use positions do).
 const NEXT_USE_SEED: u64 = 0x0b75_ace1_0f75_ace1;
+
+/// Slots of the next-use table before its first doubling: 512 lines
+/// at load ≤ ½, in 4 KiB.
+const NEXT_USE_SLOTS: usize = 1024;
 
 /// The next-use oracle's "never used again" position.
 pub const NEVER: u32 = u32::MAX;
@@ -78,32 +86,40 @@ impl L2Trace {
         self.refs.iter().map(|r| (r.line, r.write))
     }
 
-    /// Flattens the trace to [`accesses`](Self::accesses) pairs —
-    /// the shape the `zoracle` differential harness consumes, so a
-    /// recorded workload stream can drive a production cache and its
-    /// brute-force reference twin in lockstep (bank interleaving is a
-    /// timing concern the single-array conformance check deliberately
-    /// ignores).
-    pub fn conformance_stream(&self) -> Vec<(u64, bool)> {
-        self.accesses().collect()
-    }
-
     /// Computes, for each reference, the position of the next reference
     /// to the same line ([`NEVER`] if none) — the OPT oracle.
     pub fn next_uses(&self) -> Vec<u32> {
         let mut next = Vec::new();
-        let mut last = SeededMap::with_capacity(1024, NEXT_USE_SEED);
-        self.next_uses_into(&mut next, &mut last);
+        self.fill_next_uses(&mut next);
         next
     }
 
     /// Buffer-reusing form of [`L2Trace::next_uses`]: one backward pass
     /// over the trace, filling `next` (cleared first) with one `u32`
     /// position per reference, [`NEVER`] where the line is not used
-    /// again, and using `last` as line → latest-position scratch (also
-    /// cleared first). Sweeps call this once per grid point with
-    /// long-lived buffers so the oracle costs no steady-state
-    /// allocation.
+    /// again. The pass finds each line's latest position in a table of
+    /// bare `u32` positions, 4 bytes per slot, allocated for the pass and
+    /// dropped when it ends, so nothing but `next` outlives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace holds 2³² or more references: the last
+    /// position would not fit below [`NEVER`].
+    pub fn fill_next_uses(&self, next: &mut Vec<u32>) {
+        check_positions(self.refs.len());
+        next.clear();
+        next.resize(self.refs.len(), NEVER);
+        let mut latest = LatestUse::new(&self.refs);
+        for (i, r) in self.refs.iter().enumerate().rev() {
+            next[i] = latest.replace(r.line, i as u32);
+        }
+    }
+
+    /// The map-based reference of [`L2Trace::fill_next_uses`]: the same
+    /// positions, found through `last`, a line → latest-position
+    /// [`SeededMap`] of 12 bytes per slot (cleared first). Tests run the
+    /// two in lockstep; bench's traced fig4 drive times this one as
+    /// `zsim.oracle_s`.
     ///
     /// # Panics
     ///
@@ -120,6 +136,71 @@ impl L2Trace {
                 next[i] = *slot;
                 *slot = i as u32;
             }
+        }
+    }
+}
+
+/// The next-use pass's line → latest-position table: open addressing
+/// over bare `u32` positions. [`NEVER`] marks an empty slot, and a
+/// slot's key is read back as `refs[pos].line`. Linear probing from a
+/// [`Mix64`] start slot, a power-of-two size and load ≤ ½; it doubles
+/// by rehashing the stored positions.
+struct LatestUse<'a> {
+    refs: &'a [TraceRef],
+    hasher: Mix64,
+    slots: Vec<u32>,
+    lines: usize,
+}
+
+impl<'a> LatestUse<'a> {
+    fn new(refs: &'a [TraceRef]) -> Self {
+        Self {
+            refs,
+            hasher: Mix64::new(NEXT_USE_SEED),
+            slots: vec![NEVER; NEXT_USE_SLOTS],
+            lines: 0,
+        }
+    }
+
+    /// The slot holding `line`'s position, or the empty slot it goes to.
+    #[inline]
+    fn find(&self, line: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut s = self.hasher.hash(line) as usize & mask;
+        loop {
+            let pos = self.slots[s];
+            if pos == NEVER || self.refs[pos as usize].line == line {
+                return s;
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// Makes `pos` the latest position of `line`, returning the one it
+    /// replaces ([`NEVER`] for a line not seen before).
+    #[inline]
+    fn replace(&mut self, line: u64, pos: u32) -> u32 {
+        let mut s = self.find(line);
+        let prev = self.slots[s];
+        if prev == NEVER {
+            if self.lines == self.slots.len() / 2 {
+                self.grow();
+                s = self.find(line);
+            }
+            self.lines += 1;
+        }
+        self.slots[s] = pos;
+        prev
+    }
+
+    /// Doubles the table and rehashes every stored position.
+    #[cold]
+    fn grow(&mut self) {
+        let doubled = vec![NEVER; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        for pos in old.into_iter().filter(|&p| p != NEVER) {
+            let s = self.find(self.refs[pos as usize].line);
+            self.slots[s] = pos;
         }
     }
 }
@@ -158,9 +239,10 @@ pub fn record_trace(cfg: &SimConfig, workload: &Workload) -> L2Trace {
 }
 
 /// Buffer-reusing form of [`record_trace`]: overwrites `trace` in place
-/// (the reference `Vec` keeps its capacity across grid points) and pulls
-/// Zipf tables from `zipf` instead of rebuilding them per call. Produces
-/// exactly the trace [`record_trace`] does.
+/// and pulls Zipf tables from `zipf` instead of rebuilding them per
+/// call. Produces exactly the trace [`record_trace`] does. The
+/// reference `Vec` ends trimmed to its length, so a sweep holds no
+/// growth slack between points; a longer later trace regrows it.
 ///
 /// # Panics
 ///
@@ -214,6 +296,8 @@ pub fn record_trace_into(
         (instrs[c] < cfg.instrs_per_core).then_some(next)
     });
 
+    trace.refs.shrink_to_fit();
+
     let mut l1_stats = CacheStats::new();
     for l1 in &l1s {
         l1_stats.merge(l1.stats());
@@ -223,13 +307,18 @@ pub fn record_trace_into(
     trace.l1_stats = l1_stats;
 }
 
-/// Reusable working state for [`replay_with`]: per-core reference
-/// queues, cursors and clocks. One instance per worker amortises the
-/// allocations across every `(design, policy)` replay of a sweep.
+/// Reusable working state for [`replay_with`]: the trace's positions
+/// grouped by core, each core's cursor and end, and its clock. One
+/// instance per worker amortises the allocations across every
+/// `(design, policy)` replay of a sweep.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    queues: Vec<Vec<u32>>,
+    /// Trace positions sorted by core, each core's in global order.
+    order: Vec<u32>,
+    /// Each core's next offset into `order`.
     heads: Vec<usize>,
+    /// The offset past each core's last position in `order`.
+    ends: Vec<usize>,
     cycles: Vec<u64>,
 }
 
@@ -263,7 +352,7 @@ pub fn replay(cfg: &SimConfig, trace: &L2Trace) -> SimStats {
 /// consults future knowledge), so callers replaying under other policies
 /// pass `None` and skip the oracle's backward pass entirely; sweeps
 /// replaying one trace under OPT across many designs compute it once via
-/// [`L2Trace::next_uses_into`] and share the slice. Each `u32` position
+/// [`L2Trace::fill_next_uses`] and share the slice. Each `u32` position
 /// is widened to the policy's `u64` next use as it is read, [`NEVER`]
 /// to `u64::MAX`.
 ///
@@ -289,32 +378,45 @@ pub fn replay_with(
     let cores = trace.cores.max(1) as usize;
     let mut l2 = L2::new(cfg);
 
-    // Per-core reference queues, in global order (buffers reused).
-    if scratch.queues.len() < cores {
-        scratch.queues.resize_with(cores, Vec::new);
+    // Counting sort of the positions by core: core c replays
+    // `order[heads[c]..ends[c]]`, in global order.
+    let ReplayScratch {
+        order,
+        heads,
+        ends,
+        cycles,
+    } = scratch;
+    heads.clear();
+    heads.resize(cores, 0);
+    for r in &trace.refs {
+        heads[r.core as usize] += 1;
     }
-    let queues = &mut scratch.queues[..cores];
-    for q in queues.iter_mut() {
-        q.clear();
+    let mut start = 0;
+    for h in heads.iter_mut() {
+        let count = *h;
+        *h = start;
+        start += count;
     }
+    ends.clear();
+    ends.extend_from_slice(heads);
+    order.clear();
+    order.resize(trace.refs.len(), 0);
     for (i, r) in trace.refs.iter().enumerate() {
-        queues[r.core as usize].push(i as u32);
+        let end = &mut ends[r.core as usize];
+        order[*end] = i as u32;
+        *end += 1;
     }
-    scratch.heads.clear();
-    scratch.heads.resize(cores, 0);
-    let heads = &mut scratch.heads[..];
-    scratch.cycles.clear();
-    scratch.cycles.resize(cores, 0);
-    let cycles = &mut scratch.cycles[..];
+    cycles.clear();
+    cycles.resize(cores, 0);
 
     let mut sched = Scheduler::new(cores);
-    for (c, q) in queues.iter().enumerate() {
-        if q.is_empty() {
+    for c in 0..cores {
+        if heads[c] == ends[c] {
             sched.retire(c);
         }
     }
     sched.run(|c, now| {
-        let pos = queues[c][heads[c]] as usize;
+        let pos = order[heads[c]] as usize;
         heads[c] += 1;
         let r = &trace.refs[pos];
         let next_use = next_uses.map_or(u64::MAX, |n| widen(n[pos]));
@@ -330,7 +432,7 @@ pub fn replay_with(
         }
 
         cycles[c] = next;
-        (heads[c] < queues[c].len()).then_some(next)
+        (heads[c] < ends[c]).then_some(next)
     });
 
     l2.sim_stats(
@@ -393,6 +495,83 @@ mod tests {
         assert_eq!(t.next_uses(), expect);
     }
 
+    /// A one-core trace of demand reads of `lines`, one unit of work
+    /// apart.
+    fn trace_of(lines: impl IntoIterator<Item = u64>) -> L2Trace {
+        let read = |line| TraceRef {
+            line,
+            work: 1,
+            core: 0,
+            write: false,
+            demand: true,
+        };
+        L2Trace {
+            refs: lines.into_iter().map(read).collect(),
+            cores: 1,
+            ..Default::default()
+        }
+    }
+
+    /// Runs the position table's pass, into a buffer left dirty by a
+    /// longer oracle, against the map-based reference.
+    fn assert_lockstep(t: &L2Trace, label: &str) {
+        let mut want = Vec::new();
+        t.next_uses_into(&mut want, &mut SeededMap::with_capacity(1024, 1));
+        let mut got = vec![7; t.len() + 100];
+        t.fill_next_uses(&mut got);
+        assert_eq!(got, want, "{label}");
+    }
+
+    #[test]
+    fn position_table_matches_map_on_fig4_sweep_traces() {
+        // fig4-sweep's points: the first 8 suite workloads at small
+        // scale, 8 cores × 25 000 instructions.
+        let mut cfg = SimConfig::small();
+        cfg.cores = 8;
+        cfg.instrs_per_core = 25_000;
+        let suite = zworkloads::suite::paper_suite_scaled(8, Scale::SMALL);
+        for wl in &suite[..8] {
+            let t = record_trace(&cfg, wl);
+            assert!(!t.is_empty(), "{}: no references", wl.name());
+            assert_lockstep(&t, wl.name());
+        }
+    }
+
+    #[test]
+    fn position_table_matches_map_on_hand_built_traces() {
+        assert_lockstep(&trace_of([]), "empty");
+        assert_lockstep(&trace_of([42]), "one reference");
+        assert_lockstep(&trace_of([42; 100]), "one line repeated");
+        // n distinct lines, then the same lines in reverse: every
+        // position of the first half survives each doubling of the
+        // table before it is read back.
+        for half in (9..=15).map(|b| 1usize << b) {
+            for n in [half, half + 1] {
+                let lines = (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let t = trace_of(lines.clone().chain(lines.rev()));
+                assert_lockstep(&t, &format!("{n} distinct lines"));
+                let mut table = LatestUse::new(&t.refs);
+                for (i, r) in t.refs[..n].iter().enumerate() {
+                    table.replace(r.line, i as u32);
+                }
+                let slots = (2 * n).next_power_of_two().max(NEXT_USE_SLOTS);
+                assert_eq!(table.slots.len(), slots, "{n} distinct lines");
+            }
+        }
+        // Four lines that start in the table's last slot and two that
+        // start in its first: probes wrap past the end, and the first
+        // slot's lines probe past the wrapped ones.
+        let start = |line| Mix64::new(NEXT_USE_SEED).hash(line) as usize & (NEXT_USE_SLOTS - 1);
+        let last: Vec<u64> = (0..)
+            .filter(|&l| start(l) == NEXT_USE_SLOTS - 1)
+            .take(4)
+            .collect();
+        let first: Vec<u64> = (0..).filter(|&l| start(l) == 0).take(2).collect();
+        let order = [0, 4, 1, 5, 2, 3, 1, 0, 5, 3, 4, 2, 2, 4, 0];
+        let all: Vec<u64> = last.iter().chain(&first).copied().collect();
+        assert_lockstep(&trace_of(order.map(|k| all[k])), "wrapping collisions");
+    }
+
     #[test]
     fn trace_ref_is_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<TraceRef>(), 16);
@@ -426,18 +605,8 @@ mod tests {
         cfg.l2_banks = 1;
         cfg.l2_bank_latency = Some(1);
         let t = L2Trace {
-            refs: [1, 2, 3, 4, 5, 1, 2, 4]
-                .map(|line| TraceRef {
-                    line,
-                    work: 1,
-                    core: 0,
-                    write: false,
-                    demand: true,
-                })
-                .to_vec(),
             instructions: 8,
-            cores: 1,
-            ..Default::default()
+            ..trace_of([1, 2, 3, 4, 5, 1, 2, 4])
         };
         let next = t.next_uses();
         assert_eq!(next, [5, 6, NEVER, 7, NEVER, NEVER, NEVER, NEVER]);
@@ -544,10 +713,7 @@ mod tests {
         let wl = by_name("omnetpp", 4, Scale::SMALL).unwrap();
         let cfg = tiny_cfg();
         let t = record_trace(&cfg, &wl);
-        let mut nu = Vec::new();
-        let mut last = SeededMap::with_capacity(1024, NEXT_USE_SEED);
-        t.next_uses_into(&mut nu, &mut last);
-        assert_eq!(nu, t.next_uses());
+        let nu = t.next_uses();
         let mut scratch = ReplayScratch::new();
         for design in [
             L2Design::baseline(),
@@ -559,6 +725,39 @@ mod tests {
             let reused = replay_with(&dcfg, &t, oracle, &mut scratch);
             assert_eq!(reused, replay(&dcfg, &t), "design {design:?}");
         }
+    }
+
+    #[test]
+    fn replay_index_groups_positions_by_core() {
+        // Cores 0 and 2 of three make references and core 1 none; a
+        // scratch that replayed an 8-core trace first must give what a
+        // fresh one does, and every reference must be replayed.
+        let cfg = tiny_cfg();
+        let wide = record_trace(
+            &SimConfig {
+                cores: 8,
+                ..cfg.clone()
+            },
+            &by_name("gcc", 8, Scale::SMALL).unwrap(),
+        );
+        let mut t = trace_of((0..300).map(|i| i % 37));
+        for (i, r) in t.refs.iter_mut().enumerate() {
+            r.core = if i % 3 == 0 { 2 } else { 0 };
+        }
+        t.cores = 3;
+        let mut scratch = ReplayScratch::new();
+        replay_with(&cfg, &wide, None, &mut scratch);
+        let reused = replay_with(&cfg, &t, None, &mut scratch);
+        assert_eq!(
+            reused,
+            replay_with(&cfg, &t, None, &mut ReplayScratch::new())
+        );
+        assert_eq!(reused.l2.accesses, 300);
+        assert_eq!(scratch.order.len(), 300);
+        assert_eq!(
+            (scratch.heads.as_slice(), scratch.ends.as_slice()),
+            (&[200, 200, 300][..], &[200, 200, 300][..])
+        );
     }
 
     #[test]

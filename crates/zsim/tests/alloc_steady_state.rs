@@ -9,12 +9,19 @@
 //!
 //! The same allocator counts the bytes it hands out, which bounds what
 //! building a machine costs: its banks, L1s and one directory entry per
-//! L2 frame, not a keyed table with slack.
+//! L2 frame, not a keyed table with slack. It also tracks the bytes live
+//! at once, which bounds the trace pipeline's buffers: a trace trimmed
+//! to its length, and an OPT oracle pass whose only scratch is a table
+//! of 4-byte positions.
 
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::cell::Cell;
+use std::collections::HashSet;
 
+use zsim::trace::{record_trace_into, L2Trace};
 use zsim::{L2Design, SimConfig, System};
+use zworkloads::suite::{by_name, Scale};
+use zworkloads::ZipfCache;
 
 struct CountingAlloc;
 
@@ -26,6 +33,11 @@ thread_local! {
     /// Bytes the current thread's allocations asked for (a reallocation
     /// counts its new size), freed or not.
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes the current thread allocated less those it freed (signed:
+    /// a thread may free what another allocated), and the highest value
+    /// since [`reset_peak`].
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation or reallocation handing out `bytes`.
@@ -35,18 +47,37 @@ fn count_alloc(bytes: usize) {
     let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
+/// Moves the live byte count by `delta`, raising the peak with it.
+fn count_live(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// Starts a new peak window at the current live count, which it returns.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live));
+    live
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_alloc(layout.size());
+        count_live(layout.size() as i64);
         unsafe { SysAlloc.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as i64));
         unsafe { SysAlloc.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_alloc(new_size);
+        // By its size change, as the benchmark's allocator counts it.
+        count_live(new_size as i64 - layout.size() as i64);
         unsafe { SysAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -128,4 +159,45 @@ fn system_new_allocates_one_directory_entry_per_frame() {
         "System::new allocated {bytes} bytes, over the bound of {BOUND}"
     );
     drop(sys);
+}
+
+/// The trace pipeline of a fig4-sweep point (SMALL, 8 cores × 25 000
+/// instructions) keeps each buffer at its size. Each recording leaves
+/// the trace trimmed to its length, also after a shorter trace trimmed
+/// the buffer first. The OPT oracle pass over a trace of D distinct
+/// lines holds, besides its 4-byte-per-reference output, at most the
+/// last two sizes of a 4-byte-per-slot table at load ≤ ½:
+/// 4 B × 1.5 × `next_power_of_two(2D)` (the table starts at 1 024
+/// slots, so the bound holds from D = 256). A line → position map of 12
+/// bytes per slot (an 8-byte key and a 4-byte value) would hold three
+/// times that.
+#[test]
+fn trace_pipeline_holds_no_slack() {
+    let mut cfg = SimConfig::small();
+    cfg.cores = 8;
+    cfg.instrs_per_core = 25_000;
+    let mut zipf = ZipfCache::new();
+    let mut trace = L2Trace::default();
+    for name in ["swim", "blackscholes", "canneal"] {
+        let wl = by_name(name, 8, Scale::SMALL).unwrap();
+        record_trace_into(&cfg, &wl, &mut zipf, &mut trace);
+        assert_eq!(trace.refs.capacity(), trace.len(), "{name}: trace slack");
+
+        let distinct = trace
+            .refs
+            .iter()
+            .map(|r| r.line)
+            .collect::<HashSet<_>>()
+            .len();
+        let bound = 4 * 3 * (2 * distinct).next_power_of_two() / 2;
+        let before = reset_peak();
+        let next = trace.next_uses();
+        let pass = PEAK.with(Cell::get) - before - (4 * next.len()) as i64;
+        assert!(
+            pass <= bound as i64,
+            "{name}: the oracle pass over {} references of {distinct} lines held {pass} \
+             bytes beside its output, over the bound of {bound}",
+            trace.len()
+        );
+    }
 }
