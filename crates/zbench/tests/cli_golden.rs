@@ -2,13 +2,13 @@
 //!
 //! `tests/pinned.sh` lists each pinned file with the `zbench` arguments
 //! that regenerate it, and running it rewrites them all from the release
-//! binary. This test parses its `pin` lines (`pin_full` lines run at
-//! default size, which only the script does) and runs each with the
-//! debug binary, at `--jobs 1` and at `--jobs 4` when the command takes
-//! `--jobs`. Every run must exit 0, and its stdout, or the file it
-//! writes through `--out` (redirected to a scratch path here), must
-//! equal the pinned file. `$tmp` stands for a scratch directory, which
-//! pinned stdout shows as `<tmp>`.
+//! binary. This test parses its `pin` lines (`pin_full` lines are too
+//! slow for a debug build; only the script runs them) and runs each
+//! with the debug binary, at `--jobs 1` and at `--jobs 4` when the
+//! command takes `--jobs`. Every run must exit 0, and its stdout, or
+//! the file it writes through `--out` (redirected to a scratch path
+//! here), must equal the pinned file. `$tmp` stands for a scratch
+//! directory, which pinned stdout shows as `<tmp>`.
 
 use std::path::Path;
 use std::process::Command;

@@ -13,8 +13,9 @@
 # `zbench ARGS...` prints on stdout or, when ARGS contain `--out FILE`,
 # to the file it writes. `$tmp` is a scratch directory, which pinned
 # stdout shows as `<tmp>`. Lines run in order: `trace` replays the file
-# `dumptrace` writes. `pin_full` marks an entry at its command's default
-# size, too slow for a debug build; only this script runs those.
+# `dumptrace` writes. `pin_full` marks an entry too slow for a debug
+# build (a command's default size, or fig3 at 32 cores); only this
+# script runs those.
 #
 # `cli_golden.rs`, next to this file, parses the `pin` lines and runs
 # each with the debug binary, at `--jobs 1` and at `--jobs 4` when the
@@ -73,3 +74,8 @@ pin crates/zbench/tests/golden/serve-smoke.txt serve --smoke --out $tmp/serve.js
 pin BENCH_serve.json serve --chaos --smoke --seed 1 --out BENCH_serve.json
 pin_full results/ablate.txt ablate
 pin_full results/adaptive.txt adaptive
+# Fig. 3 at a size where every panel samples evictions (only
+# blackscholes' hashed rows read n/a): panels 3b-3d are the eviction
+# distributions of the SA-H3, skew and Z4 arrays, so this pins how
+# every H3 index places and evicts, end to end.
+pin_full crates/zbench/tests/golden/fig3-32.txt fig3 --scale small --cores 32 --instrs 40000

@@ -214,8 +214,9 @@ pub trait CacheArray {
     /// holds `&mut self`. Semantically identical; arrays may use the
     /// mutable access to memoize probe work a subsequent
     /// [`candidates`](Self::candidates) call for the same address would
-    /// otherwise repeat ([`ZArray`] stashes the hashed row vector, which
-    /// depends only on the address and the fixed hash family).
+    /// otherwise repeat ([`ZArray`] stashes the hashed row vector and
+    /// [`SetAssocArray`] the set, which depend only on the address and
+    /// the fixed hash family).
     fn lookup_mut(&mut self, addr: LineAddr) -> Option<SlotId> {
         self.lookup(addr)
     }

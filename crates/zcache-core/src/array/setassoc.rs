@@ -1,6 +1,6 @@
 //! Conventional set-associative array, with optional index hashing.
 
-use super::tags::TagStore;
+use super::tags::{TagStore, INVALID_TAG};
 use super::{ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::types::{LineAddr, SlotId};
 use zhash::{AnyHasher, HashKind, Hasher64};
@@ -35,6 +35,11 @@ pub struct SetAssocArray {
     hasher: AnyHasher,
     /// `tags[set * ways + way]`, sentinel-encoded.
     tags: TagStore,
+    /// Probe memo `(addr, set)` stashed by
+    /// [`lookup_mut`](CacheArray::lookup_mut): on a miss, `candidates`
+    /// reuses the set the lookup just hashed. The set is a pure function
+    /// of the address, so the memo never goes stale.
+    probe: (LineAddr, u64),
 }
 
 impl SetAssocArray {
@@ -56,6 +61,7 @@ impl SetAssocArray {
             set_bits: sets.trailing_zeros(),
             hasher: hash.build(seed),
             tags: TagStore::new(lines as usize),
+            probe: (INVALID_TAG, 0),
         }
     }
 
@@ -67,6 +73,19 @@ impl SetAssocArray {
     #[inline]
     fn slot(&self, set: u64, way: u32) -> SlotId {
         SlotId((set * u64::from(self.ways) + u64::from(way)) as u32)
+    }
+
+    /// The frame of `set` holding `addr`, if any.
+    #[inline]
+    fn find_in(&self, set: u64, addr: LineAddr) -> Option<SlotId> {
+        for way in 0..self.ways {
+            let slot = self.slot(set, way);
+            // Sentinel encoding makes this a single u64 compare per way.
+            if self.tags.raw(slot.idx()) == addr {
+                return Some(slot);
+            }
+        }
+        None
     }
 
     /// The set index `addr` maps to (exposed for tests and diagnostics).
@@ -90,15 +109,13 @@ impl CacheArray for SetAssocArray {
     }
 
     fn lookup(&self, addr: LineAddr) -> Option<SlotId> {
+        self.find_in(self.set_of(addr), addr)
+    }
+
+    fn lookup_mut(&mut self, addr: LineAddr) -> Option<SlotId> {
         let set = self.set_of(addr);
-        for way in 0..self.ways {
-            let slot = self.slot(set, way);
-            // Sentinel encoding makes this a single u64 compare per way.
-            if self.tags.raw(slot.idx()) == addr {
-                return Some(slot);
-            }
-        }
-        None
+        self.probe = (addr, set);
+        self.find_in(set, addr)
     }
 
     fn addr_at(&self, slot: SlotId) -> Option<LineAddr> {
@@ -118,7 +135,12 @@ impl CacheArray for SetAssocArray {
 
     fn candidates(&mut self, addr: LineAddr, out: &mut CandidateSet) {
         out.clear();
-        let set = self.set_of(addr);
+        let set = if self.probe.0 == addr {
+            self.probe.1
+        } else {
+            self.set_of(addr)
+        };
+        debug_assert_eq!(set, self.set_of(addr), "stale probe memo");
         for way in 0..self.ways {
             let slot = self.slot(set, way);
             out.push(Candidate {

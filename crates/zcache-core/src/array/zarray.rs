@@ -4,7 +4,7 @@ use super::tags::INVALID_TAG;
 use super::walk::{WalkKind, WalkNode, WalkTable, NO_PARENT};
 use super::{ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::types::{LineAddr, Location, SlotId};
-use zhash::{AnyHasher, BloomFilter, H3Hash, HashKind, Hasher64};
+use zhash::{AnyHasher, BloomFilter, Gf2Table, H3Hash, HashKind, Hasher64};
 
 /// A zcache array: `W` ways indexed by distinct hash functions, with a
 /// multi-level replacement walk.
@@ -110,76 +110,16 @@ pub struct WalkNodeInfo {
 #[derive(Debug, Clone)]
 enum WayIndex {
     /// 4-way H3 with rows that fit a [`Frame`]'s 16-bit lanes: all four
-    /// ways from one packed table.
-    Packed(Box<PackedH3>),
+    /// ways from one table. Column `i` holds, in 16-bit lane `w` (bits
+    /// `16w..16w + 16`), row `i` of way `w`'s H3 matrix masked to the row
+    /// bits. H3 is linear over GF(2) and masking commutes with XOR, so
+    /// the table's image of an address is every way's row in its lane:
+    /// the [`Frame::rows`] vector, from one 2.5 KiB table.
+    Packed(Box<Gf2Table>),
     /// Every other configuration (other way counts, `Mix64` or
     /// bit-select hashing, more than 2^16 rows per way): one hasher per
     /// way.
     PerWay(Vec<AnyHasher>),
-}
-
-/// Four ways' H3 functions evaluated together, sized to the index:
-/// `table[b][v]` holds, in 16-bit lane `w` (bits `16w..16w + 16`), way
-/// `w`'s hash of byte value `v` at byte position `b`, masked to the row
-/// bits. H3 is linear over GF(2) and masking commutes with XOR, so one
-/// `u64` XOR per address byte yields every way's row in its lane: the
-/// [`Frame::rows`] vector. 16 KiB, where per-way tables of full 64-bit
-/// hashes take 64 KiB.
-#[derive(Debug, Clone)]
-struct PackedH3 {
-    table: [[u64; 256]; 8],
-    /// The ways' H3 matrices, kept as the by-definition reference the
-    /// debug build checks the table against.
-    matrices: [[u64; 64]; FRAME_WAYS],
-}
-
-impl PackedH3 {
-    /// Builds the table for `row_bits <= 16`. Each entry is the one with
-    /// its lowest set bit peeled off, XORed with the lanes of that bit's
-    /// matrix rows.
-    fn new(matrices: [[u64; 64]; FRAME_WAYS], row_bits: u32) -> Box<Self> {
-        debug_assert!(row_bits <= u16::BITS);
-        let mask = (1u64 << row_bits) - 1;
-        let bit_lanes: [u64; 64] = std::array::from_fn(|bit| {
-            (0..FRAME_WAYS).fold(0, |acc, w| acc | (matrices[w][bit] & mask) << (16 * w))
-        });
-        let mut p = Box::new(Self {
-            table: [[0; 256]; 8],
-            matrices,
-        });
-        for (b, table) in p.table.iter_mut().enumerate() {
-            for v in 1usize..256 {
-                table[v] = table[v & (v - 1)] ^ bit_lanes[8 * b + v.trailing_zeros() as usize];
-            }
-        }
-        p
-    }
-
-    /// The four ways' rows of `addr`: one table load per address byte,
-    /// up to its highest non-zero byte.
-    #[inline(always)]
-    fn rows(&self, addr: LineAddr) -> [u16; FRAME_WAYS] {
-        let mut acc = 0u64;
-        let mut x = addr;
-        let mut byte = 0usize;
-        while x != 0 {
-            acc ^= self.table[byte][(x & 0xff) as usize];
-            x >>= 8;
-            byte += 1;
-        }
-        std::array::from_fn(|w| (acc >> (16 * w)) as u16)
-    }
-
-    /// Way `w`'s H3 hash of `addr` by definition: the XOR of the matrix
-    /// rows its set bits select. Reads no table.
-    fn reference(&self, w: usize, mut addr: LineAddr) -> u64 {
-        let mut out = 0;
-        while addr != 0 {
-            out ^= self.matrices[w][addr.trailing_zeros() as usize];
-            addr &= addr - 1;
-        }
-        out
-    }
 }
 
 impl ZArray {
@@ -213,8 +153,11 @@ impl ZArray {
         let way_seed = |w: u32| seed.wrapping_mul(0x1000).wrapping_add(u64::from(w));
         let index = if ways as usize == FRAME_WAYS && hash == HashKind::H3 && row_bits <= u16::BITS
         {
-            let matrices = std::array::from_fn(|w| H3Hash::matrix(way_seed(w as u32)));
-            WayIndex::Packed(PackedH3::new(matrices, row_bits))
+            let matrices = [0, 1, 2, 3].map(|w| H3Hash::matrix(way_seed(w)));
+            let mask = (1u64 << row_bits) - 1;
+            WayIndex::Packed(Gf2Table::new(std::array::from_fn(|bit| {
+                (0..FRAME_WAYS).fold(0, |acc, w| acc | (matrices[w][bit] & mask) << (16 * w))
+            })))
         } else {
             WayIndex::PerWay((0..ways).map(|w| hash.build(way_seed(w))).collect())
         };
@@ -286,7 +229,7 @@ impl ZArray {
     /// The row `addr` hashes to in `way`.
     pub fn row_of(&self, addr: LineAddr, way: u32) -> u64 {
         match &self.index {
-            WayIndex::Packed(p) => u64::from(p.rows(addr)[way as usize]),
+            WayIndex::Packed(t) => t.apply(addr) >> (16 * way) & 0xffff,
             WayIndex::PerWay(h) => h[way as usize].index(addr, self.row_bits),
         }
     }
@@ -295,15 +238,11 @@ impl ZArray {
     /// the packed table; `None` for arrays on the per-way path.
     #[inline]
     fn rows4(&self, addr: LineAddr) -> Option<[u16; FRAME_WAYS]> {
-        let WayIndex::Packed(p) = &self.index else {
+        let WayIndex::Packed(t) = &self.index else {
             return None;
         };
-        let rows = p.rows(addr);
-        debug_assert!(
-            (0..FRAME_WAYS).all(|w| u64::from(rows[w]) == p.reference(w, addr) & (self.rows - 1)),
-            "packed H3 mismatch"
-        );
-        Some(rows)
+        let lanes = t.apply(addr);
+        Some(std::array::from_fn(|w| (lanes >> (16 * w)) as u16))
     }
 
     /// Statistics of the most recent walk.
@@ -1144,11 +1083,13 @@ mod tests {
 
     #[test]
     fn packed_rows_are_h3_by_definition() {
-        // Each way's row equals that way's own H3 function, built apart
-        // from the packed table, at every width the table serves: random
-        // lines with all eight bytes set (every byte position's table),
-        // the edge lines and tenant-tagged lines. At 17 row bits the
-        // array takes the per-way path with the same values.
+        // Each way's row equals that way's H3 matrix applied by
+        // definition (the XOR of the rows its set bits select, masked to
+        // the row bits), read from no table, at every width the packed
+        // table serves: random lines with all eight bytes set (every
+        // nibble position's table), the edge lines and tenant-tagged
+        // lines. At 17 row bits the array takes the per-way path with
+        // the same values.
         let mut rng = zhash::SplitMix64::new(0x9ac4);
         let mut addrs = vec![0, 1, INVALID_TAG - 1];
         while addrs.len() < 200 {
@@ -1164,9 +1105,12 @@ mod tests {
                 let packed = matches!(z.index, WayIndex::Packed(_));
                 assert_eq!(packed, row_bits <= 16, "{row_bits} row bits");
                 for w in 0..4u32 {
-                    let h3 = H3Hash::new(seed.wrapping_mul(0x1000).wrapping_add(u64::from(w)));
+                    let q = H3Hash::matrix(seed.wrapping_mul(0x1000).wrapping_add(u64::from(w)));
                     for &a in &addrs {
-                        let want = h3.index(a, row_bits);
+                        let want = (0..64)
+                            .filter(|&i| a >> i & 1 == 1)
+                            .fold(0, |acc, i| acc ^ q[i])
+                            & ((1 << row_bits) - 1);
                         assert_eq!(
                             z.row_of(a, w),
                             want,

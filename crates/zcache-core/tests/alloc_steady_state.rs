@@ -19,8 +19,9 @@ use std::cell::Cell;
 
 use zcache_core::{
     AdaptiveConfig, CacheArray, CandidateSet, FullLru, InstallOutcome, LruStack, PartitionConfig,
-    PartitionedCache, PolicyKind, ShadowDuel, TenantGrant, WalkKind, ZArray,
+    PartitionedCache, PolicyKind, SetAssocArray, ShadowDuel, TenantGrant, WalkKind, ZArray,
 };
+use zhash::HashKind;
 
 struct CountingAlloc;
 
@@ -206,34 +207,53 @@ fn built<T>(build: impl FnOnce() -> T) -> (T, u64) {
     (built, bytes() - before)
 }
 
+/// One [`zhash::Gf2Table`]: 64 columns and 16 nibble tables of 16
+/// images, 8 bytes each, in one allocation of 2.5 KiB.
+const GF2_TABLE: u64 = 64 * 8 + 16 * 16 * 8;
+
 /// A zsim L2 bank's array, 2048 frames of a Z4/52: its 16-byte frames,
-/// one 16 KiB table of four 16-bit row lanes per address byte value and
-/// position, and the slack: four 512-byte H3 matrices and the walk
-/// buffers sized to 52 candidates. Tables of full 64-bit hashes per way
-/// would add 48 KiB at least.
+/// one table of four 16-bit row lanes and the walk buffers sized to 52
+/// candidates (1 664 bytes), within 2 KiB of slack. Byte-sliced lanes
+/// took 16 KiB, and the four H3 matrices kept beside them 2 KiB more;
+/// tables of full 64-bit hashes per way would add 48 KiB at least.
 #[test]
 fn zarray_footprint_is_frames_and_one_row_table() {
     const FRAMES: u64 = 2048 * 16;
-    const TABLE: u64 = 16 << 10;
-    const SLACK: u64 = 4 << 10;
+    const SLACK: u64 = 2 << 10;
     for seed in [1, 7] {
         let (z, got) = built(|| ZArray::new(2048, 4, 3, seed));
         assert_eq!(z.lines(), 2048);
         assert!(
-            got <= FRAMES + TABLE + SLACK,
+            got <= FRAMES + GF2_TABLE + SLACK,
             "ZArray::new(2048, 4, 3, {seed}) allocated {got} bytes, over {}",
-            FRAMES + TABLE + SLACK
+            FRAMES + GF2_TABLE + SLACK
+        );
+    }
+}
+
+/// The hashed set-associative baseline of 4096 frames: its 8-byte tags
+/// and one H3 table, nothing else.
+#[test]
+fn set_assoc_h3_footprint_is_tags_and_one_table() {
+    const TAGS: u64 = 4096 * 8;
+    for seed in [1, 7] {
+        let (a, got) = built(|| SetAssocArray::new(4096, 4, HashKind::H3, seed));
+        assert_eq!(a.lines(), 4096);
+        assert_eq!(
+            got,
+            TAGS + GF2_TABLE,
+            "SetAssocArray::new(4096, 4, H3, {seed})"
         );
     }
 }
 
 /// The walk-budget duel of a 1024-frame cache: two 64-frame shadow
-/// Z4 caches (1 in 16 lines sampled), each one row table (16 KiB), its
-/// H3 matrices (2 KiB), its frames (1 KiB) and its policy and walk
-/// buffers, all within 24 KiB a shadow.
+/// Z4 caches (1 in 16 lines sampled), each its frames (1 KiB), one row
+/// table (2.5 KiB) and its policy and walk buffers. Both together
+/// allocate 10 112 bytes; the bound allows 1 KiB more per shadow.
 #[test]
 fn shadow_duel_footprint_is_two_small_caches() {
-    const BOUND: u64 = 2 * (24 << 10);
+    const BOUND: u64 = 10_112 + 2 * (1 << 10);
     let (_duel, got) =
         built(|| ShadowDuel::for_geometry(1024, 4, 3, FullLru::new, AdaptiveConfig::default()));
     assert!(

@@ -1,4 +1,5 @@
-//! The H3 family of universal hash functions.
+//! The H3 family of universal hash functions, and the nibble-sliced
+//! table that evaluates it.
 
 use crate::rng::SplitMix64;
 use crate::Hasher64;
@@ -15,6 +16,9 @@ use crate::Hasher64;
 /// *pairwise independent*: for `x != y`, `hash(x)` and `hash(y)` collide on
 /// any index bit with probability exactly 1/2.
 ///
+/// The function is evaluated through one boxed [`Gf2Table`] whose
+/// columns are the rows of `Q`: 2.5 KiB in all.
+///
 /// # Examples
 ///
 /// ```
@@ -27,15 +31,9 @@ use crate::Hasher64;
 /// let (r0, r1) = (way0.index(line, 12), way1.index(line, 12));
 /// assert!(r0 < 4096 && r1 < 4096);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct H3Hash {
-    rows: [u64; 64],
-    // Byte-sliced evaluation tables: `tables[b][v]` is the XOR of the
-    // rows selected by byte value `v` placed at byte position `b`. By
-    // GF(2) linearity, XORing one lookup per input byte reproduces the
-    // row-per-bit definition exactly, in at most 8 loads instead of up
-    // to 64 row XORs.
-    tables: Box<[[u64; 256]; 8]>,
+    table: Box<Gf2Table>,
 }
 
 impl H3Hash {
@@ -46,8 +44,8 @@ impl H3Hash {
     }
 
     /// The matrix [`H3Hash::new`] draws for `seed`, without building the
-    /// evaluation tables: for callers that evaluate several functions
-    /// through tables of their own.
+    /// evaluation table: for callers that evaluate several functions
+    /// through a table of their own.
     pub fn matrix(seed: u64) -> [u64; 64] {
         let mut rng = SplitMix64::new(seed ^ 0xa5a5_a5a5_0000_0001);
         std::array::from_fn(|_| rng.next_u64())
@@ -58,58 +56,87 @@ impl H3Hash {
     /// Useful in tests that need hand-crafted collision structure.
     pub fn from_rows(rows: [u64; 64]) -> Self {
         Self {
-            tables: build_tables(&rows),
-            rows,
+            table: Gf2Table::new(rows),
         }
     }
 
     /// The underlying matrix rows (row `i` is XORed in when input bit `i`
     /// is set).
     pub fn rows(&self) -> &[u64; 64] {
-        &self.rows
+        self.table.columns()
     }
 }
-
-fn build_tables(rows: &[u64; 64]) -> Box<[[u64; 256]; 8]> {
-    let mut tables = Box::new([[0u64; 256]; 8]);
-    for (byte, table) in tables.iter_mut().enumerate() {
-        for v in 1usize..256 {
-            // Peel the lowest set bit: the rest of `v` is already filled
-            // in at a smaller index.
-            table[v] = table[v & (v - 1)] ^ rows[8 * byte + v.trailing_zeros() as usize];
-        }
-    }
-    tables
-}
-
-impl std::fmt::Debug for H3Hash {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("H3Hash").field("rows", &self.rows).finish()
-    }
-}
-
-impl PartialEq for H3Hash {
-    fn eq(&self, other: &Self) -> bool {
-        // The tables are a pure function of the rows.
-        self.rows == other.rows
-    }
-}
-
-impl Eq for H3Hash {}
 
 impl Hasher64 for H3Hash {
     #[inline(always)]
-    fn hash(&self, mut x: u64) -> u64 {
-        // Line addresses are small, so the high bytes are almost always
-        // zero; stop as soon as the remaining input is exhausted.
-        let mut out = 0u64;
-        let mut byte = 0usize;
-        while x != 0 {
-            out ^= self.tables[byte][(x & 0xff) as usize];
-            x >>= 8;
-            byte += 1;
+    fn hash(&self, x: u64) -> u64 {
+        self.table.apply(x)
+    }
+}
+
+/// A linear map over GF(2) on 64-bit words, evaluated through
+/// nibble-sliced lookup tables.
+///
+/// The image of `x` is the XOR of the columns `columns[i]` over the set
+/// bits `i` of `x`, so by linearity it is also the XOR of the images of
+/// its 16 nibbles: one load each from a 16-entry table per position,
+/// 2 KiB in all, where byte slices take 16 KiB. The columns (512 B)
+/// stay beside the tables as the map's definition, which debug builds
+/// check every evaluation against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Gf2Table {
+    columns: [u64; 64],
+    /// `nibbles[n][v]`: the image of nibble value `v` at nibble position
+    /// `n` (input bits `4n..4n + 4`).
+    nibbles: [[u64; 16]; 16],
+}
+
+impl Gf2Table {
+    /// Builds the tables of the map with these columns. Each entry is the
+    /// one with its lowest set bit peeled off, XORed with that bit's
+    /// column.
+    pub fn new(columns: [u64; 64]) -> Box<Self> {
+        let mut t = Box::new(Self {
+            columns,
+            nibbles: [[0; 16]; 16],
+        });
+        for (n, table) in t.nibbles.iter_mut().enumerate() {
+            for v in 1usize..16 {
+                table[v] = table[v & (v - 1)] ^ columns[4 * n + v.trailing_zeros() as usize];
+            }
         }
+        t
+    }
+
+    /// The images of the unit vectors: `columns()[i]` is the image of
+    /// `1 << i`.
+    pub fn columns(&self) -> &[u64; 64] {
+        &self.columns
+    }
+
+    /// The image of `x`: two table loads per byte of `x`, up to its
+    /// highest non-zero byte (line addresses are small, so the high
+    /// bytes are almost always zero).
+    #[inline(always)]
+    pub fn apply(&self, x: u64) -> u64 {
+        let mut out = 0;
+        let mut rest = x;
+        for pair in self.nibbles.chunks_exact(2) {
+            if rest == 0 {
+                break;
+            }
+            out ^= pair[0][(rest & 0xf) as usize] ^ pair[1][(rest >> 4 & 0xf) as usize];
+            rest >>= 8;
+        }
+        debug_assert_eq!(out, self.by_definition(x), "GF(2) table mismatch at {x:#x}");
         out
+    }
+
+    /// The image of `x` by definition: the XOR of the columns its set
+    /// bits select. Reads no table.
+    fn by_definition(&self, x: u64) -> u64 {
+        let selected = (0..64).filter(|&i| x >> i & 1 == 1);
+        selected.fold(0, |acc, i| acc ^ self.columns[i])
     }
 }
 
@@ -191,27 +218,31 @@ mod tests {
 
     #[test]
     fn table_evaluation_matches_row_definition() {
-        // The byte-sliced tables must reproduce the textbook definition
-        // (XOR of rows selected by set input bits) bit for bit.
-        let h = H3Hash::new(123);
-        let reference = |mut x: u64| {
-            let mut out = 0u64;
-            while x != 0 {
-                out ^= h.rows()[x.trailing_zeros() as usize];
-                x &= x - 1;
-            }
-            out
-        };
+        // The nibble tables must reproduce the textbook definition (XOR
+        // of the rows selected by the set input bits) bit for bit. The
+        // reference reads `rows()` alone, never a table.
         let mut rng = SplitMix64::new(55);
-        for _ in 0..10_000 {
-            let x = rng.next_u64();
-            assert_eq!(h.hash(x), reference(x), "x={x:#x}");
+        let mut inputs = vec![0, u64::MAX];
+        inputs.extend((0..10_000).map(|_| rng.next_u64()));
+        // Every value of every nibble position, so each table entry is
+        // read once.
+        inputs.extend((0..16).flat_map(|n| (1..16u64).map(move |v| v << (4 * n))));
+        // Tenant-tagged lines: a small line with a tag in the top byte.
+        inputs.extend((0..256u64).map(|t| rng.next_u64() >> 40 | t << 56));
+        for seed in [0, 123, u64::MAX] {
+            let h = H3Hash::new(seed);
+            let reference = |mut x: u64| {
+                let mut out = 0u64;
+                while x != 0 {
+                    out ^= h.rows()[x.trailing_zeros() as usize];
+                    x &= x - 1;
+                }
+                out
+            };
+            for &x in &inputs {
+                assert_eq!(h.hash(x), reference(x), "seed {seed} x={x:#x}");
+            }
         }
-        for bit in 0..64 {
-            let x = 1u64 << bit;
-            assert_eq!(h.hash(x), reference(x));
-        }
-        assert_eq!(h.hash(u64::MAX), reference(u64::MAX));
     }
 
     #[test]

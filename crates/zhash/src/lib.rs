@@ -8,6 +8,9 @@
 //!   functions (Carter & Wegman, 1977). The paper uses one H3 function per
 //!   cache way; each hash output bit is an XOR of a random subset of the
 //!   input bits.
+//! * [`Gf2Table`] — the nibble-sliced lookup table that evaluates any
+//!   linear map over GF(2), such as an H3 matrix or a zcache's four
+//!   packed way indices, in two loads per input byte from 2 KiB.
 //! * [`BitSelect`] — conventional bit-selection indexing (the identity
 //!   hash), i.e. what an unhashed set-associative cache does.
 //! * [`Mix64`] — a full-avalanche 64-bit finalizer. The paper uses SHA-1 as
@@ -38,7 +41,7 @@ mod rng;
 
 pub use bitsel::BitSelect;
 pub use bloom::BloomFilter;
-pub use h3::H3Hash;
+pub use h3::{Gf2Table, H3Hash};
 pub use mix::Mix64;
 pub use rng::SplitMix64;
 
@@ -126,7 +129,6 @@ impl std::fmt::Display for HashKind {
 /// Enum dispatch keeps cache hot paths free of virtual calls while letting
 /// configurations choose the family at run time.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // H3 carries its 512-byte matrix inline on purpose
 pub enum AnyHasher {
     /// See [`BitSelect`].
     BitSelect(BitSelect),

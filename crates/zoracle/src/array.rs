@@ -9,14 +9,14 @@
 //! Slot numbering matches the production arrays by construction (it is
 //! part of the observable contract being checked): skew/zcache frames
 //! are `way · rows + row`, set-associative frames are
-//! `set · ways + way`. Hash functions are shared configuration — the
-//! reference uses the same per-way H3/bit-select hashers, seeded
-//! identically, because the *placement function* is an input to both
-//! models, not the logic under test (zhash has its own statistical
-//! tests).
+//! `set · ways + way`. The reference draws the same per-way H3 matrices,
+//! seeded identically: which function places a block is an input to
+//! both models (zhash has its own statistical tests). How it is
+//! evaluated is under test, so the reference applies each matrix by
+//! definition and reads none of the production lookup tables.
 
 use crate::{CheckConfig, CheckDesign};
-use zhash::{AnyHasher, HashKind, Hasher64};
+use zhash::H3Hash;
 
 /// One replacement candidate discovered by the reference walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +58,13 @@ enum RefKind {
     Fully,
 }
 
+/// The low `bits` bits of `matrix` applied to `addr` by definition: the
+/// XOR of the rows its set bits select.
+fn apply_by_definition(matrix: &[u64; 64], addr: u64, bits: u32) -> u64 {
+    let selected = (0..64).filter(|&i| addr >> i & 1 == 1);
+    selected.fold(0, |acc, i| acc ^ matrix[i]) & ((1 << bits) - 1)
+}
+
 /// A brute-force reference tag array.
 #[derive(Debug, Clone)]
 pub struct RefArray {
@@ -67,8 +74,9 @@ pub struct RefArray {
     rows: u64,
     index_bits: u32,
     levels: u32,
-    /// Per-way hashers (walk kinds) or a single hasher (set-associative).
-    hashers: Vec<AnyHasher>,
+    /// Per-way placement matrices (walk kinds) or a single one
+    /// (set-associative), applied by [`apply_by_definition`].
+    matrices: Vec<[u64; 64]>,
     tags: Vec<Option<u64>>,
 }
 
@@ -83,10 +91,11 @@ impl RefArray {
         let lines = cfg.lines;
         match cfg.design {
             CheckDesign::SaBitsel | CheckDesign::SaH3 => {
-                let hash = if cfg.design == CheckDesign::SaBitsel {
-                    HashKind::BitSelect
+                // Bit selection is the identity matrix.
+                let matrix = if cfg.design == CheckDesign::SaBitsel {
+                    std::array::from_fn(|i| 1 << i)
                 } else {
-                    HashKind::H3
+                    H3Hash::matrix(cfg.seed)
                 };
                 let sets = lines / u64::from(cfg.ways);
                 assert!(sets.is_power_of_two(), "set count must be a power of two");
@@ -96,7 +105,7 @@ impl RefArray {
                     rows: sets,
                     index_bits: sets.trailing_zeros(),
                     levels: 1,
-                    hashers: vec![hash.build(cfg.seed)],
+                    matrices: vec![matrix],
                     tags: vec![None; lines as usize],
                 }
             }
@@ -113,9 +122,9 @@ impl RefArray {
                 );
                 // Same per-way seeding as the production ZArray: the hash
                 // functions are shared placement configuration.
-                let hashers = (0..cfg.ways)
+                let matrices = (0..cfg.ways)
                     .map(|w| {
-                        HashKind::H3.build(cfg.seed.wrapping_mul(0x1000).wrapping_add(u64::from(w)))
+                        H3Hash::matrix(cfg.seed.wrapping_mul(0x1000).wrapping_add(u64::from(w)))
                     })
                     .collect();
                 Self {
@@ -124,7 +133,7 @@ impl RefArray {
                     rows,
                     index_bits: rows.trailing_zeros(),
                     levels,
-                    hashers,
+                    matrices,
                     tags: vec![None; lines as usize],
                 }
             }
@@ -134,7 +143,7 @@ impl RefArray {
                 rows: lines,
                 index_bits: 0,
                 levels: 1,
-                hashers: Vec::new(),
+                matrices: Vec::new(),
                 tags: vec![None; lines as usize],
             },
         }
@@ -155,7 +164,7 @@ impl RefArray {
     pub fn lookup(&self, addr: u64) -> Option<u32> {
         match self.kind {
             RefKind::SetAssoc => {
-                let set = self.hashers[0].index(addr, self.index_bits);
+                let set = apply_by_definition(&self.matrices[0], addr, self.index_bits);
                 (0..self.ways)
                     .map(|w| (set * u64::from(self.ways) + u64::from(w)) as u32)
                     .find(|&s| self.tags[s as usize] == Some(addr))
@@ -173,7 +182,7 @@ impl RefArray {
 
     /// Frame `addr` maps to in `way` (walk kinds only).
     fn walk_slot(&self, addr: u64, way: u32) -> u32 {
-        let row = self.hashers[way as usize].index(addr, self.index_bits);
+        let row = apply_by_definition(&self.matrices[way as usize], addr, self.index_bits);
         (u64::from(way) * self.rows + row) as u32
     }
 
@@ -210,7 +219,7 @@ impl RefArray {
         let cap = cap.max(self.ways) as usize;
         match self.kind {
             RefKind::SetAssoc => {
-                let set = self.hashers[0].index(addr, self.index_bits);
+                let set = apply_by_definition(&self.matrices[0], addr, self.index_bits);
                 (0..self.ways)
                     .map(|w| {
                         let slot = (set * u64::from(self.ways) + u64::from(w)) as u32;
