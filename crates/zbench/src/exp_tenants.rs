@@ -23,8 +23,12 @@
 //! The partitioned cache's zoracle lockstep, and the quota-bypass
 //! mutant it catches, run in `zbench check` ([`crate::exp_check`]).
 //!
-//! Points fan out over the [`SweepRunner`]; all randomness derives from
-//! [`point_seed`], so output is byte-identical for any `--jobs` value.
+//! Each mix is one point of the [`SweepRunner`]. A point builds every
+//! mode's cache up front, then draws the mix's stream 2 048 references
+//! at a time into one reused 32 KiB buffer and runs every mode over
+//! each chunk before drawing the next, so no point holds the whole
+//! stream. All randomness derives from [`point_seed`], so output is
+//! byte-identical for any `--jobs` value.
 //!
 //! [`ShadowDuel`]: zcache_core::ShadowDuel
 
@@ -118,106 +122,127 @@ fn grants(mix: &TenantMix, opts: &TenantOpts) -> Vec<TenantGrant> {
         .collect()
 }
 
-/// One sweep point: a mix run in one mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Partitioned,
-    Shared,
-    Solo(usize),
-}
+/// References drawn from a mix's stream at a time. Every mode's cache
+/// runs over one chunk before the next is drawn, so a point holds
+/// 2 048 × 16 B = 32 KiB of the stream, whatever `accesses` is.
+const CHUNK: usize = 2048;
 
-/// One reference of a mix's interleaved stream in 16 bytes: the
-/// [`MemRef`](zworkloads::MemRef) fields and the tenant, a `u8` because
-/// a partitioned cache takes at most
+/// One reference of a mix's interleaved stream in 16 bytes: what a
+/// cache access takes of the [`MemRef`](zworkloads::MemRef) and the
+/// tenant, a `u8` because a partitioned cache takes at most
 /// [`MAX_TENANTS`](zcache_core::partition::MAX_TENANTS) = 64.
 #[derive(Debug, Clone, Copy)]
 struct TaggedRef {
     line: u64,
-    gap: u32,
     write: bool,
     tenant: u8,
 }
 const _: () = assert!(std::mem::size_of::<TaggedRef>() == 16);
 
-/// Per-tenant counters of one mode run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct ModeStat {
-    misses: Vec<u64>,
-    instructions: Vec<u64>,
-    occupancies: Vec<u64>,
+/// The caches of a mix's three modes, all seeded with `cfg_seed`: the
+/// partitioned cache with its per-tenant [`ShadowDuel`]s, the shared
+/// cache with quota enforcement off, and one solo cache per tenant, in
+/// which that tenant is tenant 0 with the whole array as its quota.
+struct ModeCaches {
+    part: PartitionedCache,
+    shared: PartitionedCache,
+    solo: Vec<PartitionedCache>,
 }
 
-fn run_mode(
-    mix: &TenantMix,
-    mode: Mode,
-    opts: &TenantOpts,
-    cfg_seed: u64,
-    stream: &[TaggedRef],
-) -> ModeStat {
-    let k = mix.tenant_count();
-    let grants = grants(mix, opts);
-    let mut cfg = match mode {
-        Mode::Solo(_) => PartitionConfig::new(
-            opts.lines,
-            opts.ways,
-            opts.levels,
-            PolicyKind::Lru,
-            cfg_seed,
-            vec![TenantGrant {
-                quota: opts.lines,
-                walk_budget: u32::MAX,
-            }],
-        ),
-        _ => PartitionConfig::new(
-            opts.lines,
-            opts.ways,
-            opts.levels,
-            PolicyKind::Lru,
-            cfg_seed,
-            grants,
-        ),
-    };
-    match mode {
-        Mode::Partitioned => cfg.adaptive = Some(AdaptiveConfig::default()),
-        Mode::Shared => cfg.enforce_quota = false,
-        Mode::Solo(_) => {}
-    }
-    let mut cache = PartitionedCache::new(&cfg);
-    let mut instructions = vec![0u64; k];
-    for r in stream {
-        let t = usize::from(r.tenant);
-        instructions[t] += u64::from(r.gap);
-        match mode {
-            Mode::Solo(me) => {
-                if t == me {
-                    cache.access(0, r.line, r.write);
-                }
-            }
-            _ => {
-                cache.access(t, r.line, r.write);
-            }
+impl ModeCaches {
+    fn new(mix: &TenantMix, opts: &TenantOpts, cfg_seed: u64) -> Self {
+        let config = |tenants| {
+            PartitionConfig::new(
+                opts.lines,
+                opts.ways,
+                opts.levels,
+                PolicyKind::Lru,
+                cfg_seed,
+                tenants,
+            )
+        };
+        let mut part = config(grants(mix, opts));
+        part.adaptive = Some(AdaptiveConfig::default());
+        let mut shared = config(grants(mix, opts));
+        shared.enforce_quota = false;
+        let solo = config(vec![TenantGrant {
+            quota: opts.lines,
+            walk_budget: u32::MAX,
+        }]);
+        Self {
+            part: PartitionedCache::new(&part),
+            shared: PartitionedCache::new(&shared),
+            solo: (0..mix.tenant_count())
+                .map(|_| PartitionedCache::new(&solo))
+                .collect(),
         }
     }
-    let misses = (0..k)
-        .map(|t| match mode {
-            Mode::Solo(me) => {
-                if t == me {
-                    cache.tenant_stats(0).misses
-                } else {
-                    0
-                }
+
+    /// Runs every mode over `chunk`: each cache sees its references in
+    /// stream order, as if it ran over the whole stream alone.
+    fn access(&mut self, chunk: &[TaggedRef]) {
+        for r in chunk {
+            self.part.access(usize::from(r.tenant), r.line, r.write);
+        }
+        for r in chunk {
+            self.shared.access(usize::from(r.tenant), r.line, r.write);
+        }
+        for r in chunk {
+            self.solo[usize::from(r.tenant)].access(0, r.line, r.write);
+        }
+    }
+}
+
+/// One sweep point: mix `m`'s stream, drawn [`CHUNK`] references at a
+/// time into `chunk`, through every mode's cache.
+fn run_mix(
+    m: usize,
+    mix: &TenantMix,
+    opts: &TenantOpts,
+    zipf: &mut ZipfCache,
+    chunk: &mut Vec<TaggedRef>,
+) -> MixSummary {
+    let k = mix.tenant_count();
+    let mut caches = ModeCaches::new(mix, opts, point_seed(opts.seed, 2 * m as u64));
+    let mut src = mix.stream(point_seed(opts.seed, 2 * m as u64 + 1), zipf);
+    // A tenant's instructions are a function of the stream alone, the
+    // same in every mode.
+    let mut instructions = vec![0u64; k];
+    let mut left = opts.accesses;
+    while left > 0 {
+        let n = left.min(CHUNK);
+        chunk.clear();
+        chunk.extend((0..n).map(|_| {
+            let (t, r) = src.next_tagged();
+            instructions[t] += u64::from(r.gap);
+            TaggedRef {
+                line: r.line,
+                write: r.write,
+                tenant: u8::try_from(t).expect("at most MAX_TENANTS tenants"),
             }
-            _ => cache.tenant_stats(t).misses,
+        }));
+        caches.access(chunk);
+        left -= n;
+    }
+
+    let grants = grants(mix, opts);
+    let occupancies = caches.part.occupancies();
+    let rows: Vec<TenantRow> = (0..k)
+        .map(|t| TenantRow {
+            tenant: t,
+            instructions: instructions[t],
+            solo_mpki: mpki(caches.solo[t].tenant_stats(0).misses, instructions[t]),
+            shared_mpki: mpki(caches.shared.tenant_stats(t).misses, instructions[t]),
+            part_mpki: mpki(caches.part.tenant_stats(t).misses, instructions[t]),
+            occupancy: occupancies[t],
+            quota: grants[t].quota,
         })
         .collect();
-    let occupancies = match mode {
-        Mode::Solo(_) => vec![0; k],
-        _ => cache.occupancies(),
-    };
-    ModeStat {
-        misses,
-        instructions,
-        occupancies,
+    MixSummary {
+        mix: mix.name().to_string(),
+        jain_shared: jain(&rows, |r| r.shared_mpki),
+        jain_part: jain(&rows, |r| r.part_mpki),
+        rows,
     }
 }
 
@@ -260,81 +285,19 @@ pub fn check_geometry(opts: &TenantOpts) -> Result<(), String> {
 
 /// Runs the isolation sweep over every standard mix.
 ///
-/// Points are `(mix, mode)` pairs fanned out over the [`SweepRunner`];
-/// all modes of a mix replay the same `point_seed`-derived stream, so
-/// solo vs shared vs partitioned MPKI deltas are exact (not sampling
-/// noise), and output is byte-identical for any `--jobs` value.
+/// Each mix is one point of the [`SweepRunner`], so `--jobs` spreads
+/// the mixes, not their modes, over workers. A point generates its
+/// mix's `point_seed`-derived stream once and runs every mode over it
+/// chunk by chunk, so solo vs shared vs partitioned MPKI deltas are
+/// exact (not sampling noise), a worker holds one 2 048-reference
+/// chunk of the stream whatever `accesses` is, and output is
+/// byte-identical for any `--jobs` value.
 pub fn run(opts: &TenantOpts) -> Vec<MixSummary> {
     let mixes = standard_mixes(opts.lines);
-    let mut points: Vec<(usize, Mode)> = Vec::new();
-    for (m, mix) in mixes.iter().enumerate() {
-        points.push((m, Mode::Partitioned));
-        points.push((m, Mode::Shared));
-        for t in 0..mix.tenant_count() {
-            points.push((m, Mode::Solo(t)));
-        }
-    }
-
-    // Every mode of a mix replays the same stream, a pure function of
-    // the mix, so a worker keeps the last mix's stream (a
-    // point-independent cache) and regenerates it only when its next
-    // point belongs to another mix.
-    let scratch = || (ZipfCache::new(), usize::MAX, Vec::new());
-    let stats = SweepRunner::new(opts.jobs).run_with(points.len(), scratch, |p, state| {
-        let (zipf, stream_mix, stream) = state;
-        let (m, mode) = points[p];
-        let mix = &mixes[m];
-        if *stream_mix != m {
-            let mut src = mix.stream(point_seed(opts.seed, 2 * m as u64 + 1), zipf);
-            stream.clear();
-            stream.extend((0..opts.accesses).map(|_| {
-                let (t, r) = src.next_tagged();
-                TaggedRef {
-                    line: r.line,
-                    gap: r.gap,
-                    write: r.write,
-                    tenant: u8::try_from(t).expect("at most MAX_TENANTS tenants"),
-                }
-            }));
-            *stream_mix = m;
-        }
-        run_mode(mix, mode, opts, point_seed(opts.seed, 2 * m as u64), stream)
-    });
-
-    let mut out = Vec::new();
-    for (m, mix) in mixes.iter().enumerate() {
-        let k = mix.tenant_count();
-        let grants = grants(mix, opts);
-        let stat = |want: Mode| -> &ModeStat {
-            let idx = points.iter().position(|&(pm, md)| pm == m && md == want);
-            &stats[idx.expect("every mode of every mix is a point")]
-        };
-        let part = stat(Mode::Partitioned);
-        let shared = stat(Mode::Shared);
-        let rows: Vec<TenantRow> = (0..k)
-            .map(|t| {
-                let solo = stat(Mode::Solo(t));
-                TenantRow {
-                    tenant: t,
-                    instructions: part.instructions[t],
-                    solo_mpki: mpki(solo.misses[t], solo.instructions[t]),
-                    shared_mpki: mpki(shared.misses[t], shared.instructions[t]),
-                    part_mpki: mpki(part.misses[t], part.instructions[t]),
-                    occupancy: part.occupancies[t],
-                    quota: grants[t].quota,
-                }
-            })
-            .collect();
-        let jain_shared = jain(&rows, |r| r.shared_mpki);
-        let jain_part = jain(&rows, |r| r.part_mpki);
-        out.push(MixSummary {
-            mix: mix.name().to_string(),
-            rows,
-            jain_shared,
-            jain_part,
-        });
-    }
-    out
+    let scratch = || (ZipfCache::new(), Vec::with_capacity(CHUNK));
+    SweepRunner::new(opts.jobs).run_with(mixes.len(), scratch, |m, (zipf, chunk)| {
+        run_mix(m, &mixes[m], opts, zipf, chunk)
+    })
 }
 
 /// Renders the sweep: one table per mix plus the Jain fairness lines.
@@ -392,6 +355,91 @@ mod tests {
             lines: 256,
             jobs: 2,
             ..TenantOpts::default()
+        }
+    }
+
+    /// The sweep as one point per (mix, mode): the mix's whole stream
+    /// stored, then each mode's cache built and driven over it alone.
+    fn reference(opts: &TenantOpts) -> Vec<MixSummary> {
+        let mut zipf = ZipfCache::new();
+        let mixes = standard_mixes(opts.lines);
+        let mut out = Vec::new();
+        for (m, mix) in mixes.iter().enumerate() {
+            let k = mix.tenant_count();
+            let mut src = mix.stream(point_seed(opts.seed, 2 * m as u64 + 1), &mut zipf);
+            let stream: Vec<_> = (0..opts.accesses).map(|_| src.next_tagged()).collect();
+            let mut instructions = vec![0u64; k];
+            for (t, r) in &stream {
+                instructions[*t] += u64::from(r.gap);
+            }
+            let config = |tenants| {
+                PartitionConfig::new(
+                    opts.lines,
+                    opts.ways,
+                    opts.levels,
+                    PolicyKind::Lru,
+                    point_seed(opts.seed, 2 * m as u64),
+                    tenants,
+                )
+            };
+            let mut part_cfg = config(grants(mix, opts));
+            part_cfg.adaptive = Some(AdaptiveConfig::default());
+            let mut part = PartitionedCache::new(&part_cfg);
+            for (t, r) in &stream {
+                part.access(*t, r.line, r.write);
+            }
+            let mut shared_cfg = config(grants(mix, opts));
+            shared_cfg.enforce_quota = false;
+            let mut shared = PartitionedCache::new(&shared_cfg);
+            for (t, r) in &stream {
+                shared.access(*t, r.line, r.write);
+            }
+            let solo_misses: Vec<u64> = (0..k)
+                .map(|me| {
+                    let mut solo = PartitionedCache::new(&config(vec![TenantGrant {
+                        quota: opts.lines,
+                        walk_budget: u32::MAX,
+                    }]));
+                    for (_, r) in stream.iter().filter(|(t, _)| *t == me) {
+                        solo.access(0, r.line, r.write);
+                    }
+                    solo.tenant_stats(0).misses
+                })
+                .collect();
+            let rows: Vec<TenantRow> = (0..k)
+                .map(|t| TenantRow {
+                    tenant: t,
+                    instructions: instructions[t],
+                    solo_mpki: mpki(solo_misses[t], instructions[t]),
+                    shared_mpki: mpki(shared.tenant_stats(t).misses, instructions[t]),
+                    part_mpki: mpki(part.tenant_stats(t).misses, instructions[t]),
+                    occupancy: part.occupancies()[t],
+                    quota: grants(mix, opts)[t].quota,
+                })
+                .collect();
+            out.push(MixSummary {
+                mix: mix.name().to_string(),
+                jain_shared: jain(&rows, |r| r.shared_mpki),
+                jain_part: jain(&rows, |r| r.part_mpki),
+                rows,
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_modes_match_modes_run_alone() {
+        // One reference, a chunk less one, a chunk, a chunk and one, and
+        // two chunks and seven: the last chunk is partial, full or the
+        // only one.
+        for accesses in [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7] {
+            let opts = TenantOpts {
+                accesses,
+                lines: 256,
+                jobs: 2,
+                ..TenantOpts::default()
+            };
+            assert_eq!(run(&opts), reference(&opts), "{accesses} accesses");
         }
     }
 

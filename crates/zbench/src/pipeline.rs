@@ -9,11 +9,13 @@
 //! The trace is trimmed to its length after each recording, and the
 //! oracle's position table lives only while the oracle is built, so
 //! neither is held at more than its size beside the replays' L2 banks.
+//! The oracle and the replay index are each built once per recording,
+//! on the first replay that needs them.
 
 use crate::opts::ExpOpts;
 use crate::{point_seed, SweepRunner};
 use zcache_core::PolicyKind;
-use zsim::trace::{record_trace_into, replay_with, L2Trace, ReplayScratch};
+use zsim::trace::{IndexedTrace, L2Trace, ReplayScratch};
 use zsim::{SimConfig, SimStats};
 use zworkloads::{Workload, ZipfCache};
 
@@ -51,7 +53,7 @@ where
 #[derive(Debug, Default)]
 pub struct PointScratch {
     zipf: ZipfCache,
-    trace: L2Trace,
+    trace: IndexedTrace,
     next_uses: Vec<u32>,
     replay: ReplayScratch,
     /// Whether `next_uses` matches the current `trace`.
@@ -67,31 +69,32 @@ impl PointScratch {
     /// Records `workload`'s L2 stream into the reused trace buffer,
     /// replacing the previous point's trace.
     pub fn record(&mut self, cfg: &SimConfig, workload: &Workload) {
-        record_trace_into(cfg, workload, &mut self.zipf, &mut self.trace);
+        self.trace.record(cfg, workload, &mut self.zipf);
         self.oracle_ready = false;
     }
 
     /// The currently recorded trace.
     pub fn trace(&self) -> &L2Trace {
-        &self.trace
+        self.trace.trace()
     }
 
     /// Replays the recorded trace under `cfg`, computing the next-use
     /// oracle lazily: the backward pass runs at most once per recorded
     /// trace (on the first OPT replay), and not at all for policies that
     /// never consult it. Its position table is dropped as soon as the
-    /// pass ends.
+    /// pass ends. The replay index is built once per recorded trace too
+    /// ([`IndexedTrace::replay`]).
     pub fn replay(&mut self, cfg: &SimConfig) -> SimStats {
         let oracle = if cfg.l2.policy == PolicyKind::Opt {
             if !self.oracle_ready {
-                self.trace.fill_next_uses(&mut self.next_uses);
+                self.trace.trace().fill_next_uses(&mut self.next_uses);
                 self.oracle_ready = true;
             }
             Some(self.next_uses.as_slice())
         } else {
             None
         };
-        replay_with(cfg, &self.trace, oracle, &mut self.replay)
+        self.trace.replay(cfg, oracle, &mut self.replay)
     }
 }
 
@@ -131,12 +134,16 @@ mod tests {
         let mut scratch = PointScratch::new();
         // Three points back-to-back through one scratch: buffer carry-over
         // from one must not perturb the next, and the third regrows the
-        // trace buffer the second trimmed.
+        // trace buffer the second trimmed. gcc's trace is the shorter, so
+        // its replays would read past its end through canneal's index,
+        // and each trace's second and third replays reuse its own.
+        let mut lens = Vec::new();
         for name in ["canneal", "gcc", "canneal"] {
             let wl = by_name(name, 4, Scale::SMALL).unwrap();
             scratch.record(&cfg, &wl);
             let fresh = record_trace(&cfg, &wl);
             assert_eq!(scratch.trace().refs, fresh.refs, "{name}: trace");
+            lens.push(fresh.len());
             for design in [
                 L2Design::baseline(),
                 L2Design::zcache(4, 3).with_policy(PolicyKind::Opt),
@@ -150,5 +157,6 @@ mod tests {
                 );
             }
         }
+        assert!(lens[1] < lens[0], "trace lengths {lens:?}");
     }
 }

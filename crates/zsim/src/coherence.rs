@@ -50,6 +50,16 @@ impl Directory {
         bank * self.frames_per_bank + slot.idx()
     }
 
+    /// The bank and slot of directory index `f`: the inverse of
+    /// [`frame`](Self::frame).
+    #[inline]
+    pub(crate) fn bank_slot(&self, f: usize) -> (usize, SlotId) {
+        (
+            f / self.frames_per_bank,
+            SlotId((f % self.frames_per_bank) as u32),
+        )
+    }
+
     #[inline]
     fn is_modified(&self, f: usize) -> bool {
         self.modified[f / 64] & (1 << (f % 64)) != 0
@@ -194,6 +204,8 @@ mod tests {
         let d = dir();
         assert_eq!(d.frame(0, SlotId(5)), 5);
         assert_eq!(d.frame(1, SlotId(6)), 70);
+        assert_eq!(d.bank_slot(5), (0, SlotId(5)));
+        assert_eq!(d.bank_slot(70), (1, SlotId(6)));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::config::SimConfig;
 use crate::l2::L2;
 use crate::sched::Scheduler;
 use crate::stats::SimStats;
-use zcache_core::{DynCache, PolicyKind, SlotId};
+use zcache_core::{CacheArray, DynCache, PolicyKind, SlotId};
 use zworkloads::{AddressStream, MemRef, Workload};
 
 /// The simulated machine: 32 in-order cores (IPC = 1 except on memory
@@ -35,6 +35,11 @@ pub struct System {
     l1s: Vec<DynCache>,
     l2: L2,
     dir: Directory,
+    /// Per core and L1 frame (`core * l1_lines + frame`), the bank-major
+    /// L2 frame ([`Directory::frame`]) the L1 frame's line was filled
+    /// from. A relocation may since have moved the line, so a reader
+    /// checks that frame's tag first ([`resident`](Self::resident)).
+    l1_homes: Vec<u32>,
     invalidation_rounds: u64,
     downgrades: u64,
     back_invalidations: u64,
@@ -49,7 +54,9 @@ impl System {
     /// Panics if the L2 policy is [`PolicyKind::Opt`] (OPT needs future
     /// knowledge; use [`crate::trace`]'s record/replay mode), if
     /// [`SimConfig::cores`] is outside `1..=64` (the directory's sharer
-    /// masks are `u64`), or if the cache geometry is invalid.
+    /// masks are `u64`), if the L2 has more than 2³² frames (the L1s
+    /// remember their lines' L2 frames as `u32`), or if the cache
+    /// geometry is invalid.
     pub fn new(cfg: SimConfig) -> Self {
         assert!(
             (1..=64).contains(&cfg.cores),
@@ -60,10 +67,16 @@ impl System {
             cfg.l2.policy != PolicyKind::Opt,
             "OPT requires trace-driven simulation; use zsim::trace::record_trace + replay"
         );
+        let l2_frames = u64::from(cfg.l2_banks) * cfg.lines_per_bank();
+        assert!(
+            l2_frames <= 1 << 32,
+            "{l2_frames} L2 frames: an L1 frame's home is a u32"
+        );
         Self {
             l1s: (0..cfg.cores).map(|c| cfg.build_l1(c)).collect(),
             l2: L2::new(&cfg),
             dir: Directory::new(cfg.l2_banks as usize, cfg.lines_per_bank() as usize),
+            l1_homes: vec![0; cfg.cores as usize * cfg.l1_lines as usize],
             invalidation_rounds: 0,
             downgrades: 0,
             back_invalidations: 0,
@@ -91,7 +104,7 @@ impl System {
         if out.hit {
             // Upgrade: invalidate other sharers if any.
             if write {
-                let (b, slot) = self.resident(line);
+                let (b, slot) = self.resident(core, out.slot, line);
                 let f = self.dir.frame(b, slot);
                 if self.dir.owner(f) != Some(core) {
                     let others = self.dir.make_owner(f, core);
@@ -102,9 +115,11 @@ impl System {
         }
 
         // L1 victim: update directory; write back dirty data to the
-        // inclusive L2. One lookup finds the victim's frame for both.
+        // inclusive L2. `resident` finds the victim's frame once for
+        // both. The L1 is set-associative, so the victim left the frame
+        // the line fills.
         if let Some(ev) = out.evicted {
-            let (b, slot) = self.resident(ev);
+            let (b, slot) = self.resident(core, out.slot, ev);
             self.dir.remove_sharer(self.dir.frame(b, slot), core);
             if out.evicted_dirty {
                 self.l2.write_back_at(b, slot, ev, u64::MAX, now);
@@ -117,6 +132,8 @@ impl System {
         let b = self.l2.bank_of(line);
         let (mut stall, lout) = self.l2.demand(b, line, false, u64::MAX, now);
         let f = self.dir.frame(b, lout.slot);
+        let home = self.home(core, out.slot);
+        self.l1_homes[home] = f as u32;
 
         if lout.hit {
             if write {
@@ -164,14 +181,32 @@ impl System {
         stall
     }
 
-    /// The bank and frame of `line`, which the inclusive L2 must hold.
+    /// The index of `core`'s L1 frame `l1_slot` in `l1_homes`.
     #[inline]
-    fn resident(&self, line: u64) -> (usize, SlotId) {
-        self.l2.locate(line).unwrap_or_else(|| {
-            panic!(
-                "inclusion violated: the directory updates {line:#x}, which the L2 does not hold"
-            )
-        })
+    fn home(&self, core: u32, l1_slot: SlotId) -> usize {
+        core as usize * self.cfg.l1_lines as usize + l1_slot.idx()
+    }
+
+    /// The bank and frame of `line`, held in `core`'s L1 frame
+    /// `l1_slot`, which the inclusive L2 must hold: the L2 frame the line
+    /// was filled from while its tag still reads `line`, else (a
+    /// relocation moved the line) a full lookup.
+    #[inline]
+    fn resident(&self, core: u32, l1_slot: SlotId, line: u64) -> (usize, SlotId) {
+        let (b, slot) = self
+            .dir
+            .bank_slot(self.l1_homes[self.home(core, l1_slot)] as usize);
+        let found = if self.l2.banks()[b].array().addr_at(slot) == Some(line) {
+            (b, slot)
+        } else {
+            self.l2.locate(line).unwrap_or_else(|| {
+                panic!(
+                    "inclusion violated: the directory updates {line:#x}, which the L2 does not hold"
+                )
+            })
+        };
+        debug_assert_eq!(Some(found), self.l2.locate(line), "line {line:#x}");
+        found
     }
 
     /// Invalidates `line` in the L1s of `others` (a write to a shared
@@ -395,6 +430,43 @@ mod tests {
             z.l2_mpki(),
             base.l2_mpki()
         );
+    }
+
+    #[test]
+    fn moved_lines_fall_back_to_a_lookup() {
+        // A 512-frame Z4/52 L2 beside four 64-frame L1s relocates
+        // L1-resident lines out of the frames they were filled from. A
+        // write hit on such a line must find it by a lookup; debug builds
+        // check every frame `resident` returns against `L2::locate`.
+        let mut cfg = tiny_cfg().with_l2(L2Design::zcache(4, 3));
+        cfg.l2_lines = 512;
+        let wl = Workload::multithreaded(
+            "pingpong-big",
+            CoreSpec::new(
+                vec![
+                    (0.4, Component::SharedUniform { lines: 32 }),
+                    (0.6, Component::SharedUniform { lines: 40_000 }),
+                ],
+                0.5,
+                4,
+            ),
+        );
+        let mut streams = wl.streams(4, cfg.seed);
+        let mut sys = System::new(cfg);
+        let (mut now, mut moved) = (0, 0);
+        for i in 0..40_000u64 {
+            let core = (i % 4) as u32;
+            let r = streams[core as usize].next_ref();
+            let l1 = sys.l1s[core as usize].array();
+            if let (true, Some(l1_slot)) = (r.write, l1.lookup(r.line)) {
+                let home = sys.l1_homes[sys.home(core, l1_slot)] as usize;
+                let (b, slot) = sys.dir.bank_slot(home);
+                moved += u64::from(sys.banks()[b].array().addr_at(slot) != Some(r.line));
+            }
+            now += u64::from(r.gap) + sys.access(core, r.line, r.write, now);
+        }
+        assert!(sys.stats().l2.relocations > 0, "zcache must relocate");
+        assert!(moved > 0, "no write hit found its line moved");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! holds one `u32` position per reference, with `u32::MAX` for "never
 //! used again"; its pass keys a table of bare `u32` positions by the
 //! lines they point at, 4 bytes per slot, and drops it at the end. The
-//! replay groups the trace's positions by core in one flat index. A
-//! trace therefore holds fewer than 2³² references, and the oracle and
-//! the replay refuse a longer one.
+//! replay groups the trace's positions by core in one flat index, which
+//! an [`IndexedTrace`] builds once per recording. A trace therefore
+//! holds fewer than 2³² references, and the oracle and the replay
+//! refuse a longer one.
 
 use crate::config::SimConfig;
 use crate::l2::L2;
@@ -307,18 +308,59 @@ pub fn record_trace_into(
     trace.l1_stats = l1_stats;
 }
 
-/// Reusable working state for [`replay_with`]: the trace's positions
-/// grouped by core, each core's cursor and end, and its clock. One
-/// instance per worker amortises the allocations across every
-/// `(design, policy)` replay of a sweep.
+/// A trace's positions grouped by core: core `c` replays
+/// `order[starts[c]..starts[c + 1]]`, in global order. It depends on
+/// the trace alone, so every replay of one trace can share it.
+#[derive(Debug, Default)]
+struct ReplayIndex {
+    order: Vec<u32>,
+    starts: Vec<usize>,
+}
+
+impl ReplayIndex {
+    /// Rebuilds the index for `trace`: a counting sort of its positions
+    /// by core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace holds 2³² or more references.
+    fn build(&mut self, trace: &L2Trace) {
+        check_positions(trace.refs.len());
+        let cores = trace.cores.max(1) as usize;
+        let Self { order, starts } = self;
+        // Core c's count goes to starts[c + 2], and the running sum then
+        // makes starts[c + 1] core c's first offset. The scatter advances
+        // it to core c's end, which is core c + 1's first offset, and the
+        // unused last entry goes.
+        starts.clear();
+        starts.resize(cores + 2, 0);
+        for r in &trace.refs {
+            starts[r.core as usize + 2] += 1;
+        }
+        for c in 2..cores + 2 {
+            starts[c] += starts[c - 1];
+        }
+        order.clear();
+        order.resize(trace.refs.len(), 0);
+        for (i, r) in trace.refs.iter().enumerate() {
+            let at = &mut starts[r.core as usize + 1];
+            order[*at] = i as u32;
+            *at += 1;
+        }
+        starts.pop();
+    }
+}
+
+/// Reusable working state for [`replay_with`] and
+/// [`IndexedTrace::replay`]: each core's cursor and clock, and the
+/// index [`replay_with`] builds. One instance per worker amortises the
+/// allocations across every `(design, policy)` replay of a sweep.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    /// Trace positions sorted by core, each core's in global order.
-    order: Vec<u32>,
-    /// Each core's next offset into `order`.
+    /// The index of the trace [`replay_with`] replays last.
+    index: ReplayIndex,
+    /// Each core's next offset into the index's `order`.
     heads: Vec<usize>,
-    /// The offset past each core's last position in `order`.
-    ends: Vec<usize>,
     cycles: Vec<u64>,
 }
 
@@ -326,6 +368,59 @@ impl ReplayScratch {
     /// An empty scratch (buffers grow on first use, then stick).
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// A recorded trace and its replay index, built on the first replay
+/// after each recording and shared by every later replay of that
+/// recording. The trace changes only through
+/// [`record`](Self::record), which drops the index, so no replay reads
+/// an index of another trace.
+#[derive(Debug, Default)]
+pub struct IndexedTrace {
+    trace: L2Trace,
+    index: ReplayIndex,
+    /// Whether `index` is `trace`'s.
+    indexed: bool,
+}
+
+impl IndexedTrace {
+    /// Records `workload`'s L2 stream as [`record_trace_into`] does,
+    /// replacing the previous recording and its index.
+    pub fn record(&mut self, cfg: &SimConfig, workload: &Workload, zipf: &mut ZipfCache) {
+        record_trace_into(cfg, workload, zipf, &mut self.trace);
+        self.indexed = false;
+    }
+
+    /// The recorded trace.
+    pub fn trace(&self) -> &L2Trace {
+        &self.trace
+    }
+
+    /// Replays the recorded trace as [`replay_with`] does, building its
+    /// index first if this recording has none yet.
+    ///
+    /// # Panics
+    ///
+    /// As [`replay_with`].
+    pub fn replay(
+        &mut self,
+        cfg: &SimConfig,
+        next_uses: Option<&[u32]>,
+        scratch: &mut ReplayScratch,
+    ) -> SimStats {
+        if !self.indexed {
+            self.index.build(&self.trace);
+            self.indexed = true;
+        }
+        replay_indexed(
+            cfg,
+            &self.trace,
+            &self.index,
+            next_uses,
+            &mut scratch.heads,
+            &mut scratch.cycles,
+        )
     }
 }
 
@@ -346,7 +441,8 @@ pub fn replay(cfg: &SimConfig, trace: &L2Trace) -> SimStats {
 }
 
 /// Replays `trace` like [`replay`], reusing `scratch` across calls and
-/// taking the next-use oracle from the caller.
+/// taking the next-use oracle from the caller. It indexes `trace` on
+/// every call; [`IndexedTrace::replay`] indexes a recording once.
 ///
 /// `next_uses` is only read by [`PolicyKind::Opt`] (the only policy that
 /// consults future knowledge), so callers replaying under other policies
@@ -367,6 +463,26 @@ pub fn replay_with(
     next_uses: Option<&[u32]>,
     scratch: &mut ReplayScratch,
 ) -> SimStats {
+    let ReplayScratch {
+        index,
+        heads,
+        cycles,
+    } = scratch;
+    index.build(trace);
+    replay_indexed(cfg, trace, index, next_uses, heads, cycles)
+}
+
+/// The replay of [`replay_with`] over `index`, which must be `trace`'s:
+/// each core's cursor in `heads` starts at its first offset in the
+/// index, and its clock in `cycles` at zero.
+fn replay_indexed(
+    cfg: &SimConfig,
+    trace: &L2Trace,
+    index: &ReplayIndex,
+    next_uses: Option<&[u32]>,
+    heads: &mut Vec<usize>,
+    cycles: &mut Vec<u64>,
+) -> SimStats {
     assert!(
         cfg.l2.policy != PolicyKind::Opt || next_uses.is_some(),
         "OPT replay requires next-use annotations"
@@ -374,44 +490,20 @@ pub fn replay_with(
     if let Some(n) = next_uses {
         assert!(n.len() >= trace.refs.len(), "next-use oracle too short");
     }
-    check_positions(trace.refs.len());
     let cores = trace.cores.max(1) as usize;
+    debug_assert_eq!(index.order.len(), trace.refs.len(), "stale replay index");
+    debug_assert_eq!(index.starts.len(), cores + 1, "stale replay index");
     let mut l2 = L2::new(cfg);
 
-    // Counting sort of the positions by core: core c replays
-    // `order[heads[c]..ends[c]]`, in global order.
-    let ReplayScratch {
-        order,
-        heads,
-        ends,
-        cycles,
-    } = scratch;
+    let ReplayIndex { order, starts } = index;
     heads.clear();
-    heads.resize(cores, 0);
-    for r in &trace.refs {
-        heads[r.core as usize] += 1;
-    }
-    let mut start = 0;
-    for h in heads.iter_mut() {
-        let count = *h;
-        *h = start;
-        start += count;
-    }
-    ends.clear();
-    ends.extend_from_slice(heads);
-    order.clear();
-    order.resize(trace.refs.len(), 0);
-    for (i, r) in trace.refs.iter().enumerate() {
-        let end = &mut ends[r.core as usize];
-        order[*end] = i as u32;
-        *end += 1;
-    }
+    heads.extend_from_slice(&starts[..cores]);
     cycles.clear();
     cycles.resize(cores, 0);
 
     let mut sched = Scheduler::new(cores);
     for c in 0..cores {
-        if heads[c] == ends[c] {
+        if heads[c] == starts[c + 1] {
             sched.retire(c);
         }
     }
@@ -432,7 +524,7 @@ pub fn replay_with(
         }
 
         cycles[c] = next;
-        (heads[c] < ends[c]).then_some(next)
+        (heads[c] < starts[c + 1]).then_some(next)
     });
 
     l2.sim_stats(
@@ -709,22 +801,36 @@ mod tests {
     }
 
     #[test]
-    fn replay_with_reused_scratch_matches_fresh() {
-        let wl = by_name("omnetpp", 4, Scale::SMALL).unwrap();
+    fn reused_scratch_and_indexed_trace_match_fresh_replays() {
+        // canneal's trace is longer than gcc's: replays of the second
+        // recording must not read the first one's index.
         let cfg = tiny_cfg();
-        let t = record_trace(&cfg, &wl);
-        let nu = t.next_uses();
+        let mut zipf = ZipfCache::new();
+        let mut indexed = IndexedTrace::default();
         let mut scratch = ReplayScratch::new();
-        for design in [
-            L2Design::baseline(),
-            L2Design::zcache(4, 3),
-            L2Design::baseline().with_policy(PolicyKind::Opt),
-        ] {
-            let dcfg = cfg.clone().with_l2(design);
-            let oracle = (dcfg.l2.policy == PolicyKind::Opt).then_some(nu.as_slice());
-            let reused = replay_with(&dcfg, &t, oracle, &mut scratch);
-            assert_eq!(reused, replay(&dcfg, &t), "design {design:?}");
+        let mut lens = Vec::new();
+        for name in ["canneal", "gcc"] {
+            let wl = by_name(name, 4, Scale::SMALL).unwrap();
+            indexed.record(&cfg, &wl, &mut zipf);
+            let t = record_trace(&cfg, &wl);
+            assert_eq!(indexed.trace().refs, t.refs, "{name}: trace");
+            lens.push(t.len());
+            let nu = t.next_uses();
+            for design in [
+                L2Design::baseline(),
+                L2Design::zcache(4, 3),
+                L2Design::baseline().with_policy(PolicyKind::Opt),
+            ] {
+                let dcfg = cfg.clone().with_l2(design);
+                let oracle = (dcfg.l2.policy == PolicyKind::Opt).then_some(nu.as_slice());
+                let fresh = replay(&dcfg, &t);
+                let reused = replay_with(&dcfg, &t, oracle, &mut scratch);
+                assert_eq!(reused, fresh, "{name}: replay_with, {design:?}");
+                let shared = indexed.replay(&dcfg, oracle, &mut scratch);
+                assert_eq!(shared, fresh, "{name}: IndexedTrace, {design:?}");
+            }
         }
+        assert!(lens[1] < lens[0], "trace lengths {lens:?}");
     }
 
     #[test]
@@ -753,11 +859,9 @@ mod tests {
             replay_with(&cfg, &t, None, &mut ReplayScratch::new())
         );
         assert_eq!(reused.l2.accesses, 300);
-        assert_eq!(scratch.order.len(), 300);
-        assert_eq!(
-            (scratch.heads.as_slice(), scratch.ends.as_slice()),
-            (&[200, 200, 300][..], &[200, 200, 300][..])
-        );
+        assert_eq!(scratch.index.order.len(), 300);
+        assert_eq!(scratch.index.starts, [0, 200, 200, 300]);
+        assert_eq!(scratch.heads, [200, 200, 300]);
     }
 
     #[test]

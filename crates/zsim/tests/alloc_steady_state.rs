@@ -140,15 +140,17 @@ fn zcache_system_access_is_allocation_free() {
 }
 
 /// `System::new` for the exec-z4-52 machine (SMALL, 32 cores, Z4/52)
-/// allocates 636 768 bytes: eight L2 banks of 55 424 (2048 frames
+/// allocates 644 960 bytes: eight L2 banks of 55 424 (2048 frames
 /// each, one 2.5 KiB H3 row table), 32 L1s of 1 088, the directory's
-/// 133 120 (an 8-byte sharer mask and a modified bit per frame) and
-/// 25 440 of cache structs, bank ports and memory channels. The bound
-/// allows 4 KiB over that; a keyed directory at load factor ≤ 0.5 took
-/// 786 432 bytes on its own, and byte-sliced H3 tables 126 976 more.
+/// 133 120 (an 8-byte sharer mask and a modified bit per frame), the
+/// L1 home table's 8 192 (the 4-byte L2 frame of each of the 32 × 64
+/// L1 frames' lines) and 25 440 of cache structs, bank ports and memory
+/// channels. The bound allows 4 KiB over that; a keyed directory at
+/// load factor ≤ 0.5 took 786 432 bytes on its own, and byte-sliced H3
+/// tables 126 976 more.
 #[test]
 fn system_new_allocates_one_directory_entry_per_frame() {
-    const BOUND: u64 = 636_768 + (4 << 10);
+    const BOUND: u64 = 644_960 + (4 << 10);
     let mut cfg = SimConfig::small();
     cfg.cores = 32;
     let cfg = cfg.with_l2(L2Design::zcache(4, 3));
