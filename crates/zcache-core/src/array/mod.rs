@@ -48,15 +48,20 @@ pub struct Candidate {
 /// Reusable buffer of replacement candidates for one miss.
 ///
 /// Owned by the caller and cleared by [`CacheArray::candidates`], so the
-/// hot path performs no per-miss allocation after warm-up.
+/// hot path performs no per-miss allocation after warm-up. Arrays write
+/// each candidate here once: a [`ZArray`] walk pushes every node's
+/// candidate as it discovers it (token = the node's index in the walk),
+/// and victim selection then reads the set in one pass
+/// ([`ReplacementPolicy::pick_victim`](crate::ReplacementPolicy::pick_victim)).
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
-    items: Vec<Candidate>,
-    /// Index of the first empty-frame candidate, tracked by [`push`]
-    /// (`u32::MAX` = none) so selection never rescans the set for one.
+    pub(crate) items: Vec<Candidate>,
+    /// Index of the first empty-frame candidate (`u32::MAX` = none),
+    /// tracked by [`push`] or set by a walk, which knows where its
+    /// early stop landed, so selection never rescans the set for one.
     ///
     /// [`push`]: CandidateSet::push
-    first_empty: u32,
+    pub(crate) first_empty: u32,
     /// Walk levels used to produce this set (1 for non-walking arrays).
     pub levels: u32,
     /// Tag reads performed to produce this set (the paper's `R`).
@@ -100,30 +105,6 @@ impl CandidateSet {
     /// [`replacement_candidates`] bound), so the hot path never grows it.
     pub fn reserve(&mut self, n: usize) {
         self.items.reserve(n);
-    }
-
-    /// Bulk-mirrors a finished walk table into the (cleared) set: one
-    /// sized `extend` instead of per-item [`push`](Self::push) calls,
-    /// with `first_empty` supplied by the walker — which knows exactly
-    /// where the first empty frame landed (among the roots, or as the
-    /// early-stopping last node) without rescanning.
-    pub(crate) fn extend_from_nodes(&mut self, nodes: &[walk::WalkNode], first_empty: u32) {
-        debug_assert!(self.items.is_empty(), "mirror expects a cleared set");
-        self.items
-            .extend(nodes.iter().enumerate().map(|(i, n)| Candidate {
-                slot: n.slot,
-                addr: n.addr_opt(),
-                token: i as u32,
-            }));
-        self.first_empty = first_empty;
-        debug_assert_eq!(
-            first_empty,
-            self.items
-                .iter()
-                .position(|c| c.addr.is_none())
-                .map_or(u32::MAX, |i| i as u32),
-            "walker-supplied first_empty must match a rescan"
-        );
     }
 
     /// The candidates gathered so far.
@@ -229,24 +210,6 @@ pub trait CacheArray {
     /// `&mut self` allows arrays to advance internal PRNG state or cache
     /// the walk tree for the subsequent [`install`](Self::install).
     fn candidates(&mut self, addr: LineAddr, out: &mut CandidateSet);
-
-    /// Issues best-effort memory-system hints for the tag frames a
-    /// subsequent [`lookup`](Self::lookup) of `addr` would probe.
-    ///
-    /// Purely a prefetch: no array state changes, no statistics move,
-    /// and the result of the later lookup is unaffected, so callers may
-    /// hint speculatively and arbitrarily far ahead. The default does
-    /// nothing; only arrays whose probe set is a pure function of the
-    /// address (no per-call state, no recomputation worth hiding)
-    /// override it — [`SetAssocArray`] hints its one indexed set, which
-    /// is how the execution-driven simulator overlaps independent
-    /// per-core L1 tag reads across a batched dispatch group. The walk
-    /// designs deliberately keep the no-op default: their row vector
-    /// costs real hash work that [`lookup_mut`](Self::lookup_mut)
-    /// memoizes instead, and recomputing it in a hint was measured
-    /// slower than the fetches it hides (see the walk prefetch ablation
-    /// in EXPERIMENTS.md, "Walk cost").
-    fn prefetch_lookup(&self, _addr: LineAddr) {}
 
     /// Installs `addr`, vacating `victim` (a candidate returned by the
     /// immediately preceding `candidates` call for the same address).
@@ -445,10 +408,6 @@ impl CacheArray for AnyArray {
     #[inline]
     fn addr_at(&self, slot: SlotId) -> Option<LineAddr> {
         delegate!(self, a => a.addr_at(slot))
-    }
-    #[inline]
-    fn prefetch_lookup(&self, addr: LineAddr) {
-        delegate!(self, a => a.prefetch_lookup(addr))
     }
     #[inline]
     fn candidates(&mut self, addr: LineAddr, out: &mut CandidateSet) {

@@ -122,17 +122,6 @@ impl CacheArray for SetAssocArray {
         self.tags.get(slot.idx())
     }
 
-    fn prefetch_lookup(&self, addr: LineAddr) {
-        // The whole probe set is one contiguous run of `ways` tag words;
-        // hint its first and last so the run is covered whether or not
-        // it straddles a cache-line boundary.
-        let set = self.set_of(addr);
-        self.tags.prefetch(self.slot(set, 0).idx());
-        if self.ways > 1 {
-            self.tags.prefetch(self.slot(set, self.ways - 1).idx());
-        }
-    }
-
     fn candidates(&mut self, addr: LineAddr, out: &mut CandidateSet) {
         out.clear();
         let set = if self.probe.0 == addr {

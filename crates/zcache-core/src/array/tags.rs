@@ -84,14 +84,6 @@ impl TagStore {
         self.tags[idx] = INVALID_TAG;
     }
 
-    /// Hints the memory system to pull the cache line holding frame
-    /// `idx`'s tag word (see [`crate::prefetch::prefetch_read`]). No
-    /// architectural effect, no statistics.
-    #[inline(always)]
-    pub fn prefetch(&self, idx: usize) {
-        crate::prefetch::prefetch_read(&self.tags[idx]);
-    }
-
     /// Calls `f` for every occupied frame, in ascending slot order.
     pub fn for_each_valid(&self, f: &mut dyn FnMut(SlotId, LineAddr)) {
         for (i, &t) in self.tags.iter().enumerate() {

@@ -5,8 +5,16 @@
 //! expanding a candidate holding block `B` in way `w` yields `W−1` further
 //! candidates at rows `h_{w'}(B)` for every other way `w'`. The walk tree
 //! for a victim at level `d` implies `d` relocations along its path.
+//!
+//! Each node is handled once: the walk writes its candidate straight
+//! into the caller's [`CandidateSet`](super::CandidateSet). The
+//! fixed-shape 4-way walk writes nothing else, since a node's parent and
+//! way follow from its index ([`WalkTable::parent4`]); walks of every
+//! other shape record each node's links (frame, parent, level) in the
+//! array's [`WalkTable`] at the same index. Selection then reads the
+//! candidate set in one pass, and an install retraces the victim's path
+//! through the links.
 
-use super::tags::INVALID_TAG;
 use crate::types::{LineAddr, SlotId};
 
 /// Walk expansion order.
@@ -75,31 +83,23 @@ pub fn replacement_candidates(ways: u32, levels: u32) -> u64 {
     w.saturating_mul(per_root)
 }
 
-/// A node of the walk tree.
+/// A node of the walk tree: where the candidate sits and how the walk
+/// reached it.
 ///
-/// `addr` uses the [`INVALID_TAG`] sentinel instead of `Option` so a node
-/// is 24 bytes, not 32 — the walk table is the hottest write path of a
-/// miss.
-#[derive(Debug, Clone, Copy)]
+/// The candidate itself, with the block it holds, is written once, by
+/// the walk, into the caller's [`CandidateSet`](super::CandidateSet) at
+/// the node's index. A walk through `ZArray::expand` also records each
+/// node's links here (its way is its frame's); the fixed-shape 4-way
+/// walk records none, because its tree follows from the node indices
+/// ([`WalkTable::parent4`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WalkNode {
-    /// Block resident in `slot` ([`INVALID_TAG`] = empty frame).
-    pub addr: u64,
     /// Frame this candidate occupies.
     pub slot: SlotId,
-    /// Index of the parent node, or `u32::MAX` for level-0 roots.
+    /// Index of the parent node, or [`NO_PARENT`] for level-0 roots.
     pub parent: u32,
-    /// Way of `slot`.
-    pub way: u8,
     /// Tree level (0 = first-level candidate).
     pub level: u8,
-}
-
-impl WalkNode {
-    /// The resident block as an `Option` (the external representation).
-    #[inline(always)]
-    pub fn addr_opt(&self) -> Option<LineAddr> {
-        (self.addr != INVALID_TAG).then_some(self.addr)
-    }
 }
 
 pub(crate) const NO_PARENT: u32 = u32::MAX;
@@ -108,12 +108,20 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 /// positions so relocations can retrace the victim's path (§III-C).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WalkTable {
+    /// Every node's links, for a walk through `ZArray::expand`; empty
+    /// when `implicit`.
     pub nodes: Vec<WalkNode>,
+    /// Whether the walk was the fixed-shape 4-way walk, whose tree is
+    /// implicit in the node indices and `skips`.
+    pub implicit: bool,
+    /// The positions of the children an implicit walk skipped, ascending
+    /// (see [`parent4`](Self::parent4)).
+    pub skips: Vec<u32>,
     /// Address the walk was performed for; guards stale installs.
     pub for_addr: Option<LineAddr>,
     pub stats: WalkStats,
-    /// Reusable buffer for [`fill_path`](Self::fill_path), so installs
-    /// allocate nothing in steady state.
+    /// Reusable buffer of the slots an install relocates along, so
+    /// installs allocate nothing in steady state.
     pub path: Vec<u32>,
     /// Reusable DFS work stack (empty outside a DFS walk).
     pub stack: Vec<u32>,
@@ -122,6 +130,8 @@ pub(crate) struct WalkTable {
 impl WalkTable {
     pub fn clear(&mut self, addr: LineAddr) {
         self.nodes.clear();
+        self.implicit = false;
+        self.skips.clear();
         self.for_addr = Some(addr);
         self.stats = WalkStats::default();
     }
@@ -130,25 +140,37 @@ impl WalkTable {
     /// nodes, so steady-state walks and installs never reallocate.
     pub fn reserve(&mut self, candidates: usize) {
         self.nodes.reserve(candidates);
+        self.skips.reserve(candidates);
         self.path.reserve(candidates);
         self.stack.reserve(candidates);
     }
 
-    /// Fills [`path`](Self::path) with the node indices from `node` to
-    /// its root (inclusive, in that order), reusing the buffer.
-    pub fn fill_path(&mut self, mut node: u32) {
-        self.path.clear();
-        loop {
-            self.path.push(node);
-            let p = self.nodes[node as usize].parent;
-            if p == NO_PARENT {
+    /// The parent of node `a` of an implicit walk, and which of its
+    /// three children (in way order) `a` is; `None` for the four roots.
+    ///
+    /// The implicit tree numbers positions as if no child were skipped:
+    /// the roots hold 0–3 and node `p`'s children `4 + 3p`,
+    /// `4 + 3p + 1` and `4 + 3p + 2`. Nodes are expanded in index order
+    /// and decide their three children in turn, so every position up
+    /// to the walk's last holds a node or a skipped child, and node `a`
+    /// sits at `a` plus the skips at or before its position.
+    #[inline]
+    pub fn parent4(&self, a: u32) -> Option<(u32, usize)> {
+        if a < 4 {
+            return None;
+        }
+        let mut pos = a;
+        for &s in &self.skips {
+            if s > pos {
                 break;
             }
-            node = p;
+            pos += 1;
         }
+        Some(((pos - 4) / 3, ((pos - 4) % 3) as usize))
     }
 
-    /// True if `slot` appears on the path from `node` to the root.
+    /// True if `slot` appears on the path from `node` to the root of a
+    /// walk with explicit links.
     pub fn slot_on_path(&self, mut node: u32, slot: SlotId) -> bool {
         loop {
             let n = &self.nodes[node as usize];
@@ -193,34 +215,37 @@ mod tests {
     }
 
     #[test]
-    fn fill_path_visits_ancestors() {
+    fn slot_on_path_follows_parent_links() {
         let mut t = WalkTable::default();
         t.clear(99);
-        t.nodes.push(WalkNode {
-            slot: SlotId(0),
-            addr: 1,
-            parent: NO_PARENT,
-            way: 0,
-            level: 0,
-        });
-        t.nodes.push(WalkNode {
-            slot: SlotId(5),
-            addr: 2,
-            parent: 0,
-            way: 1,
-            level: 1,
-        });
-        t.nodes.push(WalkNode {
-            slot: SlotId(9),
-            addr: 3,
-            parent: 1,
-            way: 2,
-            level: 2,
-        });
-        t.fill_path(2);
-        assert_eq!(t.path, vec![2, 1, 0]);
+        let node = |slot, parent, level| WalkNode {
+            slot: SlotId(slot),
+            parent,
+            level,
+        };
+        t.nodes
+            .extend([node(0, NO_PARENT, 0), node(5, 0, 1), node(9, 1, 2)]);
         assert!(t.slot_on_path(2, SlotId(5)));
         assert!(t.slot_on_path(2, SlotId(0)));
         assert!(!t.slot_on_path(1, SlotId(9)));
+    }
+
+    #[test]
+    fn implicit_parents_step_over_skips() {
+        let mut t = WalkTable::default();
+        t.clear(99);
+        assert_eq!(t.parent4(3), None);
+        assert_eq!(t.parent4(4), Some((0, 0)));
+        assert_eq!(t.parent4(15), Some((3, 2)));
+        assert_eq!(t.parent4(16), Some((4, 0)));
+        // Node 4's first child (position 16) and node 5's second
+        // (position 20) were skipped: node 16 sits at position 17, and
+        // nodes 19 onward two positions on.
+        t.skips.extend([16, 20]);
+        assert_eq!(t.parent4(15), Some((3, 2)));
+        assert_eq!(t.parent4(16), Some((4, 1)));
+        assert_eq!(t.parent4(18), Some((5, 0)));
+        assert_eq!(t.parent4(19), Some((5, 2)));
+        assert_eq!(t.parent4(20), Some((6, 0)));
     }
 }

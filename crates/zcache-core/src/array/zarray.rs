@@ -251,15 +251,78 @@ impl ZArray {
     }
 
     /// Describes node `token` of the most recent walk (for diagnostics
-    /// and the Fig. 1 walkthrough); `None` if the token is out of range.
+    /// and the Fig. 1 walkthrough) while that walk is current; `None` if
+    /// the token is out of range or an install has consumed the walk.
     pub fn walk_node(&self, token: u32) -> Option<WalkNodeInfo> {
-        let node = self.walk.nodes.get(token as usize)?;
+        self.walk.for_addr?;
+        if token >= self.walk.stats.candidates {
+            return None;
+        }
+        let mut path = vec![token];
+        while let Some(p) = self.parent(path[path.len() - 1]) {
+            path.push(p);
+        }
+        let root_first = path.iter().rev();
+        let slot = root_first.fold(None, |up, &a| Some(self.frame(a, up)))?;
         Some(WalkNodeInfo {
-            location: self.location(node.slot),
-            addr: node.addr_opt(),
-            level: u32::from(node.level),
-            parent: (node.parent != super::walk::NO_PARENT).then_some(node.parent),
+            location: self.location(slot),
+            // Frames stay as the walk saw them until the install that
+            // consumes it.
+            addr: self.addr_at(slot),
+            level: path.len() as u32 - 1,
+            parent: path.get(1).copied(),
         })
+    }
+
+    /// The parent of node `a` of the current walk: from its links, or,
+    /// after a [`walk4`](Self::walk4), from its index.
+    fn parent(&self, a: u32) -> Option<u32> {
+        if self.walk.implicit {
+            return self.walk.parent4(a).map(|(p, _)| p);
+        }
+        let p = self.walk.nodes[a as usize].parent;
+        (p != NO_PARENT).then_some(p)
+    }
+
+    /// The frame of node `a` of the current walk, given its parent's
+    /// (`None` for a root). After a [`walk4`](Self::walk4), a root's
+    /// frame is the walked address's row in the root's way, and a child's
+    /// the row its parent's block caches for the child's way: the frames
+    /// stay as the walk saw them until its install.
+    fn frame(&self, a: u32, parent: Option<SlotId>) -> SlotId {
+        if !self.walk.implicit {
+            return self.walk.nodes[a as usize].slot;
+        }
+        let Some(up) = parent else {
+            let addr = self.walk.for_addr.expect("a current walk");
+            let row = match self.probe {
+                (probed, rows) if probed == addr => u64::from(rows[a as usize]),
+                _ => self.row_of(addr, a),
+            };
+            return self.slot(a, row);
+        };
+        let (_, k) = self.walk.parent4(a).expect("a child node");
+        let way = other_ways([0u8, 1, 2, 3], (up.0 >> self.row_bits) as u8)[k];
+        let row = self.frames[up.idx()].rows[usize::from(way)];
+        self.slot(u32::from(way), u64::from(row))
+    }
+
+    /// Fills the walk's path buffer with the frames from node `victim`
+    /// up to its root, the victim's first: the node indices up to the
+    /// root, then each frame from its parent's, root first.
+    fn fill_path(&mut self, victim: u32) {
+        self.walk.path.clear();
+        let mut a = Some(victim);
+        while let Some(n) = a {
+            self.walk.path.push(n);
+            a = self.parent(n);
+        }
+        let mut up = None;
+        for j in (0..self.walk.path.len()).rev() {
+            let slot = self.frame(self.walk.path[j], up);
+            self.walk.path[j] = slot.0;
+            up = Some(slot);
+        }
     }
 
     #[inline]
@@ -273,32 +336,31 @@ impl ZArray {
         self.row_bits <= u16::BITS
     }
 
-    /// Expands `node_idx`, pushing children onto the walk table (the
-    /// caller mirrors the finished table into its [`CandidateSet`] in
-    /// one dense pass). Returns `true` if an empty frame was found
-    /// (callers stop the walk: a free frame is a perfect victim).
-    fn expand(&mut self, node_idx: u32) -> bool {
+    /// Expands `node_idx`, pushing its children. Returns `true` if an
+    /// empty frame was found (callers stop the walk: a free frame is a
+    /// perfect victim).
+    fn expand(&mut self, node_idx: u32, out: &mut CandidateSet) -> bool {
         let node = self.walk.nodes[node_idx as usize];
-        let baddr = node.addr;
+        // The resident block's tag and its row vector, cached next to it
+        // at install time: one line, warm from the tag read that created
+        // this node, so the W−1 rehashes of §III-A cost nothing here.
+        let frame = self.frames[node.slot.idx()];
+        let baddr = frame.tag;
         if baddr == INVALID_TAG {
             return false; // empty frames have no block to rehash
         }
         let mut found_empty = false;
         let mut pushed = 0u32;
-        // The resident block's row vector was cached next to its tag at
-        // install time; the line is warm from the tag read that created
-        // this node, so the W−1 rehashes of §III-A cost nothing here.
         let rows_cacheable = self.rows_cacheable();
-        let cached_rows = self.frames[node.slot.idx()].rows;
         for way in 0..self.ways {
-            if way == u32::from(node.way) {
+            if u64::from(way) == u64::from(node.slot.0) >> self.row_bits {
                 continue; // the matching hash: this is where the block already is
             }
             if self.walk.nodes.len() as u32 >= self.max_candidates {
                 break;
             }
             let row = if rows_cacheable && (way as usize) < FRAME_WAYS {
-                u64::from(cached_rows[way as usize])
+                u64::from(frame.rows[way as usize])
             } else {
                 self.row_of(baddr, way)
             };
@@ -320,14 +382,13 @@ impl ZArray {
                     }
                 }
             }
-            let child = WalkNode {
-                addr,
+            out.items
+                .push(candidate(slot, addr, self.walk.nodes.len() as u32));
+            self.walk.nodes.push(WalkNode {
                 slot,
                 parent: node_idx,
-                way: way as u8,
                 level: node.level + 1,
-            };
-            self.walk.nodes.push(child);
+            });
             pushed += 1;
             if addr == INVALID_TAG {
                 found_empty = true;
@@ -354,12 +415,18 @@ impl ZArray {
     /// which sits in another way, so it can only repeat an ancestor two
     /// or more levels up: level 1 needs no dedup, level 2 compares
     /// against its root, and only walks of four or more levels read
-    /// further ancestors (one read each, through the parent links). The
-    /// three children's tags load together; a node whose children are
-    /// all new, non-empty and under the cap pushes them in one step, and
-    /// any other node takes them one by one with the scalar loop's exact
-    /// semantics (cap check, dedup count, empty-frame early stop).
-    fn walk4(&mut self, addr: LineAddr) -> u32 {
+    /// further ancestors (one read each, through the implicit parents).
+    /// The three children's tags load together; a node whose children
+    /// are all new, non-empty and under the cap pushes them in one step,
+    /// and any other node takes them one by one with the scalar loop's
+    /// exact semantics (cap check, dedup count, empty-frame early stop).
+    ///
+    /// The fixed shape makes the tree implicit: the walk writes each
+    /// node's candidate and nothing else, and an install or
+    /// [`walk_node`](Self::walk_node) derives a node's parent and way
+    /// from its index ([`WalkTable::parent4`]) and its frame from its
+    /// parent's.
+    fn walk4(&mut self, addr: LineAddr, out: &mut CandidateSet) -> u32 {
         // The roots: on the access path, the rows the preceding
         // `lookup_mut` already hashed and stashed.
         let root_rows = if self.probe.0 == addr {
@@ -374,86 +441,85 @@ impl ZArray {
         let rows = self.rows as u32;
         let slots: [u32; 4] = [0, 1, 2, 3].map(|w| w * rows + root_rows[w as usize]);
         let tags = slots.map(|s| self.frames[s as usize].tag);
-        self.walk.nodes.extend([0, 1, 2, 3].map(|w| WalkNode {
-            addr: tags[w],
-            slot: SlotId(slots[w]),
-            parent: NO_PARENT,
-            way: w as u8,
-            level: 0,
-        }));
+        out.items
+            .extend([0, 1, 2, 3].map(|w| candidate(SlotId(slots[w]), tags[w], w as u32)));
+        self.walk.implicit = true;
+        self.walk.stats.levels = 1;
         let first_empty = match tags.iter().position(|&t| t == INVALID_TAG) {
             Some(w) => w as u32,
-            None => self.expand_levels4(),
+            None => self.expand_levels4(out),
         };
-        let nodes = &self.walk.nodes;
-        self.walk.stats.tag_reads = nodes.len() as u32;
-        self.walk.stats.levels = u32::from(nodes[nodes.len() - 1].level) + 1;
+        self.walk.stats.tag_reads = out.items.len() as u32;
         first_empty
     }
 
-    /// The levels below the roots of [`walk4`](Self::walk4).
-    fn expand_levels4(&mut self) -> u32 {
+    /// The levels below the roots of [`walk4`](Self::walk4). It writes
+    /// the candidates alone: a node's parent and way follow from its
+    /// index ([`WalkTable::parent4`]), and only a skipped child is
+    /// recorded.
+    fn expand_levels4(&mut self, out: &mut CandidateSet) -> u32 {
         let cap = self.max_candidates as usize;
         let rows = self.rows as u32;
         let mut level_start = 0;
         for level in 1..self.levels {
-            let level_end = self.walk.nodes.len();
+            let level_end = out.items.len();
             if level_start == level_end {
                 break; // the previous level expanded to nothing
             }
             for i in level_start..level_end {
-                if self.walk.nodes.len() >= cap {
+                if out.items.len() >= cap {
                     return u32::MAX;
                 }
-                let node = self.walk.nodes[i];
-                debug_assert_ne!(node.addr, INVALID_TAG, "the walk stops at empty frames");
+                let slot = out.items[i].slot.0;
+                let frame = self.frames[slot as usize];
+                debug_assert_ne!(frame.tag, INVALID_TAG, "the walk stops at empty frames");
                 // All four ways' slots and tags with constant indices (the
                 // node's own way reads its own, already warm, frame), then
                 // the three other ways picked branch-free.
-                let cached = self.frames[node.slot.idx()].rows;
-                let all = [0, 1, 2, 3].map(|w| w * rows + u32::from(cached[w as usize]));
+                let all = [0, 1, 2, 3].map(|w| w * rows + u32::from(frame.rows[w as usize]));
                 let tag = all.map(|s| self.frames[s as usize].tag);
-                let ways = other_ways([0, 1, 2, 3], node.way);
-                let slots = other_ways(all, node.way);
-                let tags = other_ways(tag, node.way);
+                let way = (slot >> self.row_bits) as u8;
+                let slots = other_ways(all, way);
+                let tags = other_ways(tag, way);
                 // Bit `k` set: child `k` repeats an ancestor.
                 let mut dup = 0u8;
-                let mut up = node.parent;
-                while up != NO_PARENT {
-                    let a = self.walk.nodes[up as usize];
+                let mut up = self.walk.parent4(i as u32);
+                while let Some((a, _)) = up {
+                    let ancestor = out.items[a as usize].slot.0;
                     for (k, &s) in slots.iter().enumerate() {
-                        dup |= u8::from(s == a.slot.0) << k;
+                        dup |= u8::from(s == ancestor) << k;
                     }
-                    up = a.parent;
+                    up = self.walk.parent4(a);
                 }
                 debug_assert!((0..3).all(|k| {
-                    u64::from(slots[k]) % self.rows == self.row_of(node.addr, u32::from(ways[k]))
-                        && (dup >> k & 1 == 1) == self.walk.slot_on_path(i as u32, SlotId(slots[k]))
+                    let w = u32::from(other_ways([0u8, 1, 2, 3], way)[k]);
+                    u64::from(slots[k]) % self.rows == self.row_of(frame.tag, w)
                 }));
-                let child = |k: usize| WalkNode {
-                    addr: tags[k],
-                    slot: SlotId(slots[k]),
-                    parent: i as u32,
-                    way: ways[k],
-                    level: level as u8,
-                };
-                let nodes = &mut self.walk.nodes;
                 let empty = tags.map(|t| t == INVALID_TAG);
-                if (nodes.len() + 3 <= cap) & (dup == 0) & !(empty[0] | empty[1] | empty[2]) {
-                    nodes.extend([child(0), child(1), child(2)]);
+                let items = &mut out.items;
+                if (items.len() + 3 <= cap) & (dup == 0) & !(empty[0] | empty[1] | empty[2]) {
+                    let token = items.len() as u32;
+                    items.extend([0, 1, 2].map(|k| Candidate {
+                        slot: SlotId(slots[k]),
+                        addr: Some(tags[k]),
+                        token: token + k as u32,
+                    }));
+                    self.walk.stats.levels = level + 1;
                     continue;
                 }
                 for (k, &is_empty) in empty.iter().enumerate() {
-                    if nodes.len() >= cap {
+                    if items.len() >= cap {
                         return u32::MAX;
                     }
                     if dup >> k & 1 == 1 {
                         self.walk.stats.path_dups_skipped += 1;
+                        self.walk.skips.push(4 + 3 * i as u32 + k as u32);
                         continue;
                     }
-                    nodes.push(child(k));
+                    items.push(candidate(SlotId(slots[k]), tags[k], items.len() as u32));
+                    self.walk.stats.levels = level + 1;
                     if is_empty {
-                        return nodes.len() as u32 - 1;
+                        return items.len() as u32 - 1;
                     }
                 }
             }
@@ -466,7 +532,7 @@ impl ZArray {
     /// Bloom dedup, DFS), node by node through [`expand`](Self::expand);
     /// returns the index of the first empty frame found (`u32::MAX` if
     /// none).
-    fn walk_scalar(&mut self, addr: LineAddr) -> u32 {
+    fn walk_scalar(&mut self, addr: LineAddr, out: &mut CandidateSet) -> u32 {
         // Level 0: the W first-level candidates (also what a lookup
         // reads — and, on the access path of a 4-way array, the rows the
         // preceding `lookup_mut` already hashed and stashed).
@@ -482,11 +548,10 @@ impl ZArray {
             debug_assert_eq!(row, self.row_of(addr, way), "stale probe memo");
             let slot = self.slot(way, row);
             let a = self.frames[slot.idx()].tag;
+            out.items.push(candidate(slot, a, way));
             self.walk.nodes.push(WalkNode {
-                addr: a,
                 slot,
                 parent: NO_PARENT,
-                way: way as u8,
                 level: 0,
             });
             self.walk.stats.tag_reads += 1;
@@ -520,7 +585,7 @@ impl ZArray {
                         if self.walk.nodes.len() as u32 >= self.max_candidates {
                             return u32::MAX;
                         }
-                        if self.expand(i as u32) {
+                        if self.expand(i as u32, out) {
                             return self.walk.nodes.len() as u32 - 1;
                         }
                     }
@@ -547,7 +612,7 @@ impl ZArray {
                         break;
                     }
                     let before = self.walk.nodes.len() as u32;
-                    if self.expand(idx) {
+                    if self.expand(idx, out) {
                         first_empty_idx = self.walk.nodes.len() as u32 - 1;
                         break;
                     }
@@ -564,7 +629,8 @@ impl ZArray {
         first_empty_idx
     }
 
-    /// The replacement walk behind [`CacheArray::candidates`].
+    /// The replacement walk behind [`CacheArray::candidates`]: each node
+    /// goes straight into `out`, in discovery order.
     fn walk_core(&mut self, addr: LineAddr, out: &mut CandidateSet) {
         out.clear();
         // Match the walk table's pre-sizing so a caller-provided set
@@ -574,25 +640,38 @@ impl ZArray {
         if let Some(b) = self.bloom.as_mut() {
             b.clear();
         }
-        let first_empty_idx = if self.ways as usize == FRAME_WAYS
+        let first_empty = if self.ways as usize == FRAME_WAYS
             && self.rows_cacheable()
             && self.bloom.is_none()
             && self.walk_kind == WalkKind::Bfs
         {
-            self.walk4(addr)
+            self.walk4(addr, out)
         } else {
-            self.walk_scalar(addr)
+            self.walk_scalar(addr, out)
         };
-        self.walk.stats.candidates = self.walk.nodes.len() as u32;
-
-        // Mirror the finished walk table into the caller's candidate set
-        // in one dense pass. Token `i` is the node's table index, exactly
-        // as interleaved pushes would have produced; deferring it keeps
-        // the expansion loop free of the second (24-byte-per-node) write
-        // stream.
-        out.extend_from_nodes(&self.walk.nodes, first_empty_idx);
+        self.walk.stats.candidates = out.len() as u32;
+        debug_assert!(self.walk.implicit || out.len() == self.walk.nodes.len());
+        debug_assert_eq!(
+            first_empty,
+            out.as_slice()
+                .iter()
+                .position(|c| c.addr.is_none())
+                .map_or(u32::MAX, |i| i as u32),
+            "the walk's first empty frame must match a rescan"
+        );
+        out.first_empty = first_empty;
         out.levels = self.walk.stats.levels;
         out.tag_reads = self.walk.stats.tag_reads;
+    }
+}
+
+/// The candidate of a frame holding `tag` ([`INVALID_TAG`] = empty).
+#[inline(always)]
+fn candidate(slot: SlotId, tag: u64, token: u32) -> Candidate {
+    Candidate {
+        slot,
+        addr: (tag != INVALID_TAG).then_some(tag),
+        token,
     }
 }
 
@@ -702,30 +781,31 @@ impl CacheArray for ZArray {
             Some(addr),
             "install must follow a candidates() walk for the same address"
         );
-        let node = self
-            .walk
-            .nodes
-            .get(victim.token as usize)
-            .copied()
-            .unwrap_or_else(|| panic!("victim token {} not in walk table", victim.token));
-        assert_eq!(node.slot, victim.slot, "victim token/slot mismatch");
+        assert!(
+            victim.token < self.walk.stats.candidates,
+            "victim token {} not in walk table",
+            victim.token
+        );
+        // The victim's path, its frame first and its root's last, in the
+        // walk table's reusable buffer: steady-state installs allocate
+        // nothing.
+        self.fill_path(victim.token);
+        let slot = SlotId(self.walk.path[0]);
+        assert_eq!(slot, victim.slot, "victim token/slot mismatch");
 
         // Evict the victim (or fill the empty frame).
-        let pt = self.frames[node.slot.idx()].tag;
+        let pt = self.frames[slot.idx()].tag;
         let prev = (pt != INVALID_TAG).then_some(pt);
         debug_assert_eq!(prev, victim.addr, "stale candidate");
         out.evicted = prev;
-        out.evicted_slot = prev.map(|_| node.slot);
+        out.evicted_slot = prev.map(|_| slot);
 
         // Relocate ancestors down the path: the parent's block moves into
         // the child's (now free) frame, level by level, until the root
-        // frame is free for the incoming block. The path lives in the
-        // walk table's reusable buffer — steady-state installs allocate
-        // nothing.
-        self.walk.fill_path(victim.token);
+        // frame is free for the incoming block.
         for k in 1..self.walk.path.len() {
-            let dst = self.walk.nodes[self.walk.path[k - 1] as usize].slot;
-            let src = self.walk.nodes[self.walk.path[k] as usize].slot;
+            let dst = SlotId(self.walk.path[k - 1]);
+            let src = SlotId(self.walk.path[k]);
             let moving = self.frames[src.idx()];
             debug_assert_ne!(moving.tag, INVALID_TAG, "relocating an empty frame");
             {
@@ -741,8 +821,7 @@ impl CacheArray for ZArray {
             self.frames[dst.idx()] = moving;
             out.moves.push((src, dst));
         }
-        let root_slot =
-            self.walk.nodes[*self.walk.path.last().expect("path is never empty") as usize].slot;
+        let root_slot = SlotId(*self.walk.path.last().expect("path is never empty"));
         let mut root = Frame {
             tag: addr,
             rows: [0; FRAME_WAYS],
@@ -954,19 +1033,24 @@ mod tests {
         assert!(cands.levels >= 2);
     }
 
-    /// Every field of every walk node, the first empty frame and the
-    /// walk's statistics.
-    type Observed = (Vec<(u64, u32, u32, u8, u8)>, u32, WalkStats);
+    /// Every walk node's description (from explicit links, or from the
+    /// implicit tree after a `walk4`) and candidate, the first empty
+    /// frame and the walk's statistics.
+    type Observed = (Vec<Option<WalkNodeInfo>>, Vec<Candidate>, u32, WalkStats);
 
     /// Runs `walk` on a cleared walk table and returns everything an
     /// install or a caller can observe of it.
-    fn observe(z: &mut ZArray, addr: u64, walk: fn(&mut ZArray, u64) -> u32) -> Observed {
+    fn observe(
+        z: &mut ZArray,
+        addr: u64,
+        walk: fn(&mut ZArray, u64, &mut CandidateSet) -> u32,
+    ) -> Observed {
+        let mut cands = CandidateSet::new();
         z.walk.clear(addr);
-        let first_empty = walk(z, addr);
-        z.walk.stats.candidates = z.walk.nodes.len() as u32;
-        let nodes = z.walk.nodes.iter();
-        let nodes = nodes.map(|n| (n.addr, n.slot.0, n.parent, n.way, n.level));
-        (nodes.collect(), first_empty, z.walk.stats)
+        let first_empty = walk(z, addr, &mut cands);
+        z.walk.stats.candidates = cands.len() as u32;
+        let nodes = (0..cands.len() as u32).map(|a| z.walk_node(a)).collect();
+        (nodes, cands.items, first_empty, z.walk.stats)
     }
 
     #[test]
@@ -974,8 +1058,8 @@ mod tests {
         // Every 4-way shape the fast path takes, on a small array (so
         // slots repeat along paths) through cold start, steady state and
         // invalidation holes (so the walk stops at empty frames deep in
-        // the tree): the node table, the first empty frame and the
-        // WalkStats must equal the scalar walk's.
+        // the tree): the node table, the candidates, the first empty
+        // frame and the WalkStats must equal the scalar walk's.
         for (levels, cap) in [(1, None), (2, None), (3, None), (4, None), (3, Some(5))]
             .into_iter()
             .chain([4, 8, 16, 24, 51].map(|c| (3, Some(c))))
@@ -999,8 +1083,8 @@ mod tests {
                 let fast = observe(&mut z, addr, ZArray::walk4);
                 let scalar = observe(&mut z, addr, ZArray::walk_scalar);
                 assert_eq!(fast, scalar, "L={levels} cap={cap:?} addr={addr}");
-                dups += fast.2.path_dups_skipped;
-                deep_empties += u32::from(fast.1 != u32::MAX && fast.1 >= 4);
+                dups += fast.3.path_dups_skipped;
+                deep_empties += u32::from(fast.2 != u32::MAX && fast.2 >= 4);
                 z.candidates(addr, &mut cands);
                 let pick = cands.as_slice()[a as usize % cands.len()];
                 let victim = *cands.first_empty().unwrap_or(&pick);

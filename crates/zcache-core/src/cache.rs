@@ -1,6 +1,15 @@
 //! The cache front-end: array + policy + statistics + instrumentation.
+//!
+//! [`Cache::access_with`] is the one access path: a lookup, and on a
+//! miss the array's candidates (a zcache walk writes each one once),
+//! one selection pass over them with the access's key rule
+//! ([`ReplacementPolicy::pick_victim`]), then the install and its
+//! relocations. The key rule is the only variation point:
+//! [`Cache::access_full`] keys each candidate by its score, and
+//! [`PartitionedCache`](crate::PartitionedCache) by its score under an
+//! over-quota bit.
 
-use crate::array::{AnyArray, ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
+use crate::array::{AnyArray, ArrayKind, CacheArray, CandidateSet, InstallOutcome, INVALID_TAG};
 use crate::array::{FullyAssocArray, SetAssocArray, ZArray};
 use crate::assoc::AssociativityMeter;
 use crate::repl::{AccessCtx, AnyPolicy, PolicyKind, ReplacementPolicy};
@@ -31,24 +40,6 @@ impl AccessOutcome {
     }
 }
 
-/// The default victim rule: the index of the highest score, first wins
-/// ties. Empty frames never reach a selector (see
-/// [`Cache::access_with`]).
-///
-/// # Panics
-///
-/// Panics if `scores` is empty.
-#[inline]
-pub fn highest_score(_cands: &[Candidate], scores: &[u64]) -> usize {
-    let mut best = (0, scores[0]);
-    for (i, &s) in scores.iter().enumerate().skip(1) {
-        if s > best.1 {
-            best = (i, s);
-        }
-    }
-    best.0
-}
-
 /// A single-level cache: an array organization driven by a replacement
 /// policy, with the event accounting the paper's energy model needs and
 /// optional associativity-distribution metering.
@@ -73,9 +64,6 @@ pub struct Cache<A, P> {
     stats: CacheStats,
     meter: Option<AssociativityMeter>,
     cands: CandidateSet,
-    /// Batched scores of `cands` ([`ReplacementPolicy::score_many`]),
-    /// reused across misses.
-    scores: Vec<u64>,
     install: InstallOutcome,
 }
 
@@ -90,7 +78,6 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
             stats: CacheStats::new(),
             meter: None,
             cands: CandidateSet::new(),
-            scores: Vec::new(),
             install: InstallOutcome::default(),
         }
     }
@@ -117,37 +104,43 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
 
     /// Full-control access: read/write plus the next-use annotation the
     /// OPT policy consumes (pass `u64::MAX` when unknown). A miss evicts
-    /// by the default rule, [`highest_score`].
+    /// the first candidate with the highest score.
     #[inline]
     pub fn access_full(&mut self, addr: LineAddr, write: bool, next_use: u64) -> AccessOutcome {
-        self.access_with(addr, write, next_use, highest_score)
+        self.access_with(addr, write, next_use, |_, score| score)
     }
 
     /// The access path: lookup, and on a miss walk, select, install.
     ///
     /// Victim selection is the only variation point. An empty candidate
-    /// frame wins outright; otherwise `select` receives the candidates in
-    /// discovery order plus each one's policy score (higher = evict
-    /// first) and returns the victim's index. QoS layers such as
-    /// [`PartitionedCache`] pass a selector that vetoes victims by
-    /// ownership; [`access_full`](Cache::access_full) passes
-    /// [`highest_score`].
+    /// frame wins outright; otherwise the victim is the first candidate
+    /// with the highest `key(line, score)` over the candidates in
+    /// discovery order, where `line` is the block a candidate holds and
+    /// `score` its policy score (higher = evict first), picked in one
+    /// pass ([`ReplacementPolicy::pick_victim`]).
+    /// [`access_full`](Cache::access_full) keys by the score alone; QoS
+    /// layers such as [`PartitionedCache`] set a bit above the score of
+    /// the candidates they allow.
     ///
     /// [`PartitionedCache`]: crate::PartitionedCache
     ///
     /// # Panics
     ///
-    /// Panics if `select` returns an index out of range.
-    pub fn access_with<F>(
+    /// Panics if `addr` is [`INVALID_TAG`], the reserved empty-frame
+    /// marker, which no array can hold.
+    pub fn access_with<T: Ord>(
         &mut self,
         addr: LineAddr,
         write: bool,
         next_use: u64,
-        select: F,
-    ) -> AccessOutcome
-    where
-        F: FnOnce(&[Candidate], &[u64]) -> usize,
-    {
+        key: impl Fn(LineAddr, u64) -> T,
+    ) -> AccessOutcome {
+        // The empty-frame marker would match an empty frame's tag (or a
+        // free bucket of the fully-associative index): a false hit.
+        assert_ne!(
+            addr, INVALID_TAG,
+            "line {addr:#x} is the reserved empty-frame tag"
+        );
         let ctx = AccessCtx { next_use };
         if let Some(slot) = self.array.lookup_mut(addr) {
             self.hit(slot, addr, write, &ctx);
@@ -163,22 +156,13 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         self.stats.misses += 1;
         self.array.candidates(addr, &mut self.cands);
         self.policy.before_select(self.cands.as_slice());
-        // An empty frame (tracked at push time) wins before any scoring:
-        // `score` is pure, so not scoring cannot change policy state.
+        // An empty frame (tracked as the set was written) wins before any
+        // scoring: `score` is pure, so not scoring cannot change policy
+        // state.
+        let cands = self.cands.as_slice();
         let victim = match self.cands.first_empty() {
             Some(c) => *c,
-            None => {
-                self.scores.clear();
-                self.policy
-                    .score_many(self.cands.as_slice(), &mut self.scores);
-                let idx = select(self.cands.as_slice(), &self.scores);
-                assert!(
-                    idx < self.cands.len(),
-                    "selector index {idx} out of range for {} candidates",
-                    self.cands.len()
-                );
-                self.cands.as_slice()[idx]
-            }
+            None => cands[self.policy.pick_victim(cands, key)],
         };
         self.stats.candidates_examined += self.cands.len() as u64;
         self.stats.walk_levels += u64::from(self.cands.levels);
@@ -268,6 +252,9 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
     /// Invalidates `addr` (coherence or inclusion victim); returns
     /// `Some(dirty)` if the block was resident.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<bool> {
+        if addr == INVALID_TAG {
+            return None; // never resident; an array would match an empty frame
+        }
         let slot = self.array.invalidate(addr)?;
         self.stats.invalidations += 1;
         let was_dirty = self.dirty[slot.idx()];
@@ -282,7 +269,7 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
 
     /// Whether `addr` is resident.
     pub fn contains(&self, addr: LineAddr) -> bool {
-        self.array.lookup(addr).is_some()
+        addr != INVALID_TAG && self.array.lookup(addr).is_some()
     }
 
     /// Whether `addr` is resident and dirty.
@@ -301,15 +288,6 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
     /// Resets statistics (e.g. after warm-up), keeping contents.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::new();
-    }
-
-    /// Hints the memory system to pull in the tag frames a future
-    /// [`access`](Self::access) of `addr` would probe (see
-    /// [`CacheArray::prefetch_lookup`]). No state or statistics change;
-    /// callers may hint speculatively.
-    #[inline]
-    pub fn prefetch_lookup(&self, addr: LineAddr) {
-        self.array.prefetch_lookup(addr);
     }
 
     /// The underlying array.
@@ -552,6 +530,7 @@ impl Default for CacheBuilder {
 mod tests {
     use super::*;
     use crate::repl::FullLru;
+    use crate::SlotId;
     use zhash::HashKind;
 
     #[test]
@@ -714,23 +693,95 @@ mod tests {
     }
 
     #[test]
-    fn highest_score_takes_first_of_ties() {
-        assert_eq!(highest_score(&[], &[3]), 0);
-        assert_eq!(highest_score(&[], &[1, 5, 2, 5]), 1);
-        assert_eq!(highest_score(&[], &[0, 0, 0]), 0);
+    fn key_rule_takes_the_first_of_ties() {
+        // Slots 0..4 aged 3, 1, 3, 0 under LRU: the two oldest tie, and the
+        // first in candidate order wins, under the plain rule and under a
+        // rule that flattens every key.
+        let mut lru = FullLru::new(4);
+        let ctx = AccessCtx::UNKNOWN;
+        for s in [0, 2, 1, 3] {
+            lru.on_fill(SlotId(s), u64::from(s), &ctx);
+        }
+        lru.on_move(SlotId(0), SlotId(2));
+        let cands: Vec<_> = (0..4u32)
+            .map(|s| crate::Candidate {
+                slot: SlotId(s),
+                addr: Some(u64::from(s)),
+                token: s,
+            })
+            .collect();
+        assert_eq!(lru.pick_victim(&cands, |_, score| score), 0);
+        assert_eq!(lru.pick_victim(&cands[1..], |_, score| score), 1);
+        assert_eq!(lru.pick_victim(&cands[3..], |_, score| score), 0);
+        assert_eq!(lru.pick_victim(&cands, |_, _| 0), 0);
+        // A bit above the score outranks any score; ties among the
+        // flagged candidates again go to the first.
+        let flag = |line: u64, score: u64| (u8::from(line % 2 == 1), score);
+        assert_eq!(lru.pick_victim(&cands, flag), 1);
+        assert_eq!(lru.pick_victim(&cands, |line, _| line == 3), 3);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn access_with_rejects_bad_selector_index() {
-        let mut c = CacheBuilder::new()
-            .lines(8)
-            .array(ArrayKind::Fully)
-            .build_lru();
-        for a in 0..8u64 {
-            c.access(a);
+    fn access_with_evicts_by_its_key_rule() {
+        // Lines 0..8 fill a fully-associative LRU cache in frames 0..8,
+        // so line 0 is the oldest. The plain rule evicts it; a rule that
+        // ranks one line above every score evicts that line instead.
+        let build = || {
+            let mut c = CacheBuilder::new()
+                .lines(8)
+                .array(ArrayKind::Fully)
+                .build_lru();
+            for a in 0..8u64 {
+                c.access(a);
+            }
+            c
+        };
+        let evicted = |key: fn(LineAddr, u64) -> (bool, u64)| {
+            build().access_with(99, false, u64::MAX, key).evicted
+        };
+        assert_eq!(evicted(|_, score| (false, score)), Some(0));
+        assert_eq!(evicted(|line, score| (line == 5, score)), Some(5));
+        // After a hit on line 0 the plain rule evicts line 1, while a rule
+        // that ties every candidate still takes the first in discovery
+        // order, line 0's frame.
+        let mut c = build();
+        c.access(0);
+        let plain = c.clone().access_with(99, false, u64::MAX, |_, score| score);
+        assert_eq!(plain.evicted, Some(1));
+        assert_eq!(
+            c.access_with(99, false, u64::MAX, |_, _| 0).evicted,
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn every_array_refuses_the_empty_frame_tag() {
+        // On an empty cache the marker matched an empty frame's tag (or a
+        // free bucket of the fully-associative index) and read as a hit
+        // with nothing resident. The access path panics; the marker is
+        // never resident.
+        let kinds = [
+            ArrayKind::ZCache { levels: 3 },
+            ArrayKind::SetAssoc { hash: HashKind::H3 },
+            ArrayKind::Skew,
+            ArrayKind::Fully,
+            ArrayKind::RandomCands { n: 16 },
+        ];
+        for k in kinds {
+            let mut c = CacheBuilder::new().lines(64).ways(4).array(k).build_lru();
+            c.access(1);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                c.access_write(INVALID_TAG);
+            }));
+            let failure = crate::PanicFailure::from_payload(k.to_string(), caught.unwrap_err());
+            assert!(
+                failure.message.contains("reserved empty-frame tag"),
+                "{failure}"
+            );
+            assert!(!c.contains(INVALID_TAG), "{k}");
+            assert_eq!(c.invalidate(INVALID_TAG), None, "{k}");
+            assert_eq!((c.occupancy(), c.stats().accesses), (1, 1), "{k}");
         }
-        c.access_with(99, false, u64::MAX, |cands, _| cands.len());
     }
 
     #[test]

@@ -46,10 +46,7 @@
 //! println!("miss rate: {:.3}", zcache.stats().miss_rate());
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is the scoped
-// `#[allow]` around the `prefetcht0` hint in [`prefetch`], which cannot
-// affect memory safety (prefetch is architecturally a no-op hint).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adaptive;
@@ -60,7 +57,6 @@ mod failure;
 mod lru_stack;
 pub mod model;
 pub mod partition;
-pub mod prefetch;
 mod repl;
 pub mod seeded_map;
 mod stats;
@@ -73,7 +69,6 @@ pub use lru_stack::LruStack;
 pub use partition::{
     PartitionConfig, PartitionOutcome, PartitionedCache, TenantGrant, TenantStats,
 };
-pub use prefetch::prefetch_read;
 pub use victim::VictimCache;
 
 pub use array::{
@@ -85,7 +80,7 @@ pub use assoc::{
     eviction_priority, ks_distance_to_uniform, uniform_assoc_cdf, uniform_assoc_mean,
     AssociativityMeter,
 };
-pub use cache::{highest_score, AccessOutcome, Cache, CacheBuilder, DynCache};
+pub use cache::{AccessOutcome, Cache, CacheBuilder, DynCache};
 pub use repl::{
     AccessCtx, AnyPolicy, BucketedLru, Drrip, FullLru, Lfu, Opt, PolicyKind, ReplacementPolicy,
     Rrip,

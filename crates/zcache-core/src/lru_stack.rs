@@ -252,4 +252,11 @@ mod tests {
     fn zero_capacity_panics() {
         LruStack::new(0);
     }
+
+    #[test]
+    #[should_panic(expected = "reserved key")]
+    fn the_empty_key_is_not_a_line() {
+        // It once matched a free bucket of the index and read as a hit.
+        LruStack::misses(64, [1, u64::MAX, 2]);
+    }
 }

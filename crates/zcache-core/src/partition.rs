@@ -22,8 +22,7 @@
 //! stay exact across relocations without a side map.
 
 use crate::adaptive::{AdaptiveConfig, ShadowDuel};
-use crate::array::Candidate;
-use crate::cache::{highest_score, CacheBuilder, DynCache};
+use crate::cache::{CacheBuilder, DynCache};
 use crate::repl::PolicyKind;
 use crate::types::LineAddr;
 use crate::ArrayKind;
@@ -200,6 +199,10 @@ pub struct PartitionedCache {
     cache: DynCache,
     tenants: Vec<TenantState>,
     enforce_quota: bool,
+    /// The quota rule's over-quota mask ([`over_quota`]), rebuilt once
+    /// per miss, after it moves the occupancies, so a hit never builds
+    /// it.
+    over: u64,
 }
 
 impl PartitionedCache {
@@ -222,7 +225,7 @@ impl PartitionedCache {
             .policy(cfg.policy)
             .seed(cfg.seed)
             .build();
-        let tenants = cfg
+        let tenants: Vec<_> = cfg
             .tenants
             .iter()
             .map(|g| TenantState {
@@ -243,6 +246,7 @@ impl PartitionedCache {
             .collect();
         Self {
             cache,
+            over: over_quota(&tenants, cfg.enforce_quota),
             tenants,
             enforce_quota: cfg.enforce_quota,
         }
@@ -284,12 +288,12 @@ impl PartitionedCache {
             .array_mut()
             .set_max_candidates(self.tenants[tenant].budget);
 
-        let enforce = self.enforce_quota;
-        let tenants = &self.tenants;
+        let over = self.over;
+        debug_assert_eq!(over, over_quota(&self.tenants, self.enforce_quota));
         let out = self
             .cache
-            .access_with(tagged, write, next_use, |cands, scores| {
-                select_quota_victim(cands, scores, tenants, enforce)
+            .access_with(tagged, write, next_use, |line, score| {
+                quota_key(over, line, score)
             });
 
         let evicted = out.evicted.map(|e| (tenant_of(e), line_of(e)));
@@ -302,6 +306,7 @@ impl PartitionedCache {
                 }
             }
             self.tenants[tenant].occupancy += 1;
+            self.over = over_quota(&self.tenants, self.enforce_quota);
         }
         let stats = &mut self.tenants[tenant].stats;
         stats.accesses += 1;
@@ -371,38 +376,24 @@ impl PartitionedCache {
     }
 }
 
-/// The partition victim rule: among candidates whose owner is at/over
-/// quota, the highest score wins (first wins ties); with enforcement off
-/// or no eligible candidate, the default rule, [`highest_score`].
-///
-/// One pass without a per-candidate branch: a candidate's key is its
-/// score with an eligibility bit above it, from a mask of the over-quota
-/// tenants built once per miss. The first highest key is the first
-/// highest eligible score when any candidate is eligible, and the first
-/// highest score, [`highest_score`]'s pick, when none is.
-fn select_quota_victim(
-    cands: &[Candidate],
-    scores: &[u64],
-    tenants: &[TenantState],
-    enforce: bool,
-) -> usize {
-    debug_assert_eq!(cands.len(), scores.len());
-    if !enforce {
-        return highest_score(cands, scores);
-    }
-    // Bit `t` set: tenant `t` is at or over its quota (`MAX_TENANTS` is 64).
-    let over = tenants
-        .iter()
-        .enumerate()
-        .fold(0u64, |m, (t, s)| m | u64::from(s.occupancy >= s.quota) << t);
-    let mut best = (0, 0u128);
-    for (i, (c, &s)) in cands.iter().zip(scores).enumerate() {
-        let owner = tenant_of(c.addr.expect("selector only sees occupied frames"));
-        debug_assert!(owner < tenants.len(), "candidate of unknown tenant {owner}");
-        let key = u128::from(over.wrapping_shr(owner as u32) & 1) << 64 | u128::from(s);
-        best = if key > best.1 { (i, key) } else { best };
-    }
-    best.0
+/// The over-quota mask: bit `t` set when quotas are enforced and tenant
+/// `t` holds at least its quota (`MAX_TENANTS` is 64).
+fn over_quota(tenants: &[TenantState], enforce: bool) -> u64 {
+    let over = |t: usize, s: &TenantState| u64::from(enforce && s.occupancy >= s.quota) << t;
+    (0..).zip(tenants).fold(0, |m, (t, s)| m | over(t, s))
+}
+
+/// The partition victim rule, as a key of a candidate's `line` and
+/// `score`: the score with an eligibility bit above it, set when the
+/// line's owner is in the `over` mask. The first highest key is the
+/// first highest eligible score when any candidate is eligible, and the
+/// first highest score, the plain rule's pick, when none is (or with
+/// enforcement off, an empty mask).
+#[inline(always)]
+fn quota_key(over: u64, line: LineAddr, score: u64) -> u128 {
+    let owner = tenant_of(line);
+    debug_assert!(owner < MAX_TENANTS, "candidate of unknown tenant {owner}");
+    u128::from(over.wrapping_shr(owner as u32) & 1) << 64 | u128::from(score)
 }
 
 #[cfg(test)]
@@ -579,7 +570,7 @@ mod tests {
 
     #[test]
     fn one_unbounded_tenant_is_a_plain_cache() {
-        // Partitioning adds only a selector: a single tenant whose quota
+        // Partitioning adds only a key rule: a single tenant whose quota
         // is the whole array, with an uncapped walk and no duel, must
         // behave exactly like the unpartitioned cache. RRIP covers the
         // mutating `before_select` prepass.

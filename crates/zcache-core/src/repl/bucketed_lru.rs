@@ -100,15 +100,6 @@ impl ReplacementPolicy for BucketedLru {
         // Age in mod-2ⁿ arithmetic.
         u64::from(self.counter.wrapping_sub(self.timestamps[slot.idx()]) & self.mask)
     }
-
-    fn score_many(&self, cands: &[super::Candidate], out: &mut Vec<u64>) {
-        let (counter, mask) = (self.counter, self.mask);
-        out.extend(
-            cands
-                .iter()
-                .map(|c| u64::from(counter.wrapping_sub(self.timestamps[c.slot.idx()]) & mask)),
-        );
-    }
 }
 
 #[cfg(test)]

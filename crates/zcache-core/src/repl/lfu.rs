@@ -58,10 +58,6 @@ impl ReplacementPolicy for Lfu {
     fn score(&self, slot: SlotId) -> u64 {
         u64::MAX - self.counts[slot.idx()]
     }
-
-    fn score_many(&self, cands: &[super::Candidate], out: &mut Vec<u64>) {
-        out.extend(cands.iter().map(|c| u64::MAX - self.counts[c.slot.idx()]));
-    }
 }
 
 #[cfg(test)]

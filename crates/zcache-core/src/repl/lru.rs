@@ -66,17 +66,6 @@ impl ReplacementPolicy for FullLru {
         // Age: monotone in recency, no wrap at 64 bits in practice.
         self.counter - self.timestamps[slot.idx()]
     }
-
-    fn score_many(&self, cands: &[super::Candidate], out: &mut Vec<u64>) {
-        // Hoist the counter load out of the loop; the body is a single
-        // subtract per candidate.
-        let counter = self.counter;
-        out.extend(
-            cands
-                .iter()
-                .map(|c| counter - self.timestamps[c.slot.idx()]),
-        );
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,10 @@
 //! time, LFU by access frequency, OPT by time to next reference. Every
 //! policy here exposes that rank through [`ReplacementPolicy::score`]
 //! (higher = more preferable to evict), which is what both victim
-//! selection and the associativity meter consume.
+//! selection and the associativity meter consume. Selection is one pass
+//! per miss, [`ReplacementPolicy::pick_victim`]: the first candidate
+//! with the highest key of its line and score, under a key rule the
+//! caller supplies.
 //!
 //! Policies are deliberately array-agnostic: the same LRU drives a
 //! set-associative cache and a zcache, which is how the paper separates
@@ -25,7 +28,7 @@ pub use lru::FullLru;
 pub use opt::Opt;
 pub use rrip::Rrip;
 
-use crate::array::Candidate;
+use crate::array::{Candidate, INVALID_TAG};
 use crate::types::{LineAddr, SlotId};
 
 /// Per-access context handed to policies.
@@ -72,15 +75,39 @@ pub trait ReplacementPolicy {
     /// evicted first. Only called for occupied slots.
     fn score(&self, slot: SlotId) -> u64;
 
-    /// Batched scoring: appends one score per candidate to `out`, in
-    /// candidate order.
+    /// The victim of one miss: the index of the first candidate with the
+    /// highest `key(line, score)`, where `line` is the block a candidate
+    /// holds ([`INVALID_TAG`] for an empty frame) and `score` its
+    /// [`score`](Self::score).
     ///
-    /// Must agree element-wise with [`score`](Self::score) — including
-    /// on empty-frame candidates, even though selection short-circuits
-    /// on those before comparing scores. Policies override it to hoist
-    /// per-call state loads out of the loop on the miss hot path.
-    fn score_many(&self, cands: &[Candidate], out: &mut Vec<u64>) {
-        out.extend(cands.iter().map(|c| self.score(c.slot)));
+    /// This is the miss path's one selection pass. [`Cache`] calls it
+    /// once per miss, after [`before_select`](Self::before_select) and
+    /// only when every candidate is occupied, with its access's key rule:
+    /// the score itself, or a score under an eligibility bit
+    /// ([`PartitionedCache`]). Later candidates win only with a strictly
+    /// higher key, so ties go to discovery order. [`AnyPolicy`]
+    /// dispatches once per call, not once per candidate.
+    ///
+    /// [`Cache`]: crate::Cache
+    /// [`PartitionedCache`]: crate::PartitionedCache
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cands` is empty.
+    #[inline]
+    fn pick_victim<T: Ord>(&self, cands: &[Candidate], key: impl Fn(LineAddr, u64) -> T) -> usize
+    where
+        Self: Sized,
+    {
+        let key_of = |c: &Candidate| key(c.addr.unwrap_or(INVALID_TAG), self.score(c.slot));
+        let mut best = (0, key_of(&cands[0]));
+        for (i, c) in cands.iter().enumerate().skip(1) {
+            let k = key_of(c);
+            if k > best.1 {
+                best = (i, k);
+            }
+        }
+        best.0
     }
 }
 
@@ -196,9 +223,9 @@ impl ReplacementPolicy for AnyPolicy {
         delegate!(self, p => p.score(slot))
     }
     #[inline]
-    fn score_many(&self, cands: &[Candidate], out: &mut Vec<u64>) {
+    fn pick_victim<T: Ord>(&self, cands: &[Candidate], key: impl Fn(LineAddr, u64) -> T) -> usize {
         // Dispatch the enum once per miss instead of once per candidate.
-        delegate!(self, p => p.score_many(cands, out))
+        delegate!(self, p => p.pick_victim(cands, key))
     }
 }
 

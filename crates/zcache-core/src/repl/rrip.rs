@@ -163,9 +163,7 @@ mod tests {
         p.on_fill(SlotId(2), 3, &CTX); // scan
         let cs = cands(&[0, 1, 2]);
         p.before_select(&cs);
-        let mut scores = Vec::new();
-        p.score_many(&cs, &mut scores);
-        let v = cs[crate::cache::highest_score(&cs, &scores)];
+        let v = cs[p.pick_victim(&cs, |_, score| score)];
         assert_ne!(v.slot, SlotId(0), "hot block must not be the victim");
     }
 }

@@ -111,9 +111,12 @@ impl<V: Copy + Default> SeededMap<V> {
         self.hasher.hash(key) as usize & self.mask
     }
 
-    /// The value stored for `key`, if any.
+    /// The value stored for `key`, if any ([`EMPTY_KEY`] never is).
     #[inline]
     pub fn get(&self, key: u64) -> Option<V> {
+        if key == EMPTY_KEY {
+            return None; // it would match the first free bucket
+        }
         let mut i = self.start(key);
         loop {
             let k = self.keys[i];
@@ -127,9 +130,13 @@ impl<V: Copy + Default> SeededMap<V> {
         }
     }
 
-    /// A mutable reference to the value stored for `key`, if any.
+    /// A mutable reference to the value stored for `key`, if any
+    /// ([`EMPTY_KEY`] never is).
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
+        if key == EMPTY_KEY {
+            return None;
+        }
         let mut i = self.start(key);
         loop {
             let k = self.keys[i];
@@ -205,12 +212,16 @@ impl<V: Copy + Default> SeededMap<V> {
         }
     }
 
-    /// Removes `key`, returning its value if it was present.
+    /// Removes `key`, returning its value if it was present
+    /// ([`EMPTY_KEY`] never is).
     ///
     /// Uses backward-shift deletion instead of tombstones, so probe
     /// chains never grow with churn and behavior stays a pure function
     /// of the current contents.
     pub fn remove(&mut self, key: u64) -> Option<V> {
+        if key == EMPTY_KEY {
+            return None; // it would free a free bucket
+        }
         let mut hole = self.start(key);
         loop {
             let k = self.keys[hole];
@@ -283,6 +294,25 @@ mod tests {
                 assert_eq!(m.get(a * 1000 + 1), Some(a), "survivor {a}");
             }
         }
+    }
+
+    #[test]
+    fn empty_key_is_never_present() {
+        // The free-bucket sentinel matches the first free bucket a probe
+        // reaches: it must read as absent, not as a default value, and
+        // removing it must leave the map as it was.
+        let mut m: SeededMap<u32> = SeededMap::with_capacity(4, 3);
+        m.insert(1, 9);
+        assert_eq!(m.get(EMPTY_KEY), None);
+        assert_eq!(m.get_mut(EMPTY_KEY), None);
+        assert_eq!(m.remove(EMPTY_KEY), None);
+        assert_eq!((m.len(), m.get(1)), (1, Some(9)));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved key")]
+    fn empty_key_insert_panics() {
+        SeededMap::<u32>::with_capacity(4, 3).insert(EMPTY_KEY, 1);
     }
 
     #[test]

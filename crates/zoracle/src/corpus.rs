@@ -136,9 +136,13 @@ fn parse_u64(s: &str, n: usize) -> io::Result<u64> {
 }
 
 /// An access address: hex with at most one `0x`, as `zworkloads`'
-/// trace reader takes it (`R 100` is 0x100).
+/// trace reader takes it (`R 100` is 0x100), and never all ones, the
+/// caches' empty-frame marker.
 fn parse_addr(s: &str, n: usize) -> io::Result<u64> {
-    parse_digits(s, s.strip_prefix("0x").unwrap_or(s), 16, n)
+    match parse_digits(s, s.strip_prefix("0x").unwrap_or(s), 16, n)? {
+        u64::MAX => Err(bad(n, format!("reserved address {s:?}"))),
+        addr => Ok(addr),
+    }
 }
 
 fn parse_u32(s: &str, n: usize) -> io::Result<u32> {
@@ -432,6 +436,14 @@ mod tests {
                 "line 6: bad number \"+1f\": sign",
             ),
             (format!("{PLAIN}R 0x+1f\n"), "line 6: bad number"),
+            (
+                format!("{PLAIN}R 0x1\nW ffffffffffffffff\n"),
+                "line 7: reserved address \"ffffffffffffffff\"",
+            ),
+            (
+                part("T0 R 0xffffffffffffffff\n"),
+                "line 8: reserved address",
+            ),
             (PLAIN.replace("ways: 4", "ways: +4"), "line 4: bad number"),
             (PLAIN.replace("seed: 1", "seed: 0x+1"), "line 5: bad number"),
             (part("# tenant: 32 +52\n"), "line 8: bad number"),

@@ -4,8 +4,9 @@
 //! A partitioned check is a [`CheckConfig`] with tenants. Its production
 //! side is a [`PartitionedCache`], which keeps per-tenant occupancy as
 //! incremental counters, walks under a per-tenant candidate budget via
-//! the array's early-stop cap, and picks victims with a single fused
-//! scan over batched scores. The reference is the same [`OracleCache`]
+//! the array's early-stop cap, and picks victims in the plain cache's
+//! one selection pass, keying each candidate's score with its owner's
+//! over-quota bit. The reference is the same [`OracleCache`]
 //! a plain check uses, with the tenants' grants: it re-derives each
 //! capped walk, recounts occupancy from the tags, and applies the quota
 //! victim rule. [`run_diff`] also compares the per-tenant occupancies

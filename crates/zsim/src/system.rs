@@ -234,15 +234,8 @@ impl System {
         let mut cycles = vec![0u64; cores];
         // Each core holds one pre-drawn pending reference — streams draw
         // from per-core RNGs, so drawing a core's next reference early
-        // never perturbs another core's sequence. Pre-drawing also tells
-        // us each core's *next* L1 probe set before its dispatch slot
-        // arrives, so we hint it (`prefetch_lookup`, a pure prefetch with
-        // no state or stats effect) and let the tag read overlap the other
-        // cores' dispatches in the scheduler's batch.
+        // never perturbs another core's sequence.
         let mut pending: Vec<MemRef> = streams.iter_mut().map(|s| s.next_ref()).collect();
-        for (c, r) in pending.iter().enumerate() {
-            self.l1s[c].prefetch_lookup(r.line);
-        }
         Scheduler::new(cores).run(|core, now| {
             let r = pending[core];
             instrs[core] += u64::from(r.gap);
@@ -253,7 +246,6 @@ impl System {
                 return None;
             }
             pending[core] = streams[core].next_ref();
-            self.l1s[core].prefetch_lookup(pending[core].line);
             Some(next)
         });
 

@@ -92,8 +92,11 @@ impl<R: BufRead> TraceReader<R> {
                 // `from_str_radix` and `parse` would also take a `+`.
                 let digits = a.strip_prefix("0x").unwrap_or(a);
                 match u64::from_str_radix(digits, 16) {
-                    Ok(addr) if !digits.starts_with('+') => Ok(addr),
-                    _ => Err(bad("invalid hex address")),
+                    Ok(_) if digits.starts_with('+') => Err(bad("invalid hex address")),
+                    // All ones is the caches' empty-frame marker.
+                    Ok(u64::MAX) => Err(bad("reserved address")),
+                    Ok(addr) => Ok(addr),
+                    Err(_) => Err(bad("invalid hex address")),
                 }
             })?;
         let gap = match parts.next() {
@@ -293,9 +296,21 @@ mod tests {
             "R +1f",
             "R 0x+1f",
             "W 20 +3",
+            "R ffffffffffffffff",
+            "W 0xFFFFFFFFFFFFFFFF 2",
         ] {
             assert!(read_trace(bad.as_bytes()).is_err(), "accepted {bad:?}");
         }
+        // All ones is the caches' empty-frame marker, not a line: a typed
+        // error on its line, where the largest line is accepted.
+        let err = read_trace("R 1\nR 0xffffffffffffffff\n".as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().starts_with("line 2: reserved address"),
+            "{err}"
+        );
+        let max = read_trace("R fffffffffffffffe\n".as_bytes()).unwrap();
+        assert_eq!(max[0].line, u64::MAX - 1);
     }
 
     #[test]

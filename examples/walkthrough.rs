@@ -5,8 +5,8 @@
 //! Run with: `cargo run --example walkthrough`
 
 use zcache_repro::zcache_core::{
-    highest_score, replacement_candidates, CacheArray, CandidateSet, FullLru, InstallOutcome,
-    ReplacementPolicy, SlotId, ZArray,
+    replacement_candidates, CacheArray, CandidateSet, FullLru, InstallOutcome, ReplacementPolicy,
+    SlotId, ZArray,
 };
 
 fn name_of(addr: Option<u64>) -> String {
@@ -116,9 +116,7 @@ fn main() {
     // Pick the LRU-preferred victim the way `Cache` does (the array is
     // full, so no candidate is an empty frame) and perform the
     // relocations.
-    let mut scores = Vec::new();
-    lru.score_many(cands.as_slice(), &mut scores);
-    let victim = cands.as_slice()[highest_score(cands.as_slice(), &scores)];
+    let victim = cands.as_slice()[lru.pick_victim(cands.as_slice(), |_, score| score)];
     println!(
         "\nVictim: block {} at {} (highest LRU age among candidates)",
         name_of(victim.addr),
