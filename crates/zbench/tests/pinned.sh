@@ -67,6 +67,10 @@ pin crates/zbench/tests/golden/predict-sizes.txt predict --smoke --workloads 1 -
 pin BENCH_predict.json predict --smoke --workloads 4 --validate --out BENCH_predict.json
 pin crates/zbench/tests/golden/check.txt check --accesses 20000
 pin crates/zbench/tests/golden/tenants.txt tenants --accesses 4000 --lines 128
+# The isolation sweep where quotas bind (EXPERIMENTS.md quotes it): its
+# partitioned mode selects by the quota key, the shared and solo modes
+# by the plain score.
+pin results/tenants.txt tenants --lines 512 --accesses 60000
 pin crates/zbench/tests/golden/dumptrace.txt dumptrace canneal $tmp/canneal.trace --cores 4 --instrs 5000
 pin crates/zbench/tests/golden/trace.txt trace $tmp/canneal.trace
 pin crates/zbench/tests/golden/perf-profile-walks.txt perf --profile walks --smoke --filter z3:

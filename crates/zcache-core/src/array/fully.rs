@@ -1,6 +1,6 @@
 //! The fully-associative layout: any block can live in any frame.
 
-use super::tags::TagStore;
+use super::tags::{TagStore, INVALID_TAG};
 use super::{ArrayKind, CacheArray, Candidate, CandidateSet, InstallOutcome};
 use crate::seeded_map::SeededMap;
 use crate::types::{LineAddr, SlotId};
@@ -118,8 +118,8 @@ impl CacheArray for FullyAssocArray {
         out.levels = 1;
         if let Some(&slot) = self.free.last() {
             out.push(Candidate {
+                line: INVALID_TAG,
                 slot,
-                addr: None,
                 token: 0,
             });
             out.tag_reads = 1;
@@ -132,8 +132,8 @@ impl CacheArray for FullyAssocArray {
                 out.reserve(lines);
                 for i in 0..lines {
                     out.push(Candidate {
+                        line: self.tags.raw(i),
                         slot: SlotId(i as u32),
-                        addr: self.tags.get(i),
                         token: i as u32,
                     });
                 }
@@ -143,8 +143,8 @@ impl CacheArray for FullyAssocArray {
                 for i in 0..*n {
                     let slot = SlotId(rng.next_below(lines as u64) as u32);
                     out.push(Candidate {
+                        line: self.tags.raw(slot.idx()),
                         slot,
-                        addr: self.tags.get(slot.idx()),
                         token: i,
                     });
                 }
@@ -156,7 +156,7 @@ impl CacheArray for FullyAssocArray {
     fn install(&mut self, addr: LineAddr, victim: &Candidate, out: &mut InstallOutcome) {
         out.clear();
         let prev = self.tags.get(victim.slot.idx());
-        debug_assert_eq!(prev, victim.addr, "stale candidate");
+        debug_assert_eq!(prev, victim.addr(), "stale candidate");
         if let Some(p) = prev {
             self.map.remove(p);
         } else if self.free.last() == Some(&victim.slot) {
@@ -220,7 +220,7 @@ mod tests {
             a.candidates(100, &mut cands);
             assert_eq!(cands.len(), full);
             assert_eq!(cands.tag_reads as usize, full);
-            assert!(cands.as_slice().iter().all(|c| c.addr.is_some()));
+            assert!(cands.as_slice().iter().all(|c| c.line != INVALID_TAG));
         }
     }
 
@@ -233,10 +233,10 @@ mod tests {
             a.candidates(10, &mut cands);
             let victim = cands.as_slice()[2];
             a.install(10, &victim, &mut out);
-            assert_eq!(out.evicted, victim.addr);
+            assert_eq!(out.evicted, victim.addr());
             assert_eq!(out.filled_slot, victim.slot);
             assert_eq!(a.lookup(10), Some(victim.slot));
-            assert!(a.lookup(victim.addr.unwrap()).is_none());
+            assert!(a.lookup(victim.line).is_none());
         }
     }
 
@@ -249,7 +249,7 @@ mod tests {
             let mut cands = CandidateSet::new();
             a.candidates(3, &mut cands);
             assert_eq!(cands.len(), 1);
-            assert_eq!(cands.as_slice()[0].addr, None);
+            assert_eq!(cands.as_slice()[0].addr(), None);
             assert_eq!(cands.as_slice()[0].slot, slot);
         }
     }

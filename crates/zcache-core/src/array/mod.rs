@@ -32,17 +32,33 @@ pub use zarray::{WalkNodeInfo, ZArray};
 use crate::types::{LineAddr, SlotId};
 use zhash::HashKind;
 
-/// One replacement candidate returned by [`CacheArray::candidates`].
+/// One replacement candidate returned by [`CacheArray::candidates`]:
+/// 16 bytes, the frame's raw tag beside two 32-bit handles.
+///
+/// An empty frame carries [`INVALID_TAG`], as in the arrays' own tag
+/// stores, so a walk copies the tag it read and victim selection reads
+/// it back without an `Option` on either side.
+/// [`addr`](Candidate::addr) gives the `Option` view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
+    /// The block currently in that frame, or [`INVALID_TAG`] if the
+    /// frame is empty (an empty frame is always the preferred "victim").
+    pub line: LineAddr,
     /// The frame that would be vacated.
     pub slot: SlotId,
-    /// The block currently in that frame; `None` if the frame is empty
-    /// (an empty frame is always the preferred "victim").
-    pub addr: Option<LineAddr>,
     /// Array-private handle (for [`ZArray`], the walk-tree node index) that
     /// [`CacheArray::install`] uses to reconstruct the relocation path.
     pub token: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Candidate>() == 16);
+
+impl Candidate {
+    /// The block in the candidate's frame; `None` if the frame is empty.
+    #[inline]
+    pub fn addr(&self) -> Option<LineAddr> {
+        (self.line != INVALID_TAG).then_some(self.line)
+    }
 }
 
 /// Reusable buffer of replacement candidates for one miss.
@@ -95,7 +111,7 @@ impl CandidateSet {
 
     /// Adds a candidate.
     pub fn push(&mut self, c: Candidate) {
-        if c.addr.is_none() && self.first_empty == u32::MAX {
+        if c.line == INVALID_TAG && self.first_empty == u32::MAX {
             self.first_empty = self.items.len() as u32;
         }
         self.items.push(c);
@@ -435,8 +451,8 @@ mod tests {
     fn candidate_set_reuse() {
         let mut s = CandidateSet::new();
         s.push(Candidate {
+            line: 1,
             slot: SlotId(0),
-            addr: Some(1),
             token: 0,
         });
         s.levels = 2;
@@ -453,16 +469,60 @@ mod tests {
     fn first_empty_finds_hole() {
         let mut s = CandidateSet::new();
         s.push(Candidate {
+            line: 5,
             slot: SlotId(0),
-            addr: Some(5),
             token: 0,
         });
         s.push(Candidate {
+            line: INVALID_TAG,
             slot: SlotId(1),
-            addr: None,
             token: 1,
         });
-        assert_eq!(s.first_empty().unwrap().slot, SlotId(1));
+        let hole = s.first_empty().unwrap();
+        assert_eq!((hole.slot, hole.addr()), (SlotId(1), None));
+        assert_eq!(s.as_slice()[0].addr(), Some(5));
+    }
+
+    #[test]
+    fn lookup_never_finds_the_empty_frame_tag() {
+        // The empty-frame marker equals an empty frame's tag: a probe for
+        // it must answer absent before it hashes, on an empty array and
+        // on a partly filled one, through both lookups of every kind.
+        let seed = 3;
+        let kinds = [
+            ("z4/52 walk4", AnyArray::ZCache(ZArray::new(64, 4, 3, seed))),
+            ("z8 zcache", AnyArray::ZCache(ZArray::new(64, 8, 2, seed))),
+            (
+                "sa-h3",
+                AnyArray::SetAssoc(SetAssocArray::new(64, 4, HashKind::H3, seed)),
+            ),
+            (
+                "sa-bitsel",
+                AnyArray::SetAssoc(SetAssocArray::new(64, 4, HashKind::BitSelect, seed)),
+            ),
+            ("skew", AnyArray::ZCache(ZArray::new(64, 4, 1, seed))),
+            ("fully", AnyArray::Fully(FullyAssocArray::new(64))),
+            (
+                "random",
+                AnyArray::Fully(FullyAssocArray::random_candidates(64, 8, seed)),
+            ),
+        ];
+        let mut cands = CandidateSet::new();
+        let mut out = InstallOutcome::default();
+        for (name, mut a) in kinds {
+            for filled in [0, 20] {
+                for line in 1..=filled {
+                    if a.lookup_mut(line).is_none() {
+                        a.candidates(line, &mut cands);
+                        let victim = *cands.first_empty().unwrap_or(&cands.as_slice()[0]);
+                        a.install(line, &victim, &mut out);
+                    }
+                }
+                assert!(a.occupancy() < a.lines(), "{name}: no empty frame");
+                assert_eq!(a.lookup(INVALID_TAG), None, "{name}, {filled} filled");
+                assert_eq!(a.lookup_mut(INVALID_TAG), None, "{name}, {filled} filled");
+            }
+        }
     }
 
     #[test]

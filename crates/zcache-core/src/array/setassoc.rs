@@ -109,10 +109,16 @@ impl CacheArray for SetAssocArray {
     }
 
     fn lookup(&self, addr: LineAddr) -> Option<SlotId> {
+        if addr == INVALID_TAG {
+            return None; // the empty-frame marker would match an empty frame
+        }
         self.find_in(self.set_of(addr), addr)
     }
 
     fn lookup_mut(&mut self, addr: LineAddr) -> Option<SlotId> {
+        if addr == INVALID_TAG {
+            return None;
+        }
         let set = self.set_of(addr);
         self.probe = (addr, set);
         self.find_in(set, addr)
@@ -130,13 +136,18 @@ impl CacheArray for SetAssocArray {
             self.set_of(addr)
         };
         debug_assert_eq!(set, self.set_of(addr), "stale probe memo");
-        for way in 0..self.ways {
-            let slot = self.slot(set, way);
-            out.push(Candidate {
-                slot,
-                addr: self.tags.get(slot.idx()),
+        // The set's frames are contiguous: one pass over its tags writes
+        // every candidate, and the same slice gives the first empty one.
+        let first = self.slot(set, 0).0;
+        let tags = self.tags.raw_range(first as usize, self.ways as usize);
+        out.items
+            .extend(tags.iter().zip(0..).map(|(&line, way)| Candidate {
+                line,
+                slot: SlotId(first + way),
                 token: way,
-            });
+            }));
+        if let Some(way) = tags.iter().position(|&t| t == INVALID_TAG) {
+            out.first_empty = way as u32;
         }
         out.levels = 1;
         out.tag_reads = self.ways;
@@ -150,7 +161,7 @@ impl CacheArray for SetAssocArray {
             "victim must belong to the set addr maps to"
         );
         let prev = self.tags.get(victim.slot.idx());
-        debug_assert_eq!(prev, victim.addr, "stale candidate");
+        debug_assert_eq!(prev, victim.addr(), "stale candidate");
         self.tags.set(victim.slot.idx(), addr);
         out.evicted = prev;
         out.evicted_slot = prev.map(|_| victim.slot);
@@ -206,9 +217,9 @@ mod tests {
         assert!(cands.first_empty().is_none());
         let victim = cands.as_slice()[2];
         a.install(32, &victim, &mut out);
-        assert_eq!(out.evicted, victim.addr);
+        assert_eq!(out.evicted, victim.addr());
         assert_eq!(a.lookup(32), Some(victim.slot));
-        assert_eq!(a.lookup(victim.addr.unwrap()), None);
+        assert_eq!(a.lookup(victim.line), None);
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl TagStore {
         self.tags[idx]
     }
 
+    /// The raw tag words of the `len` frames from `start` on.
+    #[inline(always)]
+    pub fn raw_range(&self, start: usize, len: usize) -> &[u64] {
+        &self.tags[start..start + len]
+    }
+
     /// The block resident in frame `idx`, if any.
     #[inline(always)]
     pub fn get(&self, idx: usize) -> Option<LineAddr> {

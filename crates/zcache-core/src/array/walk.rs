@@ -136,13 +136,20 @@ impl WalkTable {
         self.stats = WalkStats::default();
     }
 
-    /// Pre-sizes the table's buffers for walks of up to `candidates`
-    /// nodes, so steady-state walks and installs never reallocate.
-    pub fn reserve(&mut self, candidates: usize) {
-        self.nodes.reserve(candidates);
-        self.skips.reserve(candidates);
+    /// Pre-sizes the buffers a walk of up to `candidates` nodes uses, so
+    /// steady-state walks and installs never reallocate: every install's
+    /// path, then the skip list of an implicit walk (`walks4`) or the
+    /// links of any other, with the work stack for a DFS walk.
+    pub fn reserve(&mut self, candidates: usize, walks4: bool, dfs: bool) {
         self.path.reserve(candidates);
-        self.stack.reserve(candidates);
+        if walks4 {
+            self.skips.reserve(candidates);
+        } else {
+            self.nodes.reserve(candidates);
+        }
+        if dfs {
+            self.stack.reserve(candidates);
+        }
     }
 
     /// The parent of node `a` of an implicit walk, and which of its

@@ -38,6 +38,10 @@ pub struct ZArray {
     row_bits: u32,
     levels: u32,
     max_candidates: u32,
+    /// `R = W·Σ(W−1)^l`, capped at 4096 for degenerate configurations:
+    /// the node count the walk buffers and the caller's candidate set
+    /// are sized for, so steady-state walks never grow them.
+    walk_nodes: u32,
     walk_kind: WalkKind,
     /// How an address maps to its row in each way.
     index: WayIndex,
@@ -161,25 +165,42 @@ impl ZArray {
         } else {
             WayIndex::PerWay((0..ways).map(|w| hash.build(way_seed(w))).collect())
         };
-        // Pre-size the walk table to the full R = W·Σ(W−1)^l bound
-        // (capped for degenerate configurations) so steady-state walks
-        // never grow it.
-        let reserve = super::walk::replacement_candidates(ways, levels).min(4096) as usize;
-        let mut walk = WalkTable::default();
-        walk.reserve(reserve);
-        Self {
+        let mut z = Self {
             ways,
             rows,
             row_bits,
             levels,
             max_candidates: u32::MAX,
+            walk_nodes: super::walk::replacement_candidates(ways, levels).min(4096) as u32,
             walk_kind: WalkKind::Bfs,
             index,
             frames: vec![EMPTY_FRAME; lines as usize],
             probe: (INVALID_TAG, [0; FRAME_WAYS]),
-            walk,
+            walk: WalkTable::default(),
             bloom: None,
-        }
+        };
+        z.reserve_walk();
+        z
+    }
+
+    /// Whether this array's walks take the fixed-shape 4-way walk,
+    /// [`walk4`](Self::walk4): four ways with rows cached in the frames,
+    /// breadth-first, no Bloom filter. Every other shape walks through
+    /// [`expand`](Self::expand).
+    #[inline]
+    fn walks4(&self) -> bool {
+        self.ways as usize == FRAME_WAYS
+            && self.rows_cacheable()
+            && self.bloom.is_none()
+            && self.walk_kind == WalkKind::Bfs
+    }
+
+    /// Sizes the walk table's buffers for this shape's walks, on
+    /// construction and whenever [`with_walk_kind`](Self::with_walk_kind)
+    /// or [`with_bloom_dedup`](Self::with_bloom_dedup) changes the shape.
+    fn reserve_walk(&mut self) {
+        let (walks4, dfs) = (self.walks4(), self.walk_kind == WalkKind::Dfs);
+        self.walk.reserve(self.walk_nodes as usize, walks4, dfs);
     }
 
     /// Caps the walk at `max` candidates, modelling the early-stopped
@@ -198,18 +219,15 @@ impl ZArray {
     /// Selects the walk expansion order (BFS is the paper's design).
     pub fn with_walk_kind(mut self, kind: WalkKind) -> Self {
         self.walk_kind = kind;
+        self.reserve_walk();
         self
     }
 
     /// Enables the Bloom-filter repeat avoidance of §III-D, sized for the
     /// walk's candidate count.
     pub fn with_bloom_dedup(mut self, enable: bool) -> Self {
-        self.bloom = if enable {
-            let cap = super::walk::replacement_candidates(self.ways, self.levels).min(4096);
-            Some(BloomFilter::for_capacity(cap.max(16)))
-        } else {
-            None
-        };
+        self.bloom = enable.then(|| BloomFilter::for_capacity(u64::from(self.walk_nodes.max(16))));
+        self.reserve_walk();
         self
     }
 
@@ -500,8 +518,8 @@ impl ZArray {
                 if (items.len() + 3 <= cap) & (dup == 0) & !(empty[0] | empty[1] | empty[2]) {
                     let token = items.len() as u32;
                     items.extend([0, 1, 2].map(|k| Candidate {
+                        line: tags[k],
                         slot: SlotId(slots[k]),
-                        addr: Some(tags[k]),
                         token: token + k as u32,
                     }));
                     self.walk.stats.levels = level + 1;
@@ -633,18 +651,14 @@ impl ZArray {
     /// goes straight into `out`, in discovery order.
     fn walk_core(&mut self, addr: LineAddr, out: &mut CandidateSet) {
         out.clear();
-        // Match the walk table's pre-sizing so a caller-provided set
+        // Size a caller-provided set for the walk's R nodes, so it
         // reaches steady state after its first walk.
-        out.reserve(self.walk.nodes.capacity());
+        out.reserve(self.walk_nodes as usize);
         self.walk.clear(addr);
         if let Some(b) = self.bloom.as_mut() {
             b.clear();
         }
-        let first_empty = if self.ways as usize == FRAME_WAYS
-            && self.rows_cacheable()
-            && self.bloom.is_none()
-            && self.walk_kind == WalkKind::Bfs
-        {
+        let first_empty = if self.walks4() {
             self.walk4(addr, out)
         } else {
             self.walk_scalar(addr, out)
@@ -655,7 +669,7 @@ impl ZArray {
             first_empty,
             out.as_slice()
                 .iter()
-                .position(|c| c.addr.is_none())
+                .position(|c| c.line == INVALID_TAG)
                 .map_or(u32::MAX, |i| i as u32),
             "the walk's first empty frame must match a rescan"
         );
@@ -665,12 +679,13 @@ impl ZArray {
     }
 }
 
-/// The candidate of a frame holding `tag` ([`INVALID_TAG`] = empty).
+/// The candidate of a frame holding `tag` ([`INVALID_TAG`] = empty),
+/// which it carries as read.
 #[inline(always)]
 fn candidate(slot: SlotId, tag: u64, token: u32) -> Candidate {
     Candidate {
+        line: tag,
         slot,
-        addr: (tag != INVALID_TAG).then_some(tag),
         token,
     }
 }
@@ -685,6 +700,9 @@ impl CacheArray for ZArray {
     }
 
     fn lookup(&self, addr: LineAddr) -> Option<SlotId> {
+        if addr == INVALID_TAG {
+            return None; // the empty-frame marker would match an empty frame
+        }
         // Sentinel encoding makes each probe a single u64 compare. The
         // common 4-way shape is unrolled so the four tag loads issue
         // together (independent rows → memory-level parallelism) instead
@@ -795,8 +813,8 @@ impl CacheArray for ZArray {
 
         // Evict the victim (or fill the empty frame).
         let pt = self.frames[slot.idx()].tag;
+        debug_assert_eq!(pt, victim.line, "stale candidate");
         let prev = (pt != INVALID_TAG).then_some(pt);
-        debug_assert_eq!(prev, victim.addr, "stale candidate");
         out.evicted = prev;
         out.evicted_slot = prev.map(|_| slot);
 

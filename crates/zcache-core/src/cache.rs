@@ -6,8 +6,8 @@
 //! ([`ReplacementPolicy::pick_victim`]), then the install and its
 //! relocations. The key rule is the only variation point:
 //! [`Cache::access_full`] keys each candidate by its score, and
-//! [`PartitionedCache`](crate::PartitionedCache) by its score under an
-//! over-quota bit.
+//! [`PartitionedCache`](crate::PartitionedCache), where a quota can
+//! bind, by its score under an over-quota bit.
 
 use crate::array::{AnyArray, ArrayKind, CacheArray, CandidateSet, InstallOutcome, INVALID_TAG};
 use crate::array::{FullyAssocArray, SetAssocArray, ZArray};
@@ -168,7 +168,7 @@ impl<A: CacheArray, P: ReplacementPolicy> Cache<A, P> {
         self.stats.walk_levels += u64::from(self.cands.levels);
         self.stats.tag_reads += u64::from(self.cands.tag_reads);
 
-        if victim.addr.is_some() {
+        if victim.line != INVALID_TAG {
             if let Some(m) = self.meter.as_mut() {
                 m.on_eviction(&self.array, &self.policy, victim.slot);
             }
@@ -705,8 +705,8 @@ mod tests {
         lru.on_move(SlotId(0), SlotId(2));
         let cands: Vec<_> = (0..4u32)
             .map(|s| crate::Candidate {
+                line: u64::from(s),
                 slot: SlotId(s),
-                addr: Some(u64::from(s)),
                 token: s,
             })
             .collect();

@@ -203,6 +203,8 @@ pub struct PartitionedCache {
     /// per miss, after it moves the occupancies, so a hit never builds
     /// it.
     over: u64,
+    /// The mask with every tenant's bit set.
+    all: u64,
 }
 
 impl PartitionedCache {
@@ -247,6 +249,7 @@ impl PartitionedCache {
         Self {
             cache,
             over: over_quota(&tenants, cfg.enforce_quota),
+            all: u64::MAX >> (MAX_TENANTS - tenants.len()),
             tenants,
             enforce_quota: cfg.enforce_quota,
         }
@@ -264,6 +267,15 @@ impl PartitionedCache {
     /// (every owner in the walked sample is under quota — possible when
     /// quotas overcommit the array or the walk is shallow), the plain
     /// highest-score victim is evicted so the access always completes.
+    ///
+    /// The quota key ([`quota_key`]) is used only where a quota can bind:
+    /// when the over-quota mask has some tenants' bits and not others'.
+    /// A mask of 0 (enforcement off, or nobody at quota) or of every
+    /// tenant's bit gives every candidate the same eligibility bit, so
+    /// the key orders candidates exactly as their scores do, ties
+    /// included, and the miss selects by the plain score: the same
+    /// victim at the plain rule's price. The shared mode of an isolation
+    /// sweep (enforcement off) and a single tenant always take it.
     pub fn access_full(
         &mut self,
         tenant: usize,
@@ -290,11 +302,14 @@ impl PartitionedCache {
 
         let over = self.over;
         debug_assert_eq!(over, over_quota(&self.tenants, self.enforce_quota));
-        let out = self
-            .cache
-            .access_with(tagged, write, next_use, |line, score| {
-                quota_key(over, line, score)
-            });
+        let out = if over == 0 || over == self.all {
+            self.cache.access_full(tagged, write, next_use)
+        } else {
+            self.cache
+                .access_with(tagged, write, next_use, |line, score| {
+                    quota_key(over, line, score)
+                })
+        };
 
         let evicted = out.evicted.map(|e| (tenant_of(e), line_of(e)));
         if !out.hit {
@@ -389,8 +404,13 @@ fn over_quota(tenants: &[TenantState], enforce: bool) -> u64 {
 /// first highest eligible score when any candidate is eligible, and the
 /// first highest score, the plain rule's pick, when none is (or with
 /// enforcement off, an empty mask).
+///
+/// The key orders 65 bits, (eligible, full 64-bit score), so it is a
+/// `u128`: a score saturated below `u64::MAX` to free a bit would tie
+/// the scores it folds together, and LFU's (`u64::MAX − count`) and
+/// OPT's never-reused block (`u64::MAX`) sit at the top of the range.
 #[inline(always)]
-fn quota_key(over: u64, line: LineAddr, score: u64) -> u128 {
+pub fn quota_key(over: u64, line: LineAddr, score: u64) -> u128 {
     let owner = tenant_of(line);
     debug_assert!(owner < MAX_TENANTS, "candidate of unknown tenant {owner}");
     u128::from(over.wrapping_shr(owner as u32) & 1) << 64 | u128::from(score)
@@ -608,6 +628,60 @@ mod tests {
             }
             assert_eq!(part.cache().stats(), plain.stats(), "{policy}");
             assert_eq!(part.state_digest(), plain.state_digest(), "{policy}");
+        }
+    }
+
+    #[test]
+    fn masks_that_cannot_bind_evict_like_a_plain_cache() {
+        // Shared tenants (enforcement off: the mask stays 0) and one
+        // tenant with a quota (the mask is 0, then its own bit) select
+        // by the plain score. Each must evict exactly what the
+        // unpartitioned cache of the same geometry and seed evicts over
+        // the same tagged stream, under LRU and under LFU's and OPT's
+        // scores at the top of the u64 range (`u64::MAX - count`; next
+        // uses up to `u64::MAX`).
+        let grant = |quota| TenantGrant {
+            quota,
+            walk_budget: u32::MAX,
+        };
+        for policy in [PolicyKind::Lru, PolicyKind::Lfu, PolicyKind::Opt] {
+            let mut shared = PartitionConfig::new(256, 4, 3, policy, 5, vec![grant(64); 3]);
+            shared.enforce_quota = false;
+            let solo = PartitionConfig::new(256, 4, 3, policy, 5, vec![grant(100)]);
+            for cfg in [shared, solo] {
+                let label = format!("{policy}, {} tenant(s)", cfg.tenants.len());
+                let mut part = PartitionedCache::new(&cfg);
+                let mut plain = CacheBuilder::new()
+                    .lines(256)
+                    .ways(4)
+                    .array(ArrayKind::ZCache { levels: 3 })
+                    .policy(policy)
+                    .seed(5)
+                    .build();
+                let mut rng = SplitMix64::new(17);
+                for i in 0..30_000u64 {
+                    let tenant = rng.next_below(cfg.tenants.len() as u64) as usize;
+                    let line = rng.next_below(400);
+                    let write = rng.next_below(4) == 0;
+                    let next_use = match rng.next_below(8) {
+                        0 => u64::MAX,
+                        k => i + k * 97,
+                    };
+                    let a = part.access_full(tenant, line, write, next_use);
+                    let b = plain.access_full(tenant_tag(tenant, line), write, next_use);
+                    assert_eq!(
+                        (
+                            a.hit,
+                            a.evicted.map(|(t, l)| tenant_tag(t, l)),
+                            a.evicted_dirty
+                        ),
+                        (b.hit, b.evicted, b.evicted_dirty),
+                        "{label}: access {i}"
+                    );
+                }
+                assert_eq!(part.cache().stats(), plain.stats(), "{label}");
+                assert_eq!(part.state_digest(), plain.state_digest(), "{label}");
+            }
         }
     }
 

@@ -28,7 +28,7 @@ pub use lru::FullLru;
 pub use opt::Opt;
 pub use rrip::Rrip;
 
-use crate::array::{Candidate, INVALID_TAG};
+use crate::array::Candidate;
 use crate::types::{LineAddr, SlotId};
 
 /// Per-access context handed to policies.
@@ -76,19 +76,21 @@ pub trait ReplacementPolicy {
     fn score(&self, slot: SlotId) -> u64;
 
     /// The victim of one miss: the index of the first candidate with the
-    /// highest `key(line, score)`, where `line` is the block a candidate
-    /// holds ([`INVALID_TAG`] for an empty frame) and `score` its
+    /// highest `key(line, score)`, where `line` is the candidate's raw
+    /// [`Candidate::line`], handed over as the walk read it
+    /// ([`INVALID_TAG`] for an empty frame), and `score` its
     /// [`score`](Self::score).
     ///
     /// This is the miss path's one selection pass. [`Cache`] calls it
     /// once per miss, after [`before_select`](Self::before_select) and
     /// only when every candidate is occupied, with its access's key rule:
-    /// the score itself, or a score under an eligibility bit
-    /// ([`PartitionedCache`]). Later candidates win only with a strictly
-    /// higher key, so ties go to discovery order. [`AnyPolicy`]
-    /// dispatches once per call, not once per candidate.
+    /// the score itself, or, where a quota can bind, the score under an
+    /// eligibility bit ([`PartitionedCache`]). Later candidates win only
+    /// with a strictly higher key, so ties go to discovery order.
+    /// [`AnyPolicy`] dispatches once per call, not once per candidate.
     ///
     /// [`Cache`]: crate::Cache
+    /// [`INVALID_TAG`]: crate::INVALID_TAG
     /// [`PartitionedCache`]: crate::PartitionedCache
     ///
     /// # Panics
@@ -99,7 +101,7 @@ pub trait ReplacementPolicy {
     where
         Self: Sized,
     {
-        let key_of = |c: &Candidate| key(c.addr.unwrap_or(INVALID_TAG), self.score(c.slot));
+        let key_of = |c: &Candidate| key(c.line, self.score(c.slot));
         let mut best = (0, key_of(&cands[0]));
         for (i, c) in cands.iter().enumerate().skip(1) {
             let k = key_of(c);

@@ -1,7 +1,7 @@
 //! Static RRIP (re-reference interval prediction), Jaleel et al., 2010.
 
 use super::{AccessCtx, ReplacementPolicy};
-use crate::array::Candidate;
+use crate::array::{Candidate, INVALID_TAG};
 use crate::types::{LineAddr, SlotId};
 
 /// Static RRIP with 2-bit re-reference prediction values (RRPVs).
@@ -40,7 +40,7 @@ impl Rrip {
 /// one predicts a distant re-reference (RRPV = [`MAX_RRPV`]). Free
 /// frames short-circuit selection anyway, so a set with one skips aging.
 pub(super) fn age_candidates(rrpv: &mut [u8], cands: &[Candidate]) {
-    if cands.iter().any(|c| c.addr.is_none()) {
+    if cands.iter().any(|c| c.line == INVALID_TAG) {
         return;
     }
     for _ in 0..MAX_RRPV {
@@ -91,8 +91,8 @@ mod tests {
         slots
             .iter()
             .map(|&s| Candidate {
+                line: u64::from(s) + 100,
                 slot: SlotId(s),
-                addr: Some(u64::from(s) + 100),
                 token: s,
             })
             .collect()
@@ -142,8 +142,8 @@ mod tests {
         let mut p = Rrip::new(4);
         let mut cs = cands(&[0]);
         cs.push(Candidate {
+            line: INVALID_TAG,
             slot: SlotId(1),
-            addr: None,
             token: 1,
         });
         p.on_fill(SlotId(0), 1, &CTX);

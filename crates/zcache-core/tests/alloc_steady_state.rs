@@ -128,6 +128,26 @@ fn dfs_install_path_is_allocation_free() {
     );
 }
 
+/// The shapes that walk through `expand` without DFS, whose walk
+/// buffers are reserved by the shape, not the constructor alone: Bloom
+/// dedup set after construction, other way counts, and the 4-way shape
+/// again once its Bloom filter is switched back off.
+#[test]
+fn expand_shapes_are_allocation_free() {
+    let z = || ZArray::new(1 << 10, 4, 3, 7);
+    assert_steady(z().with_bloom_dedup(true), "Z4/52 Bloom");
+    assert_steady(ZArray::new(1 << 10, 8, 2, 7), "Z8/64");
+    assert_steady(ZArray::new(1 << 9, 2, 4, 7), "Z2/8");
+    assert_steady(
+        z().with_bloom_dedup(true).with_bloom_dedup(false),
+        "Z4/52 Bloom off again",
+    );
+    assert_steady(
+        ZArray::with_hash(1 << 10, 4, 3, HashKind::Mix64, 7),
+        "Z4/52 Mix64",
+    );
+}
+
 /// The multi-tenant wrapper layers quota-aware victim selection (a key
 /// rule over each candidate's line and score) and per-tenant
 /// bookkeeping on top of the walk; none of it may allocate once the
@@ -212,16 +232,18 @@ fn built<T>(build: impl FnOnce() -> T) -> (T, u64) {
 const GF2_TABLE: u64 = 64 * 8 + 16 * 16 * 8;
 
 /// A zsim L2 bank's array, 2048 frames of a Z4/52: its 16-byte frames,
-/// one table of four 16-bit row lanes and the walk buffers sized to 52
-/// candidates, 24 bytes each (a 12-byte node link, and a 4-byte entry
-/// each of the skip list, the install path and the DFS stack): 1 248
-/// bytes, where 24-byte walk nodes made them 1 664. Byte-sliced lanes
-/// took 16 KiB, and the four H3 matrices kept beside them 2 KiB more;
-/// tables of full 64-bit hashes per way would add 48 KiB at least.
+/// one table of four 16-bit row lanes and the buffers of its fixed-shape
+/// walk sized to 52 candidates, 8 bytes each (a 4-byte entry each of
+/// the skip list and the install path): 416 bytes. Only an array that
+/// walks through `expand` reserves a 12-byte link per node, and a DFS
+/// one a 4-byte stack entry too. Byte-sliced lanes took 16 KiB, and the
+/// four H3 matrices kept beside them 2 KiB more; tables of full 64-bit
+/// hashes per way would add 48 KiB at least.
 #[test]
 fn zarray_footprint_is_frames_and_one_row_table() {
     const FRAMES: u64 = 2048 * 16;
-    const WALK: u64 = 52 * 24;
+    const WALK: u64 = 52 * 8;
+    const LINKS_AND_STACK: u64 = 52 * (12 + 4);
     for seed in [1, 7] {
         let (z, got) = built(|| ZArray::new(2048, 4, 3, seed));
         assert_eq!(z.lines(), 2048);
@@ -229,6 +251,12 @@ fn zarray_footprint_is_frames_and_one_row_table() {
             got,
             FRAMES + GF2_TABLE + WALK,
             "ZArray::new(2048, 4, 3, {seed})"
+        );
+        let (_, got) = built(|| ZArray::new(2048, 4, 3, seed).with_walk_kind(WalkKind::Dfs));
+        assert_eq!(
+            got,
+            FRAMES + GF2_TABLE + WALK + LINKS_AND_STACK,
+            "DFS ZArray::new(2048, 4, 3, {seed})"
         );
     }
 }
@@ -252,11 +280,10 @@ fn set_assoc_h3_footprint_is_tags_and_one_table() {
 /// The walk-budget duel of a 1024-frame cache: two 64-frame shadow
 /// Z4 caches (1 in 16 lines sampled), each its frames (1 KiB), one row
 /// table (2.5 KiB) and its policy and walk buffers. Both together
-/// allocate 9 664 bytes (10 112 with 24-byte walk nodes); the bound
-/// allows 1 KiB more per shadow.
+/// allocate 8 768 bytes; the bound allows 1 KiB more per shadow.
 #[test]
 fn shadow_duel_footprint_is_two_small_caches() {
-    const BOUND: u64 = 9_664 + 2 * (1 << 10);
+    const BOUND: u64 = 8_768 + 2 * (1 << 10);
     let (_duel, got) =
         built(|| ShadowDuel::for_geometry(1024, 4, 3, FullLru::new, AdaptiveConfig::default()));
     assert!(

@@ -49,7 +49,7 @@ fn candidate_trace(mut cache: DynCache, addrs: &[u64]) -> Vec<(u32, Option<u64>,
                     .last_candidates()
                     .as_slice()
                     .iter()
-                    .map(|c| (c.slot.0, c.addr, c.token)),
+                    .map(|c| (c.slot.0, c.addr(), c.token)),
             );
         }
     }

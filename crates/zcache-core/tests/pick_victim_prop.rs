@@ -15,13 +15,17 @@
 //! timestamps, LFU counts and OPT next uses tie outright, and RRIP's
 //! aging leaves several candidates at the maximum.
 //!
+//! The partition's quota key ([`quota_key`]) is checked a second way,
+//! over scores from the whole `u64` range, where a key that freed its
+//! eligibility bit by saturating the score would tie distinct scores.
+//!
 //! [`ReplacementPolicy::pick_victim`]: zcache_core::ReplacementPolicy::pick_victim
 
 use proptest::prelude::*;
-use zcache_core::partition::tenant_of;
+use zcache_core::partition::{quota_key, tenant_of};
 use zcache_core::{
     AccessCtx, AnyArray, AnyPolicy, CacheArray, Candidate, CandidateSet, FullyAssocArray,
-    InstallOutcome, PolicyKind, ReplacementPolicy, SetAssocArray, WalkKind, ZArray,
+    InstallOutcome, Opt, PolicyKind, ReplacementPolicy, SetAssocArray, SlotId, WalkKind, ZArray,
 };
 use zhash::HashKind;
 
@@ -75,7 +79,7 @@ fn two_pass<T: Ord>(p: &AnyPolicy, cands: &[Candidate], key: impl Fn(u64, u64) -
     let keys: Vec<T> = cands
         .iter()
         .zip(&scores)
-        .map(|(c, &s)| key(c.addr.expect("full candidate sets only"), s))
+        .map(|(c, &s)| key(c.addr().expect("full candidate sets only"), s))
         .collect();
     let best = keys.iter().max().expect("at least one candidate");
     keys.iter().position(|k| k == best).unwrap()
@@ -89,8 +93,9 @@ fn accesses() -> impl Strategy<Value = Vec<Access>> {
 }
 
 /// Over-quota masks of the quota rule: enforcement off, then on with
-/// tenant 1 over its quota, then on with tenants 0 and 2 over.
-const OVER: [u64; 3] = [0, 0b010, 0b101];
+/// tenant 1 over its quota, with tenants 0 and 2 over, and with all
+/// three over.
+const OVER: [u64; 4] = [0, 0b010, 0b101, 0b111];
 
 /// Drives `accesses` through `array` under `kind`, checking the one-pass
 /// pick against the two-pass reference on every full miss, under the
@@ -121,11 +126,9 @@ fn check(mut array: AnyArray, kind: PolicyKind, accesses: &[Access]) -> u32 {
                 assert_eq!(pick, two_pass(&policy, set, plain), "plain rule");
                 for over in OVER {
                     // The partition rule: an eligibility bit above the
-                    // score, packed as `PartitionedCache` packs it and, in
+                    // score, packed by `PartitionedCache`'s key and, in
                     // the reference, as a pair.
-                    let packed = |line, score| {
-                        u128::from(over >> tenant_of(line) & 1) << 64 | u128::from(score)
-                    };
+                    let packed = |line, score| quota_key(over, line, score);
                     let paired = |line, score| (over >> tenant_of(line) & 1, score);
                     assert_eq!(
                         policy.pick_victim(set, packed),
@@ -153,6 +156,69 @@ fn check(mut array: AnyArray, kind: PolicyKind, accesses: &[Access]) -> u32 {
         }
     }
     picks
+}
+
+/// Scores from the whole `u64` range: zero and small values, both sides
+/// of `2^63`, and the top, where LFU's `u64::MAX − count` and OPT's
+/// never-reused `u64::MAX` sit.
+const SCORES: [u64; 10] = [
+    0,
+    1,
+    2,
+    5,
+    (1 << 63) - 1,
+    1 << 63,
+    (1 << 63) + 1,
+    u64::MAX - 2,
+    u64::MAX - 1,
+    u64::MAX,
+];
+
+/// The quota rule as the partition states it, in two passes: the first
+/// highest-score candidate whose owner is in `over`, else the first
+/// highest-score candidate overall.
+fn quota_reference(cands: &[Candidate], scores: &[u64], over: u64) -> usize {
+    let first_best = |pool: Vec<usize>| {
+        let top = pool.iter().map(|&i| scores[i]).max()?;
+        pool.into_iter().find(|&i| scores[i] == top)
+    };
+    let eligible = (0..cands.len()).filter(|&i| over >> tenant_of(cands[i].line) & 1 == 1);
+    first_best(eligible.collect())
+        .or_else(|| first_best((0..cands.len()).collect()))
+        .expect("at least one candidate")
+}
+
+/// Draws of one candidate set: `(tenant, index into SCORES)` per
+/// candidate, and an over-quota mask over tenants 0–2.
+fn scored_sets() -> impl Strategy<Value = (Vec<(u64, usize)>, u64)> {
+    (
+        prop::collection::vec((0..3u64, 0..SCORES.len()), 1..60),
+        0..8u64,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    #[test]
+    fn quota_key_orders_scores_across_the_u64_range(draw in scored_sets()) {
+        // OPT scores a block by the next use it was filled with, so its
+        // scores are the drawn values as they are.
+        let (set, over) = draw;
+        let mut opt = Opt::new(set.len() as u64);
+        let mut cands = Vec::new();
+        for (i, &(tenant, score)) in (0..).zip(&set) {
+            let line = tenant << 56 | u64::from(i);
+            opt.on_fill(SlotId(i), line, &AccessCtx { next_use: SCORES[score] });
+            cands.push(Candidate { line, slot: SlotId(i), token: i });
+        }
+        let scores: Vec<u64> = set.iter().map(|&(_, s)| SCORES[s]).collect();
+        prop_assert_eq!(
+            opt.pick_victim(&cands, |line, score| quota_key(over, line, score)),
+            quota_reference(&cands, &scores, over),
+            "mask {:#b}, scores {:?}", over, scores
+        );
+    }
 }
 
 proptest! {

@@ -190,7 +190,7 @@ fn digest_shape(shape: &Shape) -> u64 {
         fold(&mut digest, cands.len() as u64);
         for c in cands.as_slice() {
             fold(&mut digest, c.slot.0.into());
-            fold(&mut digest, c.addr.unwrap_or(u64::MAX));
+            fold(&mut digest, c.line);
             fold(&mut digest, c.token.into());
         }
         // Install the oldest-token victim (first empty if any) so the

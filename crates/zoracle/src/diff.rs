@@ -272,7 +272,7 @@ pub fn run_diff(
                 .last_candidates()
                 .as_slice()
                 .iter()
-                .map(|c| (c.slot.0, c.addr))
+                .map(|c| (c.slot.0, c.addr()))
                 .collect();
             if dut_cands != ref_out.cands {
                 return diverge(DivergenceKind::Candidates {

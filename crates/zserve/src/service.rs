@@ -176,6 +176,9 @@ pub struct ZServe {
     plan: FaultPlan,
     shards: Vec<Shard>,
     shard_pick: Mix64,
+    /// `shards - 1` when the shard count is a power of two: masking then
+    /// equals the modulo and skips a divide on every op.
+    shard_mask: Option<u64>,
     jitter: Mix64,
     gen: YcsbGen,
     pending: SeededMap<Pending>,
@@ -215,6 +218,10 @@ impl ZServe {
         let failed = SeededMap::with_capacity(0, cfg.seed ^ PENDING_TAG);
         Self {
             shard_pick: Mix64::new(cfg.seed ^ SHARD_PICK_TAG),
+            shard_mask: cfg
+                .shards
+                .is_power_of_two()
+                .then(|| u64::from(cfg.shards) - 1),
             jitter: Mix64::new(cfg.seed ^ RETRY_JITTER_TAG),
             cfg,
             plan,
@@ -280,7 +287,11 @@ impl ZServe {
     }
 
     fn shard_of(&self, key: u64) -> u32 {
-        (self.shard_pick.hash(key) % u64::from(self.cfg.shards)) as u32
+        let h = self.shard_pick.hash(key);
+        match self.shard_mask {
+            Some(mask) => (h & mask) as u32,
+            None => (h % u64::from(self.cfg.shards)) as u32,
+        }
     }
 
     /// Bounded exponential backoff with deterministic per-(op, attempt)
@@ -555,6 +566,26 @@ mod tests {
         assert_eq!(report.stats.hits + report.stats.misses, 4_000);
         assert!(report.stats.hit_rate() > 0.2, "{}", report.stats.hit_rate());
         assert_eq!(report.stats.latency_summary().count, 4_000);
+    }
+
+    #[test]
+    fn shard_pick_masks_like_the_modulo() {
+        // A power-of-two shard count masks the hash; every count picks
+        // the shard the modulo picks.
+        for shards in 1..=9 {
+            let s = ZServe::new(
+                ServeConfig {
+                    shards,
+                    ..smoke_cfg()
+                },
+                FaultPlan::none(),
+            );
+            assert_eq!(s.shard_mask.is_some(), shards.is_power_of_two());
+            for key in (0..2_000u64).map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
+                let modulo = s.shard_pick.hash(key) % u64::from(shards);
+                assert_eq!(u64::from(s.shard_of(key)), modulo, "{shards} shards");
+            }
+        }
     }
 
     #[test]

@@ -172,3 +172,24 @@ impl L2 {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zcache_core::INVALID_TAG;
+
+    #[test]
+    fn locate_never_finds_the_empty_frame_tag() {
+        // A bank's empty frames hold the empty-frame marker, so a probe
+        // for it must answer absent, on empty banks and partly filled
+        // ones.
+        let mut l2 = L2::new(&SimConfig::small());
+        assert_eq!(l2.locate(INVALID_TAG), None);
+        for (i, line) in (0..200u64).map(|i| i * 7 + 1).enumerate() {
+            l2.demand(l2.bank_of(line), line, false, u64::MAX, i as u64);
+            assert!(l2.locate(line).is_some(), "line {line:#x} just filled");
+        }
+        assert!(l2.banks().iter().all(|b| b.occupancy() < b.lines()));
+        assert_eq!(l2.locate(INVALID_TAG), None);
+    }
+}

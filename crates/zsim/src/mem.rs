@@ -8,6 +8,10 @@ use zhash::{Hasher64, Mix64};
 #[derive(Debug, Clone)]
 pub struct MemoryChannels {
     next_free: Vec<u64>,
+    /// `controllers - 1` when the controller count is a power of two
+    /// (every shipped config): masking then equals the modulo and skips
+    /// a divide on every memory access.
+    channel_mask: Option<u64>,
     zero_load_latency: u32,
     cycles_per_transfer: u32,
     hash: Mix64,
@@ -26,6 +30,9 @@ impl MemoryChannels {
         assert!(controllers > 0, "need at least one memory controller");
         Self {
             next_free: vec![0; controllers as usize],
+            channel_mask: controllers
+                .is_power_of_two()
+                .then(|| u64::from(controllers) - 1),
             zero_load_latency,
             cycles_per_transfer,
             hash: Mix64::new(0x3e3e_0001),
@@ -36,7 +43,11 @@ impl MemoryChannels {
 
     #[inline]
     fn channel_of(&self, line: u64) -> usize {
-        (self.hash.hash(line) % self.next_free.len() as u64) as usize
+        let h = self.hash.hash(line);
+        match self.channel_mask {
+            Some(mask) => (h & mask) as usize,
+            None => (h % self.next_free.len() as u64) as usize,
+        }
     }
 
     /// A demand fetch issued at cycle `now`: returns the total latency
@@ -122,6 +133,20 @@ mod tests {
             used.insert(m.channel_of(line));
         }
         assert_eq!(used.len(), 4, "all channels should be used");
+    }
+
+    #[test]
+    fn channel_pick_masks_like_the_modulo() {
+        // A power-of-two controller count masks the hash; every count
+        // picks the channel the modulo picks.
+        for controllers in 1..=9 {
+            let m = MemoryChannels::new(controllers, 200, 4);
+            assert_eq!(m.channel_mask.is_some(), controllers.is_power_of_two());
+            for line in (0..2_000u64).map(|l| l.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
+                let modulo = m.hash.hash(line) % u64::from(controllers);
+                assert_eq!(m.channel_of(line) as u64, modulo, "{controllers} channels");
+            }
+        }
     }
 
     #[test]

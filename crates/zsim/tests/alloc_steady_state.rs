@@ -140,9 +140,9 @@ fn zcache_system_access_is_allocation_free() {
 }
 
 /// `System::new` for the exec-z4-52 machine (SMALL, 32 cores, Z4/52)
-/// allocates 641 632 bytes: eight L2 banks of 55 008 (2048 frames
-/// each, one 2.5 KiB H3 row table, walk buffers of 24 bytes per
-/// candidate where 24-byte walk nodes took 32), 32 L1s of 1 088, the
+/// allocates 634 976 bytes: eight L2 banks of 54 176 (2048 frames
+/// each, one 2.5 KiB H3 row table, and the fixed-shape walk's buffers
+/// of 8 bytes per candidate), 32 L1s of 1 088, the
 /// directory's 133 120 (an 8-byte sharer mask and a modified bit per
 /// frame), the L1 home table's 8 192 (the 4-byte L2 frame of each of
 /// the 32 × 64 L1 frames' lines) and 25 440 of cache structs, bank
@@ -151,7 +151,7 @@ fn zcache_system_access_is_allocation_free() {
 /// byte-sliced H3 tables 126 976 more.
 #[test]
 fn system_new_allocates_one_directory_entry_per_frame() {
-    const BOUND: u64 = 641_632 + (4 << 10);
+    const BOUND: u64 = 634_976 + (4 << 10);
     let mut cfg = SimConfig::small();
     cfg.cores = 32;
     let cfg = cfg.with_l2(L2Design::zcache(4, 3));

@@ -109,7 +109,7 @@ fn main() {
             info.location,
             name_of(info.addr),
             parent,
-            c.addr.map(|_| lru.score(c.slot)).unwrap_or(0),
+            c.addr().map(|_| lru.score(c.slot)).unwrap_or(0),
         );
     }
 
@@ -119,7 +119,7 @@ fn main() {
     let victim = cands.as_slice()[lru.pick_victim(cands.as_slice(), |_, score| score)];
     println!(
         "\nVictim: block {} at {} (highest LRU age among candidates)",
-        name_of(victim.addr),
+        name_of(victim.addr()),
         z.location(victim.slot)
     );
     z.install(y, &victim, &mut out);
